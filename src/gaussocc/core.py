@@ -26,6 +26,20 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _softplus(x):
+    return np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(-np.abs(x))))
+
+
+def _sigmoid(x):
+    ax = np.abs(x)
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-ax)), np.exp(-ax) / (1.0 + np.exp(-ax)))
+
+
+def _softmax(x, axis=-1):
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned voxel grid: origin corner, per-axis voxel size, voxel counts.

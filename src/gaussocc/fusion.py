@@ -15,15 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _sigmoid
 from .errors import ConfigurationError
 from .params import ParameterBundle
 
 FUSION_MODES = ("addition", "concatenation", "adaptive")
-
-
-def _sigmoid(x):
-    ax = np.abs(x)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-ax)), np.exp(-ax) / (1.0 + np.exp(-ax)))
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,16 @@ from .core import (
     GaussianPrimitive,
     GridSpec,
     SemanticOccupancyGrid,
+    _sigmoid,
+    _softmax,
+    _softplus,
     make_covariance,
     stack_primitives,
     voxel_centers,
 )
 from .errors import ConfigurationError, FormatError
 from .formats import dump_grid, parse_grid
-from .head import SsmParams, _sigmoid, _softmax, _softplus, zoh_discretize
+from .head import SsmParams, zoh_discretize
 from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet
 
 DEGRADATION_MODES = ("none", "rain", "night")

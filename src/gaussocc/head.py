@@ -28,6 +28,9 @@ from .core import (
     GridSpec,
     ModelConfig,
     SemanticOccupancyGrid,
+    _sigmoid,
+    _softmax,
+    _softplus,
     make_covariance,
     normalize_quaternion,
     stack_primitives,
@@ -42,20 +45,6 @@ ZOH_SERIES_CUTOFF = 1e-4
 # axis pairs backing each plane: (first coord, second coord); the second
 # coordinate is the primary raster sort key
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
-
-
-def _softplus(x):
-    return np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(-np.abs(x))))
-
-
-def _sigmoid(x):
-    ax = np.abs(x)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-ax)), np.exp(-ax) / (1.0 + np.exp(-ax)))
-
-
-def _softmax(x, axis=-1):
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -270,19 +259,27 @@ def raster_serialize(coords: np.ndarray, omega: float) -> RasterOrder:
 def zoh_discretize(a, b, delta):
     """Zero-order-hold discretization of dh/dt = a h + b x over step delta.
 
-    Abar = exp(delta a); Bbar = ((Abar - 1) / a) b evaluated as
-    (expm1(z)/z) * delta * b with a truncated series below |z| < 1e-4,
-    z = delta * a.  Broadcasts over any shapes.
+    Abar = exp(z) and Bbar = ((Abar - 1) / a) b = (expm1(z) / z) delta b, with
+    z = delta * a.  expm1(z) / z is computed once, straight into the Bbar
+    buffer; the truncated series 1 + z/2 + z^2/6 + z^3/24 is then evaluated
+    only on the entries with |z| < 1e-4 and written over them, so z == 0
+    yields 1 and neither a NaN nor a warning.  Bbar is scaled by delta and b
+    in place and Abar overwrites z, so a call allocates its two outputs and
+    the small-|z| mask.  Broadcasts over any shapes; 0-d inputs give scalars.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    z = delta * a
-    abar = np.exp(z)
-    small = np.abs(z) < ZOH_SERIES_CUTOFF
-    safe = np.where(small, 1.0, z)
-    phi = np.where(small, 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0, np.expm1(safe) / safe)
-    return abar, phi * delta * b
+    z = np.asarray(delta * a)
+    bbar = np.abs(z, out=np.empty(np.broadcast_shapes(z.shape, b.shape)))
+    small = bbar < ZOH_SERIES_CUTOFF
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.expm1(z, out=bbar), z, out=bbar)
+    zs = np.broadcast_to(z, bbar.shape)[small]
+    bbar[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
+    bbar *= delta
+    bbar *= b
+    return np.exp(z, out=z)[()], bbar[()]
 
 
 def selective_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
@@ -290,9 +287,14 @@ def selective_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
 
     Per token: delta = softplus(x W_delta + b_delta), state input B = x W_b,
     readout C = x W_c; h_t = Abar_t h_{t-1} + Bbar_t x_t with h_0 = 0 and
-    y_t = C_t . h_t + D_skip x_t.  Discretization is precomputed in time
-    blocks; the recurrence itself is sequential, so any evaluation strategy
-    must reproduce the plain per-token recurrence.
+    y_t = C_t . h_t + D_skip x_t.  The sequence is processed in time blocks
+    of 1024 tokens.  Per block, ``zoh_discretize`` is called once, Bbar_t x_t
+    is folded into the Bbar buffer in place, and the only per-token work is
+    the state update h_t = Abar_t h_{t-1} + (Bbar_t x_t), whose result
+    overwrites that buffer; the C readout is then one batched matmul over
+    the block's states and the D skip is added for the whole block.  The
+    state carries across blocks.  The recurrence itself is sequential, so
+    any evaluation strategy must reproduce the plain per-token recurrence.
     """
     x = np.asarray(tokens, dtype=np.float64)
     t_total, f = x.shape
@@ -304,12 +306,15 @@ def selective_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
     block = 1024
     for start in range(0, t_total, block):
         stop = min(start + block, t_total)
-        abar, bbar = zoh_discretize(
+        abar, states = zoh_discretize(
             params.a[None], b_in[start:stop, None, :], delta[start:stop, :, None]
         )
+        states *= x[start:stop, :, None]
         for t in range(stop - start):
-            h = abar[t] * h + bbar[t] * x[start + t][:, None]
-            y[start + t] = h @ c_out[start + t] + params.d_skip * x[start + t]
+            states[t] += abar[t] * h
+            h = states[t]
+        y[start:stop] = np.matmul(states, c_out[start:stop, :, None])[..., 0]
+        y[start:stop] += params.d_skip * x[start:stop]
     return y
 
 

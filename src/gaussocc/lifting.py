@@ -20,18 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _sigmoid, _softmax
 from .errors import ConfigurationError
 from .params import ParameterBundle
-
-
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def _softmax(x, axis=-1):
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gaussocc.errors import (
     DegenerateCovarianceError,
     SequenceTooShortError,
 )
+from gaussocc.harness import oracle_sequential_scan
 from gaussocc.head import (
     ConsensusParams,
     DecodeParams,
@@ -134,6 +137,23 @@ class TestZohDiscretize:
         exact = (np.expm1(z) / z) * delta
         np.testing.assert_allclose(bbar, exact, rtol=1e-10)
 
+    def test_edge_mix_matches_two_branch_formula(self):
+        # z = 0 (delta = 0), both sides of the 1e-4 cutoff, and |z| up to 50
+        mags = np.concatenate([[0.0, 0.99e-4, 1.01e-4], np.logspace(-9, np.log10(50.0), 301)])
+        a = np.concatenate([-np.ones_like(mags), np.ones_like(mags)])
+        delta = np.concatenate([mags, mags])
+        b = np.linspace(-2.0, 3.0, a.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            abar, bbar = zoh_discretize(a, b, delta)
+        z = delta * a
+        small = np.abs(z) < 1e-4
+        safe = np.where(small, 1.0, z)
+        phi = np.where(small, 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0, np.expm1(safe) / safe)
+        np.testing.assert_array_equal(abar, np.exp(z))
+        np.testing.assert_array_equal(bbar, phi * delta * b)
+        assert np.all(np.isfinite(abar)) and np.all(np.isfinite(bbar))
+
 
 class TestSelectiveScan:
     def test_zero_input_coupling_reduces_to_skip(self):
@@ -166,6 +186,16 @@ class TestSelectiveScan:
         h = bbar * x[0][:, None]
         expected = h @ c_t + params.d_skip * x[0]
         np.testing.assert_allclose(out[0], expected, rtol=1e-12)
+
+    def test_state_carries_across_time_blocks(self):
+        # lengths that end exactly on, one past, and one past two 1024-token blocks
+        rng = np.random.default_rng(9)
+        params = random_ssm(rng, 16, 4)
+        for t in (1024, 1025, 2049):
+            tokens = rng.normal(size=(t, 16))
+            np.testing.assert_allclose(
+                selective_scan(tokens, params), oracle_sequential_scan(tokens, params), rtol=1e-9, atol=1e-12
+            )
 
     def test_abar_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
