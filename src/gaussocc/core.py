@@ -3,9 +3,12 @@
 The unit of computation is the anisotropic Gaussian primitive: a centroid,
 per-axis scales (kept in log space so additive refinement can never produce
 a non-positive extent), a unit rotation quaternion, an opacity logit, a
-semantic logit vector, and a latent feature embedding.  All types here are
-immutable value objects; arrays are frozen after construction so instances
-can be shared freely across threads.
+semantic logit vector, and a latent feature embedding.  The pipeline carries
+many primitives as one struct-of-arrays dict (``init_anchors``), one row per
+primitive; ``GaussianPrimitive`` is the validated single-primitive value the
+reference paths build.  The types here are immutable value objects; arrays
+are frozen after construction so instances can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -328,12 +331,13 @@ def init_anchors(
     seed: int,
     *,
     model: ModelConfig | None = None,
-) -> list[GaussianPrimitive]:
-    """Seeded uniform anchors inside the grid box.
+) -> dict[str, np.ndarray]:
+    """Seeded uniform anchors inside the grid box, as struct-of-arrays.
 
     Centroids come from a counter-based Philox stream so the layout is a pure
     function of (count, spec, seed); rotations are identity, logits zero, and
     each anchor draws its initial scale from the configured discrete set.
+    The keys and row layout are those of ``stack_primitives``.
     """
     if count < 1:
         raise ConfigurationError("anchor count must be >= 1", field="gaussian_count")
@@ -342,24 +346,18 @@ def init_anchors(
     centroids = spec.origin + rng.random((count, 3)) * spec.extent
     choices = np.asarray(model.scale_choices, dtype=np.float64)
     log_scales = np.log(choices[rng.integers(0, len(choices), size=count)])
-    identity = np.array([1.0, 0.0, 0.0, 0.0])
-    zeros_c = np.zeros(model.semantic_classes)
-    zeros_f = np.zeros(model.feature_width)
-    return [
-        GaussianPrimitive(
-            centroid=centroids[i],
-            log_scale=np.full(3, log_scales[i]),
-            rotation=identity,
-            opacity_logit=0.0,
-            semantic_logits=zeros_c,
-            feature=zeros_f,
-        )
-        for i in range(count)
-    ]
+    return {
+        "centroid": centroids,
+        "log_scale": np.repeat(log_scales[:, None], 3, axis=1),
+        "rotation": np.tile([1.0, 0.0, 0.0, 0.0], (count, 1)),
+        "opacity_logit": np.zeros(count),
+        "semantic_logits": np.zeros((count, model.semantic_classes)),
+        "feature": np.zeros((count, model.feature_width)),
+    }
 
 
 def stack_primitives(primitives) -> dict[str, np.ndarray]:
-    """Struct-of-arrays view used by the batch drivers."""
+    """Struct-of-arrays form of a primitive list, one row per primitive."""
     return {
         "centroid": np.array([p.centroid for p in primitives]),
         "log_scale": np.array([p.log_scale for p in primitives]),
@@ -368,18 +366,3 @@ def stack_primitives(primitives) -> dict[str, np.ndarray]:
         "semantic_logits": np.array([p.semantic_logits for p in primitives]),
         "feature": np.array([p.feature for p in primitives]),
     }
-
-
-def unstack_primitives(arrays: dict[str, np.ndarray]) -> list[GaussianPrimitive]:
-    n = arrays["centroid"].shape[0]
-    return [
-        GaussianPrimitive(
-            centroid=arrays["centroid"][i],
-            log_scale=arrays["log_scale"][i],
-            rotation=arrays["rotation"][i],
-            opacity_logit=float(arrays["opacity_logit"][i]),
-            semantic_logits=arrays["semantic_logits"][i],
-            feature=arrays["feature"][i],
-        )
-        for i in range(n)
-    ]

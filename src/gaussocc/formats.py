@@ -4,11 +4,14 @@ GOCW: magic "GOCW", version u32, entry count u32, then per entry
       path length u16, UTF-8 path, rank u8, dims u32 each, payload f32 LE.
 GOC1: magic "GOC1", version u32, dims 3xu32, class count u32,
       voxel size 3xf32 LE, origin 3xf32 LE, labels u8 row-major x fastest.
-All integers little-endian.  Loaders report the failing byte offset.
+All integers little-endian.  Loaders report the failing byte offset and
+reject non-finite f32 payloads.  ``_Reader`` is the one byte reader; the
+scene codec in ``harness`` uses it too.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -30,7 +33,7 @@ class _Reader:
         self.label = label
 
     def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
+        if n < 0 or self.offset + n > len(self.data):
             raise FormatError(f"truncated {self.label}: wanted {n} bytes", offset=self.offset)
         chunk = self.data[self.offset : self.offset + n]
         self.offset += n
@@ -38,6 +41,21 @@ class _Reader:
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
+
+    def line(self) -> bytes:
+        """Bytes up to the next newline, which is consumed but not returned."""
+        end = self.data.find(b"\n", self.offset)
+        if end < 0:
+            raise FormatError(f"unterminated line in {self.label}", offset=self.offset)
+        return self.take(end + 1 - self.offset)[:-1]
+
+    def finite_f32(self, count: int, what: str) -> np.ndarray:
+        """``count`` little-endian f32 values; NaN or inf anywhere is rejected."""
+        offset = self.offset
+        values = np.frombuffer(self.take(4 * count), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite value in {what}", offset=offset)
+        return values
 
     def expect_end(self):
         if self.offset != len(self.data):
@@ -69,12 +87,16 @@ def parse_bundle(data: bytes) -> ParameterBundle:
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         (path_len,) = r.unpack("H")
-        path = r.take(path_len).decode("utf-8")
+        path_offset = r.offset
+        try:
+            path = r.take(path_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("weight-bundle path is not UTF-8", offset=path_offset) from None
         (rank,) = r.unpack("B")
-        shape = tuple(r.unpack("I" * rank)) if rank else ()
-        n = int(np.prod(shape)) if rank else 1
-        payload = np.frombuffer(r.take(4 * n), dtype="<f4")
-        entries[path] = payload.reshape(shape)
+        if rank > 64:
+            raise FormatError(f"weight-bundle rank {rank} exceeds numpy's 64", offset=r.offset - 1)
+        shape = tuple(r.unpack("I" * rank))
+        entries[path] = r.finite_f32(math.prod(shape), f"weight-bundle entry {path}").reshape(shape)
     r.expect_end()
     return ParameterBundle(entries)
 

@@ -15,6 +15,7 @@ the state recurrence token by token from its definition.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +35,7 @@ from .core import (
     voxel_centers,
 )
 from .errors import ConfigurationError, FormatError
-from .formats import dump_grid, parse_grid
+from .formats import _Reader, dump_grid, parse_grid
 from .head import SsmParams, zoh_discretize
 from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet
 
@@ -64,6 +65,8 @@ class SceneConfig:
             )
         if self.cameras < 1 or self.depth_planes < 1:
             raise ConfigurationError("need at least one camera and one depth plane")
+        if min(self.plane_shape + self.camera_shape) < 1:
+            raise ConfigurationError("plane and camera shapes must be positive")
 
     def scale_range(self) -> tuple[float, float]:
         if self.blob_scale_range is not None:
@@ -377,92 +380,109 @@ def save_scene(scene: SyntheticScene, path) -> None:
     Path(path).write_bytes(dump_scene(scene))
 
 
+class _SceneHeader:
+    """The ``key=value`` lines of a scene header, each kept with its byte offset.
+
+    Every fault (a missing key, a non-ASCII byte, a wrong value count, an
+    unparsable or non-finite number) is a FormatError at the line's offset.
+    """
+
+    def __init__(self, r: _Reader):
+        self.fields: dict[str, tuple[str, int]] = {}
+        while True:
+            offset = r.offset
+            line = r.line()
+            if line == b"END_HEADER":
+                break
+            try:
+                key, _, value = line.decode("ascii").partition("=")
+            except UnicodeDecodeError as exc:
+                raise FormatError("non-ASCII byte in scene header", offset=offset + exc.start) from None
+            self.fields[key] = (value, offset)
+        self.end = offset
+
+    def field(self, key: str) -> tuple[str, int]:
+        """Raw value of ``key`` and the byte offset of its line."""
+        if key not in self.fields:
+            raise FormatError(f"scene header has no {key}", offset=self.end)
+        return self.fields[key]
+
+    def values(self, key: str, kind, count: int) -> list:
+        value, offset = self.field(key)
+        tokens = value.split()
+        if len(tokens) != count:
+            raise FormatError(f"scene header {key} holds {len(tokens)} values, expected {count}", offset=offset)
+        try:
+            out = [kind(t) for t in tokens]
+        except ValueError:
+            raise FormatError(f"unparsable number in scene header {key}", offset=offset) from None
+        if kind is float and not all(math.isfinite(v) for v in out):
+            raise FormatError(f"non-finite value in scene header {key}", offset=offset)
+        return out
+
+    def value(self, key: str, kind):
+        return self.values(key, kind, 1)[0]
+
+    def floats(self, key: str, *shape: int) -> np.ndarray:
+        return np.array(self.values(key, float, math.prod(shape))).reshape(shape)
+
+
 def parse_scene(data: bytes) -> SyntheticScene:
-    if not data.startswith(SCENE_MAGIC):
+    r = _Reader(data, "scene file")
+    if r.take(len(SCENE_MAGIC)) != SCENE_MAGIC:
         raise FormatError("bad scene magic", offset=0)
-    try:
-        end = data.index(b"END_HEADER\n")
-    except ValueError:
-        raise FormatError("scene header not terminated", offset=len(data)) from None
-    header = data[len(SCENE_MAGIC) : end].decode("ascii")
-    fields = {}
-    for line in header.strip().splitlines():
-        key, _, value = line.partition("=")
-        fields[key] = value
-    cursor = end + len(b"END_HEADER\n")
+    header = _SceneHeader(r)
 
-    def floats(key):
-        return np.array([float(tok) for tok in fields[key].split()])
-
-    names = tuple(fields["classes"].split(","))
-    taxonomy = ClassTaxonomy(names=names, class_weights=floats("class_weights"))
+    names = tuple(header.field("classes")[0].split(","))
+    taxonomy = ClassTaxonomy(names=names, class_weights=header.floats("class_weights", len(names) + 1))
     grid = GridSpec(
-        origin=floats("grid.origin"),
-        voxel_size=floats("grid.voxel"),
-        dims=tuple(int(t) for t in fields["grid.dims"].split()),
+        origin=header.floats("grid.origin", 3),
+        voxel_size=header.floats("grid.voxel", 3),
+        dims=tuple(header.values("grid.dims", int, 3)),
     )
     cfg = SceneConfig(
         grid=grid,
         taxonomy=taxonomy,
-        feature_width=int(fields["feature_width"]),
-        depth_planes=int(fields["depth_planes"]),
-        plane_shape=tuple(int(t) for t in fields["plane_shape"].split()),
-        cameras=int(fields["cameras"]),
-        camera_shape=tuple(int(t) for t in fields["camera_shape"].split()),
-        blob_range=tuple(int(t) for t in fields["blob_range"].split()),
-        noise_sigma=float(fields["noise_sigma"]),
-        truth_threshold=float(fields["truth_threshold"]),
+        feature_width=header.value("feature_width", int),
+        depth_planes=header.value("depth_planes", int),
+        plane_shape=tuple(header.values("plane_shape", int, 2)),
+        cameras=header.value("cameras", int),
+        camera_shape=tuple(header.values("camera_shape", int, 2)),
+        blob_range=tuple(header.values("blob_range", int, 2)),
+        noise_sigma=header.value("noise_sigma", float),
+        truth_threshold=header.value("truth_threshold", float),
     )
-
-    n_blobs = int(fields["blobs"])
-    centroids, scales, rotations, classes = [], [], [], []
-    for i in range(n_blobs):
-        toks = fields[f"blob{i}"].split()
-        vals = [float(t) for t in toks[:-1]]
-        centroids.append(vals[0:3])
-        scales.append(vals[3:6])
-        rotations.append(vals[6:10])
-        classes.append(int(toks[-1]))
+    # one row per blob: centroid (3), scale (3), rotation (4), class id
+    blobs = np.array([header.floats(f"blob{i}", 11) for i in range(header.value("blobs", int))]).reshape(-1, 11)
 
     d, (h_l, w_l), f = cfg.depth_planes, cfg.plane_shape, cfg.feature_width
-
-    def take(n):
-        nonlocal cursor
-        if cursor + n > len(data):
-            raise FormatError("truncated scene payload", offset=cursor)
-        chunk = data[cursor : cursor + n]
-        cursor += n
-        return chunk
-
-    stack_planes = np.frombuffer(take(4 * d * h_l * w_l * f), dtype="<f4").reshape(d, h_l, w_l, f)
     stack = DepthPlaneStack(
-        planes=stack_planes.astype(np.float64),
-        z_intervals=floats("stack.z_intervals").reshape(d, 2),
-        origin_xy=floats("stack.origin_xy"),
-        cell_size=floats("stack.cell_size"),
+        planes=r.finite_f32(d * h_l * w_l * f, "depth planes").reshape(d, h_l, w_l, f).astype(np.float64),
+        z_intervals=header.floats("stack.z_intervals", d, 2),
+        origin_xy=header.floats("stack.origin_xy", 2),
+        cell_size=header.floats("stack.cell_size", 2),
     )
     h_c, w_c = cfg.camera_shape
     views = []
     for i in range(cfg.cameras):
-        plane = np.frombuffer(take(4 * h_c * w_c * f), dtype="<f4").reshape(h_c, w_c, f)
+        plane = r.finite_f32(h_c * w_c * f, f"camera plane {i}").reshape(h_c, w_c, f)
         views.append(
             CameraView(
                 plane=plane.astype(np.float64),
-                intrinsics=floats(f"cam{i}.intrinsics").reshape(3, 3),
-                extrinsics=floats(f"cam{i}.extrinsics").reshape(4, 4),
+                intrinsics=header.floats(f"cam{i}.intrinsics", 3, 3),
+                extrinsics=header.floats(f"cam{i}.extrinsics", 4, 4),
             )
         )
-    truth_len = int.from_bytes(take(8), "little")
-    truth = parse_grid(take(truth_len))
-    if cursor != len(data):
-        raise FormatError("trailing bytes in scene file", offset=cursor)
+    (truth_len,) = r.unpack("Q")
+    truth = parse_grid(r.take(truth_len))
+    r.expect_end()
     return SyntheticScene(
-        seed=int(fields["seed"]),
+        seed=header.value("seed", int),
         config=cfg,
-        blob_centroids=np.array(centroids),
-        blob_scales=np.array(scales),
-        blob_rotations=np.array(rotations),
-        blob_classes=np.array(classes, dtype=np.int64),
+        blob_centroids=blobs[:, 0:3],
+        blob_scales=blobs[:, 3:6],
+        blob_rotations=blobs[:, 6:10],
+        blob_classes=blobs[:, 10].astype(np.int64),
         truth=truth,
         stack=stack,
         views=MultiViewFeatureSet(views=tuple(views)),

@@ -9,7 +9,7 @@ two per-axis offset predictions of the planes covering each axis.  After
 the final block a linear head decodes per-anchor attribute updates
 (centroid offset, log-scale delta, quaternion delta, opacity, semantics).
 
-``splat_to_grid`` rasterizes the primitives into a dense semantic volume:
+``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
 probabilities, in ascending primitive order so results are bit-reproducible
 regardless of how the grid is sharded across threads.
@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    GaussianPrimitive,
     GridSpec,
     ModelConfig,
     SemanticOccupancyGrid,
@@ -33,7 +31,6 @@ from .core import (
     _softplus,
     make_covariance,
     normalize_quaternion,
-    stack_primitives,
 )
 from .errors import ConfigurationError, DegenerateCovarianceError, SequenceTooShortError
 from .params import PLANES, ParameterBundle
@@ -529,41 +526,6 @@ def _splat_slab(
         )
 
 
-def splat_to_grid(
-    primitives: Sequence[GaussianPrimitive],
-    spec: GridSpec,
-    truncation_radius_sigmas: float,
-    *,
-    occupancy_threshold: float = DEFAULT_OCCUPANCY_THRESHOLD,
-    threads: int = 1,
-    semantic_classes: int | None = None,
-) -> SemanticOccupancyGrid:
-    """Rasterize primitives into a labelled grid with per-class scores.
-
-    Each voxel center within ``truncation_radius_sigmas`` Mahalanobis units
-    of a primitive accumulates sigmoid(opacity) * exp(-quad/2) times the
-    primitive's softmax class probabilities.  Voxels whose total density
-    clears the occupancy threshold take the argmax semantic class; the rest
-    are empty.  Primitives with any axis scale below 1e-6 m are rejected as
-    degenerate.  Sharding over x-slabs never changes per-voxel accumulation
-    order, so results are identical for any thread count.
-    """
-    if truncation_radius_sigmas < 1:
-        raise ConfigurationError("truncation radius must be >= 1 sigma", field="truncation_sigmas")
-    if len(primitives) == 0:
-        c_total = (semantic_classes or 17) + 1
-        labels = np.full(spec.dims, c_total - 1, dtype=np.uint8)
-        return SemanticOccupancyGrid(spec=spec, labels=labels, scores=np.zeros(spec.dims + (c_total,)))
-    arrays = stack_primitives(primitives)
-    return splat_arrays(
-        arrays,
-        spec,
-        truncation_radius_sigmas,
-        occupancy_threshold=occupancy_threshold,
-        threads=threads,
-    )
-
-
 def splat_arrays(
     arrays: dict,
     spec: GridSpec,
@@ -572,6 +534,17 @@ def splat_arrays(
     occupancy_threshold: float = DEFAULT_OCCUPANCY_THRESHOLD,
     threads: int = 1,
 ) -> SemanticOccupancyGrid:
+    """Rasterize struct-of-arrays primitives into a labelled grid with per-class scores.
+
+    Each voxel center within ``truncation_radius_sigmas`` Mahalanobis units
+    of a primitive accumulates sigmoid(opacity) * exp(-quad/2) times the
+    primitive's softmax class probabilities.  Voxels whose total density
+    clears the occupancy threshold take the argmax semantic class; the rest
+    are empty.  Primitives with any axis scale below 1e-6 m are rejected as
+    degenerate.  Sharding over x-slabs never changes per-voxel accumulation
+    order, so results are identical for any thread count.  Zero rows give an
+    all-empty grid.
+    """
     if truncation_radius_sigmas < 1:
         raise ConfigurationError("truncation radius must be >= 1 sigma", field="truncation_sigmas")
     centroids = np.asarray(arrays["centroid"], dtype=np.float64)

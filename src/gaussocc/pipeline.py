@@ -12,13 +12,14 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import formats, fusion, head, lifting, metrics, smoothing
-from .core import init_anchors, stack_primitives
+from .core import init_anchors
 from .errors import ConfigurationError
 from .harness import SyntheticScene, generate_scene, load_scene
 from .params import ParameterBundle, build_parameter_bundle, validate_bundle
@@ -88,95 +89,92 @@ def _load_or_build_bundle(config: RunConfig) -> ParameterBundle:
     return build_parameter_bundle(config.model, derive_seed(config.seed, "weights"))
 
 
+@contextmanager
+def _timed(timings: dict[str, float], stage: str):
+    """Record the wall time of the enclosed block under ``timings[stage]``."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
+
+
 def run_pipeline(config: RunConfig) -> RunResult:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = thread_cap()
     timings: dict[str, float] = {}
     seeds = {label: derive_seed(config.seed, label) for label in ("scene", "weights", "anchors", "chunking")}
-
-    t = time.perf_counter()
-    scene = _load_or_generate_scene(config)
-    timings["scene"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    bundle = _load_or_build_bundle(config)
-    validate_bundle(bundle, config.model)
-    timings["weights"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    anchors = init_anchors(config.gaussian_count, config.grid, seeds["anchors"], model=config.model)
-    arrays = stack_primitives(anchors)
-    timings["anchors"] = time.perf_counter() - t
-
     model = config.model
-    t = time.perf_counter()
-    cam_params = lifting.CameraLiftParams.from_bundle(bundle, model.image_keypoints)
-    f_cam = lifting.aggregate_camera(arrays["centroid"], scene.views, cam_params)
-    kp_params = lifting.KeypointParams.from_bundle(bundle, model.feature_width, model.lidar_keypoints)
-    ldfa_params = lifting.LdfaParams.from_bundle(bundle, model.feature_width, model.depth_chunks)
-    chunking = lifting.partition_depths(
-        model.depth_planes, model.depth_chunks, seeds["chunking"], training=False
-    )
-    f_lidar = lifting.lift_lidar(
-        arrays["centroid"],
-        arrays["feature"],
-        np.exp(arrays["log_scale"]),
-        scene.stack,
-        kp_params,
-        ldfa_params,
-        chunking,
-    )
-    timings["lifting"] = time.perf_counter() - t
 
-    t = time.perf_counter()
-    smoothing_cfg = smoothing.SmoothingConfig(seed=derive_seed(config.seed, "smoothing"))
-    eps = float(bundle.get("smoothing.eps", ()))
-    f_cam, f_lidar, _ = smoothing.smooth_features(
-        f_cam, f_lidar, smoothing_cfg, eps, training=False, force_on=config.smoothing
-    )
-    timings["smoothing"] = time.perf_counter() - t
+    with _timed(timings, "scene"):
+        scene = _load_or_generate_scene(config)
 
-    t = time.perf_counter()
-    fusion_params = fusion.FusionParams.from_bundle(bundle, model.feature_width, model.consistency_width)
-    arrays["feature"] = fusion.fuse(f_lidar, f_cam, fusion_params, config.fusion_mode)
-    timings["fusion"] = time.perf_counter() - t
+    with _timed(timings, "weights"):
+        bundle = _load_or_build_bundle(config)
+        validate_bundle(bundle, model)
 
-    t = time.perf_counter()
-    head_params = head.HeadParams.from_bundle(bundle, model, config.grid)
-    arrays = head.run_head(arrays, head_params, model.semantic_classes)
-    timings["head"] = time.perf_counter() - t
+    with _timed(timings, "anchors"):
+        arrays = init_anchors(config.gaussian_count, config.grid, seeds["anchors"], model=model)
 
-    t = time.perf_counter()
-    pred = head.splat_arrays(
-        arrays,
-        config.grid,
-        config.truncation_sigmas,
-        occupancy_threshold=config.occupancy_threshold,
-        threads=threads,
-    )
-    timings["splat"] = time.perf_counter() - t
+    with _timed(timings, "lifting"):
+        cam_params = lifting.CameraLiftParams.from_bundle(bundle, model.image_keypoints)
+        f_cam = lifting.aggregate_camera(arrays["centroid"], scene.views, cam_params)
+        kp_params = lifting.KeypointParams.from_bundle(bundle, model.feature_width, model.lidar_keypoints)
+        ldfa_params = lifting.LdfaParams.from_bundle(bundle, model.feature_width, model.depth_chunks)
+        chunking = lifting.partition_depths(
+            model.depth_planes, model.depth_chunks, seeds["chunking"], training=False
+        )
+        f_lidar = lifting.lift_lidar(
+            arrays["centroid"],
+            arrays["feature"],
+            np.exp(arrays["log_scale"]),
+            scene.stack,
+            kp_params,
+            ldfa_params,
+            chunking,
+        )
 
-    t = time.perf_counter()
-    report = metrics.class_iou(pred, scene.truth, config.taxonomy.c_total)
-    probs = grid_probabilities(pred, model.semantic_classes)
-    ce = metrics.weighted_ce(probs, scene.truth.labels, config.taxonomy.class_weights)
-    lovasz = metrics.lovasz_softmax(probs, scene.truth.labels, config.taxonomy.empty_id)
-    weights = metrics.LossWeights()
-    losses = {"ce": ce, "lovasz": lovasz, "total": metrics.total_loss(ce, lovasz, weights)}
-    metrics_text = metrics.format_metrics(report, config.taxonomy, losses)
-    timings["eval"] = time.perf_counter() - t
+    with _timed(timings, "smoothing"):
+        smoothing_cfg = smoothing.SmoothingConfig(seed=derive_seed(config.seed, "smoothing"))
+        eps = float(bundle.get("smoothing.eps", ()))
+        f_cam, f_lidar, _ = smoothing.smooth_features(
+            f_cam, f_lidar, smoothing_cfg, eps, training=False, force_on=config.smoothing
+        )
 
-    t = time.perf_counter()
-    grid_path = out_dir / "pred_grid.goc1"
-    formats.emit_grid(pred, grid_path, class_count=config.taxonomy.c_total)
-    digest = hashlib.sha256(grid_path.read_bytes()).hexdigest()
-    metrics_path = out_dir / "metrics.txt"
-    metrics_path.write_text(metrics_text)
-    bev_path = out_dir / "bev.ppm"
-    z_index = config.bev_z if config.bev_z is not None else config.grid.dims[2] // 2
-    formats.emit_bev_slice(pred, z_index, formats.palette_for(config.taxonomy.c_total), bev_path)
-    timings["emit"] = time.perf_counter() - t
+    with _timed(timings, "fusion"):
+        fusion_params = fusion.FusionParams.from_bundle(bundle, model.feature_width, model.consistency_width)
+        arrays["feature"] = fusion.fuse(f_lidar, f_cam, fusion_params, config.fusion_mode)
+
+    with _timed(timings, "head"):
+        head_params = head.HeadParams.from_bundle(bundle, model, config.grid)
+        arrays = head.run_head(arrays, head_params, model.semantic_classes)
+
+    with _timed(timings, "splat"):
+        pred = head.splat_arrays(
+            arrays,
+            config.grid,
+            config.truncation_sigmas,
+            occupancy_threshold=config.occupancy_threshold,
+            threads=threads,
+        )
+
+    with _timed(timings, "eval"):
+        report = metrics.class_iou(pred, scene.truth, config.taxonomy.c_total)
+        probs = grid_probabilities(pred, model.semantic_classes)
+        ce = metrics.weighted_ce(probs, scene.truth.labels, config.taxonomy.class_weights)
+        lovasz = metrics.lovasz_softmax(probs, scene.truth.labels, config.taxonomy.empty_id)
+        weights = metrics.LossWeights()
+        losses = {"ce": ce, "lovasz": lovasz, "total": metrics.total_loss(ce, lovasz, weights)}
+        metrics_text = metrics.format_metrics(report, config.taxonomy, losses)
+
+    with _timed(timings, "emit"):
+        grid_path = out_dir / "pred_grid.goc1"
+        formats.emit_grid(pred, grid_path, class_count=config.taxonomy.c_total)
+        digest = hashlib.sha256(grid_path.read_bytes()).hexdigest()
+        metrics_path = out_dir / "metrics.txt"
+        metrics_path.write_text(metrics_text)
+        bev_path = out_dir / "bev.ppm"
+        z_index = config.bev_z if config.bev_z is not None else config.grid.dims[2] // 2
+        formats.emit_bev_slice(pred, z_index, formats.palette_for(config.taxonomy.c_total), bev_path)
 
     manifest = {
         "config": config.flat(),

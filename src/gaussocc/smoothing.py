@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _softmax
 from .errors import ConfigurationError
 
 
@@ -53,10 +54,7 @@ def tempered_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
     """softmax(logits / temperature) along the last axis."""
     if temperature <= 0:
         raise ConfigurationError("temperature must be > 0", field="temperature")
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
-    shifted = scaled - np.max(scaled, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return _softmax(np.asarray(logits, dtype=np.float64) / temperature)
 
 
 def bidirectional_cross_entropy(p_cam: np.ndarray, q_lidar: np.ndarray, floor: float):

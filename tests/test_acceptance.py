@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from gaussocc.core import GaussianPrimitive, GridSpec, SemanticOccupancyGrid
+from gaussocc.core import GaussianPrimitive, GridSpec, SemanticOccupancyGrid, stack_primitives
 from gaussocc.formats import dump_bundle, dump_grid, parse_bundle, parse_grid
 from gaussocc.harness import oracle_dense_splat, oracle_sequential_scan
 from gaussocc.head import (
@@ -15,7 +15,7 @@ from gaussocc.head import (
     raster_serialize,
     refine_features,
     selective_scan,
-    splat_to_grid,
+    splat_arrays,
     zoh_discretize,
 )
 from gaussocc.fusion import FusionParams, adaptive_fuse, cross_attend_pointwise
@@ -76,7 +76,7 @@ def test_criterion_01_splat_oracle_equivalence():
             dims=dims,
         )
         prims = random_primitives(rng, int(rng.integers(1, 65)))
-        kernel = splat_to_grid(prims, spec, 6.0, threads=1)
+        kernel = splat_arrays(stack_primitives(prims), spec, 6.0, threads=1)
         oracle = oracle_dense_splat(prims, spec)
         np.testing.assert_allclose(kernel.scores, oracle.scores, atol=1e-6)
         np.testing.assert_array_equal(kernel.labels, oracle.labels)

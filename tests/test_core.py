@@ -9,6 +9,7 @@ from gaussocc.core import (
     init_anchors,
     make_covariance,
     quaternion_to_matrix,
+    stack_primitives,
     voxel_center,
     voxel_centers,
 )
@@ -99,26 +100,45 @@ class TestVoxelCenter:
         np.testing.assert_array_equal(grid[1, 0, 3], voxel_center(spec, (1, 0, 3)))
 
 
+def reference_anchors(count, spec, seed, model):
+    """Per-anchor GaussianPrimitive construction from the same Philox draws, then stacked."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    centroids = spec.origin + rng.random((count, 3)) * spec.extent
+    choices = np.asarray(model.scale_choices, dtype=np.float64)
+    log_scales = np.log(choices[rng.integers(0, len(choices), size=count)])
+    return stack_primitives(
+        [
+            GaussianPrimitive(
+                centroid=centroids[i],
+                log_scale=np.full(3, log_scales[i]),
+                rotation=np.array([1.0, 0.0, 0.0, 0.0]),
+                opacity_logit=0.0,
+                semantic_logits=np.zeros(model.semantic_classes),
+                feature=np.zeros(model.feature_width),
+            )
+            for i in range(count)
+        ]
+    )
+
+
 class TestInitAnchors:
     def test_centroids_inside_box(self, small_grid):
         anchors = init_anchors(50, small_grid, seed=11)
-        for a in anchors:
-            assert np.all(a.centroid >= small_grid.origin)
-            assert np.all(a.centroid <= small_grid.upper)
-            np.testing.assert_array_equal(a.rotation, [1.0, 0.0, 0.0, 0.0])
-            assert np.all(np.exp(a.log_scale) > 0)
+        assert np.all(anchors["centroid"] >= small_grid.origin)
+        assert np.all(anchors["centroid"] <= small_grid.upper)
+        np.testing.assert_array_equal(anchors["rotation"], np.tile([1.0, 0.0, 0.0, 0.0], (50, 1)))
+        assert np.all(np.exp(anchors["log_scale"]) > 0)
 
     def test_deterministic_for_seed(self, small_grid):
         a = init_anchors(32, small_grid, seed=77)
         b = init_anchors(32, small_grid, seed=77)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.centroid, y.centroid)
-            np.testing.assert_array_equal(x.log_scale, y.log_scale)
+        np.testing.assert_array_equal(a["centroid"], b["centroid"])
+        np.testing.assert_array_equal(a["log_scale"], b["log_scale"])
 
     def test_different_seed_differs(self, small_grid):
         a = init_anchors(32, small_grid, seed=77)
         b = init_anchors(32, small_grid, seed=78)
-        assert not np.array_equal(a[0].centroid, b[0].centroid)
+        assert not np.array_equal(a["centroid"][0], b["centroid"][0])
 
     def test_zero_count_rejected(self, small_grid):
         with pytest.raises(ConfigurationError) as info:
@@ -127,13 +147,29 @@ class TestInitAnchors:
 
     def test_primary_configuration_count(self, small_grid):
         anchors = init_anchors(25600, small_grid, seed=5, model=ModelConfig(feature_width=8))
-        assert len(anchors) == 25600
+        assert all(len(v) == 25600 for v in anchors.values())
 
     def test_scales_from_discrete_choices(self, small_grid):
         anchors = init_anchors(200, small_grid, seed=3)
-        seen = {round(float(np.exp(a.log_scale[0])), 6) for a in anchors}
+        seen = {round(float(v), 6) for v in np.exp(anchors["log_scale"][:, 0])}
         assert seen <= {0.2, 0.5, 1.0}
         assert len(seen) > 1
+
+    @pytest.mark.parametrize(
+        "count, seed, model",
+        [
+            (1, 0, ModelConfig()),
+            (300, 5, ModelConfig(feature_width=8, semantic_classes=19)),
+            (1024, 2**40 + 3, ModelConfig(feature_width=16, scale_choices=(0.3, 0.7))),
+        ],
+    )
+    def test_bit_identical_to_stacked_primitives(self, small_grid, count, seed, model):
+        got = init_anchors(count, small_grid, seed, model=model)
+        want = reference_anchors(count, small_grid, seed, model)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 class TestDomainTypes:

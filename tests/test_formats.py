@@ -1,6 +1,10 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
+from gaussocc.cli import main
 from gaussocc.core import GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import FormatError
 from gaussocc.formats import (
@@ -16,6 +20,7 @@ from gaussocc.formats import (
     parse_grid,
     save_bundle,
 )
+from gaussocc.harness import dump_scene, parse_scene
 from gaussocc.params import ParameterBundle
 
 
@@ -166,3 +171,84 @@ class TestBevSlice:
         assert small.shape == (7, 3)
         np.testing.assert_array_equal(small[:6], DEFAULT_PALETTE[:6])
         np.testing.assert_array_equal(small[-1], DEFAULT_PALETTE[-1])
+
+
+def _scene_edit(pattern, replacement):
+    def build(scene, bundle):
+        data = dump_scene(scene)
+        edited, hits = re.subn(pattern, replacement, data, count=1)
+        assert hits == 1
+        return "--scene", edited
+
+    return build
+
+
+def _nan_plane(scene, bundle):
+    data = bytearray(dump_scene(scene))
+    start = data.index(b"END_HEADER\n") + len(b"END_HEADER\n")
+    data[start + 8 : start + 12] = struct.pack("<f", np.nan)
+    return "--scene", bytes(data)
+
+
+def _non_utf8_path(scene, bundle):
+    data = bytearray(dump_bundle(bundle))
+    data[14] = 0xFF  # first byte of the first path: magic, version, count, path length
+    return "--weights", bytes(data)
+
+
+def _nan_weight(scene, bundle):
+    entries = {path: bundle.raw(path).copy() for path in bundle.paths()}
+    entries[bundle.paths()[-1]].reshape(-1)[0] = np.nan
+    return "--weights", dump_bundle(ParameterBundle(entries))
+
+
+def _rank_over_64(scene, bundle):
+    # one entry "a" of rank 65 with every dim 0, so no payload bytes follow
+    return "--weights", b"GOCW" + struct.pack("<IIH", 1, 1, 1) + b"a" + struct.pack("<B65I", 65, *[0] * 65)
+
+
+MALFORMED = {
+    "scene-missing-key": _scene_edit(rb"\nnoise_sigma=[^\n]*", b""),
+    "scene-non-ascii-header": _scene_edit(rb"classes=", "classes=é".encode("utf-8")),
+    "scene-unparsable-number": _scene_edit(rb"noise_sigma=", b"noise_sigma=x"),
+    "scene-wrong-value-count": _scene_edit(rb"grid\.dims=[^\n]*", b"grid.dims=4 4"),
+    "scene-non-finite-header-float": _scene_edit(rb"noise_sigma=[^\n]*", b"noise_sigma=nan"),
+    "scene-nan-plane": _nan_plane,
+    "bundle-non-utf8-path": _non_utf8_path,
+    "bundle-nan-weight": _nan_weight,
+    "bundle-rank-over-64": _rank_over_64,
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_format_error_with_offset(self, case, small_scene, small_bundle):
+        option, data = MALFORMED[case](small_scene, small_bundle)
+        parse = parse_scene if option == "--scene" else parse_bundle
+        with pytest.raises(FormatError) as info:
+            parse(data)
+        assert 0 <= info.value.offset <= len(data)
+
+    def test_nan_weight_rejected_at_payload_offset(self):
+        bundle = ParameterBundle({"a": np.ones(2), "b": np.array([3.0, np.nan])})
+        with pytest.raises(FormatError, match="non-finite") as info:
+            parse_bundle(dump_bundle(bundle))
+        # header 12 bytes; entry "a" 2 + 1 + 1 + 4 + 8 bytes; entry "b" 2 + 1 + 1 + 4 before its payload
+        assert info.value.offset == 12 + 16 + 8
+
+    def test_nan_plane_value_rejected(self, small_scene):
+        data = _nan_plane(small_scene, None)[1]
+        with pytest.raises(FormatError, match="non-finite value in depth planes") as info:
+            parse_scene(data)
+        assert info.value.offset == data.index(b"END_HEADER\n") + len(b"END_HEADER\n")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cli_reports_error_and_exits_1(self, case, small_scene, small_bundle, tmp_path, capsys):
+        option, data = MALFORMED[case](small_scene, small_bundle)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        code = main(["run", "--preset", "synthetic", option, str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "byte offset" in err
+        assert "Traceback" not in err

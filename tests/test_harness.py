@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaussocc.core import GaussianPrimitive, GridSpec, make_covariance, voxel_centers
+from gaussocc.core import GaussianPrimitive, GridSpec, make_covariance, stack_primitives, voxel_centers
 from gaussocc.errors import ConfigurationError, FormatError
 from gaussocc.harness import (
     DegradationConfig,
@@ -15,7 +15,7 @@ from gaussocc.harness import (
     parse_scene,
     save_scene,
 )
-from gaussocc.head import SsmParams, selective_scan, splat_to_grid
+from gaussocc.head import SsmParams, selective_scan, splat_arrays
 
 
 def isotropic(centroid, scale=1.0, logits=None, opacity_logit=0.0):
@@ -45,6 +45,11 @@ class TestGenerateScene:
     def test_zero_blobs_rejected(self, small_grid, small_taxonomy):
         with pytest.raises(ConfigurationError):
             SceneConfig(grid=small_grid, taxonomy=small_taxonomy, feature_width=16, blob_range=(0, 4))
+
+    @pytest.mark.parametrize("shapes", [{"plane_shape": (-12, -16)}, {"camera_shape": (24, 0)}])
+    def test_non_positive_plane_shapes_rejected(self, small_grid, small_taxonomy, shapes):
+        with pytest.raises(ConfigurationError):
+            SceneConfig(grid=small_grid, taxonomy=small_taxonomy, feature_width=16, **shapes)
 
     def test_single_central_blob_occupies_exact_ball(self, small_grid, small_taxonomy):
         config = SceneConfig(
@@ -178,7 +183,7 @@ class TestDenseSplatOracle:
                 )
             )
         spec = GridSpec(origin=-np.full(3, 5.0), voxel_size=np.full(3, 0.5), dims=(20, 20, 20))
-        kernel = splat_to_grid(prims, spec, 6.0)
+        kernel = splat_arrays(stack_primitives(prims), spec, 6.0)
         oracle = oracle_dense_splat(prims, spec)
         np.testing.assert_allclose(kernel.scores, oracle.scores, atol=1e-6)
         np.testing.assert_array_equal(kernel.labels, oracle.labels)

@@ -25,7 +25,7 @@ from gaussocc.head import (
     refine_features,
     run_head,
     selective_scan,
-    splat_to_grid,
+    splat_arrays,
     tpv_project,
     zoh_discretize,
 )
@@ -307,7 +307,7 @@ class TestDecodeAttributes:
         rng = np.random.default_rng(11)
         params = DecodeParams(w=np.zeros((6, 28)), b=np.zeros(28))
         decoded = decode_attributes(rng.normal(size=(3, 6)), params, 17)
-        arrays = stack_primitives(init_anchors(3, GridSpec(np.zeros(3), np.ones(3), (4, 4, 4)), 0))
+        arrays = init_anchors(3, GridSpec(np.zeros(3), np.ones(3), (4, 4, 4)), 0)
         out = apply_decoded(arrays, decoded)
         np.testing.assert_array_equal(out["centroid"], arrays["centroid"])
         np.testing.assert_array_equal(out["log_scale"], arrays["log_scale"])
@@ -328,7 +328,7 @@ class TestDecodeAttributes:
         b[3:6] = np.log(2.0)
         params = DecodeParams(w=np.zeros((6, 28)), b=b)
         decoded = decode_attributes(np.zeros((1, 6)), params, 17)
-        arrays = stack_primitives(init_anchors(1, GridSpec(np.zeros(3), np.ones(3), (4, 4, 4)), 0))
+        arrays = init_anchors(1, GridSpec(np.zeros(3), np.ones(3), (4, 4, 4)), 0)
         out = apply_decoded(arrays, decoded)
         np.testing.assert_allclose(np.exp(out["log_scale"]), 2.0 * np.exp(arrays["log_scale"]), rtol=1e-12)
 
@@ -352,8 +352,7 @@ class TestHeadEquivariance:
             np.testing.assert_array_equal(out_f, base_f[perm])
 
     def test_run_head_applies_single_decode(self, small_bundle, small_model, small_grid):
-        anchors = init_anchors(8, small_grid, seed=13, model=small_model)
-        arrays = stack_primitives(anchors)
+        arrays = init_anchors(8, small_grid, seed=13, model=small_model)
         out = run_head(arrays, HeadParams.from_bundle(small_bundle, small_model, small_grid), 17)
         assert out["semantic_logits"].shape == (8, 17)
         norms = np.linalg.norm(out["rotation"], axis=1)
@@ -378,22 +377,31 @@ class TestSplat:
 
     def test_density_one_at_center(self):
         spec = self.grid()
-        grid = splat_to_grid([isotropic_primitive([0.0, 0.0, 0.0])], spec, 6.0)
+        grid = splat_arrays(stack_primitives([isotropic_primitive([0.0, 0.0, 0.0])]), spec, 6.0)
         center = tuple(d // 2 for d in spec.dims)
         total = grid.scores[center][:17].sum()
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_density_at_unit_mahalanobis(self):
         spec = self.grid()
-        grid = splat_to_grid([isotropic_primitive([0.0, 0.0, 0.0])], spec, 6.0)
+        grid = splat_arrays(stack_primitives([isotropic_primitive([0.0, 0.0, 0.0])]), spec, 6.0)
         center = tuple(d // 2 for d in spec.dims)
         neighbor = (center[0] + 1, center[1], center[2])
         assert grid.scores[neighbor][:17].sum() == pytest.approx(np.exp(-0.5), abs=1e-9)
 
     def test_empty_scene_all_empty(self):
         spec = self.grid()
-        grid = splat_to_grid([], spec, 6.0, semantic_classes=17)
+        empty = {
+            "centroid": np.zeros((0, 3)),
+            "log_scale": np.zeros((0, 3)),
+            "rotation": np.zeros((0, 4)),
+            "opacity_logit": np.zeros(0),
+            "semantic_logits": np.zeros((0, 17)),
+            "feature": np.zeros((0, 0)),
+        }
+        grid = splat_arrays(empty, spec, 6.0)
         assert np.all(grid.labels == 17)
+        np.testing.assert_array_equal(grid.scores, np.zeros(spec.dims + (18,)))
 
     def test_degenerate_scale_reports_primitive(self):
         spec = self.grid()
@@ -405,17 +413,17 @@ class TestSplat:
             semantic_logits=np.zeros(17),
         )
         with pytest.raises(DegenerateCovarianceError, match="primitive 1"):
-            splat_to_grid([isotropic_primitive([0, 0, 0]), bad], spec, 6.0)
+            splat_arrays(stack_primitives([isotropic_primitive([0, 0, 0]), bad]), spec, 6.0)
 
     def test_truncation_radius_validated(self):
         with pytest.raises(ConfigurationError):
-            splat_to_grid([isotropic_primitive([0, 0, 0])], self.grid(), 0.5)
+            splat_arrays(stack_primitives([isotropic_primitive([0, 0, 0])]), self.grid(), 0.5)
 
     def test_label_assignment_and_threshold(self):
         spec = self.grid()
         logits = np.zeros(17)
         logits[4] = 30.0
-        grid = splat_to_grid([isotropic_primitive([0.0, 0.0, 0.0], logits=logits)], spec, 6.0)
+        grid = splat_arrays(stack_primitives([isotropic_primitive([0.0, 0.0, 0.0], logits=logits)]), spec, 6.0)
         center = tuple(d // 2 for d in spec.dims)
         assert grid.labels[center] == 4
         assert grid.labels[0, 0, 0] == 17
@@ -428,7 +436,7 @@ class TestSplat:
             for _ in range(24)
         ]
         spec = self.grid(n=16, h=0.5)
-        a = splat_to_grid(prims, spec, 4.0, threads=1)
-        b = splat_to_grid(prims, spec, 4.0, threads=4)
+        a = splat_arrays(stack_primitives(prims), spec, 4.0, threads=1)
+        b = splat_arrays(stack_primitives(prims), spec, 4.0, threads=4)
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.labels, b.labels)

@@ -31,9 +31,14 @@ class TestTemperedSoftmax:
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            p = tempered_softmax(rng.normal(scale=5, size=8), float(rng.uniform(0.1, 10)))
+            logits, temperature = rng.normal(scale=5, size=8), float(rng.uniform(0.1, 10))
+            p = tempered_softmax(logits, temperature)
             assert abs(p.sum() - 1.0) <= 1e-9
             assert np.all(p > 0)
+            # bitwise equal to the written-out scale, shift, exp, normalize order
+            scaled = logits / temperature
+            e = np.exp(scaled - np.max(scaled, axis=-1, keepdims=True))
+            np.testing.assert_array_equal(p, e / np.sum(e, axis=-1, keepdims=True))
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
