@@ -63,8 +63,10 @@ class GridSpec:
             raise ConfigurationError("grid origin and voxel_size must be 3-vectors")
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ConfigurationError("grid dims must be three positive integers", field="dims")
-        if np.any(voxel <= 0):
-            raise ConfigurationError("voxel_size must be positive", field="voxel_size")
+        if not np.all(np.isfinite(origin)):
+            raise ConfigurationError("grid origin must be finite in float32", field="origin")
+        if not np.all((voxel > 0) & np.isfinite(voxel)):
+            raise ConfigurationError("voxel_size must be positive and finite in float32", field="voxel_size")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "voxel_size", voxel)
         object.__setattr__(self, "dims", dims)

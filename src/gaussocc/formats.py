@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GridSpec, SemanticOccupancyGrid
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError
 from .params import ParameterBundle
 
 GOCW_MAGIC = b"GOCW"
@@ -27,13 +27,16 @@ FORMAT_VERSION = 1
 
 
 class _Reader:
-    def __init__(self, data: bytes, label: str):
+    """Bytes ``data[start:end]`` read in order; offsets are indices into ``data``."""
+
+    def __init__(self, data: bytes, label: str, start: int = 0, end: int | None = None):
         self.data = data
-        self.offset = 0
+        self.offset = start
+        self.end = len(data) if end is None else end
         self.label = label
 
     def take(self, n: int) -> bytes:
-        if n < 0 or self.offset + n > len(self.data):
+        if n < 0 or self.offset + n > self.end:
             raise FormatError(f"truncated {self.label}: wanted {n} bytes", offset=self.offset)
         chunk = self.data[self.offset : self.offset + n]
         self.offset += n
@@ -44,7 +47,7 @@ class _Reader:
 
     def line(self) -> bytes:
         """Bytes up to the next newline, which is consumed but not returned."""
-        end = self.data.find(b"\n", self.offset)
+        end = self.data.find(b"\n", self.offset, self.end)
         if end < 0:
             raise FormatError(f"unterminated line in {self.label}", offset=self.offset)
         return self.take(end + 1 - self.offset)[:-1]
@@ -58,7 +61,7 @@ class _Reader:
         return values
 
     def expect_end(self):
-        if self.offset != len(self.data):
+        if self.offset != self.end:
             raise FormatError(f"trailing bytes in {self.label}", offset=self.offset)
 
 
@@ -92,6 +95,8 @@ def parse_bundle(data: bytes) -> ParameterBundle:
             path = r.take(path_len).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("weight-bundle path is not UTF-8", offset=path_offset) from None
+        if path in entries:
+            raise FormatError(f"duplicate weight-bundle path {path}", offset=path_offset)
         (rank,) = r.unpack("B")
         if rank > 64:
             raise FormatError(f"weight-bundle rank {rank} exceeds numpy's 64", offset=r.offset - 1)
@@ -135,15 +140,28 @@ def dump_grid(grid: SemanticOccupancyGrid, class_count: int | None = None) -> by
 
 
 def parse_grid(data: bytes) -> SemanticOccupancyGrid:
-    r = _Reader(data, "grid file")
+    return _read_grid(_Reader(data, "grid file"))
+
+
+# byte offset, within a GOC1 block, of each GridSpec field a ConfigurationError can name
+_GRID_FIELD_OFFSETS = {"dims": 8, "voxel_size": 24, "origin": 36}
+
+
+def _read_grid(r: _Reader) -> SemanticOccupancyGrid:
+    """One GOC1 block filling the reader; faults are reported at offsets into ``r.data``."""
+    start = r.offset
     if r.take(4) != GOC1_MAGIC:
-        raise FormatError("bad grid magic", offset=0)
+        raise FormatError("bad grid magic", offset=start)
     (version,) = r.unpack("I")
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported grid version {version}", offset=4)
+        raise FormatError(f"unsupported grid version {version}", offset=start + 4)
     dx, dy, dz, classes = r.unpack("IIII")
     voxel = np.array(r.unpack("fff"), dtype=np.float64)
     origin = np.array(r.unpack("fff"), dtype=np.float64)
+    try:
+        spec = GridSpec(origin=origin, voxel_size=voxel, dims=(dx, dy, dz))
+    except ConfigurationError as exc:
+        raise FormatError(f"invalid grid header: {exc}", offset=start + _GRID_FIELD_OFFSETS[exc.field]) from None
     payload_offset = r.offset
     labels = np.frombuffer(r.take(dx * dy * dz), dtype=np.uint8)
     r.expect_end()
@@ -151,7 +169,6 @@ def parse_grid(data: bytes) -> SemanticOccupancyGrid:
         raise FormatError(
             f"label exceeds declared class count {classes}", offset=payload_offset
         )
-    spec = GridSpec(origin=origin, voxel_size=voxel, dims=(dx, dy, dz))
     return SemanticOccupancyGrid(spec=spec, labels=labels.reshape((dx, dy, dz), order="F"))
 
 

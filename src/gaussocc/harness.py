@@ -8,14 +8,16 @@ camera planes carry projected image-space footprints.  Everything is a pure
 function of (config, seed).
 
 The oracles are deliberately naive: the dense splatter evaluates every
-primitive at every voxel with no truncation, and the sequential scan runs
-the state recurrence token by token from its definition.
+primitive at every voxel with no truncation, the sequential scan runs the
+state recurrence token by token from its definition, and the Lovász
+reference sorts every voxel's error for every present class.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -35,9 +37,10 @@ from .core import (
     voxel_centers,
 )
 from .errors import ConfigurationError, FormatError
-from .formats import _Reader, dump_grid, parse_grid
+from .formats import _Reader, _read_grid, dump_grid
 from .head import SsmParams, zoh_discretize
 from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet
+from .metrics import _lovasz_gradient
 
 DEGRADATION_MODES = ("none", "rain", "night")
 
@@ -63,10 +66,14 @@ class SceneConfig:
             raise ConfigurationError(
                 "feature_width must cover the class-signature channels", field="feature_width"
             )
-        if self.cameras < 1 or self.depth_planes < 1:
-            raise ConfigurationError("need at least one camera and one depth plane")
-        if min(self.plane_shape + self.camera_shape) < 1:
-            raise ConfigurationError("plane and camera shapes must be positive")
+        if self.cameras < 1:
+            raise ConfigurationError("need at least one camera", field="cameras")
+        if self.depth_planes < 1:
+            raise ConfigurationError("need at least one depth plane", field="depth_planes")
+        if min(self.plane_shape) < 1:
+            raise ConfigurationError("plane shape must be positive", field="plane_shape")
+        if min(self.camera_shape) < 1:
+            raise ConfigurationError("camera shape must be positive", field="camera_shape")
 
     def scale_range(self) -> tuple[float, float]:
         if self.blob_scale_range is not None:
@@ -324,6 +331,26 @@ def oracle_sequential_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
     return out
 
 
+def oracle_lovasz_per_class(
+    probs: np.ndarray, labels: np.ndarray, excluded_class: int | None
+) -> dict[int, float]:
+    """Reference Lovász hinge: one full-volume stable sort per present class."""
+    probs = np.asarray(probs, dtype=np.float64).reshape(-1, np.asarray(probs).shape[-1])
+    labels = np.asarray(labels).reshape(-1).astype(np.int64)
+    predicted = np.argmax(probs, axis=-1)
+    present = set(np.unique(labels)) | set(np.unique(predicted))
+    losses: dict[int, float] = {}
+    for c in sorted(present):
+        if excluded_class is not None and c == excluded_class:
+            continue
+        fg = (labels == c).astype(np.float64)
+        errors = np.where(fg == 1.0, 1.0 - probs[:, c], probs[:, c])
+        order = np.argsort(-errors, kind="stable")
+        grad = _lovasz_gradient(fg[order])
+        losses[int(c)] = float(np.dot(errors[order], grad))
+    return losses
+
+
 # ---------------------------------------------------------------------------
 # scene file codec: text header + binary plane/truth blocks
 # ---------------------------------------------------------------------------
@@ -380,6 +407,10 @@ def save_scene(scene: SyntheticScene, path) -> None:
     Path(path).write_bytes(dump_scene(scene))
 
 
+# scene header key of each GridSpec field; SceneConfig and ClassTaxonomy fields share their key's name
+_GRID_HEADER_KEYS = {"dims": "grid.dims", "voxel_size": "grid.voxel", "origin": "grid.origin"}
+
+
 class _SceneHeader:
     """The ``key=value`` lines of a scene header, each kept with its byte offset.
 
@@ -400,6 +431,16 @@ class _SceneHeader:
                 raise FormatError("non-ASCII byte in scene header", offset=offset + exc.start) from None
             self.fields[key] = (value, offset)
         self.end = offset
+
+    @contextmanager
+    def checked(self, key: str | None = None):
+        """Re-raise a ConfigurationError from the enclosed block as a FormatError
+        at the line of ``key``, or of the header key its ``field`` names."""
+        try:
+            yield
+        except ConfigurationError as exc:
+            key = key or _GRID_HEADER_KEYS.get(exc.field, exc.field)
+            raise FormatError(f"invalid scene header {key}: {exc}", offset=self.field(key)[1]) from None
 
     def field(self, key: str) -> tuple[str, int]:
         """Raw value of ``key`` and the byte offset of its line."""
@@ -434,24 +475,25 @@ def parse_scene(data: bytes) -> SyntheticScene:
     header = _SceneHeader(r)
 
     names = tuple(header.field("classes")[0].split(","))
-    taxonomy = ClassTaxonomy(names=names, class_weights=header.floats("class_weights", len(names) + 1))
-    grid = GridSpec(
-        origin=header.floats("grid.origin", 3),
-        voxel_size=header.floats("grid.voxel", 3),
-        dims=tuple(header.values("grid.dims", int, 3)),
-    )
-    cfg = SceneConfig(
-        grid=grid,
-        taxonomy=taxonomy,
-        feature_width=header.value("feature_width", int),
-        depth_planes=header.value("depth_planes", int),
-        plane_shape=tuple(header.values("plane_shape", int, 2)),
-        cameras=header.value("cameras", int),
-        camera_shape=tuple(header.values("camera_shape", int, 2)),
-        blob_range=tuple(header.values("blob_range", int, 2)),
-        noise_sigma=header.value("noise_sigma", float),
-        truth_threshold=header.value("truth_threshold", float),
-    )
+    with header.checked():
+        taxonomy = ClassTaxonomy(names=names, class_weights=header.floats("class_weights", len(names) + 1))
+        grid = GridSpec(
+            origin=header.floats("grid.origin", 3),
+            voxel_size=header.floats("grid.voxel", 3),
+            dims=tuple(header.values("grid.dims", int, 3)),
+        )
+        cfg = SceneConfig(
+            grid=grid,
+            taxonomy=taxonomy,
+            feature_width=header.value("feature_width", int),
+            depth_planes=header.value("depth_planes", int),
+            plane_shape=tuple(header.values("plane_shape", int, 2)),
+            cameras=header.value("cameras", int),
+            camera_shape=tuple(header.values("camera_shape", int, 2)),
+            blob_range=tuple(header.values("blob_range", int, 2)),
+            noise_sigma=header.value("noise_sigma", float),
+            truth_threshold=header.value("truth_threshold", float),
+        )
     # one row per blob: centroid (3), scale (3), rotation (4), class id
     blobs = np.array([header.floats(f"blob{i}", 11) for i in range(header.value("blobs", int))]).reshape(-1, 11)
 
@@ -466,16 +508,27 @@ def parse_scene(data: bytes) -> SyntheticScene:
     views = []
     for i in range(cfg.cameras):
         plane = r.finite_f32(h_c * w_c * f, f"camera plane {i}").reshape(h_c, w_c, f)
-        views.append(
-            CameraView(
-                plane=plane.astype(np.float64),
-                intrinsics=header.floats(f"cam{i}.intrinsics", 3, 3),
-                extrinsics=header.floats(f"cam{i}.extrinsics", 4, 4),
+        with header.checked(f"cam{i}.intrinsics"):
+            views.append(
+                CameraView(
+                    plane=plane.astype(np.float64),
+                    intrinsics=header.floats(f"cam{i}.intrinsics", 3, 3),
+                    extrinsics=header.floats(f"cam{i}.extrinsics", 4, 4),
+                )
             )
-        )
     (truth_len,) = r.unpack("Q")
-    truth = parse_grid(r.take(truth_len))
+    truth_start = r.offset
+    r.take(truth_len)
+    truth = _read_grid(_Reader(data, "truth grid", truth_start, r.offset))
     r.expect_end()
+    spec = truth.spec
+    if (
+        spec.dims != grid.dims
+        or not np.array_equal(spec.origin, grid.origin)
+        or not np.array_equal(spec.voxel_size, grid.voxel_size)
+        or truth.labels.max() >= taxonomy.c_total
+    ):
+        raise FormatError("truth grid does not match the scene header's grid or classes", offset=truth_start)
     return SyntheticScene(
         seed=header.value("seed", int),
         config=cfg,

@@ -58,13 +58,15 @@ def grid_probabilities(grid, c_sem: int) -> np.ndarray:
     """Per-voxel class probabilities from splat scores.
 
     Semantic channels keep their accumulated mixture mass; the empty channel
-    takes the left-over max(1 - density, 0); rows are renormalized.
+    takes the left-over max(1 - density, 0); rows are renormalized in place,
+    so the volume is allocated once.
     """
     sem = grid.scores[..., :c_sem]
-    density = sem.sum(axis=-1)
-    empty = np.maximum(1.0 - density, 0.0)
-    probs = np.concatenate([sem, empty[..., None]], axis=-1)
-    return probs / np.maximum(probs.sum(axis=-1, keepdims=True), 1e-12)
+    probs = np.empty(sem.shape[:-1] + (c_sem + 1,))
+    probs[..., :c_sem] = sem
+    np.maximum(1.0 - sem.sum(axis=-1), 0.0, out=probs[..., c_sem])
+    probs /= np.maximum(probs.sum(axis=-1, keepdims=True), 1e-12)
+    return probs
 
 
 def _load_or_generate_scene(config: RunConfig) -> SyntheticScene:

@@ -207,3 +207,7 @@ class TestDomainTypes:
             GridSpec(origin=np.zeros(3), voxel_size=np.array([0.0, 1.0, 1.0]), dims=(2, 2, 2))
         with pytest.raises(ConfigurationError):
             GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(0, 2, 2))
+        # non-finite geometry, including a float64 value that overflows float32
+        for origin, voxel in [((np.nan, 0, 0), (1, 1, 1)), ((0, 0, 0), (1, 1e39, 1))]:
+            with pytest.raises(ConfigurationError), np.errstate(over="ignore"):
+                GridSpec(origin=np.array(origin, dtype=float), voxel_size=np.array(voxel, dtype=float), dims=(2, 2, 2))

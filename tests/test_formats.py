@@ -1,11 +1,14 @@
+import math
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussocc.cli import main
-from gaussocc.core import GridSpec, SemanticOccupancyGrid
+from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import FormatError
 from gaussocc.formats import (
     palette_for,
@@ -20,7 +23,7 @@ from gaussocc.formats import (
     parse_grid,
     save_bundle,
 )
-from gaussocc.harness import dump_scene, parse_scene
+from gaussocc.harness import SceneConfig, dump_scene, generate_scene, load_scene, parse_scene, save_scene
 from gaussocc.params import ParameterBundle
 
 
@@ -202,6 +205,11 @@ def _nan_weight(scene, bundle):
     return "--weights", dump_bundle(ParameterBundle(entries))
 
 
+def _duplicate_path(scene, bundle):
+    data = dump_bundle(ParameterBundle({"a": np.ones(1), "b": np.ones(1)}))
+    return "--weights", data.replace(b"\x01\x00b", b"\x01\x00a")  # path length 1, path "b" -> "a"
+
+
 def _rank_over_64(scene, bundle):
     # one entry "a" of rank 65 with every dim 0, so no payload bytes follow
     return "--weights", b"GOCW" + struct.pack("<IIH", 1, 1, 1) + b"a" + struct.pack("<B65I", 65, *[0] * 65)
@@ -217,6 +225,7 @@ MALFORMED = {
     "bundle-non-utf8-path": _non_utf8_path,
     "bundle-nan-weight": _nan_weight,
     "bundle-rank-over-64": _rank_over_64,
+    "bundle-duplicate-path": _duplicate_path,
 }
 
 
@@ -252,3 +261,139 @@ class TestMalformedInput:
         assert code == 1
         assert err.startswith("error: ") and "byte offset" in err
         assert "Traceback" not in err
+
+
+def _goc1_field_edit(offset, fmt, value):
+    """A 2x2x1 GOC1 file with one header field overwritten."""
+
+    def build(scene):
+        spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(2, 2, 1))
+        data = bytearray(dump_grid(SemanticOccupancyGrid(spec=spec, labels=np.zeros((2, 2, 1))), class_count=4))
+        struct.pack_into(fmt, data, offset, value)
+        return parse_grid, bytes(data)
+
+    return build
+
+
+def _scene_case(pattern, replacement, field):
+    """Scene header edit ``pattern`` -> ``replacement``, faulting at the line of ``field``."""
+
+    def build(scene):
+        edited, hits = re.subn(pattern, replacement, dump_scene(scene), count=1)
+        assert hits == 1
+        return parse_scene, edited
+
+    return build, lambda data: data.index(b"\n" + field + b"=") + 1
+
+
+# parseable but invalid header values: (edit, offset of the offending field)
+INVALID_HEADER = {
+    "goc1-zero-dim": (_goc1_field_edit(12, "<I", 0), lambda data: 8),
+    "goc1-zero-voxel": (_goc1_field_edit(24, "<f", 0.0), lambda data: 24),
+    "goc1-negative-voxel": (_goc1_field_edit(32, "<f", -0.5), lambda data: 24),
+    "goc1-nan-origin": (_goc1_field_edit(40, "<f", math.nan), lambda data: 36),
+    "gscn-zero-dim": _scene_case(rb"grid\.dims=\d+", b"grid.dims=0", b"grid.dims"),
+    "gscn-zero-voxel": _scene_case(rb"grid\.voxel=[^ ]+", b"grid.voxel=0.0", b"grid.voxel"),
+    "gscn-negative-class-weight": _scene_case(rb"class_weights=", b"class_weights=-", b"class_weights"),
+    "gscn-class-weight-count": _scene_case(rb"classes=", b"classes=extra,", b"class_weights"),
+    "gscn-feature-width-below-classes": _scene_case(rb"feature_width=\d+", b"feature_width=2", b"feature_width"),
+    "gscn-zero-depth-planes": _scene_case(rb"depth_planes=\d+", b"depth_planes=0", b"depth_planes"),
+    "gscn-zero-cameras": _scene_case(rb"cameras=\d+", b"cameras=0", b"cameras"),
+    "gscn-reversed-blob-range": _scene_case(rb"blob_range=[^\n]*", b"blob_range=5 3", b"blob_range"),
+    "gscn-zero-plane-shape": _scene_case(rb"plane_shape=\d+", b"plane_shape=0", b"plane_shape"),
+    "gscn-negative-focal-length": _scene_case(rb"cam1\.intrinsics=", b"cam1.intrinsics=-", b"cam1.intrinsics"),
+}
+
+
+def _truth_start(scene, data):
+    """Byte offset of the embedded GOC1 truth grid, the last block of a scene file."""
+    return len(data) - len(dump_grid(scene.truth, class_count=scene.config.taxonomy.c_total))
+
+
+class TestInvalidHeaderValues:
+    @pytest.mark.parametrize("case", sorted(INVALID_HEADER))
+    def test_format_error_at_field_offset(self, case, small_scene):
+        edit, field_offset = INVALID_HEADER[case]
+        parse, data = edit(small_scene)
+        with pytest.raises(FormatError) as info:
+            parse(data)
+        assert info.value.offset == field_offset(data)
+
+    def test_truth_grid_fault_reported_at_scene_offset(self, small_scene, tmp_path):
+        path = tmp_path / "scene.gscn"
+        save_scene(small_scene, path)
+        data = bytearray(path.read_bytes())
+        truth_start = _truth_start(small_scene, data)
+        data[truth_start] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="bad grid magic") as info:
+            load_scene(path)
+        assert info.value.offset == truth_start
+
+    def test_truth_grid_must_match_header_grid(self, small_scene):
+        data = bytearray(dump_scene(small_scene))
+        truth_start = _truth_start(small_scene, data)
+        struct.pack_into("<f", data, truth_start + 36, 100.0)  # truth origin x
+        with pytest.raises(FormatError, match="truth grid") as info:
+            parse_scene(bytes(data))
+        assert info.value.offset == truth_start
+
+
+def _fuzz_samples():
+    """One small valid file per codec, its canonical re-encoder and its header length."""
+    rng = np.random.default_rng(0)
+    taxonomy = ClassTaxonomy(names=NUSCENES_CLASS_NAMES[:3], class_weights=np.ones(4))
+    spec = GridSpec(origin=np.array([-2.0, -2.0, -1.0]), voxel_size=np.array([0.5, 0.5, 0.5]), dims=(8, 8, 4))
+    config = SceneConfig(
+        grid=spec,
+        taxonomy=taxonomy,
+        feature_width=4,
+        depth_planes=2,
+        plane_shape=(2, 3),
+        cameras=1,
+        camera_shape=(2, 3),
+        blob_range=(2, 2),
+    )
+    scene = dump_scene(generate_scene(config, seed=5))
+    grid = dump_grid(SemanticOccupancyGrid(spec=spec, labels=rng.integers(0, 4, size=spec.dims)), class_count=4)
+    bundle = dump_bundle(
+        ParameterBundle({"a.w": rng.normal(size=(2, 3)), "b": np.float32(1.5), "c.bias": rng.normal(size=4)})
+    )
+    return {
+        "GOC1": (grid, lambda b: dump_grid(parse_grid(b), class_count=struct.unpack_from("<I", b, 20)[0]), 48),
+        # a bundle's metadata is interleaved with its payloads, so every byte counts as header
+        "GOCW": (bundle, lambda b: dump_bundle(parse_bundle(b)), len(bundle)),
+        "GSCN": (scene, lambda b: dump_scene(parse_scene(b)), scene.index(b"END_HEADER\n") + len(b"END_HEADER\n")),
+    }
+
+
+FUZZ_SAMPLES = _fuzz_samples()
+
+
+class TestCodecFuzz:
+    """Truncations, bit flips and header byte edits of valid files either
+    round-trip (the re-encoding is a fixed point) or raise FormatError."""
+
+    @pytest.mark.parametrize("codec", sorted(FUZZ_SAMPLES))
+    def test_samples_round_trip(self, codec):
+        valid, encode, _ = FUZZ_SAMPLES[codec]
+        assert encode(valid) == valid
+
+    @pytest.mark.parametrize("codec", sorted(FUZZ_SAMPLES))
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_mutations_round_trip_or_raise_format_error(self, codec, data):
+        valid, encode, header_len = FUZZ_SAMPLES[codec]
+        mutated = bytearray(valid)
+        kind = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+        if kind == "truncate":
+            mutated = mutated[: data.draw(st.integers(0, len(valid) - 1))]
+        elif kind == "flip":
+            mutated[data.draw(st.integers(0, len(valid) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        else:
+            mutated[data.draw(st.integers(0, header_len - 1))] = data.draw(st.integers(0, 255))
+        try:
+            once = encode(bytes(mutated))
+        except FormatError:
+            return
+        assert encode(once) == once

@@ -3,11 +3,14 @@ import pytest
 
 from gaussocc.core import GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import GridMismatchError, LabelError, UndefinedMetricError
+from gaussocc.harness import oracle_lovasz_per_class
+from gaussocc import metrics
 from gaussocc.metrics import (
     IoUReport,
     ClassIoU,
     LossWeights,
     REFERENCE_MIOU,
+    _lovasz_gradient,
     class_iou,
     format_metrics,
     lovasz_per_class,
@@ -62,6 +65,17 @@ class TestWeightedCe:
     def test_defensive_renormalization(self):
         probs = np.array([[1.0, 1.0]])  # sums to 2; renormalized to 0.5 each
         assert weighted_ce(probs, np.array([0]), np.ones(2)) == pytest.approx(np.log(2.0), abs=1e-12)
+
+    def test_bitwise_equal_to_renormalize_then_gather(self):
+        rng = np.random.default_rng(8)
+        probs = rng.uniform(0.0, 0.4, size=(500, 6))  # rows sum to anything in [0, 2.4]
+        probs[:5] = 0.0  # zero rows hit the 1e-12 floor
+        labels = rng.integers(0, 6, size=500)
+        weights = rng.uniform(0.5, 2.0, size=6)
+        renormalized = probs / np.maximum(probs.sum(axis=-1, keepdims=True), 1e-12)
+        p_truth = renormalized[np.arange(500), labels]
+        expected = float(np.mean(-weights[labels] * np.log(np.maximum(p_truth, 1e-12))))
+        assert weighted_ce(probs, labels, weights) == expected
 
 
 class TestLovasz:
@@ -131,6 +145,78 @@ class TestLovasz:
                         fn = int(np.sum((pred != c) & (truth == c)))
                         iou = tp / (tp + fp + fn)
                         assert loss == pytest.approx(1.0 - iou, abs=1e-12)
+
+
+def quantized_volume(rng, n, c):
+    """Probabilities on multiples of 1/8, so many background errors tie the
+    smallest foreground error of their class."""
+    return rng.integers(0, 9, size=(n, c)) / 8.0, rng.integers(0, c, size=n)
+
+
+def assert_matches_oracle(probs, labels, excluded_class, monkeypatch):
+    """Same keys and values as the full sort, and every truncated sort is a
+    prefix of the full sort whose tail has exactly zero gradient."""
+    truncated = []
+
+    def recording_gradient(fg_sorted):
+        truncated.append(fg_sorted.copy())
+        return _lovasz_gradient(fg_sorted)
+
+    monkeypatch.setattr(metrics, "_lovasz_gradient", recording_gradient)
+    got = lovasz_per_class(probs, labels, excluded_class)
+    want = oracle_lovasz_per_class(probs, labels, excluded_class)
+    assert got.keys() == want.keys()
+    for c, loss in want.items():
+        assert abs(got[c] - loss) <= 1e-12, (c, got[c], loss)
+    with_foreground = [c for c in sorted(want) if np.any(labels == c)]
+    assert len(truncated) == len(with_foreground)
+    for c, fg_prefix in zip(with_foreground, truncated):
+        fg = (labels == c).astype(np.float64)
+        errors = np.where(fg == 1.0, 1.0 - probs[:, c], probs[:, c])
+        full = fg[np.argsort(-errors, kind="stable")]
+        np.testing.assert_array_equal(fg_prefix, full[: len(fg_prefix)])
+        assert not np.any(_lovasz_gradient(full)[len(fg_prefix) :])
+    return got, truncated
+
+
+class TestLovaszTruncation:
+    """The truncated sort against the full-sort reference in the harness."""
+
+    def test_tied_quantized_volumes(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            probs, labels = quantized_volume(rng, int(rng.integers(20, 400)), int(rng.integers(2, 7)))
+            assert_matches_oracle(probs, labels, excluded_class=None, monkeypatch=monkeypatch)
+
+    def test_class_present_only_in_argmax(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            probs, labels = quantized_volume(rng, 200, 5)
+            labels[labels == 4] = 0  # class 4 never in the truth
+            probs[:3] = 0.0
+            probs[:3, 4] = 1.0  # but predicted at three voxels
+            got, _ = assert_matches_oracle(probs, labels, excluded_class=None, monkeypatch=monkeypatch)
+            assert got[4] == 1.0
+
+    def test_foreground_at_certainty_keeps_every_voxel(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            probs, labels = quantized_volume(rng, 200, 4)
+            for c in range(4):
+                probs[np.flatnonzero(labels == c)[-1], c] = 1.0  # threshold 0 for every class
+            _, truncated = assert_matches_oracle(probs, labels, excluded_class=None, monkeypatch=monkeypatch)
+            assert [len(fg) for fg in truncated] == [200] * 4
+
+    def test_excluded_class(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            probs, labels = quantized_volume(rng, 200, 4)
+            got, _ = assert_matches_oracle(probs, labels, excluded_class=3, monkeypatch=monkeypatch)
+            assert 3 not in got and got
+
+    def test_label_out_of_range(self):
+        with pytest.raises(LabelError):
+            lovasz_per_class(np.array([[0.5, 0.5]]), np.array([2]), excluded_class=None)
 
 
 class TestTotalLoss:

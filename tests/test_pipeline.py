@@ -142,6 +142,26 @@ class TestRunPipeline:
         )
         np.testing.assert_allclose(empty_probs[..., 17], 1.0)
 
+    def test_grid_probabilities_bitwise_equal_to_concatenate_formula(self, small_grid):
+        from gaussocc.core import SemanticOccupancyGrid
+
+        rng = np.random.default_rng(7)
+        scores = np.zeros(small_grid.dims + (18,))
+        # per-voxel mass from 0 to about 2.5: rows with and without left-over empty mass
+        mass = rng.uniform(0, 1, size=small_grid.dims + (1,))
+        scores[..., :17] = rng.uniform(0, 0.3, size=small_grid.dims + (17,)) * mass
+        grid = SemanticOccupancyGrid(
+            spec=small_grid, labels=np.zeros(small_grid.dims, dtype=np.uint8), scores=scores
+        )
+        sem = scores[..., :17]
+        empty = np.maximum(1.0 - sem.sum(axis=-1), 0.0)
+        concatenated = np.concatenate([sem, empty[..., None]], axis=-1)
+        expected = concatenated / np.maximum(concatenated.sum(axis=-1, keepdims=True), 1e-12)
+        probs = grid_probabilities(grid, 17)
+        assert probs.dtype == expected.dtype and probs.shape == expected.shape
+        assert probs.tobytes() == expected.tobytes()
+        assert np.any(empty > 0) and np.any(empty == 0)
+
 
 class TestCli:
     def test_run_and_eval_round_trip(self, tmp_path, capsys):
