@@ -1,13 +1,17 @@
 """Refinement head over Gaussian primitives, plus the grid splatter.
 
-Each refinement block decomposes the anchors onto the three orthogonal
+Each refinement block projects the anchors onto the three orthogonal
 coordinate planes, serializes every plane into a 1D sequence by raster
 order (primary coordinate times a large key scale plus the secondary
 coordinate), refines each sequence with a small selective-state-space
-U-Net, re-gathers to anchor order, and updates centroids by averaging the
-two per-axis offset predictions of the planes covering each axis.  After
-the final block a linear head decodes per-anchor attribute updates
-(centroid offset, log-scale delta, quaternion delta, opacity, semantics).
+U-Net, and updates centroids by averaging the two per-axis offset
+predictions of the planes covering each axis.  Every per-anchor linear map,
+the offset heads included, runs on its plane's raster-ordered rows before
+the result is scattered back to anchor order: BLAS results depend on a
+row's position, so computing in a canonical order is what makes the head
+bitwise equivariant under anchor permutations.  After the final block a
+linear head decodes per-anchor attribute updates (centroid offset,
+log-scale delta, quaternion delta, opacity, semantics).
 
 ``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
@@ -33,7 +37,7 @@ from .core import (
     normalize_quaternion,
 )
 from .errors import ConfigurationError, DegenerateCovarianceError, SequenceTooShortError
-from .params import PLANES, ParameterBundle
+from .params import AXIS_PLANES, PLANES, ParameterBundle
 
 MIN_SPLAT_SCALE = 1e-6
 DEFAULT_OCCUPANCY_THRESHOLD = 0.1
@@ -45,29 +49,10 @@ PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
 
 
 @dataclass(frozen=True)
-class TpvProjection:
-    """Plane coordinate pairs and their embedded features, per anchor."""
-
-    v_xy: np.ndarray
-    v_xz: np.ndarray
-    v_yz: np.ndarray
-    h_xy: np.ndarray
-    h_xz: np.ndarray
-    h_yz: np.ndarray
-
-    def coords(self, plane: str) -> np.ndarray:
-        return getattr(self, f"v_{plane}")
-
-    def embedding(self, plane: str) -> np.ndarray:
-        return getattr(self, f"h_{plane}")
-
-
-@dataclass(frozen=True)
 class RasterOrder:
-    """Serialization permutation for one plane and its key scale."""
+    """A canonical anchor order; ``inverse`` recomputes its inverse permutation on each access."""
 
     indices: np.ndarray
-    omega: float
 
     @property
     def inverse(self) -> np.ndarray:
@@ -140,8 +125,6 @@ class ConsensusParams:
     weights: dict  # (axis, plane) -> (F,) array
     biases: dict   # (axis, plane) -> float
 
-    AXIS_PLANES = (("x", "xy"), ("x", "xz"), ("y", "xy"), ("y", "yz"), ("z", "xz"), ("z", "yz"))
-
 
 @dataclass(frozen=True)
 class DecodedAttributes:
@@ -208,11 +191,11 @@ class HeadParams:
                 )
             weights = {
                 (axis, plane): bundle.get(f"head.block{b}.psi.{axis}_{plane}.w", (f,))
-                for axis, plane in ConsensusParams.AXIS_PLANES
+                for axis, plane in AXIS_PLANES
             }
             biases = {
                 (axis, plane): float(bundle.get(f"head.block{b}.psi.{axis}_{plane}.b", ()))
-                for axis, plane in ConsensusParams.AXIS_PLANES
+                for axis, plane in AXIS_PLANES
             }
             blocks.append(BlockParams(embed=embed, unet=unet, consensus=ConsensusParams(weights, biases)))
         decode = DecodeParams(
@@ -220,20 +203,6 @@ class HeadParams:
             b=bundle.get("head.decode.b", (model.decode_width,)),
         )
         return cls(blocks=tuple(blocks), decode=decode, omega=omega)
-
-
-def tpv_project(centroids: np.ndarray, embed: dict) -> TpvProjection:
-    """Project centroids onto the three coordinate planes and embed each pair."""
-    c = np.asarray(centroids, dtype=np.float64)
-    coords = {plane: c[..., list(PLANE_AXES[plane])] for plane in PLANES}
-    return TpvProjection(
-        v_xy=coords["xy"],
-        v_xz=coords["xz"],
-        v_yz=coords["yz"],
-        h_xy=embed["xy"](coords["xy"]),
-        h_xz=embed["xz"](coords["xz"]),
-        h_yz=embed["yz"](coords["yz"]),
-    )
 
 
 def raster_serialize(coords: np.ndarray, omega: float) -> RasterOrder:
@@ -250,7 +219,7 @@ def raster_serialize(coords: np.ndarray, omega: float) -> RasterOrder:
             f"raster key scale {omega} must exceed the secondary coordinate spread {spread}"
         )
     keys = coords[:, 1] * omega + secondary
-    return RasterOrder(indices=np.argsort(keys, kind="stable"), omega=omega)
+    return RasterOrder(indices=np.argsort(keys, kind="stable"))
 
 
 def zoh_discretize(a, b, delta):
@@ -342,18 +311,19 @@ def mamba_unet_refine(tokens: np.ndarray, params: UnetParams) -> np.ndarray:
     return d0
 
 
-def consensus_update(
-    centroids: np.ndarray,
-    h_xy: np.ndarray,
-    h_xz: np.ndarray,
-    h_yz: np.ndarray,
-    params: ConsensusParams,
-) -> np.ndarray:
-    """Average the two per-axis offset predictions from each axis's covering planes."""
-    refined = {"xy": np.asarray(h_xy, np.float64), "xz": np.asarray(h_xz, np.float64), "yz": np.asarray(h_yz, np.float64)}
+def consensus_update(centroids: np.ndarray, planes: dict, params: ConsensusParams) -> np.ndarray:
+    """Average the two per-axis offset predictions from each axis's covering planes.
+
+    ``planes`` maps each plane to (refined rows in that plane's raster order,
+    inverse permutation).  Each offset head runs on the raster-ordered rows
+    and its output is then scattered back to anchor order, so a permutation
+    of the anchors permutes the offsets bit-exactly (see the module
+    docstring).
+    """
 
     def head(axis, plane):
-        return refined[plane] @ params.weights[(axis, plane)] + params.biases[(axis, plane)]
+        rows, inverse = planes[plane]
+        return (rows @ params.weights[(axis, plane)] + params.biases[(axis, plane)])[inverse]
 
     offset = 0.5 * np.stack(
         [
@@ -404,30 +374,14 @@ def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadPar
     centroids = np.asarray(centroids, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     for block in params.blocks:
-        refined = {}
-        offsets = {}
+        planes = {}
         for plane in PLANES:
-            a0, a1 = PLANE_AXES[plane]
-            coords = centroids[:, [a0, a1]]
+            coords = centroids[:, PLANE_AXES[plane]]
             order = raster_serialize(coords, params.omega)
-            embed_sorted = block.embed[plane](coords[order.indices])
-            seq = features[order.indices] + embed_sorted
-            out_sorted = mamba_unet_refine(seq, block.unet[plane])
-            inverse = order.inverse
-            refined[plane] = out_sorted[inverse]
-            for axis, p in ConsensusParams.AXIS_PLANES:
-                if p != plane:
-                    continue
-                head_sorted = out_sorted @ block.consensus.weights[(axis, p)] + block.consensus.biases[(axis, p)]
-                offsets[(axis, p)] = head_sorted[inverse]
-        centroids = centroids + 0.5 * np.stack(
-            [
-                offsets[("x", "xy")] + offsets[("x", "xz")],
-                offsets[("y", "xy")] + offsets[("y", "yz")],
-                offsets[("z", "xz")] + offsets[("z", "yz")],
-            ],
-            axis=-1,
-        )
+            seq = features[order.indices] + block.embed[plane](coords[order.indices])
+            planes[plane] = (mamba_unet_refine(seq, block.unet[plane]), order.inverse)
+        centroids = consensus_update(centroids, planes, block.consensus)
+        refined = {plane: rows[inverse] for plane, (rows, inverse) in planes.items()}
         features = (refined["xy"] + refined["xz"] + refined["yz"]) / 3.0
     return centroids, features
 
@@ -444,8 +398,7 @@ def run_head(arrays: dict, params: HeadParams, semantic_classes: int) -> dict:
     staged["centroid"] = centroids
     staged["feature"] = features
     canonical = np.lexsort((centroids[:, 2], centroids[:, 0], centroids[:, 1]))
-    inverse = np.empty_like(canonical)
-    inverse[canonical] = np.arange(len(canonical))
+    inverse = RasterOrder(indices=canonical).inverse
     decoded_sorted = decode_attributes(features[canonical], params.decode, semantic_classes)
     decoded = DecodedAttributes(
         centroid_offset=decoded_sorted.centroid_offset[inverse],
@@ -457,9 +410,8 @@ def run_head(arrays: dict, params: HeadParams, semantic_classes: int) -> dict:
     return apply_decoded(staged, decoded)
 
 
-def _inverse_covariances(scales: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """Closed-form 3x3 inverses of R diag(s^2) R^T (adjugate over determinant)."""
-    sig = make_covariance(scales, rotations)
+def _inverse_covariances(sig: np.ndarray) -> np.ndarray:
+    """Closed-form 3x3 inverses of covariances R diag(s^2) R^T (adjugate over determinant)."""
     a, b, c = sig[:, 0, 0], sig[:, 0, 1], sig[:, 0, 2]
     d, e, f = sig[:, 1, 1], sig[:, 1, 2], sig[:, 2, 2]
     det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
@@ -560,32 +512,26 @@ def splat_arrays(
     class_probs = _softmax(np.asarray(arrays["semantic_logits"], dtype=np.float64))
     c_sem = class_probs.shape[1]
     c_total = c_sem + 1
-    inv_sigma = _inverse_covariances(scales, rotations)
     sigma = make_covariance(scales, rotations)
+    inv_sigma = _inverse_covariances(sigma)
     half_extents = truncation_radius_sigmas * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
     radius_sq = float(truncation_radius_sigmas) ** 2
 
     density = np.zeros(spec.dims)
     scores = np.zeros(spec.dims + (c_total,))
     threads = max(int(threads), 1)
-    if threads == 1 or spec.dims[0] < 2 * threads:
-        _splat_slab(
-            0, spec.dims[0], spec, centroids, inv_sigma, half_extents, opacity,
-            class_probs, radius_sq, density, scores,
-        )
-    else:
-        bounds = np.linspace(0, spec.dims[0], threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _splat_slab, int(bounds[j]), int(bounds[j + 1]), spec, centroids,
-                    inv_sigma, half_extents, opacity, class_probs, radius_sq, density, scores,
-                )
-                for j in range(threads)
-                if bounds[j] < bounds[j + 1]
-            ]
-            for fut in futures:
-                fut.result()
+    slabs = threads if 2 * threads <= spec.dims[0] else 1
+    bounds = np.linspace(0, spec.dims[0], slabs + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=slabs) as pool:
+        futures = [
+            pool.submit(
+                _splat_slab, int(bounds[j]), int(bounds[j + 1]), spec, centroids,
+                inv_sigma, half_extents, opacity, class_probs, radius_sq, density, scores,
+            )
+            for j in range(slabs)
+        ]
+        for fut in futures:
+            fut.result()
 
     labels = np.where(
         density >= occupancy_threshold,

@@ -22,6 +22,8 @@ INITIAL_SMOOTHING_EPS = 0.1
 INITIAL_DELTA = 1e-2
 
 PLANES = ("xy", "xz", "yz")
+# (axis, covering plane) pairs; each has one linear consensus offset head
+AXIS_PLANES = (("x", "xy"), ("x", "xz"), ("y", "xy"), ("y", "yz"), ("z", "xz"), ("z", "yz"))
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ def declared_parameters(model: ModelConfig) -> dict[str, ParamSpec]:
             specs[f"{pre}.ssm.wdelta"] = _uniform((f, f), f)
             specs[f"{pre}.ssm.bdelta"] = _const((f,), delta_bias)
             specs[f"{pre}.ssm.dskip"] = _ones((f,))
-        for axis, plane in (("x", "xy"), ("x", "xz"), ("y", "xy"), ("y", "yz"), ("z", "xz"), ("z", "yz")):
+        for axis, plane in AXIS_PLANES:
             specs[f"head.block{b}.psi.{axis}_{plane}.w"] = _uniform((f,), f)
             specs[f"head.block{b}.psi.{axis}_{plane}.b"] = _zeros(())
     specs["head.decode.w"] = _uniform((f, model.decode_width), f)

@@ -11,6 +11,7 @@ from gaussocc.errors import (
 )
 from gaussocc.harness import oracle_sequential_scan
 from gaussocc.head import (
+    BlockParams,
     ConsensusParams,
     DecodeParams,
     HeadParams,
@@ -26,17 +27,9 @@ from gaussocc.head import (
     run_head,
     selective_scan,
     splat_arrays,
-    tpv_project,
     zoh_discretize,
 )
-from gaussocc.params import PLANES
-
-
-def neutral_embed(f):
-    return PlaneEmbedParams(
-        w1=np.zeros((2, f)), b1=np.zeros(f), w2=np.zeros((f, f)), b2=np.zeros(f),
-        center=np.zeros(2), half_extent=np.ones(2),
-    )
+from gaussocc.params import AXIS_PLANES, PLANES
 
 
 def manual_ssm(f=1, n=1, a=-1.0, w_b=0.0, w_c=0.0, w_delta=0.0, b_delta=-10.0, d_skip=0.0):
@@ -61,25 +54,27 @@ def random_ssm(rng, f, n):
     )
 
 
-class TestTpvProject:
-    def test_coordinate_pairs(self):
-        embed = {p: neutral_embed(4) for p in PLANES}
-        proj = tpv_project(np.array([[1.0, 2.0, 3.0]]), embed)
-        np.testing.assert_array_equal(proj.v_xy[0], [1.0, 2.0])
-        np.testing.assert_array_equal(proj.v_xz[0], [1.0, 3.0])
-        np.testing.assert_array_equal(proj.v_yz[0], [2.0, 3.0])
+def zeroed_unet(f):
+    """Random encoders, zero decoders and a silenced scan: the identity map."""
+    rng = np.random.default_rng(5)
+    enc = lambda: rng.normal(size=(f, f)) / np.sqrt(f)
+    return UnetParams(
+        enc1=enc(), enc2=enc(), dec1=np.zeros((f, f)), dec2=np.zeros((f, f)),
+        ssm=manual_ssm(f=f, n=2, w_b=0.0, w_c=0.0, d_skip=0.0),
+    )
 
-    def test_origin_maps_to_zero_pairs(self):
-        embed = {p: neutral_embed(4) for p in PLANES}
-        proj = tpv_project(np.zeros((1, 3)), embed)
-        for plane in PLANES:
-            np.testing.assert_array_equal(proj.coords(plane)[0], [0.0, 0.0])
 
-    def test_shared_xy_collapses_z(self):
-        embed = {p: neutral_embed(4) for p in PLANES}
-        proj = tpv_project(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, -5.0]]), embed)
-        np.testing.assert_array_equal(proj.v_xy[0], proj.v_xy[1])
-        assert not np.array_equal(proj.v_xz[0], proj.v_xz[1])
+def zero_consensus(f, biases=None):
+    return ConsensusParams(
+        weights={key: np.zeros(f) for key in AXIS_PLANES},
+        biases={key: 0.0 for key in AXIS_PLANES} | (biases or {}),
+    )
+
+
+def in_anchor_order(h_xy, h_xz, h_yz):
+    """Plane rows already in anchor order: identity inverse permutations."""
+    identity = np.arange(len(h_xy))
+    return {"xy": (h_xy, identity), "xz": (h_xz, identity), "yz": (h_yz, identity)}
 
 
 class TestRasterSerialize:
@@ -211,20 +206,10 @@ class TestSelectiveScan:
 
 
 class TestMambaUnet:
-    def zeroed_unet(self, f, rng=None, zero_decoder=True):
-        rng = rng or np.random.default_rng(5)
-        enc = lambda: rng.normal(size=(f, f)) / np.sqrt(f)
-        return UnetParams(
-            enc1=enc(), enc2=enc(),
-            dec1=np.zeros((f, f)) if zero_decoder else enc(),
-            dec2=np.zeros((f, f)) if zero_decoder else enc(),
-            ssm=manual_ssm(f=f, n=2, w_b=0.0, w_c=0.0, d_skip=0.0),
-        )
-
     def test_identity_at_zero_initialization(self):
         rng = np.random.default_rng(6)
         tokens = rng.normal(size=(11, 5))
-        out = mamba_unet_refine(tokens, self.zeroed_unet(5))
+        out = mamba_unet_refine(tokens, zeroed_unet(5))
         np.testing.assert_array_equal(out, tokens)
 
     def test_constant_sequence_stays_constant(self):
@@ -256,50 +241,108 @@ class TestMambaUnet:
 
     def test_too_short_sequence(self):
         with pytest.raises(SequenceTooShortError):
-            mamba_unet_refine(np.zeros((3, 4)), self.zeroed_unet(4))
+            mamba_unet_refine(np.zeros((3, 4)), zeroed_unet(4))
 
 
 class TestConsensusUpdate:
-    def consensus(self, f, overrides=None):
-        weights = {key: np.zeros(f) for key in ConsensusParams.AXIS_PLANES}
-        biases = {key: 0.0 for key in ConsensusParams.AXIS_PLANES}
-        if overrides:
-            biases.update(overrides)
-        return ConsensusParams(weights=weights, biases=biases)
-
     def test_zero_heads_leave_centroids(self):
         rng = np.random.default_rng(9)
         centroids = rng.normal(size=(6, 3))
         h = rng.normal(size=(6, 4))
-        out = consensus_update(centroids, h, h, h, self.consensus(4))
+        out = consensus_update(centroids, in_anchor_order(h, h, h), zero_consensus(4))
         np.testing.assert_array_equal(out, centroids)
 
     def test_agreeing_predictions_average(self):
         centroids = np.zeros((2, 3))
         h = np.zeros((2, 4))
-        params = self.consensus(4, {("x", "xy"): 2.0, ("x", "xz"): 2.0})
-        out = consensus_update(centroids, h, h, h, params)
+        params = zero_consensus(4, {("x", "xy"): 2.0, ("x", "xz"): 2.0})
+        out = consensus_update(centroids, in_anchor_order(h, h, h), params)
         np.testing.assert_allclose(out[:, 0], [2.0, 2.0])
         np.testing.assert_allclose(out[:, 1:], np.zeros((2, 2)))
 
     def test_antisymmetric_cancellation(self):
         centroids = np.ones((3, 3))
         h = np.zeros((3, 4))
-        params = self.consensus(4, {("x", "xy"): 1.0, ("x", "xz"): -1.0})
-        out = consensus_update(centroids, h, h, h, params)
+        params = zero_consensus(4, {("x", "xy"): 1.0, ("x", "xz"): -1.0})
+        out = consensus_update(centroids, in_anchor_order(h, h, h), params)
         np.testing.assert_array_equal(out, centroids)
 
     def test_commutes_with_translation(self):
         rng = np.random.default_rng(10)
-        weights = {key: rng.normal(size=5) for key in ConsensusParams.AXIS_PLANES}
-        biases = {key: float(rng.normal()) for key in ConsensusParams.AXIS_PLANES}
+        weights = {key: rng.normal(size=5) for key in AXIS_PLANES}
+        biases = {key: float(rng.normal()) for key in AXIS_PLANES}
         params = ConsensusParams(weights=weights, biases=biases)
         centroids = rng.normal(size=(7, 3))
-        h_xy, h_xz, h_yz = rng.normal(size=(3, 7, 5))
+        planes = in_anchor_order(*rng.normal(size=(3, 7, 5)))
         t = np.array([10.0, -3.0, 0.5])
-        base = consensus_update(centroids, h_xy, h_xz, h_yz, params)
-        shifted = consensus_update(centroids + t, h_xy, h_xz, h_yz, params)
+        base = consensus_update(centroids, planes, params)
+        shifted = consensus_update(centroids + t, planes, params)
         np.testing.assert_allclose(shifted, base + t, rtol=1e-12, atol=1e-12)
+
+    def test_heads_run_in_raster_order(self):
+        # 23 rows, not a multiple of 4, so BLAS handles some rows in its tail
+        # loop and a row's result can depend on its position
+        rng = np.random.default_rng(15)
+        n, f = 23, 16
+        weights = {key: rng.normal(size=f) for key in AXIS_PLANES}
+        biases = {key: float(rng.normal()) for key in AXIS_PLANES}
+        params = ConsensusParams(weights=weights, biases=biases)
+        centroids = rng.normal(size=(n, 3))
+        planes = {
+            plane: (rng.normal(size=(n, f)), raster_serialize(rng.uniform(-4, 4, size=(n, 2)), 64.0).inverse)
+            for plane in PLANES
+        }
+        out = consensus_update(centroids, planes, params)
+
+        def combine(head):
+            return centroids + 0.5 * np.stack(
+                [
+                    head("x", "xy") + head("x", "xz"),
+                    head("y", "xy") + head("y", "yz"),
+                    head("z", "xz") + head("z", "yz"),
+                ],
+                axis=-1,
+            )
+
+        def raster_head(axis, plane):
+            rows, inverse = planes[plane]
+            return (rows @ weights[(axis, plane)] + biases[(axis, plane)])[inverse]
+
+        def anchor_head(axis, plane):
+            rows, inverse = planes[plane]
+            return rows[inverse] @ weights[(axis, plane)] + biases[(axis, plane)]
+
+        np.testing.assert_array_equal(out, combine(raster_head))
+        np.testing.assert_allclose(out, combine(anchor_head), rtol=0, atol=1e-12)
+
+
+class TestRefineFeatures:
+    def test_plane_pairs_reach_their_embeds(self):
+        # one block with identity U-Nets and zero offset heads, whose linear
+        # embeds route a plane's two coordinates into channels 0 and 1 and
+        # into a pair of channels of that plane's own, so the output holds the
+        # average of the three pairs and each plane's pair on its own
+        f = 2 + 2 * len(PLANES)
+        embed = {}
+        for k, plane in enumerate(PLANES):
+            w1 = np.zeros((2, f))
+            w1[0, [0, 2 + 2 * k]] = 1.0
+            w1[1, [1, 3 + 2 * k]] = 1.0
+            embed[plane] = PlaneEmbedParams(
+                w1=w1, b1=np.zeros(f), w2=np.eye(f), b2=np.zeros(f), center=np.zeros(2), half_extent=np.ones(2),
+            )
+        block = BlockParams(
+            embed=embed, unet={plane: zeroed_unet(f) for plane in PLANES}, consensus=zero_consensus(f)
+        )
+        params = HeadParams(blocks=(block,), decode=DecodeParams(w=np.zeros((f, 28)), b=np.zeros(28)), omega=100.0)
+        rng = np.random.default_rng(16)
+        centroids = rng.uniform(0.5, 5.0, size=(9, 3))  # positive, so the ReLU passes them
+        features = rng.normal(size=(9, f))
+        out_c, out_f = refine_features(centroids, features, params)
+        x, y, z = centroids.T
+        expected = features + np.stack([x + x + y, y + z + z, x, y, x, z, y, z], axis=-1) / 3.0
+        np.testing.assert_array_equal(out_c, centroids)
+        np.testing.assert_allclose(out_f, expected, rtol=0, atol=1e-12)
 
 
 class TestDecodeAttributes:
