@@ -122,7 +122,7 @@ def dump_grid(grid: SemanticOccupancyGrid, class_count: int | None = None) -> by
     spec = grid.spec
     if class_count is None:
         if grid.scores is not None:
-            class_count = int(grid.scores.shape[-1])
+            class_count = int(grid.scores.shape[-1]) + 1  # semantic score channels + empty
         else:
             class_count = int(grid.labels.max(initial=0)) + 1
     header = GOC1_MAGIC + struct.pack(

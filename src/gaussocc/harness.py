@@ -8,9 +8,10 @@ camera planes carry projected image-space footprints.  Everything is a pure
 function of (config, seed).
 
 The oracles are deliberately naive: the dense splatter evaluates every
-primitive at every voxel with no truncation, the sequential scan runs the
-state recurrence token by token from its definition, and the Lovász
-reference sorts every voxel's error for every present class.
+primitive at every voxel with no truncation, the bilinear sampler builds one
+full corner array per corner, the sequential scan runs the state recurrence
+token by token from its definition, and the Lovász reference sorts every
+voxel's error for every present class.
 """
 
 from __future__ import annotations
@@ -289,31 +290,56 @@ def oracle_dense_splat(
 ) -> SemanticOccupancyGrid:
     """Reference splatter: every primitive evaluated at every voxel, no truncation."""
     if len(primitives) == 0:
-        c_total = (semantic_classes or 17) + 1
-        labels = np.full(spec.dims, c_total - 1, dtype=np.uint8)
-        return SemanticOccupancyGrid(spec=spec, labels=labels, scores=np.zeros(spec.dims + (c_total,)))
+        c_sem = semantic_classes or 17
+        labels = np.full(spec.dims, c_sem, dtype=np.uint8)
+        return SemanticOccupancyGrid(spec=spec, labels=labels, scores=np.zeros(spec.dims + (c_sem,)))
     arrays = stack_primitives(primitives)
     centers = voxel_centers(spec).reshape(-1, 3)
     scales = np.exp(arrays["log_scale"])
     opacity = _sigmoid(arrays["opacity_logit"])
     class_probs = _softmax(arrays["semantic_logits"])
     c_sem = class_probs.shape[1]
-    c_total = c_sem + 1
     density = np.zeros(len(centers))
-    scores = np.zeros((len(centers), c_total))
+    scores = np.zeros((len(centers), c_sem))
     for i in range(len(primitives)):
         inv = np.linalg.inv(make_covariance(scales[i], arrays["rotation"][i]))
         d = centers - arrays["centroid"][i]
         quad = np.einsum("vi,ij,vj->v", d, inv, d)
         g = opacity[i] * np.exp(-0.5 * quad)
         density += g
-        scores[:, :c_sem] += g[:, None] * class_probs[i]
-    labels = np.where(
-        density >= occupancy_threshold, np.argmax(scores[:, :c_sem], axis=-1), c_total - 1
-    ).astype(np.uint8)
+        scores += g[:, None] * class_probs[i]
+    labels = np.where(density >= occupancy_threshold, np.argmax(scores, axis=-1), c_sem).astype(np.uint8)
     return SemanticOccupancyGrid(
-        spec=spec, labels=labels.reshape(spec.dims), scores=scores.reshape(spec.dims + (c_total,))
+        spec=spec, labels=labels.reshape(spec.dims), scores=scores.reshape(spec.dims + (c_sem,))
     )
+
+
+def oracle_bilinear_sample(plane: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Reference bilinear sample of an H x W x F plane at (col, row) coordinates,
+    one (..., F) corner array at a time.
+
+    Texels outside the plane contribute zero, so fully out-of-bounds
+    coordinates return the zero vector.
+    """
+    plane = np.asarray(plane, dtype=np.float64)
+    uv = np.asarray(uv, dtype=np.float64)
+    h, w, f = plane.shape
+    u, v = uv[..., 0], uv[..., 1]
+    u0 = np.floor(u).astype(np.int64)
+    v0 = np.floor(v).astype(np.int64)
+    du, dv = u - u0, v - v0
+    out = np.zeros(uv.shape[:-1] + (f,))
+    for ui, vi, wgt in (
+        (u0, v0, (1 - du) * (1 - dv)),
+        (u0 + 1, v0, du * (1 - dv)),
+        (u0, v0 + 1, (1 - du) * dv),
+        (u0 + 1, v0 + 1, du * dv),
+    ):
+        mask = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
+        ci = np.clip(ui, 0, w - 1)
+        ri = np.clip(vi, 0, h - 1)
+        out += (wgt * mask)[..., None] * plane[ri, ci]
+    return out
 
 
 def oracle_sequential_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
@@ -407,8 +433,15 @@ def save_scene(scene: SyntheticScene, path) -> None:
     Path(path).write_bytes(dump_scene(scene))
 
 
-# scene header key of each GridSpec field; SceneConfig and ClassTaxonomy fields share their key's name
-_GRID_HEADER_KEYS = {"dims": "grid.dims", "voxel_size": "grid.voxel", "origin": "grid.origin"}
+# scene header key of each GridSpec and DepthPlaneStack field; SceneConfig and
+# ClassTaxonomy fields share their key's name
+_HEADER_KEYS = {
+    "dims": "grid.dims",
+    "voxel_size": "grid.voxel",
+    "origin": "grid.origin",
+    "origin_xy": "stack.origin_xy",
+    "cell_size": "stack.cell_size",
+}
 
 
 class _SceneHeader:
@@ -439,7 +472,7 @@ class _SceneHeader:
         try:
             yield
         except ConfigurationError as exc:
-            key = key or _GRID_HEADER_KEYS.get(exc.field, exc.field)
+            key = key or _HEADER_KEYS.get(exc.field, exc.field)
             raise FormatError(f"invalid scene header {key}: {exc}", offset=self.field(key)[1]) from None
 
     def field(self, key: str) -> tuple[str, int]:
@@ -498,12 +531,14 @@ def parse_scene(data: bytes) -> SyntheticScene:
     blobs = np.array([header.floats(f"blob{i}", 11) for i in range(header.value("blobs", int))]).reshape(-1, 11)
 
     d, (h_l, w_l), f = cfg.depth_planes, cfg.plane_shape, cfg.feature_width
-    stack = DepthPlaneStack(
-        planes=r.finite_f32(d * h_l * w_l * f, "depth planes").reshape(d, h_l, w_l, f).astype(np.float64),
-        z_intervals=header.floats("stack.z_intervals", d, 2),
-        origin_xy=header.floats("stack.origin_xy", 2),
-        cell_size=header.floats("stack.cell_size", 2),
-    )
+    planes = r.finite_f32(d * h_l * w_l * f, "depth planes").reshape(d, h_l, w_l, f).astype(np.float64)
+    with header.checked():
+        stack = DepthPlaneStack(
+            planes=planes,
+            z_intervals=header.floats("stack.z_intervals", d, 2),
+            origin_xy=header.floats("stack.origin_xy", 2),
+            cell_size=header.floats("stack.cell_size", 2),
+        )
     h_c, w_c = cfg.camera_shape
     views = []
     for i in range(cfg.cameras):

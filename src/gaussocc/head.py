@@ -473,9 +473,7 @@ def _splat_slab(
             continue
         dens = np.where(inside, opacity[i] * np.exp(-0.5 * quad), 0.0)
         density[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1] += dens
-        scores[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1, : class_probs.shape[1]] += (
-            dens[..., None] * class_probs[i]
-        )
+        scores[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1] += dens[..., None] * class_probs[i]
 
 
 def splat_arrays(
@@ -490,9 +488,10 @@ def splat_arrays(
 
     Each voxel center within ``truncation_radius_sigmas`` Mahalanobis units
     of a primitive accumulates sigmoid(opacity) * exp(-quad/2) times the
-    primitive's softmax class probabilities.  Voxels whose total density
-    clears the occupancy threshold take the argmax semantic class; the rest
-    are empty.  Primitives with any axis scale below 1e-6 m are rejected as
+    primitive's softmax class probabilities, one score channel per semantic
+    class.  Voxels whose total density clears the occupancy threshold take
+    the argmax semantic class; the rest are empty (id ``c_sem``).
+    Primitives with any axis scale below 1e-6 m are rejected as
     degenerate.  Sharding over x-slabs never changes per-voxel accumulation
     order, so results are identical for any thread count.  Zero rows give an
     all-empty grid.
@@ -511,14 +510,13 @@ def splat_arrays(
     opacity = _sigmoid(np.asarray(arrays["opacity_logit"], dtype=np.float64))
     class_probs = _softmax(np.asarray(arrays["semantic_logits"], dtype=np.float64))
     c_sem = class_probs.shape[1]
-    c_total = c_sem + 1
     sigma = make_covariance(scales, rotations)
     inv_sigma = _inverse_covariances(sigma)
     half_extents = truncation_radius_sigmas * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
     radius_sq = float(truncation_radius_sigmas) ** 2
 
     density = np.zeros(spec.dims)
-    scores = np.zeros(spec.dims + (c_total,))
+    scores = np.zeros(spec.dims + (c_sem,))
     threads = max(int(threads), 1)
     slabs = threads if 2 * threads <= spec.dims[0] else 1
     bounds = np.linspace(0, spec.dims[0], slabs + 1).astype(int)
@@ -533,9 +531,5 @@ def splat_arrays(
         for fut in futures:
             fut.result()
 
-    labels = np.where(
-        density >= occupancy_threshold,
-        np.argmax(scores[..., :c_sem], axis=-1),
-        c_total - 1,
-    ).astype(np.uint8)
+    labels = np.where(density >= occupancy_threshold, np.argmax(scores, axis=-1), c_sem).astype(np.uint8)
     return SemanticOccupancyGrid(spec=spec, labels=labels, scores=scores)

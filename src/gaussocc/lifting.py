@@ -10,8 +10,20 @@ under an optional random depth permutation, chunk context modulates the last
 chunk through a sigmoid mask, and a learnable soft gate blends the modulated
 vector with the global depth mean.
 
-Every operation is a pure function vectorized over leading anchor axes; out
-of bounds samples contribute zeros rather than clamped edge values.
+Both branches sample planes through one gather-and-reduce kernel:
+``_bilinear_taps`` turns sample coordinates and weights into flat texel
+indices and tap weights (corner weight x in-bounds mask x sample weight),
+and ``_reduce_taps`` gathers the texels in cache-sized anchor chunks and
+sums them with one batched matmul.  Taps are built once per camera view,
+for the (anchor, view) pairs that project into the view only (the others
+are never sampled), and once for all depth levels, which reduce together
+against one texel-major (H*W, D*F) copy of the stack.  Out-of-bounds taps
+read a clipped texel with weight zero, so they contribute zeros rather
+than clamped edge values.  The summation order differs from the per-corner
+reference ``harness.oracle_bilinear_sample``; tests/test_lifting.py holds
+both branches within 1e-12 of references built from it.
+
+Every operation is a pure function vectorized over leading anchor axes.
 """
 
 from __future__ import annotations
@@ -23,6 +35,12 @@ import numpy as np
 from .core import _sigmoid, _softmax
 from .errors import ConfigurationError
 from .params import ParameterBundle
+
+# Byte budget of one gathered (rows, taps, channels) block in _reduce_taps.
+# Blocks that stay in a core's L2 cache reduce fastest: on a 2 MB-L2 Xeon,
+# occ3d-sized depth sampling took 0.23-0.27 s with 0.5 MB blocks and
+# 0.49 s with 16 MB blocks.
+_GATHER_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -77,6 +95,12 @@ class DepthPlaneStack:
             raise ConfigurationError("depth planes must be D x H x W x F with D >= 1")
         if self.z_intervals.shape != (self.planes.shape[0], 2):
             raise ConfigurationError("z_intervals must give one interval per depth plane")
+        origin = np.asarray(self.origin_xy, dtype=np.float64)
+        if origin.shape != (2,) or not np.all(np.isfinite(origin)):
+            raise ConfigurationError("stack origin_xy must be a finite 2-vector", field="origin_xy")
+        cell = np.asarray(self.cell_size, dtype=np.float64)
+        if cell.shape != (2,) or not np.all((cell > 0) & np.isfinite(cell)):
+            raise ConfigurationError("stack cell_size must be two positive finite sizes", field="cell_size")
 
     @property
     def depth_levels(self) -> int:
@@ -193,30 +217,45 @@ def project_to_view(points: np.ndarray, view: CameraView):
     return uv, depth, valid
 
 
-def sample_bilinear(plane: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Bilinear sample of an H x W x F plane at (col, row) coordinates.
+def _bilinear_taps(uv: np.ndarray, h: int, w: int, weights: np.ndarray):
+    """Flat texel indices and tap weights of bilinear samples on an H x W plane.
 
-    Texels outside the plane contribute zero, so fully out-of-bounds
-    coordinates return the zero vector.
+    ``uv`` is (M, P, 2) continuous (col, row) coordinates and ``weights`` the
+    (M, P) or (P,) weight of each sample.  Returns (M, 4P) indices into the
+    row-major flattened plane and (M, 4P) tap weights: corner weight x
+    in-bounds mask x sample weight.  Indices come from clipped coordinates,
+    so an out-of-bounds corner reads a valid texel with weight zero.
     """
-    plane = np.asarray(plane, dtype=np.float64)
-    uv = np.asarray(uv, dtype=np.float64)
-    h, w, f = plane.shape
     u, v = uv[..., 0], uv[..., 1]
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
+    u0, v0 = np.floor(u), np.floor(v)
     du, dv = u - u0, v - v0
-    out = np.zeros(uv.shape[:-1] + (f,))
-    for ui, vi, wgt in (
-        (u0, v0, (1 - du) * (1 - dv)),
-        (u0 + 1, v0, du * (1 - dv)),
-        (u0, v0 + 1, (1 - du) * dv),
-        (u0 + 1, v0 + 1, du * dv),
-    ):
-        mask = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-        ci = np.clip(ui, 0, w - 1)
-        ri = np.clip(vi, 0, h - 1)
-        out += (wgt * mask)[..., None] * plane[ri, ci]
+    # per axis: (index, weight x mask) of the lower and the upper corner
+    # fmax/fmin clip a NaN coordinate to index 0; its tap weight stays NaN
+    cols = [
+        (np.fmin(np.fmax(u0, 0), w - 1), (1 - du) * ((u0 >= 0) & (u0 < w))),
+        (np.fmin(np.fmax(u0 + 1, 0), w - 1), du * ((u0 >= -1) & (u0 < w - 1))),
+    ]
+    rows = [
+        (np.fmin(np.fmax(v0, 0), h - 1), (1 - dv) * ((v0 >= 0) & (v0 < h))),
+        (np.fmin(np.fmax(v0 + 1, 0), h - 1), dv * ((v0 >= -1) & (v0 < h - 1))),
+    ]
+    idx = np.concatenate([ri * w + ci for ri, _ in rows for ci, _ in cols], axis=-1)
+    taps = np.concatenate([rw * cw * weights for _, rw in rows for _, cw in cols], axis=-1)
+    return idx.astype(np.intp), taps
+
+
+def _reduce_taps(flat_plane: np.ndarray, idx: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Per row, the tap-weighted sum of the gathered texels: (M, 4P) -> (M, C).
+
+    Rows are gathered in chunks so that one gathered (rows, 4P, C) block
+    stays within _GATHER_BYTES.
+    """
+    m, k = idx.shape
+    c = flat_plane.shape[1]
+    out = np.empty((m, c))
+    step = max(1, _GATHER_BYTES // (8 * k * max(c, 1)))
+    for s in range(0, m, step):
+        out[s : s + step] = np.matmul(taps[s : s + step, None, :], flat_plane[idx[s : s + step]])[:, 0]
     return out
 
 
@@ -228,17 +267,21 @@ def aggregate_camera(
     Anchors with no valid projection get the zero vector.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
+    lead = centroids.shape[:-1]
+    points = centroids.reshape(-1, 3)
     weights = _softmax(params.weight_logits)
-    acc = np.zeros(centroids.shape[:-1] + (views.feature_width,))
-    count = np.zeros(centroids.shape[:-1])
+    f = views.feature_width
+    acc = np.zeros((len(points), f))
+    count = np.zeros(len(points))
     for view in views.views:
-        uv, _, valid = project_to_view(centroids, view)
-        sample_uv = uv[..., None, :] + params.offsets
-        samples = sample_bilinear(view.plane, sample_uv)
-        feat = np.sum(weights[:, None] * samples, axis=-2)
-        acc += np.where(valid[..., None], feat, 0.0)
+        uv, _, valid = project_to_view(points, view)
+        rows = np.flatnonzero(valid)
+        h, w = view.plane.shape[:2]
+        idx, taps = _bilinear_taps(uv[rows, None, :] + params.offsets, h, w, weights)
+        plane = np.asarray(view.plane, dtype=np.float64).reshape(h * w, f)
+        acc[rows] += _reduce_taps(plane, idx, taps)
         count += valid
-    return acc / np.maximum(count, 1)[..., None]
+    return (acc / np.maximum(count, 1)[:, None]).reshape(lead + (f,))
 
 
 def generate_keypoints(
@@ -265,12 +308,14 @@ def ldfa_depth_sample(
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     positions = centroids[..., None, :] + keypoints.offsets
-    uv = stack.to_plane_coords(positions[..., :2])
-    rows = []
-    for d in range(stack.depth_levels):
-        samples = sample_bilinear(stack.planes[d], uv)
-        rows.append(np.sum(keypoints.weights[..., None] * samples, axis=-2))
-    return np.stack(rows, axis=-2)
+    lead, p = positions.shape[:-2], positions.shape[-2]
+    uv = stack.to_plane_coords(positions[..., :2]).reshape(-1, p, 2)
+    weights = np.broadcast_to(keypoints.weights, lead + (p,)).reshape(-1, p)
+    d, h, w, f = stack.planes.shape
+    idx, taps = _bilinear_taps(uv, h, w, weights)
+    # texel-major copy: one gathered row holds the texel's features at every depth level
+    texels = np.moveaxis(np.asarray(stack.planes, dtype=np.float64), 0, 2).reshape(h * w, d * f)
+    return _reduce_taps(texels, idx, taps).reshape(lead + (d, f))
 
 
 def partition_depths(depth_levels: int, chunks: int, seed: int, training: bool) -> DepthChunking:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -185,6 +186,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "threads": threads,
         "anchor_count": config.gaussian_count,
         "stage_timings_s": {k: round(v, 6) for k, v in timings.items()},
+        # high-water RSS of this process so far (Linux reports KiB)
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "outputs": {
             "grid": grid_path.name,
             "metrics": metrics_path.name,

@@ -101,6 +101,11 @@ class TestGridCodec:
         # magic + version + dims + class count + voxel size + origin = 48 bytes
         assert len(data) == 48 + 4
 
+    def test_class_count_defaults_to_score_channels_plus_empty(self):
+        spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(2, 2, 1))
+        grid = SemanticOccupancyGrid(spec=spec, labels=np.zeros((2, 2, 1)), scores=np.zeros((2, 2, 1, 17)))
+        assert dump_grid(grid) == dump_grid(grid, class_count=18)
+
     def test_x_fastest_layout(self):
         spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(2, 2, 1))
         labels = np.array([[[0], [1]], [[2], [3]]], dtype=np.uint8)  # labels[x][y][z]
@@ -302,6 +307,11 @@ INVALID_HEADER = {
     "gscn-reversed-blob-range": _scene_case(rb"blob_range=[^\n]*", b"blob_range=5 3", b"blob_range"),
     "gscn-zero-plane-shape": _scene_case(rb"plane_shape=\d+", b"plane_shape=0", b"plane_shape"),
     "gscn-negative-focal-length": _scene_case(rb"cam1\.intrinsics=", b"cam1.intrinsics=-", b"cam1.intrinsics"),
+    "gscn-zero-cell-size": _scene_case(rb"stack\.cell_size=[^\n]*", b"stack.cell_size=0 -1", b"stack.cell_size"),
+    "gscn-negative-cell-size": _scene_case(
+        rb"stack\.cell_size=[^\n]*", b"stack.cell_size=0.5 -0.5", b"stack.cell_size"
+    ),
+    "gscn-short-stack-origin": _scene_case(rb"stack\.origin_xy=[^ ]*", b"stack.origin_xy=", b"stack.origin_xy"),
 }
 
 

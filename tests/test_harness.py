@@ -157,6 +157,7 @@ class TestDenseSplatOracle:
         spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(4, 4, 4))
         grid = oracle_dense_splat([], spec, semantic_classes=17)
         assert np.all(grid.labels == 17)
+        np.testing.assert_array_equal(grid.scores, np.zeros(spec.dims + (17,)))
 
     def test_single_gaussian_matches_closed_form(self):
         spec = GridSpec(origin=-np.full(3, 2.5), voxel_size=np.ones(3), dims=(5, 5, 5))
@@ -166,7 +167,7 @@ class TestDenseSplatOracle:
         quad = np.sum((centers - prim.centroid) ** 2, axis=-1) / 1.3**2
         opacity = 1.0 / (1.0 + np.exp(-0.7))
         expected = opacity * np.exp(-0.5 * quad)
-        np.testing.assert_allclose(grid.scores[..., :17].sum(axis=-1), expected, atol=1e-12)
+        np.testing.assert_allclose(grid.scores.sum(axis=-1), expected, atol=1e-12)
 
     def test_agreement_with_truncated_splat(self):
         rng = np.random.default_rng(8)

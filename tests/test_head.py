@@ -422,7 +422,7 @@ class TestSplat:
         spec = self.grid()
         grid = splat_arrays(stack_primitives([isotropic_primitive([0.0, 0.0, 0.0])]), spec, 6.0)
         center = tuple(d // 2 for d in spec.dims)
-        total = grid.scores[center][:17].sum()
+        total = grid.scores[center].sum()
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_density_at_unit_mahalanobis(self):
@@ -430,7 +430,7 @@ class TestSplat:
         grid = splat_arrays(stack_primitives([isotropic_primitive([0.0, 0.0, 0.0])]), spec, 6.0)
         center = tuple(d // 2 for d in spec.dims)
         neighbor = (center[0] + 1, center[1], center[2])
-        assert grid.scores[neighbor][:17].sum() == pytest.approx(np.exp(-0.5), abs=1e-9)
+        assert grid.scores[neighbor].sum() == pytest.approx(np.exp(-0.5), abs=1e-9)
 
     def test_empty_scene_all_empty(self):
         spec = self.grid()
@@ -444,7 +444,7 @@ class TestSplat:
         }
         grid = splat_arrays(empty, spec, 6.0)
         assert np.all(grid.labels == 17)
-        np.testing.assert_array_equal(grid.scores, np.zeros(spec.dims + (18,)))
+        np.testing.assert_array_equal(grid.scores, np.zeros(spec.dims + (17,)))
 
     def test_degenerate_scale_reports_primitive(self):
         spec = self.grid()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from gaussocc import lifting
+from gaussocc.core import _softmax
 from gaussocc.errors import ConfigurationError
+from gaussocc.harness import oracle_bilinear_sample
 from gaussocc.lifting import (
     CameraLiftParams,
     CameraView,
@@ -20,7 +23,6 @@ from gaussocc.lifting import (
     lift_lidar,
     partition_depths,
     project_to_view,
-    sample_bilinear,
 )
 
 
@@ -61,25 +63,223 @@ class TestProjectToView:
 
 
 class TestSampleBilinear:
+    """The corner-array oracle that the lifting kernel is held to."""
+
     def test_on_texel_identity(self):
         rng = np.random.default_rng(0)
         plane = rng.normal(size=(4, 5, 3))
-        np.testing.assert_allclose(sample_bilinear(plane, np.array([2.0, 1.0])), plane[1, 2])
+        np.testing.assert_allclose(oracle_bilinear_sample(plane, np.array([2.0, 1.0])), plane[1, 2])
 
     def test_midway_average(self):
         plane = np.zeros((2, 2, 2))
         plane[0, 0] = 2.0
         plane[0, 1] = 4.0
-        np.testing.assert_allclose(sample_bilinear(plane, np.array([0.5, 0.0])), [3.0, 3.0])
+        np.testing.assert_allclose(oracle_bilinear_sample(plane, np.array([0.5, 0.0])), [3.0, 3.0])
 
     def test_fully_outside_zero(self):
         plane = np.ones((4, 4, 2))
-        np.testing.assert_array_equal(sample_bilinear(plane, np.array([-5.0, 1.0])), [0.0, 0.0])
-        np.testing.assert_array_equal(sample_bilinear(plane, np.array([1.0, 99.0])), [0.0, 0.0])
+        np.testing.assert_array_equal(oracle_bilinear_sample(plane, np.array([-5.0, 1.0])), [0.0, 0.0])
+        np.testing.assert_array_equal(oracle_bilinear_sample(plane, np.array([1.0, 99.0])), [0.0, 0.0])
 
     def test_boundary_partial_contribution(self):
         plane = np.ones((4, 4, 1))
-        np.testing.assert_allclose(sample_bilinear(plane, np.array([-0.5, 1.0])), [0.5])
+        np.testing.assert_allclose(oracle_bilinear_sample(plane, np.array([-0.5, 1.0])), [0.5])
+
+
+def reference_camera(centroids, views, params):
+    """aggregate_camera's definition: every (anchor, view) pair sampled through
+    the oracle, invalid pairs zeroed, the sum divided by the valid-view count."""
+    centroids = np.asarray(centroids, dtype=np.float64)
+    weights = _softmax(params.weight_logits)
+    acc = np.zeros(centroids.shape[:-1] + (views.feature_width,))
+    count = np.zeros(centroids.shape[:-1])
+    for view in views.views:
+        uv, _, valid = project_to_view(centroids, view)
+        samples = oracle_bilinear_sample(view.plane, uv[..., None, :] + params.offsets)
+        feat = np.sum(weights[:, None] * samples, axis=-2)
+        acc += np.where(valid[..., None], feat, 0.0)
+        count += valid
+    return acc / np.maximum(count, 1)[..., None]
+
+
+def reference_depth(centroids, keypoints, stack):
+    """ldfa_depth_sample's definition: one oracle sample per depth level."""
+    positions = np.asarray(centroids, dtype=np.float64)[..., None, :] + keypoints.offsets
+    uv = stack.to_plane_coords(positions[..., :2])
+    rows = [
+        np.sum(keypoints.weights[..., None] * oracle_bilinear_sample(stack.planes[d], uv), axis=-2)
+        for d in range(stack.depth_levels)
+    ]
+    return np.stack(rows, axis=-2)
+
+
+def three_views(rng, h=7, w=9, channels=5):
+    """Three cameras at the origin looking down +z with different principal
+    points, so some anchors are seen by every view, some by a few, some by none."""
+    return MultiViewFeatureSet(
+        views=tuple(
+            make_view(rng.normal(size=(h, w, channels)), f=4.0, c=c) for c in ((4.0, 3.0), (1.0, 1.0), (7.5, 5.0))
+        )
+    )
+
+
+class TestTapsAgainstOracle:
+    """The tap kernel behind aggregate_camera and ldfa_depth_sample stays
+    within 1e-12 of the oracle-built definitions."""
+
+    ATOL = 1e-12
+
+    def test_camera_random_anchors_with_leading_axes(self):
+        rng = np.random.default_rng(11)
+        views = three_views(rng)
+        params = CameraLiftParams(offsets=rng.normal(scale=2.0, size=(4, 2)), weight_logits=rng.normal(size=4))
+        centroids = rng.uniform(-1.5, 1.5, size=(6, 50, 3)) + [0.0, 0.0, 1.2]
+        out = aggregate_camera(centroids, views, params)
+        assert out.shape == (6, 50, 5)
+        np.testing.assert_allclose(out, reference_camera(centroids, views, params), rtol=0, atol=self.ATOL)
+
+    def test_camera_one_gathered_row_per_block(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        views = three_views(rng)
+        params = CameraLiftParams(offsets=rng.normal(size=(3, 2)), weight_logits=rng.normal(size=3))
+        centroids = rng.uniform(-1.0, 1.0, size=(40, 3)) + [0.0, 0.0, 1.5]
+        monkeypatch.setattr(lifting, "_GATHER_BYTES", 1)
+        np.testing.assert_allclose(
+            aggregate_camera(centroids, views, params), reference_camera(centroids, views, params),
+            rtol=0, atol=self.ATOL,
+        )
+
+    def test_camera_taps_on_last_texel(self):
+        rng = np.random.default_rng(13)
+        plane = rng.normal(size=(5, 6, 3))
+        view = make_view(plane, f=2.0, c=(0.0, 0.0))
+        # projects to (u, v) = (5, 4): the last column and the last row
+        centroid = np.array([2.5, 2.0, 1.0])
+        params = CameraLiftParams(offsets=np.array([[0.0, 0.0], [-5.0, 0.0], [0.0, -4.0]]), weight_logits=np.zeros(3))
+        views = MultiViewFeatureSet(views=(view,))
+        out = aggregate_camera(centroid, views, params)
+        np.testing.assert_allclose(out, (plane[4, 5] + plane[4, 0] + plane[0, 5]) / 3.0, rtol=0, atol=self.ATOL)
+        np.testing.assert_allclose(out, reference_camera(centroid, views, params), rtol=0, atol=self.ATOL)
+
+    def test_camera_negative_and_far_offsets(self):
+        rng = np.random.default_rng(14)
+        views = three_views(rng)
+        offsets = np.array([[-0.5, -0.5], [-1.0, 2.0], [-3.7, 0.2], [1e6, 0.0], [0.0, -1e6], [8.6, 6.4]])
+        params = CameraLiftParams(offsets=offsets, weight_logits=rng.normal(size=6))
+        centroids = rng.uniform(-1.0, 1.0, size=(30, 3)) + [0.0, 0.0, 1.5]
+        np.testing.assert_allclose(
+            aggregate_camera(centroids, views, params), reference_camera(centroids, views, params),
+            rtol=0, atol=self.ATOL,
+        )
+
+    def test_camera_all_offsets_off_plane(self):
+        rng = np.random.default_rng(15)
+        views = three_views(rng)
+        params = CameraLiftParams(offsets=np.array([[-20.0, 0.0], [0.0, 30.0], [-1e6, -1e6]]), weight_logits=np.zeros(3))
+        centroids = rng.uniform(-0.5, 0.5, size=(10, 3)) + [0.0, 0.0, 2.0]
+        out = aggregate_camera(centroids, views, params)
+        np.testing.assert_array_equal(out, np.zeros((10, 5)))
+        np.testing.assert_array_equal(out, reference_camera(centroids, views, params))
+
+    def test_camera_anchor_seen_by_no_view_and_by_every_view(self):
+        rng = np.random.default_rng(16)
+        views = three_views(rng)
+        params = CameraLiftParams(offsets=rng.normal(size=(4, 2)), weight_logits=rng.normal(size=4))
+        # behind every camera; inside every view; inside the first view only
+        centroids = np.array([[0.0, 0.0, -1.0], [0.1, 0.1, 2.0], [-0.75, 0.5, 1.0]])
+        seen = np.array([project_to_view(centroids, v)[2] for v in views.views]).T
+        np.testing.assert_array_equal(seen.sum(axis=1), [0, 3, 1])
+        out = aggregate_camera(centroids, views, params)
+        np.testing.assert_array_equal(out[0], np.zeros(5))
+        np.testing.assert_allclose(out, reference_camera(centroids, views, params), rtol=0, atol=self.ATOL)
+
+    def test_camera_single_point_and_empty_set(self):
+        rng = np.random.default_rng(17)
+        views = three_views(rng)
+        params = CameraLiftParams(offsets=rng.normal(size=(4, 2)), weight_logits=rng.normal(size=4))
+        point = np.array([0.1, -0.2, 1.4])
+        out = aggregate_camera(point, views, params)
+        assert out.shape == (5,)
+        np.testing.assert_allclose(out, reference_camera(point, views, params), rtol=0, atol=self.ATOL)
+        assert aggregate_camera(np.zeros((0, 3)), views, params).shape == (0, 5)
+
+    def test_depth_random_anchors_with_leading_axes(self):
+        rng = np.random.default_rng(21)
+        stack = make_stack(rng.normal(size=(3, 6, 7, 4)), origin=(-1.0, -2.0), cell=(0.5, 0.75))
+        kp = KeypointSet(offsets=rng.normal(size=(8, 40, 4, 3)), weights=rng.random((8, 40, 4)))
+        centroids = rng.uniform(-1.5, 3.5, size=(8, 40, 3))
+        out = ldfa_depth_sample(centroids, kp, stack)
+        assert out.shape == (8, 40, 3, 4)
+        np.testing.assert_allclose(out, reference_depth(centroids, kp, stack), rtol=0, atol=self.ATOL)
+
+    def test_depth_one_gathered_row_per_block(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        stack = make_stack(rng.normal(size=(4, 5, 5, 3)))
+        kp = KeypointSet(offsets=rng.normal(size=(30, 4, 3)), weights=rng.random((30, 4)))
+        centroids = rng.uniform(0.0, 5.0, size=(30, 3))
+        monkeypatch.setattr(lifting, "_GATHER_BYTES", 1)
+        np.testing.assert_allclose(
+            ldfa_depth_sample(centroids, kp, stack), reference_depth(centroids, kp, stack), rtol=0, atol=self.ATOL
+        )
+
+    def test_depth_taps_on_last_texel(self):
+        rng = np.random.default_rng(23)
+        planes = rng.normal(size=(2, 4, 5, 3))
+        stack = make_stack(planes)
+        # world (4.5, 3.5) is plane coordinate (4, 3): the last column and the last row
+        kp = KeypointSet(offsets=np.array([[0.0, 0.0, 0.0], [-4.0, 0.0, 0.0], [0.0, -3.0, 0.0]]), weights=np.ones(3))
+        out = ldfa_depth_sample(np.array([4.5, 3.5, 0.0]), kp, stack)
+        np.testing.assert_allclose(out, planes[:, 3, 4] + planes[:, 3, 0] + planes[:, 0, 4], rtol=0, atol=self.ATOL)
+        np.testing.assert_allclose(
+            out, reference_depth(np.array([4.5, 3.5, 0.0]), kp, stack), rtol=0, atol=self.ATOL
+        )
+
+    def test_depth_negative_and_far_coordinates(self):
+        rng = np.random.default_rng(24)
+        stack = make_stack(rng.normal(size=(3, 4, 4, 2)))
+        xy = np.array([[0.0, 0.0], [-0.5, 2.0], [-3.2, -0.1], [1e6, 1.0], [2.0, -1e6], [4.4, 4.6], [-1e6, 1e6]])
+        offsets = np.concatenate([xy, np.zeros((len(xy), 1))], axis=1)
+        kp = KeypointSet(offsets=np.broadcast_to(offsets, (20,) + offsets.shape), weights=rng.random((20, len(xy))))
+        centroids = rng.uniform(-1.0, 5.0, size=(20, 3))
+        np.testing.assert_allclose(
+            ldfa_depth_sample(centroids, kp, stack), reference_depth(centroids, kp, stack), rtol=0, atol=self.ATOL
+        )
+
+    def test_depth_all_keypoints_off_plane(self):
+        rng = np.random.default_rng(25)
+        stack = make_stack(rng.normal(size=(3, 4, 4, 2)))
+        kp = KeypointSet(offsets=np.array([[-10.0, 1.0, 0.0], [1.0, 50.0, 0.0], [1e6, -1e6, 0.0]]), weights=np.ones(3))
+        out = ldfa_depth_sample(np.array([[1.0, 1.0, 0.0], [2.0, 3.0, 1.0]]), kp, stack)
+        np.testing.assert_array_equal(out, np.zeros((2, 3, 2)))
+
+    def test_depth_single_point_and_empty_set(self):
+        rng = np.random.default_rng(26)
+        stack = make_stack(rng.normal(size=(3, 4, 4, 2)))
+        kp = KeypointSet(offsets=rng.normal(size=(4, 3)), weights=rng.random(4))
+        point = np.array([1.7, 2.2, 0.0])
+        out = ldfa_depth_sample(point, kp, stack)
+        assert out.shape == (3, 2)
+        np.testing.assert_allclose(out, reference_depth(point, kp, stack), rtol=0, atol=self.ATOL)
+        empty = KeypointSet(offsets=np.zeros((0, 4, 3)), weights=np.zeros((0, 4)))
+        assert ldfa_depth_sample(np.zeros((0, 3)), empty, stack).shape == (0, 3, 2)
+
+
+class TestDepthPlaneStack:
+    @pytest.mark.parametrize(
+        "origin, cell, field",
+        [
+            ((0.0, 0.0), (0.0, 1.0), "cell_size"),
+            ((0.0, 0.0), (1.0, -1.0), "cell_size"),
+            ((0.0, 0.0), (1.0, 1.0, 1.0), "cell_size"),
+            ((0.0, 0.0), (np.nan, 1.0), "cell_size"),
+            ((0.0,), (1.0, 1.0), "origin_xy"),
+            ((0.0, np.inf), (1.0, 1.0), "origin_xy"),
+        ],
+    )
+    def test_rejects_bad_geo_reference(self, origin, cell, field):
+        with pytest.raises(ConfigurationError) as info:
+            make_stack(np.zeros((1, 2, 2, 1)), origin=origin, cell=cell)
+        assert info.value.field == field
 
 
 class TestAggregateCamera:

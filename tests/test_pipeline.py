@@ -89,6 +89,11 @@ class TestRunPipeline:
         text = result.metrics_path.read_text()
         assert "mIoU" in text and "loss.total" in text
 
+    def test_manifest_reports_peak_rss(self, tmp_path):
+        result = run_pipeline(small_config(tmp_path))
+        manifest = json.loads(result.manifest_path.read_text())
+        assert manifest["peak_rss_mb"] > 0
+
     def test_deterministic_across_runs(self, tmp_path):
         a = run_pipeline(small_config(tmp_path, subdir="a"))
         b = run_pipeline(small_config(tmp_path, subdir="b"))
@@ -123,8 +128,7 @@ class TestRunPipeline:
         from gaussocc.core import SemanticOccupancyGrid
 
         rng = np.random.default_rng(6)
-        scores = np.zeros(small_grid.dims + (18,))
-        scores[..., :17] = rng.uniform(0, 0.3, size=small_grid.dims + (17,))
+        scores = rng.uniform(0, 0.3, size=small_grid.dims + (17,))
         grid = SemanticOccupancyGrid(
             spec=small_grid, labels=np.zeros(small_grid.dims, dtype=np.uint8), scores=scores
         )
@@ -136,7 +140,7 @@ class TestRunPipeline:
             SemanticOccupancyGrid(
                 spec=small_grid,
                 labels=np.zeros(small_grid.dims, dtype=np.uint8),
-                scores=np.zeros(small_grid.dims + (18,)),
+                scores=np.zeros(small_grid.dims + (17,)),
             ),
             17,
         )
@@ -146,16 +150,14 @@ class TestRunPipeline:
         from gaussocc.core import SemanticOccupancyGrid
 
         rng = np.random.default_rng(7)
-        scores = np.zeros(small_grid.dims + (18,))
         # per-voxel mass from 0 to about 2.5: rows with and without left-over empty mass
         mass = rng.uniform(0, 1, size=small_grid.dims + (1,))
-        scores[..., :17] = rng.uniform(0, 0.3, size=small_grid.dims + (17,)) * mass
+        scores = rng.uniform(0, 0.3, size=small_grid.dims + (17,)) * mass
         grid = SemanticOccupancyGrid(
             spec=small_grid, labels=np.zeros(small_grid.dims, dtype=np.uint8), scores=scores
         )
-        sem = scores[..., :17]
-        empty = np.maximum(1.0 - sem.sum(axis=-1), 0.0)
-        concatenated = np.concatenate([sem, empty[..., None]], axis=-1)
+        empty = np.maximum(1.0 - scores.sum(axis=-1), 0.0)
+        concatenated = np.concatenate([scores, empty[..., None]], axis=-1)
         expected = concatenated / np.maximum(concatenated.sum(axis=-1, keepdims=True), 1e-12)
         probs = grid_probabilities(grid, 17)
         assert probs.dtype == expected.dtype and probs.shape == expected.shape
