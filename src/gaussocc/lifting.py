@@ -344,10 +344,13 @@ def partition_depths(depth_levels: int, chunks: int, seed: int, training: bool) 
 def chunk_means(f_depth: np.ndarray, chunking: DepthChunking) -> np.ndarray:
     """Mean-pooled chunk representations C_k over the permuted depth rows."""
     f_depth = np.asarray(f_depth, dtype=np.float64)
-    out = [
-        np.mean(f_depth[..., chunking.permutation[list(s)], :], axis=-2)
-        for s in chunking.chunk_sets
-    ]
+    out = []
+    for s in chunking.chunk_sets:
+        rows = chunking.permutation[list(s)]
+        if np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
+            # a contiguous ascending range (always so at inference): a view, not a copy
+            rows = slice(rows[0], rows[0] + len(rows))
+        out.append(np.mean(f_depth[..., rows, :], axis=-2))
     return np.stack(out, axis=-2)
 
 

@@ -22,6 +22,14 @@ changes, which moves the sum by rounding only (at most 2.2e-16 on the
 benchmark volumes).
 A class with no foreground voxel has loss max(p_c).
 ``harness.oracle_lovasz_per_class`` keeps the full sort as the reference.
+
+Both losses take their probability rows in slabs, so a caller never has to
+hold a whole probability volume: ``CrossEntropyTerms`` writes one term per
+voxel and averages them once at the end, and ``LovaszCandidates`` first
+fixes each t_c from the foreground rows, then counts the argmax classes,
+keeps max(p_c) and appends the candidates slab by slab in ascending index.
+The results do not depend on the slab sizes, bit for bit.
+``weighted_ce`` and ``lovasz_per_class`` are the one-slab case.
 """
 
 from __future__ import annotations
@@ -73,20 +81,48 @@ class IoUReport:
     empty_id: int
 
 
+def _flat_labels(labels: np.ndarray, classes: int) -> np.ndarray:
+    """Labels as one int64 vector; a label outside [0, classes) is a LabelError."""
+    labels = np.asarray(labels).reshape(-1).astype(np.int64, copy=False)
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise LabelError(f"label outside class range [0, {classes})")
+    return labels
+
+
+class CrossEntropyTerms:
+    """Per-voxel weighted cross-entropy terms -w_y log p_y, filled slab by slab.
+
+    ``add(start, probs)`` takes the probability rows of voxels ``start`` to
+    ``start + len(probs)``; rows are renormalized defensively and the log is
+    floored at 1e-12.  ``value`` is one mean over the whole term vector, so
+    it is the same number however the rows were split into slabs.
+    """
+
+    def __init__(self, labels: np.ndarray, class_weights: np.ndarray, classes: int):
+        self.labels = _flat_labels(labels, classes)
+        self.weights = np.asarray(class_weights, dtype=np.float64)
+        if self.weights.shape != (classes,):
+            raise LabelError(f"need one weight per class, got {self.weights.shape} for C={classes}")
+        self.terms = np.empty(len(self.labels))
+
+    def add(self, start: int, probs: np.ndarray) -> None:
+        labels = self.labels[start : start + len(probs)]
+        # gather, then renormalize: the same division as on the whole row, without a normalized copy
+        p_truth = probs[np.arange(len(labels)), labels] / np.maximum(probs.sum(axis=-1), CE_LOG_FLOOR)
+        self.terms[start : start + len(probs)] = -self.weights[labels] * np.log(
+            np.maximum(p_truth, CE_LOG_FLOOR)
+        )
+
+    def value(self) -> float:
+        return float(np.mean(self.terms))
+
+
 def weighted_ce(probs: np.ndarray, labels: np.ndarray, class_weights: np.ndarray) -> float:
-    """Mean over voxels of -w_y log p_y; probabilities are renormalized
-    defensively and the log is floored at 1e-12."""
+    """Mean over voxels of -w_y log p_y: ``CrossEntropyTerms`` fed one slab."""
     probs = np.asarray(probs, dtype=np.float64).reshape(-1, np.asarray(probs).shape[-1])
-    labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    weights = np.asarray(class_weights, dtype=np.float64)
-    c = probs.shape[-1]
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise LabelError(f"label outside class range [0, {c})")
-    if weights.shape != (c,):
-        raise LabelError(f"need one weight per class, got {weights.shape} for C={c}")
-    # gather, then renormalize: the same division as on the whole volume, without its copy
-    p_truth = probs[np.arange(len(labels)), labels] / np.maximum(probs.sum(axis=-1), CE_LOG_FLOOR)
-    return float(np.mean(-weights[labels] * np.log(np.maximum(p_truth, CE_LOG_FLOOR))))
+    terms = CrossEntropyTerms(labels, class_weights, probs.shape[-1])
+    terms.add(0, probs)
+    return terms.value()
 
 
 def _lovasz_gradient(fg_sorted: np.ndarray) -> np.ndarray:
@@ -100,45 +136,94 @@ def _lovasz_gradient(fg_sorted: np.ndarray) -> np.ndarray:
     return jaccard
 
 
+class LovaszCandidates:
+    """The voxels that carry each class's Lovász loss, gathered slab by slab.
+
+    Two passes over the probability rows, in this order:
+
+    1. ``add_foreground(index, probs)`` for the rows of ``foreground`` (the
+       voxels whose truth class is scored), in chunks of any size; this fixes
+       each class threshold t_c = min(1 - p_c) over its foreground.
+    2. ``add(start, probs)`` for every voxel, in slabs of ascending index;
+       this counts the argmax classes, keeps each class's max p_c and appends
+       the candidates (foreground or p_c >= t_c) in ascending index.
+
+    ``losses`` then sorts each class's candidates, which are exactly the set
+    the module docstring derives, whatever the slab sizes were.
+    """
+
+    def __init__(self, labels: np.ndarray, classes: int, excluded_class: int | None):
+        self.labels = _flat_labels(labels, classes)
+        self.scored = np.ones(classes, dtype=bool)
+        if excluded_class is not None:
+            self.scored[excluded_class] = False
+        self.foreground = np.flatnonzero(self.scored[self.labels])
+        self.thresholds = np.full(classes, np.inf)
+        self.predicted = np.zeros(classes, dtype=np.int64)
+        self.p_max = np.full(classes, -np.inf)
+        self._found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add_foreground(self, index: np.ndarray, probs: np.ndarray) -> None:
+        labels = self.labels[index]
+        np.minimum.at(self.thresholds, labels, 1.0 - probs[np.arange(len(labels)), labels])
+
+    def add(self, start: int, probs: np.ndarray) -> None:
+        labels = self.labels[start : start + len(probs)]
+        self.predicted += np.bincount(np.argmax(probs, axis=-1), minlength=len(self.predicted))
+        np.maximum(self.p_max, probs.max(axis=0, initial=-np.inf), out=self.p_max)
+        keep = probs >= self.thresholds
+        fg_rows = np.flatnonzero(self.scored[labels])
+        keep[fg_rows, labels[fg_rows]] = True
+        rows, classes = np.divmod(np.flatnonzero(keep), keep.shape[1])  # row-major, like nonzero
+        self._found.append((classes, probs[rows, classes], labels[rows] == classes))
+
+    def losses(self) -> dict[int, float]:
+        classes, p, fg = (np.concatenate(part) for part in zip(*self._found))
+        by_class = np.argsort(classes, kind="stable")  # keeps ascending voxel index within a class
+        counts = np.bincount(classes, minlength=len(self.scored))
+        ends = np.cumsum(counts)
+        truth = np.bincount(self.labels, minlength=len(self.scored)) > 0
+        losses: dict[int, float] = {}
+        for c in np.flatnonzero(truth | (self.predicted > 0)):
+            if not self.scored[c]:
+                continue
+            if not truth[c]:
+                losses[int(c)] = float(self.p_max[c])
+                continue
+            members = by_class[ends[c] - counts[c] : ends[c]]
+            fg_c = fg[members].astype(np.float64)
+            errors = np.where(fg_c == 1.0, 1.0 - p[members], p[members])
+            order = np.argsort(-errors, kind="stable")
+            grad = _lovasz_gradient(fg_c[order])
+            losses[int(c)] = float(np.dot(errors[order], grad))
+        return losses
+
+
 def lovasz_per_class(probs: np.ndarray, labels: np.ndarray, excluded_class: int | None) -> dict[int, float]:
     """Lovász hinge of the class error vectors, for every present class.
 
     Present means appearing in the truth labels or in the argmax prediction;
     the excluded class id is never scored.  Only the voxels whose error is at
-    least the smallest foreground error are sorted (see the module docstring).
+    least the smallest foreground error are sorted (see the module
+    docstring).  This is ``LovaszCandidates`` fed the whole volume as one slab.
     """
     probs = np.asarray(probs, dtype=np.float64).reshape(-1, np.asarray(probs).shape[-1])
-    labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    c_total = probs.shape[-1]
-    if labels.size and (labels.min() < 0 or labels.max() >= c_total):
-        raise LabelError(f"label outside class range [0, {c_total})")
-    predicted = np.argmax(probs, axis=-1)
-    present = (np.bincount(labels, minlength=c_total) > 0) | (np.bincount(predicted, minlength=c_total) > 0)
-    losses: dict[int, float] = {}
-    for c in np.flatnonzero(present):
-        if excluded_class is not None and c == excluded_class:
-            continue
-        p = probs[:, c]
-        fg_mask = labels == c
-        if not fg_mask.any():
-            losses[int(c)] = float(p.max())
-            continue
-        threshold = np.min(1.0 - p[fg_mask])
-        keep = np.flatnonzero(fg_mask | (p >= threshold))
-        fg = fg_mask[keep].astype(np.float64)
-        errors = np.where(fg == 1.0, 1.0 - p[keep], p[keep])
-        order = np.argsort(-errors, kind="stable")
-        grad = _lovasz_gradient(fg[order])
-        losses[int(c)] = float(np.dot(errors[order], grad))
-    return losses
+    found = LovaszCandidates(labels, probs.shape[-1], excluded_class)
+    found.add_foreground(found.foreground, probs[found.foreground])
+    found.add(0, probs)
+    return found.losses()
+
+
+def lovasz_mean(losses: dict[int, float]) -> float:
+    """Mean of per-class Lovász losses; 0 when no class is scored."""
+    if not losses:
+        return 0.0
+    return float(np.mean(list(losses.values())))
 
 
 def lovasz_softmax(probs: np.ndarray, labels: np.ndarray, excluded_class: int | None) -> float:
     """Mean of the per-class Lovász losses over present, non-excluded classes."""
-    losses = lovasz_per_class(probs, labels, excluded_class)
-    if not losses:
-        return 0.0
-    return float(np.mean(list(losses.values())))
+    return lovasz_mean(lovasz_per_class(probs, labels, excluded_class))
 
 
 def total_loss(ce: float, lovasz: float, weights: LossWeights) -> float:

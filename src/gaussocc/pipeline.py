@@ -2,8 +2,13 @@
 
 Every random draw derives from the master seed and a stage label, so a run
 is a deterministic function of (config, seeds, weight bundle).  GOC_THREADS
-caps the splat thread pool; sharding never changes per-voxel accumulation
-order, so the emitted grid digest is identical for any thread count.
+caps the splat thread pool, clamped to the usable cores; sharding never
+changes per-voxel accumulation order, so the emitted grid digest is
+identical for any thread count.
+
+The grid is scored in x-slabs (``score_grid``): no probability volume is
+held, only one slab of probability rows at a time plus a few per-voxel
+vectors, and CE and Lovász equal their whole-volume values bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .harness import SyntheticScene, generate_scene, load_scene
 from .params import ParameterBundle, build_parameter_bundle, validate_bundle
 from .presets import RunConfig
 
+# probability rows built at a time when the grid is scored: about 1 MB
+_SLAB_BYTES = 2**20
+
 STAGES = ("scene", "weights", "anchors", "lifting", "smoothing", "fusion", "head", "splat", "eval", "emit")
 
 
@@ -45,29 +53,73 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def thread_cap() -> int:
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _requested_threads() -> int:
     raw = os.environ.get("GOC_THREADS", "")
     if raw.strip():
         try:
             return max(1, int(raw))
         except ValueError:
             raise ConfigurationError(f"GOC_THREADS must be an integer, got {raw!r}") from None
-    return min(8, os.cpu_count() or 1)
+    return min(8, _usable_cores())
 
 
-def grid_probabilities(grid, c_sem: int) -> np.ndarray:
-    """Per-voxel class probabilities from splat scores.
+def thread_cap() -> int:
+    """Splat threads: GOC_THREADS (default up to 8), clamped to the usable cores."""
+    return min(_requested_threads(), _usable_cores())
+
+
+def _probability_rows(sem: np.ndarray) -> np.ndarray:
+    """Class probabilities of voxel rows of semantic scores (any leading shape).
 
     Semantic channels keep their accumulated mixture mass; the empty channel
     takes the left-over max(1 - density, 0); rows are renormalized in place,
-    so the volume is allocated once.
+    so the result is allocated once.  Each row depends only on its own
+    scores, so a slab of rows gets the same bits as the whole volume.
     """
-    sem = grid.scores[..., :c_sem]
-    probs = np.empty(sem.shape[:-1] + (c_sem + 1,))
-    probs[..., :c_sem] = sem
-    np.maximum(1.0 - sem.sum(axis=-1), 0.0, out=probs[..., c_sem])
+    probs = np.empty(sem.shape[:-1] + (sem.shape[-1] + 1,))
+    probs[..., :-1] = sem
+    np.maximum(1.0 - sem.sum(axis=-1), 0.0, out=probs[..., -1])
     probs /= np.maximum(probs.sum(axis=-1, keepdims=True), 1e-12)
     return probs
+
+
+def grid_probabilities(grid, c_sem: int) -> np.ndarray:
+    """Per-voxel class probabilities of the whole grid, from its splat scores."""
+    return _probability_rows(grid.scores[..., :c_sem])
+
+
+def score_grid(pred, truth_labels: np.ndarray, taxonomy, c_sem: int) -> tuple[float, dict[int, float]]:
+    """Weighted CE and per-class Lovász of a predicted grid against truth labels.
+
+    The probability rows are built in x-slabs of about _SLAB_BYTES: first for
+    the foreground voxels only (the Lovász thresholds), then for every voxel
+    in ascending order, each slab feeding ``metrics.CrossEntropyTerms`` and
+    ``metrics.LovaszCandidates``.  Both results equal the whole-volume
+    ``weighted_ce`` and ``lovasz_per_class`` bit for bit.
+    """
+    scores = pred.scores.reshape(-1, pred.scores.shape[-1])[:, :c_sem]
+    c_total = c_sem + 1
+    ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total)
+    labels = ce.labels  # flat int64, shared rather than converted twice
+    lovasz = metrics.LovaszCandidates(labels, c_total, taxonomy.empty_id)
+    plane = pred.spec.dims[1] * pred.spec.dims[2]
+    step = plane * max(1, _SLAB_BYTES // (8 * c_total * plane))
+    foreground = lovasz.foreground
+    for i in range(0, len(foreground), step):
+        index = foreground[i : i + step]
+        lovasz.add_foreground(index, _probability_rows(scores[index]))
+    for start in range(0, len(labels), step):
+        probs = _probability_rows(scores[start : start + step])
+        ce.add(start, probs)
+        lovasz.add(start, probs)
+    return ce.value(), lovasz.losses()
 
 
 def _load_or_generate_scene(config: RunConfig) -> SyntheticScene:
@@ -100,9 +152,20 @@ def _timed(timings: dict[str, float], stage: str):
     timings[stage] = time.perf_counter() - start
 
 
+def _health(report: metrics.IoUReport) -> dict:
+    """Predicted-class histogram and occupied fraction, from the confusion counts."""
+    histogram = [entry.tp + entry.fp for entry in report.per_class]
+    voxels = sum(histogram)
+    return {
+        "predicted_class_histogram": histogram,
+        "occupied_fraction": (voxels - histogram[report.empty_id]) / voxels,
+    }
+
+
 def run_pipeline(config: RunConfig) -> RunResult:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    threads_requested = _requested_threads()
     threads = thread_cap()
     timings: dict[str, float] = {}
     seeds = {label: derive_seed(config.seed, label) for label in ("scene", "weights", "anchors", "chunking")}
@@ -162,9 +225,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _timed(timings, "eval"):
         report = metrics.class_iou(pred, scene.truth, config.taxonomy.c_total)
-        probs = grid_probabilities(pred, model.semantic_classes)
-        ce = metrics.weighted_ce(probs, scene.truth.labels, config.taxonomy.class_weights)
-        lovasz = metrics.lovasz_softmax(probs, scene.truth.labels, config.taxonomy.empty_id)
+        ce, lovasz_losses = score_grid(pred, scene.truth.labels, config.taxonomy, model.semantic_classes)
+        lovasz = metrics.lovasz_mean(lovasz_losses)
         weights = metrics.LossWeights()
         losses = {"ce": ce, "lovasz": lovasz, "total": metrics.total_loss(ce, lovasz, weights)}
         metrics_text = metrics.format_metrics(report, config.taxonomy, losses)
@@ -184,10 +246,12 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "config_hash": config.config_hash(),
         "seeds": seeds,
         "threads": threads,
+        "threads_requested": threads_requested,
         "anchor_count": config.gaussian_count,
         "stage_timings_s": {k: round(v, 6) for k, v in timings.items()},
         # high-water RSS of this process so far (Linux reports KiB)
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "health": _health(report),
         "outputs": {
             "grid": grid_path.name,
             "metrics": metrics_path.name,

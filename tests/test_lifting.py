@@ -412,6 +412,28 @@ class TestChunkMeans:
             chunk_means(f_depth, chunking).mean(axis=0), f_depth.mean(axis=0), rtol=1e-12, atol=1e-12
         )
 
+    def test_bitwise_equal_to_gathered_rows(self):
+        # contiguous ascending chunks are read as slices, the others through a gather
+        rng = np.random.default_rng(6)
+        f_depth = rng.normal(size=(2, 50, 8, 16))
+        for chunking in (
+            partition_depths(8, 3, seed=0, training=False),
+            partition_depths(8, 3, seed=7, training=True),
+            DepthChunking(
+                chunk_count=2,
+                permutation=np.array([2, 3, 4, 5, 1, 0, 7, 6]),
+                chunk_sets=((0, 1, 2, 3), (4, 5, 6, 7)),
+            ),
+        ):
+            gathered = np.stack(
+                [
+                    np.mean(f_depth[..., chunking.permutation[list(s)], :], axis=-2)
+                    for s in chunking.chunk_sets
+                ],
+                axis=-2,
+            )
+            assert chunk_means(f_depth, chunking).tobytes() == gathered.tobytes()
+
 
 def ldfa_params(f, k, phi_w=None, phi_b=None, gate_w=None, gate_b=0.0):
     return LdfaParams(

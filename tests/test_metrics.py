@@ -219,6 +219,26 @@ class TestLovaszTruncation:
             lovasz_per_class(np.array([[0.5, 0.5]]), np.array([2]), excluded_class=None)
 
 
+class TestSlabbedLosses:
+    def test_any_split_matches_whole_array(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            n, c = int(rng.integers(20, 300)), int(rng.integers(2, 7))
+            probs, labels = quantized_volume(rng, n, c)
+            weights = rng.uniform(0.5, 2.0, size=c)
+            cuts = rng.choice(np.arange(1, n), size=int(rng.integers(0, 6)), replace=False)
+            bounds = [0, *sorted(cuts.tolist()), n]
+            ce = metrics.CrossEntropyTerms(labels, weights, c)
+            found = metrics.LovaszCandidates(labels, c, c - 1)
+            for index in np.array_split(found.foreground, 3):
+                found.add_foreground(index, probs[index])
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                ce.add(lo, probs[lo:hi])
+                found.add(lo, probs[lo:hi])
+            assert ce.value() == weighted_ce(probs, labels, weights)
+            assert found.losses() == lovasz_per_class(probs, labels, c - 1)
+
+
 class TestTotalLoss:
     def test_reference_weighting(self):
         assert total_loss(0.5, 0.2, LossWeights(lambda_ce=10.0, lambda_lovasz=1.0)) == pytest.approx(5.2)

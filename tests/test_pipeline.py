@@ -1,12 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gaussocc import metrics, pipeline
 from gaussocc.cli import main
-from gaussocc.errors import ConfigurationError
+from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
+from gaussocc.errors import ConfigurationError, LabelError
 from gaussocc.formats import load_grid
-from gaussocc.pipeline import derive_seed, grid_probabilities, run_pipeline, thread_cap
+from gaussocc.harness import oracle_lovasz_per_class
+from gaussocc.metrics import lovasz_per_class, weighted_ce
+from gaussocc.pipeline import derive_seed, grid_probabilities, run_pipeline, score_grid, thread_cap
 from gaussocc.presets import parse_config_file, resolve_config
 
 SMALL_RUN = {
@@ -94,6 +99,14 @@ class TestRunPipeline:
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["peak_rss_mb"] > 0
 
+    def test_manifest_reports_health(self, tmp_path):
+        result = run_pipeline(small_config(tmp_path))
+        health = json.loads(result.manifest_path.read_text())["health"]
+        labels = load_grid(result.grid_path).labels
+        expected = np.bincount(labels.reshape(-1), minlength=18)
+        assert health["predicted_class_histogram"] == expected.tolist()
+        assert health["occupied_fraction"] == np.count_nonzero(labels != 17) / labels.size
+
     def test_deterministic_across_runs(self, tmp_path):
         a = run_pipeline(small_config(tmp_path, subdir="a"))
         b = run_pipeline(small_config(tmp_path, subdir="b"))
@@ -101,13 +114,27 @@ class TestRunPipeline:
         assert a.grid_path.read_bytes() == b.grid_path.read_bytes()
 
     def test_thread_cap_respects_env(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 4)
         monkeypatch.setenv("GOC_THREADS", "3")
         assert thread_cap() == 3
         result = run_pipeline(small_config(tmp_path))
         assert result.manifest["threads"] == 3
+        assert result.manifest["threads_requested"] == 3
         monkeypatch.setenv("GOC_THREADS", "bogus")
         with pytest.raises(ConfigurationError):
             thread_cap()
+
+    def test_thread_cap_clamped_to_usable_cores(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 4)
+        monkeypatch.setenv("GOC_THREADS", str(10**9))
+        assert thread_cap() == 4  # no thread is started for the requested value
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 1)
+        monkeypatch.setenv("GOC_THREADS", "6")
+        result = run_pipeline(small_config(tmp_path))
+        assert result.manifest["threads"] == 1
+        assert result.manifest["threads_requested"] == 6
+        monkeypatch.delenv("GOC_THREADS")
+        assert thread_cap() == 1
 
     def test_fusion_modes_change_output(self, tmp_path):
         adaptive = run_pipeline(small_config(tmp_path, subdir="ad", fusion_mode="adaptive"))
@@ -163,6 +190,128 @@ class TestRunPipeline:
         assert probs.dtype == expected.dtype and probs.shape == expected.shape
         assert probs.tobytes() == expected.tobytes()
         assert np.any(empty > 0) and np.any(empty == 0)
+
+
+SCORE_TAXONOMY = ClassTaxonomy(names=NUSCENES_CLASS_NAMES[:4], class_weights=np.array([0.5, 1.5, 2.0, 0.75, 1.25]))
+
+
+def grid_of_scores(scores):
+    dims = scores.shape[:3]
+    spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=dims)
+    return SemanticOccupancyGrid(spec=spec, labels=np.zeros(dims, dtype=np.uint8), scores=scores)
+
+
+def tied_scores(rng, dims):
+    """Scores drawn from five rows on multiples of 1/8, so many voxels share a
+    probability row and tie at each class threshold, on both sides of every
+    slab boundary."""
+    patterns = rng.integers(0, 9, size=(5, SCORE_TAXONOMY.c_sem)) / 8.0
+    return patterns[rng.integers(0, 5, size=dims)]
+
+
+def assert_streamed_equals_whole(grid, labels, monkeypatch):
+    """For slabs of one x-plane, three x-planes (uneven) and the whole volume:
+    CE and every Lovász loss bitwise equal to the whole-array functions, and
+    Lovász within 1e-12 of the full-sort oracle."""
+    probs = grid_probabilities(grid, SCORE_TAXONOMY.c_sem)
+    ce = weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)
+    lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
+    oracle = oracle_lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
+    x, plane = grid.spec.dims[0], grid.spec.dims[1] * grid.spec.dims[2]
+    starts = []
+    add = metrics.LovaszCandidates.add
+
+    def recording_add(self, start, rows):
+        starts.append(start)
+        add(self, start, rows)
+
+    monkeypatch.setattr(metrics.LovaszCandidates, "add", recording_add)
+    for slab_bytes, planes in ((1, 1), (3 * plane * 8 * SCORE_TAXONOMY.c_total, 3), (2**40, x)):
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", slab_bytes)
+        starts.clear()
+        got_ce, got_lovasz = score_grid(grid, labels, SCORE_TAXONOMY, SCORE_TAXONOMY.c_sem)
+        assert starts == list(range(0, x * plane, planes * plane))
+        assert got_ce == ce
+        assert got_lovasz == lovasz
+        assert got_lovasz.keys() == oracle.keys()
+        for c, loss in oracle.items():
+            assert abs(got_lovasz[c] - loss) <= 1e-12, (c, got_lovasz[c], loss)
+    return lovasz
+
+
+class TestScoreGrid:
+    """The x-slab eval against the whole-volume losses and the full-sort oracle."""
+
+    def test_tied_volumes(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            grid = grid_of_scores(tied_scores(rng, (7, 3, 2)))
+            labels = rng.integers(0, SCORE_TAXONOMY.c_total, size=grid.spec.dims)
+            assert_streamed_equals_whole(grid, labels, monkeypatch)
+
+    def test_class_present_only_in_argmax(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        scores = tied_scores(rng, (7, 3, 2))
+        scores[4, 1, 0] = [0.0, 0.0, 0.0, 1.0]  # class 3 predicted here, never in the truth
+        grid = grid_of_scores(scores)
+        labels = rng.integers(0, 3, size=grid.spec.dims)
+        lovasz = assert_streamed_equals_whole(grid, labels, monkeypatch)
+        assert lovasz[3] == 1.0
+
+    def test_ties_at_threshold_straddle_slab_boundaries(self, monkeypatch):
+        # two voxels per x-plane; class 0 has foreground at voxels 1 and 5 with
+        # p_0 = 0.5, so t_0 = 0.5, and background ties p_0 = 0.5 at voxels 2
+        # and 6, each in the slab after a foreground voxel's
+        scores = np.zeros((4, 2, 1, 4))
+        scores[..., 1] = 0.75
+        flat = scores.reshape(8, 4)
+        flat[[1, 2, 5, 6]] = [0.5, 0.25, 0.0, 0.0]
+        flat[3] = [0.375, 0.5, 0.0, 0.0]  # below the threshold: not a candidate
+        labels = np.full((4, 2, 1), 1)
+        labels.reshape(-1)[[1, 5]] = 0
+        sorted_lengths = []
+        gradient = metrics._lovasz_gradient
+
+        def recording_gradient(fg_sorted):
+            sorted_lengths.append(len(fg_sorted))
+            return gradient(fg_sorted)
+
+        grid = grid_of_scores(scores)
+        lovasz = assert_streamed_equals_whole(grid, labels, monkeypatch)
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(metrics, "_lovasz_gradient", recording_gradient)
+        assert score_grid(grid, labels, SCORE_TAXONOMY, 4)[1] == lovasz
+        assert sorted_lengths[0] == 4  # voxels 1, 2, 5 and 6
+
+    def test_truth_without_foreground(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        grid = grid_of_scores(tied_scores(rng, (7, 3, 2)))
+        labels = np.full(grid.spec.dims, SCORE_TAXONOMY.empty_id)
+        lovasz = assert_streamed_equals_whole(grid, labels, monkeypatch)
+        probs = grid_probabilities(grid, SCORE_TAXONOMY.c_sem).reshape(-1, SCORE_TAXONOMY.c_total)
+        for c, loss in lovasz.items():
+            assert loss == probs[:, c].max()
+
+    def test_label_out_of_range(self):
+        grid = grid_of_scores(tied_scores(np.random.default_rng(24), (7, 3, 2)))
+        labels = np.zeros(grid.spec.dims, dtype=np.int64)
+        labels[6, 2, 1] = SCORE_TAXONOMY.c_total
+        with pytest.raises(LabelError):
+            score_grid(grid, labels, SCORE_TAXONOMY, SCORE_TAXONOMY.c_sem)
+
+    def test_peak_allocation_far_below_probability_volume(self, taxonomy):
+        rng = np.random.default_rng(25)
+        dims = (256, 64, 16)
+        grid = grid_of_scores(rng.uniform(0.0, 0.1, size=dims + (taxonomy.c_sem,)))
+        labels = np.where(rng.uniform(size=dims) < 0.9, taxonomy.empty_id, rng.integers(0, 17, size=dims))
+        volume_bytes = grid.labels.size * taxonomy.c_total * 8
+        tracemalloc.start()
+        try:
+            score_grid(grid, labels, taxonomy, taxonomy.c_sem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < volume_bytes / 4, (peak, volume_bytes)
 
 
 class TestCli:
