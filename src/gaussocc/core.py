@@ -13,6 +13,7 @@ threads.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,13 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _softplus(x):

@@ -25,6 +25,14 @@ class DegenerateCovarianceError(GaussOccError):
     """A primitive's covariance is numerically singular."""
 
 
+class SplatWorkerError(GaussOccError):
+    """A splat worker process failed or was interrupted. ``slab`` is its [x_lo, x_hi) range."""
+
+    def __init__(self, message: str, slab: tuple[int, int]):
+        super().__init__(message)
+        self.slab = slab
+
+
 class GridMismatchError(GaussOccError):
     """Two grids that must share a spec do not."""
 

@@ -15,13 +15,17 @@ log-scale delta, quaternion delta, opacity, semantics).
 
 ``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
-probabilities, in ascending primitive order so results are bit-reproducible
-regardless of how the grid is sharded across threads.
+probabilities, in ascending primitive order.  The grid is cut into x-slabs,
+one per worker process (at most ``threads``, which the pipeline takes from
+``GOC_THREADS``); each forked worker splats and labels its slab into a
+shared mapping, so the result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +37,16 @@ from .core import (
     _sigmoid,
     _softmax,
     _softplus,
+    _usable_cores,
     make_covariance,
     normalize_quaternion,
 )
-from .errors import ConfigurationError, DegenerateCovarianceError, SequenceTooShortError
+from .errors import (
+    ConfigurationError,
+    DegenerateCovarianceError,
+    SequenceTooShortError,
+    SplatWorkerError,
+)
 from .params import AXIS_PLANES, PLANES, ParameterBundle
 
 MIN_SPLAT_SCALE = 1e-6
@@ -425,55 +435,202 @@ def _inverse_covariances(sig: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _splat_slab(
-    x_lo: int,
-    x_hi: int,
-    spec: GridSpec,
-    centroids: np.ndarray,
-    inv_sigma: np.ndarray,
-    half_extents: np.ndarray,
-    opacity: np.ndarray,
-    class_probs: np.ndarray,
-    radius_sq: float,
-    density: np.ndarray,
-    scores: np.ndarray,
-):
-    """Accumulate every primitive (ascending index) into the voxel slab [x_lo, x_hi)."""
-    dims = spec.dims
-    axes_y = spec.origin[1] + (np.arange(dims[1]) + 0.5) * spec.voxel_size[1]
-    axes_z = spec.origin[2] + (np.arange(dims[2]) + 0.5) * spec.voxel_size[2]
-    axes_x = spec.origin[0] + (np.arange(dims[0]) + 0.5) * spec.voxel_size[0]
-    lo_idx = np.ceil((centroids - half_extents - spec.origin) / spec.voxel_size - 0.5).astype(np.int64)
-    hi_idx = np.floor((centroids + half_extents - spec.origin) / spec.voxel_size - 0.5).astype(np.int64)
-    lo_idx = np.clip(lo_idx, 0, np.asarray(dims) - 1)
-    hi_idx = np.clip(hi_idx, 0, np.asarray(dims) - 1)
-    for i in range(len(centroids)):
-        x0 = max(lo_idx[i, 0], x_lo)
-        x1 = min(hi_idx[i, 0], x_hi - 1)
-        if x0 > x1:
-            continue
-        y0, y1 = lo_idx[i, 1], hi_idx[i, 1]
-        z0, z1 = lo_idx[i, 2], hi_idx[i, 2]
-        if y0 > y1 or z0 > z1:
-            continue
-        dx = axes_x[x0 : x1 + 1] - centroids[i, 0]
-        dy = axes_y[y0 : y1 + 1] - centroids[i, 1]
-        dz = axes_z[z0 : z1 + 1] - centroids[i, 2]
-        m = inv_sigma[i]
-        quad = (
-            m[0, 0] * (dx**2)[:, None, None]
-            + m[1, 1] * (dy**2)[None, :, None]
-            + m[2, 2] * (dz**2)[None, None, :]
-            + 2.0 * m[0, 1] * dx[:, None, None] * dy[None, :, None]
-            + 2.0 * m[0, 2] * dx[:, None, None] * dz[None, None, :]
-            + 2.0 * m[1, 2] * dy[None, :, None] * dz[None, None, :]
+@dataclass(frozen=True)
+class _SplatInputs:
+    """Per-primitive splat inputs; ``lo``/``hi`` bound each primitive's voxel box, clipped to the grid."""
+
+    spec: GridSpec
+    centroid: np.ndarray     # (N, 3)
+    inv_sigma: np.ndarray    # (N, 3, 3)
+    lo: np.ndarray           # (N, 3) first voxel index per axis
+    hi: np.ndarray           # (N, 3) last voxel index per axis (lo > hi: empty)
+    opacity: np.ndarray      # (N,)
+    class_probs: np.ndarray  # (N, C)
+    radius_sq: float
+
+
+def _splat_inputs(arrays: dict, spec: GridSpec, truncation_radius_sigmas: float) -> _SplatInputs:
+    """Validate the primitives and derive what the slab kernel reads."""
+    if truncation_radius_sigmas < 1:
+        raise ConfigurationError("truncation radius must be >= 1 sigma", field="truncation_sigmas")
+    centroids = np.asarray(arrays["centroid"], dtype=np.float64)
+    scales = np.exp(np.asarray(arrays["log_scale"], dtype=np.float64))
+    tiny = scales < MIN_SPLAT_SCALE
+    if tiny.any():
+        idx = int(np.argwhere(tiny.any(axis=1))[0, 0])
+        raise DegenerateCovarianceError(
+            f"primitive {idx} has scale below {MIN_SPLAT_SCALE} m; covariance is singular"
         )
+    rotations = np.asarray(arrays["rotation"], dtype=np.float64)
+    class_probs = _softmax(np.asarray(arrays["semantic_logits"], dtype=np.float64))
+    sigma = make_covariance(scales, rotations)
+    half_extents = truncation_radius_sigmas * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
+    last = np.asarray(spec.dims) - 1
+    lo = np.ceil((centroids - half_extents - spec.origin) / spec.voxel_size - 0.5).astype(np.int64)
+    hi = np.floor((centroids + half_extents - spec.origin) / spec.voxel_size - 0.5).astype(np.int64)
+    return _SplatInputs(
+        spec=spec,
+        centroid=centroids,
+        inv_sigma=_inverse_covariances(sigma),
+        lo=np.clip(lo, 0, last),
+        hi=np.clip(hi, 0, last),
+        opacity=_sigmoid(np.asarray(arrays["opacity_logit"], dtype=np.float64)),
+        class_probs=class_probs,
+        radius_sq=float(truncation_radius_sigmas) ** 2,
+    )
+
+
+def _axis_deltas(centers: np.ndarray, first: np.ndarray, last: np.ndarray, coord: np.ndarray):
+    """``centers[first[i] : last[i] + 1] - coord[i]`` for every primitive i, concatenated.
+
+    Returns the flat deltas, the primitive each delta belongs to and the
+    N + 1 start offsets of the primitives' runs.
+    """
+    counts = last - first + 1
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    rows = np.repeat(np.arange(len(counts)), counts)
+    index = np.arange(offsets[-1]) - offsets[rows] + first[rows]
+    return centers[index] - coord[rows], rows, offsets.tolist()
+
+
+def _splat_slab(x_lo: int, x_hi: int, inputs: _SplatInputs, density: np.ndarray, scores: np.ndarray):
+    """Accumulate every primitive (ascending index) into the voxel slab [x_lo, x_hi).
+
+    Only the primitives whose box meets the slab are visited.  The per-axis
+    terms of the quadratic form (m00 dx^2, 2 m01 dx, 2 m02 dx; m11 dy^2,
+    2 m12 dy, dy; m22 dz^2, dz) are built once for all of them as flat
+    ragged arrays, so the loop only broadcasts and sums, always as
+    ((((A + B) + C) + D) + E) + F: the same roundings, hence the same bits,
+    as evaluating the whole form per primitive.
+    """
+    spec, lo, hi = inputs.spec, inputs.lo, inputs.hi
+    x0 = np.maximum(lo[:, 0], x_lo)
+    x1 = np.minimum(hi[:, 0], x_hi - 1)
+    keep = np.flatnonzero((x0 <= x1) & (lo[:, 1] <= hi[:, 1]) & (lo[:, 2] <= hi[:, 2]))
+    if not len(keep):
+        return
+    x0, x1 = x0[keep], x1[keep]
+    y0, y1, z0, z1 = lo[keep, 1], hi[keep, 1], lo[keep, 2], hi[keep, 2]
+    c, m = inputs.centroid[keep], inputs.inv_sigma[keep]
+    axes = [spec.origin[a] + (np.arange(spec.dims[a]) + 0.5) * spec.voxel_size[a] for a in range(3)]
+    dx, rx, ox = _axis_deltas(axes[0], x0, x1, c[:, 0])
+    dy, ry, oy = _axis_deltas(axes[1], y0, y1, c[:, 1])
+    dz, rz, oz = _axis_deltas(axes[2], z0, z1, c[:, 2])
+    xx, xy, xz = m[rx, 0, 0] * dx**2, 2.0 * m[rx, 0, 1] * dx, 2.0 * m[rx, 0, 2] * dx
+    yy, yz = m[ry, 1, 1] * dy**2, 2.0 * m[ry, 1, 2] * dy
+    zz = m[rz, 2, 2] * dz**2
+    opacity, probs = inputs.opacity[keep].tolist(), inputs.class_probs[keep]
+    x0, y0, z0 = x0.tolist(), y0.tolist(), z0.tolist()
+    radius_sq = inputs.radius_sq
+    for i in range(len(keep)):
+        sx = slice(ox[i], ox[i + 1])
+        sy = slice(oy[i], oy[i + 1])
+        sz = slice(oz[i], oz[i + 1])
+        quad = xx[sx, None, None] + yy[sy, None]
+        quad = quad + zz[sz]
+        quad += xy[sx, None, None] * dy[sy, None]
+        quad += xz[sx, None, None] * dz[sz]
+        quad += yz[sy, None] * dz[sz]
         inside = quad <= radius_sq
         if not inside.any():
             continue
-        dens = np.where(inside, opacity[i] * np.exp(-0.5 * quad), 0.0)
-        density[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1] += dens
-        scores[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1] += dens[..., None] * class_probs[i]
+        quad *= -0.5
+        dens = np.exp(quad, out=quad)
+        dens *= opacity[i]
+        dens *= inside
+        nx, ny, nz = dens.shape
+        box = (slice(x0[i], x0[i] + nx), slice(y0[i], y0[i] + ny), slice(z0[i], z0[i] + nz))
+        density[box] += dens
+        scores[box] += np.einsum("...,c->...c", dens, probs[i])
+
+
+def _label_slab(x_lo: int, x_hi: int, density: np.ndarray, scores: np.ndarray, labels: np.ndarray,
+                threshold: float):
+    """Argmax class where the density clears ``threshold``, else empty (``c_sem``), one x-plane at a time."""
+    c_sem = scores.shape[-1]
+    for x in range(x_lo, x_hi):
+        labels[x] = np.where(density[x] >= threshold, np.argmax(scores[x], axis=-1), c_sem)
+
+
+def _worker_count(threads: int, x_dim: int) -> int:
+    """Splat workers: at most ``threads``, the usable cores and one per two x-planes."""
+    return max(1, min(int(threads), _usable_cores(), x_dim // 2))
+
+
+def _slab_bounds(x_dim: int, slabs: int) -> list[int]:
+    return np.linspace(0, x_dim, slabs + 1).astype(int).tolist()
+
+
+def _grid_buffers(dims: tuple, c_sem: int, shared: bool):
+    """Zeroed density and scores plus the u8 labels; one shared anonymous mapping when ``shared``."""
+    if not shared:
+        return np.zeros(dims), np.zeros(dims + (c_sem,)), np.empty(dims, dtype=np.uint8)
+    voxels = int(np.prod(dims))
+    buf = mmap.mmap(-1, voxels * (8 + 8 * c_sem + 1))
+    density = np.frombuffer(buf, dtype=np.float64, count=voxels).reshape(dims)
+    scores = np.frombuffer(buf, dtype=np.float64, count=voxels * c_sem, offset=8 * voxels)
+    labels = np.frombuffer(buf, dtype=np.uint8, count=voxels, offset=8 * voxels * (1 + c_sem))
+    return density, scores.reshape(dims + (c_sem,)), labels.reshape(dims)
+
+
+def _fork_slabs(bounds: list[int], fill) -> None:
+    """Run ``fill(x_lo, x_hi)`` for each slab in its own forked child and wait for all.
+
+    A child always leaves through ``os._exit``, with status 0 only if its
+    slab is complete; a failure's message reaches the parent through a pipe.
+    The children start with SIGINT blocked, so an interrupt reaches the
+    parent only.  If a child fails, a fork fails or the wait is interrupted,
+    every child still running is killed and every child is reaped before the
+    error propagates.  Forking is safe while BLAS threads exist because the
+    children run numpy element-wise code only, never BLAS.
+    """
+    children = []  # [pid or None once reaped, read end of its message pipe, slab]
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        for slab in zip(bounds[:-1], bounds[1:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    fill(*slab)
+                    status = 0
+                except BaseException as exc:  # the child reports and exits, never unwinds
+                    os.write(write_fd, f"{type(exc).__name__}: {exc}".encode()[:4096])
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append([pid, read_fd, slab])
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for child in children:
+            pid, read_fd, (x_lo, x_hi) = child
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child[0] = None
+            if code != 0:
+                message = os.read(read_fd, 4096).decode(errors="replace") or f"exit code {code}"
+                raise SplatWorkerError(f"splat worker of x-slab [{x_lo}, {x_hi}) failed: {message}", (x_lo, x_hi))
+    except KeyboardInterrupt:
+        running = [slab for pid, _, slab in children if pid is not None]
+        if not running:
+            raise
+        x_lo, x_hi = running[0]
+        raise SplatWorkerError(
+            f"interrupted while waiting for the splat worker of x-slab [{x_lo}, {x_hi})", (x_lo, x_hi)
+        ) from None
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for pid, read_fd, _ in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(read_fd)
 
 
 def splat_arrays(
@@ -492,44 +649,31 @@ def splat_arrays(
     class.  Voxels whose total density clears the occupancy threshold take
     the argmax semantic class; the rest are empty (id ``c_sem``).
     Primitives with any axis scale below 1e-6 m are rejected as
-    degenerate.  Sharding over x-slabs never changes per-voxel accumulation
-    order, so results are identical for any thread count.  Zero rows give an
-    all-empty grid.
+    degenerate.  Zero rows give an all-empty grid.
+
+    ``threads`` caps the worker processes (pipeline: ``GOC_THREADS``); the
+    count is further clamped to the usable cores and to one worker per two
+    x-planes.  Each worker is a forked child that splats one x-slab and
+    labels it, writing into one shared anonymous mapping whose views are the
+    returned grid's arrays; the parent only waits.  One worker, or a
+    platform without ``os.fork``, runs the same slab function in-process.
+    Each voxel lies in exactly one slab and sums its primitives in ascending
+    index order, so results are bit-identical for any worker count.  A
+    failed or interrupted worker raises ``SplatWorkerError`` naming its
+    slab, after every child has been reaped.
     """
-    if truncation_radius_sigmas < 1:
-        raise ConfigurationError("truncation radius must be >= 1 sigma", field="truncation_sigmas")
-    centroids = np.asarray(arrays["centroid"], dtype=np.float64)
-    scales = np.exp(np.asarray(arrays["log_scale"], dtype=np.float64))
-    tiny = scales < MIN_SPLAT_SCALE
-    if tiny.any():
-        idx = int(np.argwhere(tiny.any(axis=1))[0, 0])
-        raise DegenerateCovarianceError(
-            f"primitive {idx} has scale below {MIN_SPLAT_SCALE} m; covariance is singular"
-        )
-    rotations = np.asarray(arrays["rotation"], dtype=np.float64)
-    opacity = _sigmoid(np.asarray(arrays["opacity_logit"], dtype=np.float64))
-    class_probs = _softmax(np.asarray(arrays["semantic_logits"], dtype=np.float64))
-    c_sem = class_probs.shape[1]
-    sigma = make_covariance(scales, rotations)
-    inv_sigma = _inverse_covariances(sigma)
-    half_extents = truncation_radius_sigmas * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
-    radius_sq = float(truncation_radius_sigmas) ** 2
+    inputs = _splat_inputs(arrays, spec, truncation_radius_sigmas)
+    c_sem = inputs.class_probs.shape[1]
+    workers = _worker_count(threads, spec.dims[0])
+    forked = workers > 1 and hasattr(os, "fork")
+    density, scores, labels = _grid_buffers(spec.dims, c_sem, shared=forked)
 
-    density = np.zeros(spec.dims)
-    scores = np.zeros(spec.dims + (c_sem,))
-    threads = max(int(threads), 1)
-    slabs = threads if 2 * threads <= spec.dims[0] else 1
-    bounds = np.linspace(0, spec.dims[0], slabs + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=slabs) as pool:
-        futures = [
-            pool.submit(
-                _splat_slab, int(bounds[j]), int(bounds[j + 1]), spec, centroids,
-                inv_sigma, half_extents, opacity, class_probs, radius_sq, density, scores,
-            )
-            for j in range(slabs)
-        ]
-        for fut in futures:
-            fut.result()
+    def fill(x_lo: int, x_hi: int):
+        _splat_slab(x_lo, x_hi, inputs, density, scores)
+        _label_slab(x_lo, x_hi, density, scores, labels, occupancy_threshold)
 
-    labels = np.where(density >= occupancy_threshold, np.argmax(scores, axis=-1), c_sem).astype(np.uint8)
+    if forked:
+        _fork_slabs(_slab_bounds(spec.dims[0], workers), fill)
+    else:
+        fill(0, spec.dims[0])
     return SemanticOccupancyGrid(spec=spec, labels=labels, scores=scores)

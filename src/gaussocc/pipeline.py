@@ -2,9 +2,11 @@
 
 Every random draw derives from the master seed and a stage label, so a run
 is a deterministic function of (config, seeds, weight bundle).  GOC_THREADS
-caps the splat thread pool, clamped to the usable cores; sharding never
-changes per-voxel accumulation order, so the emitted grid digest is
-identical for any thread count.
+caps the splat worker processes, clamped to the usable cores; sharding
+never changes per-voxel accumulation order, so the emitted grid digest is
+identical for any worker count.  Inputs a later stage never reads (the
+scene's views and depth planes, the per-modality features) are dropped as
+soon as they are consumed, so they are not resident during the splat.
 
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, fusion, head, lifting, metrics, smoothing
-from .core import init_anchors
+from .core import _usable_cores, init_anchors
 from .errors import ConfigurationError
 from .harness import SyntheticScene, generate_scene, load_scene
 from .params import ParameterBundle, build_parameter_bundle, validate_bundle
@@ -53,13 +55,6 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _requested_threads() -> int:
     raw = os.environ.get("GOC_THREADS", "")
     if raw.strip():
@@ -71,7 +66,7 @@ def _requested_threads() -> int:
 
 
 def thread_cap() -> int:
-    """Splat threads: GOC_THREADS (default up to 8), clamped to the usable cores."""
+    """Splat worker processes: GOC_THREADS (default up to 8), clamped to the usable cores."""
     return min(_requested_threads(), _usable_cores())
 
 
@@ -198,6 +193,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
             ldfa_params,
             chunking,
         )
+        truth = scene.truth
+        del scene  # the views and depth planes are not read again
 
     with _timed(timings, "smoothing"):
         smoothing_cfg = smoothing.SmoothingConfig(seed=derive_seed(config.seed, "smoothing"))
@@ -209,6 +206,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
     with _timed(timings, "fusion"):
         fusion_params = fusion.FusionParams.from_bundle(bundle, model.feature_width, model.consistency_width)
         arrays["feature"] = fusion.fuse(f_lidar, f_cam, fusion_params, config.fusion_mode)
+        del f_cam, f_lidar
 
     with _timed(timings, "head"):
         head_params = head.HeadParams.from_bundle(bundle, model, config.grid)
@@ -224,8 +222,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
         )
 
     with _timed(timings, "eval"):
-        report = metrics.class_iou(pred, scene.truth, config.taxonomy.c_total)
-        ce, lovasz_losses = score_grid(pred, scene.truth.labels, config.taxonomy, model.semantic_classes)
+        report = metrics.class_iou(pred, truth, config.taxonomy.c_total)
+        ce, lovasz_losses = score_grid(pred, truth.labels, config.taxonomy, model.semantic_classes)
         lovasz = metrics.lovasz_mean(lovasz_losses)
         weights = metrics.LossWeights()
         losses = {"ce": ce, "lovasz": lovasz, "total": metrics.total_loss(ce, lovasz, weights)}

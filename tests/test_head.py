@@ -1,13 +1,19 @@
+import os
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from gaussocc.core import GaussianPrimitive, GridSpec, init_anchors, stack_primitives
+from gaussocc import head
+from gaussocc.core import GaussianPrimitive, GridSpec, init_anchors, make_covariance, stack_primitives
 from gaussocc.errors import (
     ConfigurationError,
     DegenerateCovarianceError,
     SequenceTooShortError,
+    SplatWorkerError,
 )
 from gaussocc.harness import oracle_sequential_scan
 from gaussocc.head import (
@@ -471,6 +477,16 @@ class TestSplat:
         assert grid.labels[center] == 4
         assert grid.labels[0, 0, 0] == 17
 
+    def test_threshold_is_inclusive(self):
+        spec = self.grid()
+        logits = np.zeros(17)
+        logits[6] = 5.0
+        arrays = stack_primitives([isotropic_primitive([0.0, 0.0, 0.0], opacity_logit=-1.0, logits=logits)])
+        peak = float(head._splat_inputs(arrays, spec, 6.0).opacity[0])  # density at the center voxel
+        center = tuple(d // 2 for d in spec.dims)
+        assert splat_arrays(arrays, spec, 6.0, occupancy_threshold=peak).labels[center] == 6
+        assert splat_arrays(arrays, spec, 6.0, occupancy_threshold=np.nextafter(peak, 1.0)).labels[center] == 17
+
     def test_thread_sharding_bitwise_identical(self):
         rng = np.random.default_rng(14)
         prims = [
@@ -483,3 +499,227 @@ class TestSplat:
         b = splat_arrays(stack_primitives(prims), spec, 4.0, threads=4)
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def reference_splat_slab(x_lo, x_hi, spec, centroids, inv_sigma, half_extents, opacity, class_probs,
+                         radius_sq, density, scores):
+    """The per-primitive loop the slab kernel replaced, kept as its bitwise reference."""
+    dims = spec.dims
+    axes_y = spec.origin[1] + (np.arange(dims[1]) + 0.5) * spec.voxel_size[1]
+    axes_z = spec.origin[2] + (np.arange(dims[2]) + 0.5) * spec.voxel_size[2]
+    axes_x = spec.origin[0] + (np.arange(dims[0]) + 0.5) * spec.voxel_size[0]
+    lo_idx = np.ceil((centroids - half_extents - spec.origin) / spec.voxel_size - 0.5).astype(np.int64)
+    hi_idx = np.floor((centroids + half_extents - spec.origin) / spec.voxel_size - 0.5).astype(np.int64)
+    lo_idx = np.clip(lo_idx, 0, np.asarray(dims) - 1)
+    hi_idx = np.clip(hi_idx, 0, np.asarray(dims) - 1)
+    for i in range(len(centroids)):
+        x0 = max(lo_idx[i, 0], x_lo)
+        x1 = min(hi_idx[i, 0], x_hi - 1)
+        if x0 > x1:
+            continue
+        y0, y1 = lo_idx[i, 1], hi_idx[i, 1]
+        z0, z1 = lo_idx[i, 2], hi_idx[i, 2]
+        if y0 > y1 or z0 > z1:
+            continue
+        dx = axes_x[x0 : x1 + 1] - centroids[i, 0]
+        dy = axes_y[y0 : y1 + 1] - centroids[i, 1]
+        dz = axes_z[z0 : z1 + 1] - centroids[i, 2]
+        m = inv_sigma[i]
+        quad = (
+            m[0, 0] * (dx**2)[:, None, None]
+            + m[1, 1] * (dy**2)[None, :, None]
+            + m[2, 2] * (dz**2)[None, None, :]
+            + 2.0 * m[0, 1] * dx[:, None, None] * dy[None, :, None]
+            + 2.0 * m[0, 2] * dx[:, None, None] * dz[None, None, :]
+            + 2.0 * m[1, 2] * dy[None, :, None] * dz[None, None, :]
+        )
+        inside = quad <= radius_sq
+        if not inside.any():
+            continue
+        dens = np.where(inside, opacity[i] * np.exp(-0.5 * quad), 0.0)
+        density[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1] += dens
+        scores[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1] += dens[..., None] * class_probs[i]
+
+
+def random_arrays(rng, count, spec, classes=17):
+    """Anisotropic, rotated primitives whose boxes overhang every grid face; some lie wholly outside."""
+    lo, hi = spec.origin, spec.origin + spec.extent
+    margin = 0.3 * spec.extent
+    rotation = rng.normal(size=(count, 4))
+    return {
+        "centroid": rng.uniform(lo - margin, hi + margin, size=(count, 3)),
+        "log_scale": np.log(rng.uniform(0.15, 1.2, size=(count, 3))),
+        "rotation": rotation / np.linalg.norm(rotation, axis=1, keepdims=True),
+        "opacity_logit": rng.normal(size=count),
+        "semantic_logits": rng.normal(size=(count, classes)),
+    }
+
+
+def slab_grid(x_dim=13):
+    # odd x extent: the 2- and 3-slab cuts are uneven
+    return GridSpec(origin=np.array([-3.0, -2.5, -1.0]), voxel_size=np.array([0.5, 0.4, 0.3]),
+                    dims=(x_dim, 12, 9))
+
+
+def splat_by_slabs(inputs, spec, slabs, threshold=0.1):
+    """Run the slab kernel and the labelling over ``slabs`` x-slabs in-process."""
+    c_sem = inputs.class_probs.shape[1]
+    density, scores, labels = head._grid_buffers(spec.dims, c_sem, shared=False)
+    bounds = head._slab_bounds(spec.dims[0], slabs)
+    for x_lo, x_hi in zip(bounds[:-1], bounds[1:]):
+        head._splat_slab(x_lo, x_hi, inputs, density, scores)
+        head._label_slab(x_lo, x_hi, density, scores, labels, threshold)
+    return density, scores, labels
+
+
+class TestSplatSlabKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = slab_grid()
+        arrays = random_arrays(rng, 60, spec)
+        # boxes straddling the 2- and 3-slab cuts (x = 4, 6, 8, 9 planes)
+        arrays["centroid"][:8, 0] = spec.origin[0] + spec.voxel_size[0] * rng.choice([4.0, 6.0, 8.0, 9.0], size=8)
+        inputs = head._splat_inputs(arrays, spec, 3.0)
+        sigma = make_covariance(np.exp(arrays["log_scale"]), arrays["rotation"])
+        half_extents = 3.0 * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
+        for slabs in (1, 2, 3):
+            bounds = head._slab_bounds(spec.dims[0], slabs)
+            for x_lo, x_hi in zip(bounds[:-1], bounds[1:]):
+                want_d, want_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+                reference_splat_slab(x_lo, x_hi, spec, inputs.centroid, inputs.inv_sigma, half_extents,
+                                     inputs.opacity, inputs.class_probs, 9.0, want_d, want_s)
+                got_d, got_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+                head._splat_slab(x_lo, x_hi, inputs, got_d, got_s)
+                np.testing.assert_array_equal(got_d, want_d)
+                np.testing.assert_array_equal(got_s, want_s)
+        # the clipped boxes touch all six faces of the grid
+        _, whole, _ = splat_by_slabs(inputs, spec, 1)
+        touched = np.any(whole != 0, axis=-1)
+        for axis in range(3):
+            assert np.take(touched, 0, axis=axis).any() and np.take(touched, -1, axis=axis).any()
+
+    def test_labels_match_whole_volume_expression(self):
+        rng = np.random.default_rng(7)
+        spec = slab_grid()
+        inputs = head._splat_inputs(random_arrays(rng, 40, spec), spec, 3.0)
+        density, scores, labels = splat_by_slabs(inputs, spec, 3, threshold=0.2)
+        want = np.where(density >= 0.2, np.argmax(scores, axis=-1), 17).astype(np.uint8)
+        np.testing.assert_array_equal(labels, want)
+        assert 0 < np.count_nonzero(labels != 17) < labels.size
+
+    def test_zero_rows(self):
+        spec = slab_grid()
+        inputs = head._splat_inputs(random_arrays(np.random.default_rng(0), 0, spec), spec, 3.0)
+        density, scores, labels = splat_by_slabs(inputs, spec, 3)
+        assert not density.any() and not scores.any()
+        assert np.all(labels == 17)
+
+    @pytest.mark.parametrize("x_dim", [7, 13])
+    def test_slab_count_invariance(self, x_dim):
+        rng = np.random.default_rng(x_dim)
+        spec = slab_grid(x_dim)
+        arrays = random_arrays(rng, 50, spec)
+        inputs = head._splat_inputs(arrays, spec, 3.0)
+        one = splat_by_slabs(inputs, spec, 1)
+        for slabs in (2, 3):
+            for got, want in zip(splat_by_slabs(inputs, spec, slabs), one):
+                np.testing.assert_array_equal(got, want)
+        grid = splat_arrays(arrays, spec, 3.0, threads=1)
+        np.testing.assert_array_equal(grid.scores, one[1])
+        np.testing.assert_array_equal(grid.labels, one[2])
+
+
+class TestSplatWorkers:
+    def test_worker_count_clamped(self, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        assert head._worker_count(10**9, 256) == 4  # no process is started for the requested value
+        assert head._worker_count(3, 256) == 3
+        assert head._worker_count(4, 5) == 2  # one worker per two x-planes
+        assert head._worker_count(4, 1) == 1
+        assert head._worker_count(0, 256) == 1
+        monkeypatch.setattr(head, "_usable_cores", lambda: 1)
+        assert head._worker_count(8, 256) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_forked_workers_bitwise_identical(self, monkeypatch, workers):
+        # more workers than this machine may have cores: the shared mapping is written by each
+        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        rng = np.random.default_rng(workers)
+        spec = slab_grid(9)
+        arrays = random_arrays(rng, 50, spec)
+        want = splat_arrays(arrays, spec, 3.0, threads=1)
+        got = splat_arrays(arrays, spec, 3.0, threads=workers)
+        np.testing.assert_array_equal(got.scores, want.scores)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_one_worker_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        spec = slab_grid()
+        arrays = random_arrays(np.random.default_rng(3), 20, spec)
+        want = splat_arrays(arrays, spec, 3.0, threads=1)
+        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        monkeypatch.delattr(os, "fork")  # a platform without fork runs the slabs in-process
+        got = splat_arrays(arrays, spec, 3.0, threads=4)
+        np.testing.assert_array_equal(got.scores, want.scores)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        real = head._splat_slab
+
+        def failing(x_lo, x_hi, *args):
+            if x_lo > 0:
+                raise RuntimeError("boom")
+            real(x_lo, x_hi, *args)
+
+        monkeypatch.setattr(head, "_splat_slab", failing)
+        spec = slab_grid()
+        arrays = random_arrays(np.random.default_rng(4), 20, spec)
+        with pytest.raises(SplatWorkerError, match=r"x-slab \[6, 13\) failed: RuntimeError: boom") as info:
+            splat_arrays(arrays, spec, 3.0, threads=2)
+        assert info.value.slab == (6, 13)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_running_siblings_are_killed(self, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 3)
+
+        def first_fails_rest_hang(x_lo, x_hi, *args):
+            if x_lo == 0:
+                raise ValueError("bad slab")
+            time.sleep(60)
+
+        monkeypatch.setattr(head, "_splat_slab", first_fails_rest_hang)
+        spec = slab_grid()
+        arrays = random_arrays(np.random.default_rng(5), 5, spec)
+        start = time.monotonic()
+        with pytest.raises(SplatWorkerError, match=r"x-slab \[0, 4\) failed: ValueError: bad slab"):
+            splat_arrays(arrays, spec, 3.0, threads=3)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_interrupted_wait_reaps_children(self, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(head, "_splat_slab", lambda *args: time.sleep(60))
+        spec = slab_grid()
+        arrays = random_arrays(np.random.default_rng(6), 5, spec)
+        interrupt = threading.Timer(0.5, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT))
+        start = time.monotonic()
+        interrupt.start()
+        try:
+            with pytest.raises(SplatWorkerError, match=r"interrupted .* x-slab \[0, 6\)") as info:
+                splat_arrays(arrays, spec, 3.0, threads=2)
+        finally:
+            interrupt.join(timeout=10)
+        assert info.value.slab == (0, 6)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
