@@ -247,8 +247,10 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "threads_requested": threads_requested,
         "anchor_count": config.gaussian_count,
         "stage_timings_s": {k: round(v, 6) for k, v in timings.items()},
-        # high-water RSS of this process so far (Linux reports KiB)
+        # high-water RSS of this process so far, and of the largest child it
+        # has waited for, i.e. a forked splat worker (Linux reports KiB)
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "peak_rss_children_mb": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0, 1),
         "health": _health(report),
         "outputs": {
             "grid": grid_path.name,

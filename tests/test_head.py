@@ -2,13 +2,14 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from gaussocc import head
-from gaussocc.core import GaussianPrimitive, GridSpec, init_anchors, make_covariance, stack_primitives
+from gaussocc.core import GaussianPrimitive, GridSpec, _softplus, init_anchors, make_covariance, stack_primitives
 from gaussocc.errors import (
     ConfigurationError,
     DegenerateCovarianceError,
@@ -114,6 +115,7 @@ class TestRasterSerialize:
 class TestZohDiscretize:
     def test_hand_values(self):
         abar, bbar = zoh_discretize(-1.0, 1.0, np.log(2.0))
+        assert not isinstance(abar, np.ndarray) and not isinstance(bbar, np.ndarray)  # 0-d inputs give scalars
         assert abar == pytest.approx(0.5, abs=1e-12)
         assert bbar == pytest.approx(0.5, abs=1e-12)
 
@@ -155,6 +157,25 @@ class TestZohDiscretize:
         np.testing.assert_array_equal(bbar, phi * delta * b)
         assert np.all(np.isfinite(abar)) and np.all(np.isfinite(bbar))
 
+    def test_out_buffers_bitwise_equal_to_allocating_call(self):
+        # the scan's shapes: a (1, F, N), b (T, 1, N), delta (T, F, 1), with
+        # z == 0, series-path and expm1-path entries
+        rng = np.random.default_rng(17)
+        t, f, n = 6, 5, 3
+        a = -rng.uniform(0.5, 4.0, size=(1, f, n))
+        b = rng.normal(size=(t, 1, n))
+        delta = rng.uniform(1e-3, 2.0, size=(t, f, 1))
+        delta[1] = 0.0
+        delta[2, :3] = 1e-7
+        delta[4, 1] = 2e-5
+        want_abar, want_bbar = zoh_discretize(a, b, delta)
+        assert np.any(np.abs(delta * a) < 1e-4) and np.any(np.abs(delta * a) >= 1e-4)
+        abar_buf, bbar_buf = np.full((t, f, n), np.nan), np.full((t, f, n), np.nan)
+        abar, bbar = zoh_discretize(a, b, delta, out=(abar_buf, bbar_buf))
+        assert abar is abar_buf and bbar is bbar_buf
+        np.testing.assert_array_equal(abar, want_abar)
+        np.testing.assert_array_equal(bbar, want_bbar)
+
 
 class TestSelectiveScan:
     def test_zero_input_coupling_reduces_to_skip(self):
@@ -189,10 +210,11 @@ class TestSelectiveScan:
         np.testing.assert_allclose(out[0], expected, rtol=1e-12)
 
     def test_state_carries_across_time_blocks(self):
-        # lengths that end exactly on, one past, and one past two 1024-token blocks
+        # lengths that end exactly on, one past, and one past two time blocks
         rng = np.random.default_rng(9)
         params = random_ssm(rng, 16, 4)
-        for t in (1024, 1025, 2049):
+        block = max(1, head._SCAN_BLOCK_BYTES // (8 * 16 * 4))
+        for t in (block, block + 1, 2 * block + 1):
             tokens = rng.normal(size=(t, 16))
             np.testing.assert_allclose(
                 selective_scan(tokens, params), oracle_sequential_scan(tokens, params), rtol=1e-9, atol=1e-12
@@ -209,6 +231,84 @@ class TestSelectiveScan:
     def test_negative_a_required(self):
         with pytest.raises(ConfigurationError):
             manual_ssm(a=0.5)
+
+
+def reference_selective_scan(tokens, params):
+    """The scan in fixed 1024-token blocks with fresh arrays per block, kept as its bitwise reference."""
+    x = np.asarray(tokens, dtype=np.float64)
+    t_total, f = x.shape
+    delta = _softplus(x @ params.w_delta + params.b_delta)
+    b_in = x @ params.w_b
+    c_out = x @ params.w_c
+    h = np.zeros((f, params.a.shape[1]))
+    y = np.empty_like(x)
+    block = 1024
+    for start in range(0, t_total, block):
+        stop = min(start + block, t_total)
+        abar, states = zoh_discretize(
+            params.a[None], b_in[start:stop, None, :], delta[start:stop, :, None]
+        )
+        states *= x[start:stop, :, None]
+        for t in range(stop - start):
+            states[t] += abar[t] * h
+            h = states[t]
+        y[start:stop] = np.matmul(states, c_out[start:stop, :, None])[..., 0]
+        y[start:stop] += params.d_skip * x[start:stop]
+    return y
+
+
+class TestScanTimeBlocks:
+    T, F, N = 47, 16, 4
+
+    def inputs(self):
+        """Tokens whose channel 0 switches the step: -3 makes every |z| < 1e-4 (series path)."""
+        rng = np.random.default_rng(18)
+        params = random_ssm(rng, self.F, self.N)
+        w_delta = params.w_delta.copy()
+        w_delta[0] = 5.0
+        params = SsmParams(a=params.a, w_b=params.w_b, w_c=params.w_c, w_delta=w_delta,
+                           b_delta=params.b_delta, d_skip=params.d_skip)
+        tokens = rng.normal(size=(self.T, self.F))
+        tokens[:, 0] = rng.uniform(-0.5, 0.5, size=self.T)
+        tokens[[3, 20, 43, 45], 0] = -3.0  # 43 and 45 lie in the short last block (42-46) of 7-token blocks
+        return tokens, params
+
+    @pytest.mark.parametrize("block", [1, 7, T])
+    def test_bitwise_equal_to_reference_for_any_block(self, monkeypatch, block):
+        tokens, params = self.inputs()
+        z = np.abs(np.log1p(np.exp(tokens @ params.w_delta + params.b_delta))[:, :, None] * params.a)
+        assert np.all(z[[43, 45]] < 1e-4) and np.any(z[44] >= 1e-4)
+        want = reference_selective_scan(tokens, params)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return zoh_discretize(*args, **kwargs)
+
+        monkeypatch.setattr(head, "_SCAN_BLOCK_BYTES", block * 8 * self.F * self.N)
+        monkeypatch.setattr(head, "zoh_discretize", counted)
+        got = selective_scan(tokens, params)
+        assert len(calls) == -(-self.T // block)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got, oracle_sequential_scan(tokens, params), rtol=1e-9, atol=1e-12)
+
+    def test_zero_tokens(self):
+        _, params = self.inputs()
+        assert selective_scan(np.zeros((0, self.F)), params).shape == (0, self.F)
+
+    def test_peak_allocation_stays_block_sized(self):
+        # an occ3d-sized bottleneck scan: 1024-token (16.8 MB) blocks peaked at
+        # 77 MB, 16 MB block buffers reach 43 MB, 0.5 MB ones 13.5 MB
+        rng = np.random.default_rng(19)
+        params = random_ssm(rng, 128, 16)
+        tokens = rng.normal(size=(3200, 128))
+        tracemalloc.start()
+        try:
+            selective_scan(tokens, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 73.1e6 / 4, peak
 
 
 class TestMambaUnet:

@@ -1,10 +1,11 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaussocc import metrics, pipeline
+from gaussocc import head, metrics, pipeline
 from gaussocc.cli import main
 from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import ConfigurationError, LabelError
@@ -98,6 +99,23 @@ class TestRunPipeline:
         result = run_pipeline(small_config(tmp_path))
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["peak_rss_mb"] > 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_manifest_reports_splat_worker_peak_rss(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setenv("GOC_THREADS", "2")
+        forked = []
+        real = head._fork_slabs
+
+        def recorded(bounds, fill):
+            forked.append(bounds)
+            real(bounds, fill)
+
+        monkeypatch.setattr(head, "_fork_slabs", recorded)
+        result = run_pipeline(small_config(tmp_path))
+        assert forked == [[0, 8, 16]]  # two x-slab workers
+        assert result.manifest["peak_rss_children_mb"] > 0
 
     def test_manifest_reports_health(self, tmp_path):
         result = run_pipeline(small_config(tmp_path))
