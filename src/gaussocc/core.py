@@ -38,12 +38,18 @@ def _usable_cores() -> int:
 
 
 def _softplus(x):
-    return np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(-np.abs(x))))
+    """log(1 + exp(x)) of a float array as log1p(exp(-|x|)), plus x where x > 0, in one buffer."""
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(out, x, out=out, where=x > 0)
+    return out
 
 
 def _sigmoid(x):
-    ax = np.abs(x)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-ax)), np.exp(-ax) / (1.0 + np.exp(-ax)))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(x, axis=-1):
@@ -86,11 +92,6 @@ class GridSpec:
     @property
     def upper(self) -> np.ndarray:
         return self.origin + self.extent
-
-    @property
-    def voxel_count(self) -> int:
-        x, y, z = self.dims
-        return x * y * z
 
 
 def voxel_center(spec: GridSpec, index) -> np.ndarray:

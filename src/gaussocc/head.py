@@ -9,9 +9,12 @@ predictions of the planes covering each axis.  Every per-anchor linear map,
 the offset heads included, runs on its plane's raster-ordered rows before
 the result is scattered back to anchor order: BLAS results depend on a
 row's position, so computing in a canonical order is what makes the head
-bitwise equivariant under anchor permutations.  After the final block a
-linear head decodes per-anchor attribute updates (centroid offset,
-log-scale delta, quaternion delta, opacity, semantics).
+bitwise equivariant under anchor permutations.  A raster order is a plain
+index array, scattered back through its inverse permutation.  After the
+final block ``run_head`` decodes the per-anchor attribute update (centroid
+offset, log-scale delta, quaternion delta, opacity, semantics) with one
+matmul in canonical order, scatters it back to anchor order once and
+applies it.
 
 ``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
@@ -63,19 +66,6 @@ _SCAN_BLOCK_BYTES = 2**19
 # axis pairs backing each plane: (first coord, second coord); the second
 # coordinate is the primary raster sort key
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
-
-
-@dataclass(frozen=True)
-class RasterOrder:
-    """A canonical anchor order; ``inverse`` recomputes its inverse permutation on each access."""
-
-    indices: np.ndarray
-
-    @property
-    def inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.indices)
-        inv[self.indices] = np.arange(len(self.indices))
-        return inv
 
 
 @dataclass(frozen=True)
@@ -148,21 +138,6 @@ class ConsensusParams:
 
 
 @dataclass(frozen=True)
-class DecodedAttributes:
-    """Per-anchor decoded update: 3 + 3 + 4 + 1 + C_sem channels."""
-
-    centroid_offset: np.ndarray
-    log_scale_delta: np.ndarray
-    rotation_delta: np.ndarray
-    opacity_logit: np.ndarray
-    semantic_logits: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return 11 + self.semantic_logits.shape[-1]
-
-
-@dataclass(frozen=True)
 class DecodeParams:
     w: np.ndarray
     b: np.ndarray
@@ -226,8 +201,8 @@ class HeadParams:
         return cls(blocks=tuple(blocks), decode=decode, omega=omega)
 
 
-def raster_serialize(coords: np.ndarray, omega: float) -> RasterOrder:
-    """Stable ascending sort by key = primary * omega + secondary.
+def raster_serialize(coords: np.ndarray, omega: float) -> np.ndarray:
+    """Anchor indices in stable ascending order of key = primary * omega + secondary.
 
     The primary coordinate is the second element of each pair (y for the xy
     plane); ties keep the original index order.
@@ -240,7 +215,14 @@ def raster_serialize(coords: np.ndarray, omega: float) -> RasterOrder:
             f"raster key scale {omega} must exceed the secondary coordinate spread {spread}"
         )
     keys = coords[:, 1] * omega + secondary
-    return RasterOrder(indices=np.argsort(keys, kind="stable"))
+    return np.argsort(keys, kind="stable")
+
+
+def _inverse_permutation(order: np.ndarray) -> np.ndarray:
+    """The index array that scatters rows taken in ``order`` back to their places."""
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return inverse
 
 
 def zoh_discretize(a, b, delta, *, out=None):
@@ -382,33 +364,6 @@ def consensus_update(centroids: np.ndarray, planes: dict, params: ConsensusParam
     return np.asarray(centroids, dtype=np.float64) + offset
 
 
-def decode_attributes(features: np.ndarray, params: DecodeParams, semantic_classes: int) -> DecodedAttributes:
-    """Linear decode into the per-anchor attribute update vector."""
-    raw = np.asarray(features, dtype=np.float64) @ params.w + params.b
-    if raw.shape[-1] != 11 + semantic_classes:
-        raise ConfigurationError(
-            f"decode width {raw.shape[-1]} does not match 11 + {semantic_classes} classes"
-        )
-    return DecodedAttributes(
-        centroid_offset=raw[..., 0:3],
-        log_scale_delta=raw[..., 3:6],
-        rotation_delta=raw[..., 6:10],
-        opacity_logit=raw[..., 10],
-        semantic_logits=raw[..., 11:],
-    )
-
-
-def apply_decoded(arrays: dict, decoded: DecodedAttributes) -> dict:
-    """Apply a decoded update: residual geometry, overwritten opacity/semantics."""
-    out = dict(arrays)
-    out["centroid"] = arrays["centroid"] + decoded.centroid_offset
-    out["log_scale"] = arrays["log_scale"] + decoded.log_scale_delta
-    out["rotation"] = normalize_quaternion(arrays["rotation"] + decoded.rotation_delta)
-    out["opacity_logit"] = np.array(decoded.opacity_logit, dtype=np.float64)
-    out["semantic_logits"] = np.array(decoded.semantic_logits, dtype=np.float64)
-    return out
-
-
 def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadParams):
     """Run every refinement block; returns updated (centroids, features).
 
@@ -424,9 +379,9 @@ def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadPar
         for plane in PLANES:
             coords = centroids[:, PLANE_AXES[plane]]
             order = raster_serialize(coords, params.omega)
-            seq = block.embed[plane](coords[order.indices])
-            seq += features[order.indices]
-            planes[plane] = (mamba_unet_refine(seq, block.unet[plane]), order.inverse)
+            seq = block.embed[plane](coords[order])
+            seq += features[order]
+            planes[plane] = (mamba_unet_refine(seq, block.unet[plane]), _inverse_permutation(order))
         centroids = consensus_update(centroids, planes, block.consensus)
         features = planes["xy"][0][planes["xy"][1]]
         features += planes["xz"][0][planes["xz"][1]]
@@ -436,27 +391,32 @@ def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadPar
 
 
 def run_head(arrays: dict, params: HeadParams, semantic_classes: int) -> dict:
-    """Full head: block refinement then the single trailing attribute decode.
+    """Full head: block refinement, then one linear decode of the attribute update.
 
-    The decode runs in lexicographic centroid order (canonical for distinct
-    coordinates) and scatters back, for the same bitwise-equivariance reason
-    as the block refiner.
+    Each anchor's 11 + C_sem decoded channels are a centroid offset (3), a
+    log-scale delta (3), a quaternion delta (4), an opacity logit (1) and
+    the semantic logits.  The decode runs in lexicographic centroid order
+    (canonical for distinct coordinates) and scatters back, for the same
+    bitwise-equivariance reason as the block refiner.  Centroid, log-scale
+    and rotation are updated residually (the rotation renormalized);
+    opacity and semantic logits are overwritten.
     """
     centroids, features = refine_features(arrays["centroid"], arrays["feature"], params)
-    staged = dict(arrays)
-    staged["centroid"] = centroids
-    staged["feature"] = features
     canonical = np.lexsort((centroids[:, 2], centroids[:, 0], centroids[:, 1]))
-    inverse = RasterOrder(indices=canonical).inverse
-    decoded_sorted = decode_attributes(features[canonical], params.decode, semantic_classes)
-    decoded = DecodedAttributes(
-        centroid_offset=decoded_sorted.centroid_offset[inverse],
-        log_scale_delta=decoded_sorted.log_scale_delta[inverse],
-        rotation_delta=decoded_sorted.rotation_delta[inverse],
-        opacity_logit=decoded_sorted.opacity_logit[inverse],
-        semantic_logits=decoded_sorted.semantic_logits[inverse],
-    )
-    return apply_decoded(staged, decoded)
+    raw = features[canonical] @ params.decode.w + params.decode.b
+    if raw.shape[-1] != 11 + semantic_classes:
+        raise ConfigurationError(
+            f"decode width {raw.shape[-1]} does not match 11 + {semantic_classes} classes"
+        )
+    raw = raw[_inverse_permutation(canonical)]
+    out = dict(arrays)
+    out["centroid"] = centroids + raw[:, 0:3]
+    out["log_scale"] = arrays["log_scale"] + raw[:, 3:6]
+    out["rotation"] = normalize_quaternion(arrays["rotation"] + raw[:, 6:10])
+    out["opacity_logit"] = raw[:, 10].copy()
+    out["semantic_logits"] = raw[:, 11:].copy()
+    out["feature"] = features
+    return out
 
 
 def _inverse_covariances(sig: np.ndarray) -> np.ndarray:

@@ -85,22 +85,24 @@ def _probability_rows(sem: np.ndarray) -> np.ndarray:
     return probs
 
 
-def grid_probabilities(grid, c_sem: int) -> np.ndarray:
+def grid_probabilities(grid) -> np.ndarray:
     """Per-voxel class probabilities of the whole grid, from its splat scores."""
-    return _probability_rows(grid.scores[..., :c_sem])
+    return _probability_rows(grid.scores)
 
 
-def score_grid(pred, truth_labels: np.ndarray, taxonomy, c_sem: int) -> tuple[float, dict[int, float]]:
+def score_grid(pred, truth_labels: np.ndarray, taxonomy) -> tuple[float, dict[int, float]]:
     """Weighted CE and per-class Lovász of a predicted grid against truth labels.
 
     The probability rows are built in x-slabs of about _SLAB_BYTES: first for
     the foreground voxels only (the Lovász thresholds), then for every voxel
     in ascending order, each slab feeding ``metrics.CrossEntropyTerms`` and
     ``metrics.LovaszCandidates``.  Both results equal the whole-volume
-    ``weighted_ce`` and ``lovasz_per_class`` bit for bit.
+    ``weighted_ce`` and ``lovasz_per_class`` bit for bit.  The class count
+    is the score channels plus empty; a taxonomy of another size is a
+    ``LabelError``.
     """
-    scores = pred.scores.reshape(-1, pred.scores.shape[-1])[:, :c_sem]
-    c_total = c_sem + 1
+    scores = pred.scores.reshape(-1, pred.scores.shape[-1])
+    c_total = scores.shape[-1] + 1
     ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total)
     labels = ce.labels  # flat int64, shared rather than converted twice
     lovasz = metrics.LovaszCandidates(labels, c_total, taxonomy.empty_id)
@@ -223,7 +225,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _timed(timings, "eval"):
         report = metrics.class_iou(pred, truth, config.taxonomy.c_total)
-        ce, lovasz_losses = score_grid(pred, truth.labels, config.taxonomy, model.semantic_classes)
+        ce, lovasz_losses = score_grid(pred, truth.labels, config.taxonomy)
         lovasz = metrics.lovasz_mean(lovasz_losses)
         weights = metrics.LossWeights()
         losses = {"ce": ce, "lovasz": lovasz, "total": metrics.total_loss(ce, lovasz, weights)}

@@ -5,6 +5,8 @@ from gaussocc.core import (
     GaussianPrimitive,
     GridSpec,
     ModelConfig,
+    _sigmoid,
+    _softplus,
     default_taxonomy,
     init_anchors,
     make_covariance,
@@ -211,3 +213,31 @@ class TestDomainTypes:
         for origin, voxel in [((np.nan, 0, 0), (1, 1, 1)), ((0, 0, 0), (1, 1e39, 1))]:
             with pytest.raises(ConfigurationError), np.errstate(over="ignore"):
                 GridSpec(origin=np.array(origin, dtype=float), voxel_size=np.array(voxel, dtype=float), dims=(2, 2, 2))
+
+
+class TestActivations:
+    """``_softplus`` and ``_sigmoid`` pinned bit for bit to their two-branch formulas."""
+
+    @staticmethod
+    def inputs():
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310, 1e308, -1e308])
+        rng = np.random.default_rng(30)
+        normals = [rng.normal(scale=scale, size=200_000) for scale in (1e-8, 1e-3, 1.0, 10.0, 700.0, 1e6)]
+        return np.concatenate([special, *normals])
+
+    def test_softplus_bitwise(self):
+        x = self.inputs()
+        before = x.copy()
+        expected = np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(-np.abs(x))))
+        got = _softplus(x)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert _softplus(x[1:].reshape(-1, 10)).tobytes() == expected[1:].tobytes()  # 2-D, as in the scan
+
+    def test_sigmoid_bitwise(self):
+        x = self.inputs()
+        ax = np.abs(x)
+        expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-ax)), np.exp(-ax) / (1.0 + np.exp(-ax)))
+        got = _sigmoid(x)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

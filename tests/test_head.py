@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 from gaussocc import head
-from gaussocc.core import GaussianPrimitive, GridSpec, _softplus, init_anchors, make_covariance, stack_primitives
+from gaussocc.core import (
+    GaussianPrimitive,
+    GridSpec,
+    ModelConfig,
+    _softplus,
+    init_anchors,
+    make_covariance,
+    normalize_quaternion,
+    stack_primitives,
+)
 from gaussocc.errors import (
     ConfigurationError,
     DegenerateCovarianceError,
@@ -25,9 +34,8 @@ from gaussocc.head import (
     PlaneEmbedParams,
     SsmParams,
     UnetParams,
-    apply_decoded,
+    _inverse_permutation,
     consensus_update,
-    decode_attributes,
     mamba_unet_refine,
     raster_serialize,
     refine_features,
@@ -87,17 +95,14 @@ def in_anchor_order(h_xy, h_xz, h_yz):
 class TestRasterSerialize:
     def test_three_point_hand_example(self):
         coords = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
-        order = raster_serialize(coords, omega=10.0)
-        np.testing.assert_array_equal(order.indices, [2, 1, 0])
+        np.testing.assert_array_equal(raster_serialize(coords, omega=10.0), [2, 1, 0])
 
     def test_single_point_identity(self):
-        order = raster_serialize(np.array([[3.0, 4.0]]), omega=10.0)
-        np.testing.assert_array_equal(order.indices, [0])
+        np.testing.assert_array_equal(raster_serialize(np.array([[3.0, 4.0]]), omega=10.0), [0])
 
     def test_duplicate_coordinates_stable(self):
         coords = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-        order = raster_serialize(coords, omega=10.0)
-        np.testing.assert_array_equal(order.indices, [2, 0, 1])
+        np.testing.assert_array_equal(raster_serialize(coords, omega=10.0), [2, 0, 1])
 
     def test_key_scale_too_small(self):
         coords = np.array([[0.0, 0.0], [20.0, 1.0]])
@@ -109,7 +114,7 @@ class TestRasterSerialize:
         coords = rng.uniform(-5, 5, size=(40, 2))
         features = rng.normal(size=(40, 7))
         order = raster_serialize(coords, omega=100.0)
-        np.testing.assert_array_equal(features[order.indices][order.inverse], features)
+        np.testing.assert_array_equal(features[order][_inverse_permutation(order)], features)
 
 
 class TestZohDiscretize:
@@ -395,7 +400,7 @@ class TestConsensusUpdate:
         params = ConsensusParams(weights=weights, biases=biases)
         centroids = rng.normal(size=(n, 3))
         planes = {
-            plane: (rng.normal(size=(n, f)), raster_serialize(rng.uniform(-4, 4, size=(n, 2)), 64.0).inverse)
+            plane: (rng.normal(size=(n, f)), _inverse_permutation(raster_serialize(rng.uniform(-4, 4, size=(n, 2)), 64.0)))
             for plane in PLANES
         }
         out = consensus_update(centroids, planes, params)
@@ -451,39 +456,56 @@ class TestRefineFeatures:
         np.testing.assert_allclose(out_f, expected, rtol=0, atol=1e-12)
 
 
+def decode_only(w, b, count):
+    """``run_head`` with no refinement blocks, so only the attribute decode acts,
+    on ``count`` seeded anchors with random features."""
+    arrays = init_anchors(count, GridSpec(np.zeros(3), np.ones(3), (4, 4, 4)), 0, model=ModelConfig(feature_width=6))
+    arrays["feature"] = np.random.default_rng(11).normal(size=(count, 6))
+    params = HeadParams(blocks=(), decode=DecodeParams(w=w, b=b), omega=100.0)
+    return arrays, run_head(arrays, params, 17)
+
+
 class TestDecodeAttributes:
     def test_zero_decode_leaves_geometry(self):
-        rng = np.random.default_rng(11)
-        params = DecodeParams(w=np.zeros((6, 28)), b=np.zeros(28))
-        decoded = decode_attributes(rng.normal(size=(3, 6)), params, 17)
-        arrays = init_anchors(3, GridSpec(np.zeros(3), np.ones(3), (4, 4, 4)), 0)
-        out = apply_decoded(arrays, decoded)
+        arrays, out = decode_only(np.zeros((6, 28)), np.zeros(28), 3)
         np.testing.assert_array_equal(out["centroid"], arrays["centroid"])
         np.testing.assert_array_equal(out["log_scale"], arrays["log_scale"])
         np.testing.assert_array_equal(out["rotation"], arrays["rotation"])
         np.testing.assert_array_equal(out["semantic_logits"], np.zeros((3, 17)))
 
     def test_28_channel_layout(self):
-        decoded = decode_attributes(np.zeros((2, 6)), DecodeParams(w=np.zeros((6, 28)), b=np.arange(28.0)), 17)
-        assert decoded.width == 28
-        np.testing.assert_array_equal(decoded.centroid_offset[0], [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(decoded.log_scale_delta[0], [3.0, 4.0, 5.0])
-        np.testing.assert_array_equal(decoded.rotation_delta[0], [6.0, 7.0, 8.0, 9.0])
-        assert decoded.opacity_logit[0] == 10.0
-        np.testing.assert_array_equal(decoded.semantic_logits[0], np.arange(11.0, 28.0))
+        # identity rotations plus the delta (6, 7, 8, 9), renormalized
+        arrays, out = decode_only(np.zeros((6, 28)), np.arange(28.0), 2)
+        np.testing.assert_array_equal(out["centroid"][0], arrays["centroid"][0] + [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(out["log_scale"][0], arrays["log_scale"][0] + [3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(out["rotation"][0], normalize_quaternion(np.array([7.0, 7.0, 8.0, 9.0])))
+        assert out["opacity_logit"][0] == 10.0
+        np.testing.assert_array_equal(out["semantic_logits"][0], np.arange(11.0, 28.0))
+        assert out["opacity_logit"].flags.c_contiguous and out["semantic_logits"].flags.c_contiguous
+
+    def test_rows_scatter_back_to_their_anchors(self):
+        # the decode runs in canonical order; each row must come back to its
+        # own anchor, so it matches the anchor-order decode up to BLAS rounding
+        rng = np.random.default_rng(17)
+        w, b = rng.normal(size=(6, 28)), rng.normal(size=28)
+        arrays, out = decode_only(w, b, 23)
+        raw = arrays["feature"] @ w + b
+        close = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out["centroid"], arrays["centroid"] + raw[:, 0:3], **close)
+        np.testing.assert_allclose(out["log_scale"], arrays["log_scale"] + raw[:, 3:6], **close)
+        np.testing.assert_allclose(out["rotation"], normalize_quaternion(arrays["rotation"] + raw[:, 6:10]), **close)
+        np.testing.assert_allclose(out["opacity_logit"], raw[:, 10], **close)
+        np.testing.assert_allclose(out["semantic_logits"], raw[:, 11:], **close)
 
     def test_log_scale_shift_doubles_scale(self):
         b = np.zeros(28)
         b[3:6] = np.log(2.0)
-        params = DecodeParams(w=np.zeros((6, 28)), b=b)
-        decoded = decode_attributes(np.zeros((1, 6)), params, 17)
-        arrays = init_anchors(1, GridSpec(np.zeros(3), np.ones(3), (4, 4, 4)), 0)
-        out = apply_decoded(arrays, decoded)
+        arrays, out = decode_only(np.zeros((6, 28)), b, 1)
         np.testing.assert_allclose(np.exp(out["log_scale"]), 2.0 * np.exp(arrays["log_scale"]), rtol=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            decode_attributes(np.zeros((1, 6)), DecodeParams(w=np.zeros((6, 20)), b=np.zeros(20)), 17)
+            decode_only(np.zeros((6, 20)), np.zeros(20), 1)
 
 
 class TestHeadEquivariance:

@@ -177,7 +177,7 @@ class TestRunPipeline:
         grid = SemanticOccupancyGrid(
             spec=small_grid, labels=np.zeros(small_grid.dims, dtype=np.uint8), scores=scores
         )
-        probs = grid_probabilities(grid, 17)
+        probs = grid_probabilities(grid)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(probs >= 0)
         # a voxel with zero semantic mass is all empty-class probability
@@ -187,7 +187,6 @@ class TestRunPipeline:
                 labels=np.zeros(small_grid.dims, dtype=np.uint8),
                 scores=np.zeros(small_grid.dims + (17,)),
             ),
-            17,
         )
         np.testing.assert_allclose(empty_probs[..., 17], 1.0)
 
@@ -204,7 +203,7 @@ class TestRunPipeline:
         empty = np.maximum(1.0 - scores.sum(axis=-1), 0.0)
         concatenated = np.concatenate([scores, empty[..., None]], axis=-1)
         expected = concatenated / np.maximum(concatenated.sum(axis=-1, keepdims=True), 1e-12)
-        probs = grid_probabilities(grid, 17)
+        probs = grid_probabilities(grid)
         assert probs.dtype == expected.dtype and probs.shape == expected.shape
         assert probs.tobytes() == expected.tobytes()
         assert np.any(empty > 0) and np.any(empty == 0)
@@ -231,7 +230,7 @@ def assert_streamed_equals_whole(grid, labels, monkeypatch):
     """For slabs of one x-plane, three x-planes (uneven) and the whole volume:
     CE and every Lovász loss bitwise equal to the whole-array functions, and
     Lovász within 1e-12 of the full-sort oracle."""
-    probs = grid_probabilities(grid, SCORE_TAXONOMY.c_sem)
+    probs = grid_probabilities(grid)
     ce = weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)
     lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
     oracle = oracle_lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
@@ -247,7 +246,7 @@ def assert_streamed_equals_whole(grid, labels, monkeypatch):
     for slab_bytes, planes in ((1, 1), (3 * plane * 8 * SCORE_TAXONOMY.c_total, 3), (2**40, x)):
         monkeypatch.setattr(pipeline, "_SLAB_BYTES", slab_bytes)
         starts.clear()
-        got_ce, got_lovasz = score_grid(grid, labels, SCORE_TAXONOMY, SCORE_TAXONOMY.c_sem)
+        got_ce, got_lovasz = score_grid(grid, labels, SCORE_TAXONOMY)
         assert starts == list(range(0, x * plane, planes * plane))
         assert got_ce == ce
         assert got_lovasz == lovasz
@@ -298,7 +297,7 @@ class TestScoreGrid:
         lovasz = assert_streamed_equals_whole(grid, labels, monkeypatch)
         monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
         monkeypatch.setattr(metrics, "_lovasz_gradient", recording_gradient)
-        assert score_grid(grid, labels, SCORE_TAXONOMY, 4)[1] == lovasz
+        assert score_grid(grid, labels, SCORE_TAXONOMY)[1] == lovasz
         assert sorted_lengths[0] == 4  # voxels 1, 2, 5 and 6
 
     def test_truth_without_foreground(self, monkeypatch):
@@ -306,7 +305,7 @@ class TestScoreGrid:
         grid = grid_of_scores(tied_scores(rng, (7, 3, 2)))
         labels = np.full(grid.spec.dims, SCORE_TAXONOMY.empty_id)
         lovasz = assert_streamed_equals_whole(grid, labels, monkeypatch)
-        probs = grid_probabilities(grid, SCORE_TAXONOMY.c_sem).reshape(-1, SCORE_TAXONOMY.c_total)
+        probs = grid_probabilities(grid).reshape(-1, SCORE_TAXONOMY.c_total)
         for c, loss in lovasz.items():
             assert loss == probs[:, c].max()
 
@@ -315,7 +314,17 @@ class TestScoreGrid:
         labels = np.zeros(grid.spec.dims, dtype=np.int64)
         labels[6, 2, 1] = SCORE_TAXONOMY.c_total
         with pytest.raises(LabelError):
-            score_grid(grid, labels, SCORE_TAXONOMY, SCORE_TAXONOMY.c_sem)
+            score_grid(grid, labels, SCORE_TAXONOMY)
+
+    def test_score_channels_must_match_taxonomy(self):
+        # the class count is the score channels plus empty: 3 or 5 channels
+        # against a 4-class taxonomy is a typed fault, not an index error
+        rng = np.random.default_rng(26)
+        labels = rng.integers(0, 4, size=(7, 3, 2))
+        for channels in (3, 5):
+            grid = grid_of_scores(rng.uniform(0.0, 0.3, size=(7, 3, 2, channels)))
+            with pytest.raises(LabelError, match="one weight per class"):
+                score_grid(grid, labels, SCORE_TAXONOMY)
 
     def test_peak_allocation_far_below_probability_volume(self, taxonomy):
         rng = np.random.default_rng(25)
@@ -325,7 +334,7 @@ class TestScoreGrid:
         volume_bytes = grid.labels.size * taxonomy.c_total * 8
         tracemalloc.start()
         try:
-            score_grid(grid, labels, taxonomy, taxonomy.c_sem)
+            score_grid(grid, labels, taxonomy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
