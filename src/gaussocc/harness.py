@@ -281,6 +281,31 @@ def degrade(scene: SyntheticScene, config: DegradationConfig) -> SyntheticScene:
     return replace(scene, views=MultiViewFeatureSet(views=tuple(cam_planes)), stack=stack)
 
 
+def blob_primitives(scene: SyntheticScene) -> tuple[dict, float]:
+    """The scene's blobs as splat primitives, with a truncation radius in sigmas.
+
+    Each blob becomes one primitive with the blob's centroid, log-scale and
+    rotation, opacity logit 60 (sigmoid 1.0 in float64) and semantic logits
+    +60 for the blob's class and -60 for the others.  The radius k is the
+    smallest whole number of sigmas with exp(-k^2 / 2) < ``truth_threshold``
+    (0 < threshold < 1), so outside a blob's truncation box its density is
+    below the threshold.  Splatted at occupancy threshold
+    ``truth_threshold``, the labels then equal ``scene.truth`` on every
+    voxel that at most one blob's box covers (the blob law).
+    """
+    count = len(scene.blob_classes)
+    logits = np.full((count, scene.config.taxonomy.c_sem), -60.0)
+    logits[np.arange(count), scene.blob_classes] = 60.0
+    arrays = {
+        "centroid": scene.blob_centroids.copy(),
+        "log_scale": np.log(scene.blob_scales),
+        "rotation": scene.blob_rotations.copy(),
+        "opacity_logit": np.full(count, 60.0),
+        "semantic_logits": logits,
+    }
+    return arrays, float(math.floor(math.sqrt(-2.0 * math.log(scene.config.truth_threshold))) + 1)
+
+
 def oracle_dense_splat(
     primitives: Sequence[GaussianPrimitive],
     spec: GridSpec,

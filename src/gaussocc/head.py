@@ -18,10 +18,14 @@ applies it.
 
 ``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
-probabilities, in ascending primitive order.  The grid is cut into x-slabs,
-one per worker process (at most ``threads``, which the pipeline takes from
-``GOC_THREADS``); each forked worker splats and labels its slab into a
-shared mapping, so the result is bit-identical for any worker count.
+probabilities.  The grid is split into 8 x 8 x 8 voxel tiles (``TILE``); the
+primitives are binned to the tiles their boxes meet, and each tile's class
+scores and density come from one stacked matmul of its (voxel, primitive)
+densities with the primitives' class probabilities.  The grid is cut into
+x-slabs of whole tile columns, one per worker process (at most ``threads``,
+which the pipeline takes from ``GOC_THREADS``, and at most one per tile
+column); each forked worker splats and labels its slab into a shared
+mapping, so the result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -62,6 +66,14 @@ ZOH_SERIES_CUTOFF = 1e-4
 # N = 16) took 1.05-1.16 s with 0.5 MB blocks, 1.19-1.27 s with 1-2 MB blocks
 # and 1.99 s with 16 MB blocks.
 _SCAN_BLOCK_BYTES = 2**19
+
+# Voxel tile (x, y, z) of the splat kernel: one stacked class-product matmul
+# per tile.  On the dense-grid and occ3d splat inputs (64 x-planes, one
+# process on a Xeon VM), tiles with 4 voxels on any axis were 8-20% slower,
+# from per-tile overhead; 8 x 8 x 16 was 5-9% faster, but its 128-row
+# products reach OpenBLAS's threading cutoff at half the primitive count
+# (see _splat_slab).
+TILE = (8, 8, 8)
 
 # axis pairs backing each plane: (first coord, second coord); the second
 # coordinate is the primary raster sort key
@@ -479,69 +491,100 @@ def _splat_inputs(arrays: dict, spec: GridSpec, truncation_radius_sigmas: float)
     )
 
 
-def _axis_deltas(centers: np.ndarray, first: np.ndarray, last: np.ndarray, coord: np.ndarray):
-    """``centers[first[i] : last[i] + 1] - coord[i]`` for every primitive i, concatenated.
-
-    Returns the flat deltas, the primitive each delta belongs to and the
-    N + 1 start offsets of the primitives' runs.
-    """
-    counts = last - first + 1
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    rows = np.repeat(np.arange(len(counts)), counts)
-    index = np.arange(offsets[-1]) - offsets[rows] + first[rows]
-    return centers[index] - coord[rows], rows, offsets.tolist()
-
-
 def _splat_slab(x_lo: int, x_hi: int, inputs: _SplatInputs, density: np.ndarray, scores: np.ndarray):
-    """Accumulate every primitive (ascending index) into the voxel slab [x_lo, x_hi).
+    """Accumulate every primitive into the voxel slab [x_lo, x_hi), one ``TILE`` at a time.
 
-    Only the primitives whose box meets the slab are visited.  The per-axis
-    terms of the quadratic form (m00 dx^2, 2 m01 dx, 2 m02 dx; m11 dy^2,
-    2 m12 dy, dy; m22 dz^2, dz) are built once for all of them as flat
-    ragged arrays, so the loop only broadcasts and sums, always as
-    ((((A + B) + C) + D) + E) + F: the same roundings, hence the same bits,
-    as evaluating the whole form per primitive.
+    Tiles are anchored at multiples of ``TILE`` and clipped to the slab and
+    the grid.  Each primitive whose clipped voxel box meets the slab is
+    binned to every tile its box meets; a stable sort on the tile id keeps
+    each tile's P primitives in ascending index order.  Per tile, the
+    per-axis terms of the quadratic form (m00 dx^2, 2 m01 dx, 2 m02 dx;
+    m11 dy^2, 2 m12 dy, dy; m22 dz^2, dz) are (t_axis, P) arrays, each
+    carrying the -1/2 of exp(-q/2), an exact power-of-two scaling.  A
+    squared term is -inf where the voxel lies outside the primitive's box,
+    and the form is summed as ((((A + B) + C) + D) + E) + F, so each
+    (voxel, primitive) pair gets the bits of the per-primitive evaluation,
+    or -inf outside the box.  Pairs beyond the truncation radius (the box
+    included) are raised to -radius^2 / 2 before the exp, which keeps numpy's
+    exp on its fast path, and are then zeroed by the radius mask.  The class
+    product is one stacked matmul of the (tx, ty tz, P) densities with
+    [class_probs | 1], yielding the scores and the density together; it
+    reassociates the sum over primitives, so a voxel matches the
+    per-primitive loop to rounding, not bitwise.  The result of a voxel
+    depends only on its tile, so any slab cut along tile boundaries gives
+    the same bits.
     """
-    spec, lo, hi = inputs.spec, inputs.lo, inputs.hi
-    x0 = np.maximum(lo[:, 0], x_lo)
-    x1 = np.minimum(hi[:, 0], x_hi - 1)
-    keep = np.flatnonzero((x0 <= x1) & (lo[:, 1] <= hi[:, 1]) & (lo[:, 2] <= hi[:, 2]))
+    spec, lo, hi = inputs.spec, inputs.lo.copy(), inputs.hi.copy()
+    np.maximum(lo[:, 0], x_lo, out=lo[:, 0])
+    np.minimum(hi[:, 0], x_hi - 1, out=hi[:, 0])
+    keep = np.flatnonzero(np.all(lo <= hi, axis=1))
     if not len(keep):
         return
-    x0, x1 = x0[keep], x1[keep]
-    y0, y1, z0, z1 = lo[keep, 1], hi[keep, 1], lo[keep, 2], hi[keep, 2]
+    lo, hi = lo[keep], hi[keep]
+    # every (primitive, tile) pair, primitive-major, then stably sorted by tile
+    first, span = lo // TILE, hi // TILE - lo // TILE + 1
+    count = span.prod(axis=1)
+    rows = np.repeat(np.arange(len(keep)), count)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    sy, sz = span[rows, 1], span[rows, 2]
+    offset = np.stack([rank // (sy * sz), rank // sz % sy, rank % sz])
+    tiles_per_axis = -(-np.asarray(spec.dims) // TILE)
+    tile = np.ravel_multi_index(first[rows].T + offset, tiles_per_axis)
+    order = np.argsort(tile, kind="stable")
+    tile, rows = tile[order], rows[order]
+    starts = np.flatnonzero(np.diff(tile, prepend=-1))
+    stops = np.append(starts[1:], len(tile))
+    corner = np.multiply(np.unravel_index(tile[starts], tiles_per_axis), np.asarray(TILE)[:, None])
+    tiles = zip(
+        starts.tolist(), stops.tolist(),
+        np.maximum(corner[0], x_lo).tolist(), np.minimum(corner[0] + TILE[0], x_hi).tolist(),
+        corner[1].tolist(), np.minimum(corner[1] + TILE[1], spec.dims[1]).tolist(),
+        corner[2].tolist(), np.minimum(corner[2] + TILE[2], spec.dims[2]).tolist(),
+    )
     c, m = inputs.centroid[keep], inputs.inv_sigma[keep]
+    table = np.stack([
+        c[:, 0], -0.5 * m[:, 0, 0], -m[:, 0, 1], -m[:, 0, 2], lo[:, 0], hi[:, 0],
+        c[:, 1], -0.5 * m[:, 1, 1], -m[:, 1, 2], lo[:, 1], hi[:, 1],
+        c[:, 2], -0.5 * m[:, 2, 2], lo[:, 2], hi[:, 2],
+        inputs.opacity[keep],
+    ])[:, rows]
+    probs1 = np.concatenate([inputs.class_probs[keep], np.ones((len(keep), 1))], axis=1)
+    c_sem = probs1.shape[1] - 1
     axes = [spec.origin[a] + (np.arange(spec.dims[a]) + 0.5) * spec.voxel_size[a] for a in range(3)]
-    dx, rx, ox = _axis_deltas(axes[0], x0, x1, c[:, 0])
-    dy, ry, oy = _axis_deltas(axes[1], y0, y1, c[:, 1])
-    dz, rz, oz = _axis_deltas(axes[2], z0, z1, c[:, 2])
-    xx, xy, xz = m[rx, 0, 0] * dx**2, 2.0 * m[rx, 0, 1] * dx, 2.0 * m[rx, 0, 2] * dx
-    yy, yz = m[ry, 1, 1] * dy**2, 2.0 * m[ry, 1, 2] * dy
-    zz = m[rz, 2, 2] * dz**2
-    opacity, probs = inputs.opacity[keep].tolist(), inputs.class_probs[keep]
-    x0, y0, z0 = x0.tolist(), y0.tolist(), z0.tolist()
-    radius_sq = inputs.radius_sq
-    for i in range(len(keep)):
-        sx = slice(ox[i], ox[i + 1])
-        sy = slice(oy[i], oy[i + 1])
-        sz = slice(oz[i], oz[i + 1])
-        quad = xx[sx, None, None] + yy[sy, None]
-        quad = quad + zz[sz]
-        quad += xy[sx, None, None] * dy[sy, None]
-        quad += xz[sx, None, None] * dz[sz]
-        quad += yz[sy, None] * dz[sz]
-        inside = quad <= radius_sq
-        if not inside.any():
-            continue
-        quad *= -0.5
+    index = [np.arange(spec.dims[a], dtype=np.float64)[:, None] for a in range(3)]
+    floor = -0.5 * inputs.radius_sq
+    buf = np.empty(int(np.prod(TILE)) * int((stops - starts).max()))
+    for start, stop, x0, x1, y0, y1, z0, z1 in tiles:
+        cx, m00, m01, m02, lox, hix, cy, m11, m12, loy, hiy, cz, m22, loz, hiz, opacity = table[:, start:stop]
+        ix, iy, iz = index[0][x0:x1], index[1][y0:y1], index[2][z0:z1]
+        dx = axes[0][x0:x1, None] - cx
+        dy = axes[1][y0:y1, None] - cy
+        dz = axes[2][z0:z1, None] - cz
+        xx = np.where((ix >= lox) & (ix <= hix), m00 * dx**2, -np.inf)
+        yy = np.where((iy >= loy) & (iy <= hiy), m11 * dy**2, -np.inf)
+        zz = np.where((iz >= loz) & (iz <= hiz), m22 * dz**2, -np.inf)
+        shape = (x1 - x0, y1 - y0, z1 - z0, stop - start)
+        quad = buf[: int(np.prod(shape))].reshape(shape)
+        quad[...] = (xx[:, None] + yy)[:, :, None]
+        quad += zz
+        quad += (m01 * dx)[:, None, None] * dy[:, None]
+        quad += (m02 * dx)[:, None, None] * dz
+        quad += (m12 * dy)[:, None] * dz
+        inside = quad >= floor
+        np.maximum(quad, floor, out=quad)
         dens = np.exp(quad, out=quad)
-        dens *= opacity[i]
+        dens *= opacity
         dens *= inside
-        nx, ny, nz = dens.shape
-        box = (slice(x0[i], x0[i] + nx), slice(y0[i], y0[i] + ny), slice(z0[i], z0[i] + nz))
-        density[box] += dens
-        scores[box] += np.einsum("...,c->...c", dens, probs[i])
+        # A stack of (ty tz, P) @ (P, c_sem + 1) products, not one (tx ty tz, P)
+        # product.  numpy's bundled OpenBLAS (0.3.31) threads a product once
+        # m n k exceeds 10^6: a 64-row product only from P = 869 on, one
+        # 512-row product from P = 109 on.  Threaded products would start BLAS
+        # threads in every forked worker: with two workers on a 2-vCPU Xeon VM
+        # the occ3d splat (P <= 140) then took 1.64 s instead of 0.48 s.
+        out = np.matmul(dens.reshape(shape[0], -1, shape[3]), probs1[rows[start:stop]])
+        box = (slice(x0, x1), slice(y0, y1), slice(z0, z1))
+        scores[box] += out[..., :c_sem].reshape(shape[:3] + (c_sem,))
+        density[box] += out[..., c_sem].reshape(shape[:3])
 
 
 def _label_slab(x_lo: int, x_hi: int, density: np.ndarray, scores: np.ndarray, labels: np.ndarray,
@@ -553,12 +596,14 @@ def _label_slab(x_lo: int, x_hi: int, density: np.ndarray, scores: np.ndarray, l
 
 
 def _worker_count(threads: int, x_dim: int) -> int:
-    """Splat workers: at most ``threads``, the usable cores and one per two x-planes."""
-    return max(1, min(int(threads), _usable_cores(), x_dim // 2))
+    """Splat workers: at most ``threads``, the usable cores and one per column of tiles along x."""
+    return max(1, min(int(threads), _usable_cores(), -(-x_dim // TILE[0])))
 
 
 def _slab_bounds(x_dim: int, slabs: int) -> list[int]:
-    return np.linspace(0, x_dim, slabs + 1).astype(int).tolist()
+    """Cuts of [0, x_dim) into ``slabs`` runs of whole tile columns, as even as the columns allow."""
+    columns = np.linspace(0, -(-x_dim // TILE[0]), slabs + 1).astype(int)
+    return np.minimum(columns * TILE[0], x_dim).tolist()
 
 
 def _grid_buffers(dims: tuple, c_sem: int, shared: bool):
@@ -581,8 +626,10 @@ def _fork_slabs(bounds: list[int], fill) -> None:
     The children start with SIGINT blocked, so an interrupt reaches the
     parent only.  If a child fails, a fork fails or the wait is interrupted,
     every child still running is killed and every child is reaped before the
-    error propagates.  Forking is safe while BLAS threads exist because the
-    children run numpy element-wise code only, never BLAS.
+    error propagates.  The children call BLAS (the splat's per-tile class
+    products); forking while the parent's BLAS threads exist is safe because
+    OpenBLAS shuts its thread pool down before a fork and a child starts its
+    own only if one of its products is large enough to be threaded.
     """
     children = []  # [pid or None once reaped, read end of its message pipe, slab]
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -650,16 +697,20 @@ def splat_arrays(
     Primitives with any axis scale below 1e-6 m are rejected as
     degenerate.  Zero rows give an all-empty grid.
 
+    The grid is evaluated in ``TILE``-sized voxel tiles, each with one
+    stacked class-product matmul over the primitives whose boxes meet it,
+    so a voxel's sums agree with a per-primitive loop to rounding.
     ``threads`` caps the worker processes (pipeline: ``GOC_THREADS``); the
-    count is further clamped to the usable cores and to one worker per two
-    x-planes.  Each worker is a forked child that splats one x-slab and
-    labels it, writing into one shared anonymous mapping whose views are the
-    returned grid's arrays; the parent only waits.  One worker, or a
-    platform without ``os.fork``, runs the same slab function in-process.
-    Each voxel lies in exactly one slab and sums its primitives in ascending
-    index order, so results are bit-identical for any worker count.  A
-    failed or interrupted worker raises ``SplatWorkerError`` naming its
-    slab, after every child has been reaped.
+    count is further clamped to the usable cores and to one worker per
+    column of tiles along x.  Each worker is a forked child that splats one
+    x-slab of whole tile columns and labels it, writing into one shared
+    anonymous mapping whose views are the returned grid's arrays; the
+    parent only waits.  One worker, or a platform without ``os.fork``, runs
+    the same slab function in-process.  Each tile lies in exactly one slab
+    and is computed from its own primitive list, in ascending index order,
+    so results are bit-identical for any worker count.  A failed or
+    interrupted worker raises ``SplatWorkerError`` naming its slab, after
+    every child has been reaped.
     """
     inputs = _splat_inputs(arrays, spec, truncation_radius_sigmas)
     c_sem = inputs.class_probs.shape[1]

@@ -3,9 +3,11 @@ import pytest
 
 from gaussocc.core import GaussianPrimitive, GridSpec, make_covariance, stack_primitives, voxel_centers
 from gaussocc.errors import ConfigurationError, FormatError
+from gaussocc import head, presets
 from gaussocc.harness import (
     DegradationConfig,
     SceneConfig,
+    blob_primitives,
     degrade,
     dump_scene,
     generate_scene,
@@ -188,6 +190,36 @@ class TestDenseSplatOracle:
         oracle = oracle_dense_splat(prims, spec)
         np.testing.assert_allclose(kernel.scores, oracle.scores, atol=1e-6)
         np.testing.assert_array_equal(kernel.labels, oracle.labels)
+
+
+def assert_blob_law(scene):
+    """Splatted blob primitives carry the truth label on every voxel that at most one blob box covers."""
+    arrays, sigmas = blob_primitives(scene)
+    spec, threshold = scene.config.grid, scene.config.truth_threshold
+    assert np.exp(-(sigmas**2) / 2) < threshold <= np.exp(-((sigmas - 1) ** 2) / 2)
+    grid = splat_arrays(arrays, spec, sigmas, occupancy_threshold=threshold, threads=2)
+    inputs = head._splat_inputs(arrays, spec, sigmas)
+    cover = np.zeros(spec.dims, dtype=np.int64)
+    for lo, hi in zip(inputs.lo, inputs.hi):
+        cover[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] += 1
+    single = cover <= 1
+    differ = np.argwhere(single & (grid.labels != scene.truth.labels))
+    assert len(differ) == 0, f"{len(differ)} singly covered voxels differ from the truth, first {differ[:8].tolist()}"
+    occupied = scene.truth.labels != scene.config.taxonomy.empty_id
+    assert np.count_nonzero(single & occupied) > 0
+    return np.count_nonzero(~single & (grid.labels != scene.truth.labels))
+
+
+class TestBlobLaw:
+    def test_small_scene(self, small_scene):
+        assert_blob_law(small_scene)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_synthetic_preset_with_overlaps(self, seed):
+        config = presets.resolve_config({"preset": "synthetic", "blob_min": 8, "blob_max": 8, "seed": seed})
+        scene = generate_scene(config.scene_config, seed)
+        # overlapping boxes do change labels here: the law holds only where at most one box covers
+        assert assert_blob_law(scene) > 0
 
 
 class TestSequentialScanOracle:

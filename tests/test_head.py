@@ -1,5 +1,7 @@
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -8,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gaussocc
 from gaussocc import head
 from gaussocc.core import (
     GaussianPrimitive,
@@ -625,7 +628,7 @@ class TestSplat:
 
 def reference_splat_slab(x_lo, x_hi, spec, centroids, inv_sigma, half_extents, opacity, class_probs,
                          radius_sq, density, scores):
-    """The per-primitive loop the slab kernel replaced, kept as its bitwise reference."""
+    """The per-primitive loop, in ascending primitive order: the reference of the tile kernel."""
     dims = spec.dims
     axes_y = spec.origin[1] + (np.arange(dims[1]) + 0.5) * spec.voxel_size[1]
     axes_z = spec.origin[2] + (np.arange(dims[2]) + 0.5) * spec.voxel_size[2]
@@ -678,7 +681,7 @@ def random_arrays(rng, count, spec, classes=17):
 
 
 def slab_grid(x_dim=13):
-    # odd x extent: the 2- and 3-slab cuts are uneven
+    # 13 x 12 x 9 ends in a partial 8 x 8 x 8 tile on every axis; odd x extents cut unevenly into slabs
     return GridSpec(origin=np.array([-3.0, -2.5, -1.0]), voxel_size=np.array([0.5, 0.4, 0.3]),
                     dims=(x_dim, 12, 9))
 
@@ -696,12 +699,15 @@ def splat_by_slabs(inputs, spec, slabs, threshold=0.1):
 
 class TestSplatSlabKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bitwise_equal_to_reference_loop(self, seed):
+    def test_within_1e_12_of_reference_loop(self, seed):
+        # the tile matmul reassociates each voxel's sum over primitives, so the bound is 1e-12, not bitwise
         rng = np.random.default_rng(seed)
         spec = slab_grid()
         arrays = random_arrays(rng, 60, spec)
-        # boxes straddling the 2- and 3-slab cuts (x = 4, 6, 8, 9 planes)
-        arrays["centroid"][:8, 0] = spec.origin[0] + spec.voxel_size[0] * rng.choice([4.0, 6.0, 8.0, 9.0], size=8)
+        # boxes straddling the slab cut and tile edge x = 8 and the tile edges y = 8 and z = 8
+        for axis in range(3):
+            rows = slice(8 * axis, 8 * axis + 8)
+            arrays["centroid"][rows, axis] = spec.origin[axis] + spec.voxel_size[axis] * rng.uniform(7.5, 8.5, size=8)
         inputs = head._splat_inputs(arrays, spec, 3.0)
         sigma = make_covariance(np.exp(arrays["log_scale"]), arrays["rotation"])
         half_extents = 3.0 * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
@@ -713,13 +719,30 @@ class TestSplatSlabKernel:
                                      inputs.opacity, inputs.class_probs, 9.0, want_d, want_s)
                 got_d, got_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
                 head._splat_slab(x_lo, x_hi, inputs, got_d, got_s)
-                np.testing.assert_array_equal(got_d, want_d)
-                np.testing.assert_array_equal(got_s, want_s)
+                np.testing.assert_allclose(got_d, want_d, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got_s, want_s, rtol=0, atol=1e-12)
         # the clipped boxes touch all six faces of the grid
         _, whole, _ = splat_by_slabs(inputs, spec, 1)
         touched = np.any(whole != 0, axis=-1)
         for axis in range(3):
             assert np.take(touched, 0, axis=axis).any() and np.take(touched, -1, axis=axis).any()
+
+    def test_single_primitive_bitwise_equal_to_reference(self):
+        # one primitive per tile leaves the matmul a single product: each pair's density keeps its bits
+        rng = np.random.default_rng(9)
+        spec = slab_grid()
+        arrays = random_arrays(rng, 30, spec)
+        sigma = make_covariance(np.exp(arrays["log_scale"]), arrays["rotation"])
+        half_extents = 3.0 * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
+        for i in range(30):
+            one = {key: value[i : i + 1] for key, value in arrays.items()}
+            inputs = head._splat_inputs(one, spec, 3.0)
+            want_d, want_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+            reference_splat_slab(0, spec.dims[0], spec, inputs.centroid, inputs.inv_sigma, half_extents[i : i + 1],
+                                 inputs.opacity, inputs.class_probs, 9.0, want_d, want_s)
+            got_d, got_s, _ = splat_by_slabs(inputs, spec, 2)
+            np.testing.assert_array_equal(got_d, want_d)
+            np.testing.assert_array_equal(got_s, want_s)
 
     def test_labels_match_whole_volume_expression(self):
         rng = np.random.default_rng(7)
@@ -737,7 +760,7 @@ class TestSplatSlabKernel:
         assert not density.any() and not scores.any()
         assert np.all(labels == 17)
 
-    @pytest.mark.parametrize("x_dim", [7, 13])
+    @pytest.mark.parametrize("x_dim", [7, 13, 29])
     def test_slab_count_invariance(self, x_dim):
         rng = np.random.default_rng(x_dim)
         spec = slab_grid(x_dim)
@@ -757,11 +780,18 @@ class TestSplatWorkers:
         monkeypatch.setattr(head, "_usable_cores", lambda: 4)
         assert head._worker_count(10**9, 256) == 4  # no process is started for the requested value
         assert head._worker_count(3, 256) == 3
-        assert head._worker_count(4, 5) == 2  # one worker per two x-planes
+        assert head._worker_count(4, 17) == 3  # one worker per tile column: 8 + 8 + 1 x-planes
+        assert head._worker_count(4, 8) == 1
         assert head._worker_count(4, 1) == 1
         assert head._worker_count(0, 256) == 1
         monkeypatch.setattr(head, "_usable_cores", lambda: 1)
         assert head._worker_count(8, 256) == 1
+
+    def test_slab_bounds_cut_between_tile_columns(self):
+        assert head._slab_bounds(13, 2) == [0, 8, 13]
+        assert head._slab_bounds(29, 3) == [0, 8, 16, 29]
+        assert head._slab_bounds(256, 2) == [0, 128, 256]
+        assert head._slab_bounds(7, 1) == [0, 7]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -769,12 +799,45 @@ class TestSplatWorkers:
         # more workers than this machine may have cores: the shared mapping is written by each
         monkeypatch.setattr(head, "_usable_cores", lambda: 4)
         rng = np.random.default_rng(workers)
-        spec = slab_grid(9)
+        spec = slab_grid(29)  # 4 tile columns, so 4 workers run
         arrays = random_arrays(rng, 50, spec)
         want = splat_arrays(arrays, spec, 3.0, threads=1)
         got = splat_arrays(arrays, spec, 3.0, threads=workers)
         np.testing.assert_array_equal(got.scores, want.scores)
         np.testing.assert_array_equal(got.labels, want.labels)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_workers_forked_after_threaded_blas(self, tmp_path):
+        # In a fresh interpreter, a 2000^2 GEMM on two BLAS threads runs before the workers fork.  The
+        # tile at the origin holds P > 868 primitives, so its (64 x P) @ (P x 18) products exceed
+        # m n k = 10^6, where OpenBLAS 0.3.31 threads a product: a worker starts BLAS threads too.  A
+        # deadlock fails the test through the timeout instead of blocking it.
+        spec = slab_grid(29)
+        arrays = random_arrays(np.random.default_rng(11), 2500, spec)
+        inputs = head._splat_inputs(arrays, spec, 3.0)
+        first_tile = np.all(inputs.lo <= np.minimum(inputs.hi, 7), axis=1)  # boxes meeting the tile at the origin
+        assert np.count_nonzero(first_tile) > 868
+        np.savez(tmp_path / "arrays.npz", **arrays)
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from gaussocc import head\n"
+            "from gaussocc.core import GridSpec\n"
+            "head._usable_cores = lambda: 2\n"
+            "a = np.random.default_rng(0).random((2000, 2000))\n"
+            "a @ a\n"
+            "arrays = dict(np.load(sys.argv[1]))\n"
+            f"spec = GridSpec(origin=np.array({spec.origin.tolist()}), "
+            f"voxel_size=np.array({spec.voxel_size.tolist()}), dims={spec.dims})\n"
+            "want = head.splat_arrays(arrays, spec, 3.0, threads=1)\n"
+            "got = head.splat_arrays(arrays, spec, 3.0, threads=2)\n"
+            "assert np.array_equal(got.scores, want.scores) and np.array_equal(got.labels, want.labels)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gaussocc.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "arrays.npz")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_one_worker_never_forks(self, monkeypatch):
         def no_fork():
@@ -802,9 +865,9 @@ class TestSplatWorkers:
         monkeypatch.setattr(head, "_splat_slab", failing)
         spec = slab_grid()
         arrays = random_arrays(np.random.default_rng(4), 20, spec)
-        with pytest.raises(SplatWorkerError, match=r"x-slab \[6, 13\) failed: RuntimeError: boom") as info:
+        with pytest.raises(SplatWorkerError, match=r"x-slab \[8, 13\) failed: RuntimeError: boom") as info:
             splat_arrays(arrays, spec, 3.0, threads=2)
-        assert info.value.slab == (6, 13)
+        assert info.value.slab == (8, 13)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -818,10 +881,10 @@ class TestSplatWorkers:
             time.sleep(60)
 
         monkeypatch.setattr(head, "_splat_slab", first_fails_rest_hang)
-        spec = slab_grid()
+        spec = slab_grid(29)  # 4 tile columns for 3 workers
         arrays = random_arrays(np.random.default_rng(5), 5, spec)
         start = time.monotonic()
-        with pytest.raises(SplatWorkerError, match=r"x-slab \[0, 4\) failed: ValueError: bad slab"):
+        with pytest.raises(SplatWorkerError, match=r"x-slab \[0, 8\) failed: ValueError: bad slab"):
             splat_arrays(arrays, spec, 3.0, threads=3)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
@@ -837,11 +900,11 @@ class TestSplatWorkers:
         start = time.monotonic()
         interrupt.start()
         try:
-            with pytest.raises(SplatWorkerError, match=r"interrupted .* x-slab \[0, 6\)") as info:
+            with pytest.raises(SplatWorkerError, match=r"interrupted .* x-slab \[0, 8\)") as info:
                 splat_arrays(arrays, spec, 3.0, threads=2)
         finally:
             interrupt.join(timeout=10)
-        assert info.value.slab == (0, 6)
+        assert info.value.slab == (0, 8)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
