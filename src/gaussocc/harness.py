@@ -71,10 +71,12 @@ class SceneConfig:
             raise ConfigurationError("need at least one camera", field="cameras")
         if self.depth_planes < 1:
             raise ConfigurationError("need at least one depth plane", field="depth_planes")
-        if min(self.plane_shape) < 1:
-            raise ConfigurationError("plane shape must be positive", field="plane_shape")
-        if min(self.camera_shape) < 1:
-            raise ConfigurationError("camera shape must be positive", field="camera_shape")
+        if len(self.plane_shape) != 2 or min(self.plane_shape) < 1:
+            raise ConfigurationError("plane_shape must be two positive sizes", field="plane_shape")
+        if len(self.camera_shape) != 2 or min(self.camera_shape) < 1:
+            raise ConfigurationError("camera_shape must be two positive sizes", field="camera_shape")
+        if not 0 <= self.noise_sigma < np.inf:  # also rejects NaN
+            raise ConfigurationError("noise_sigma must be finite and >= 0", field="noise_sigma")
 
     def scale_range(self) -> tuple[float, float]:
         if self.blob_scale_range is not None:

@@ -462,8 +462,8 @@ class _SplatInputs:
 
 def _splat_inputs(arrays: dict, spec: GridSpec, truncation_radius_sigmas: float) -> _SplatInputs:
     """Validate the primitives and derive what the slab kernel reads."""
-    if truncation_radius_sigmas < 1:
-        raise ConfigurationError("truncation radius must be >= 1 sigma", field="truncation_sigmas")
+    if not 1 <= truncation_radius_sigmas < np.inf:  # also rejects NaN
+        raise ConfigurationError("truncation radius must be finite and >= 1 sigma", field="truncation_sigmas")
     centroids = np.asarray(arrays["centroid"], dtype=np.float64)
     scales = np.exp(np.asarray(arrays["log_scale"], dtype=np.float64))
     tiny = scales < MIN_SPLAT_SCALE

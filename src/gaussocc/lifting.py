@@ -5,10 +5,11 @@ sampled at a small set of learned pixel offsets with softmax weights, then
 averaged over the views that see the anchor.
 
 LiDAR branch: the depth-plane stack is sampled at learned 3D keypoints
-around each anchor (one feature row per depth level), the rows are chunked
-under an optional random depth permutation, chunk context modulates the last
+around each anchor (one feature row per depth level), the rows are
+mean-pooled in contiguous depth chunks, chunk context modulates the last
 chunk through a sigmoid mask, and a learnable soft gate blends the modulated
-vector with the global depth mean.
+vector with the global depth mean.  The paper's training-time shuffle of the
+depth levels is not reproduced: this pipeline runs forward only.
 
 Both branches sample planes through one gather-and-reduce kernel:
 ``_bilinear_taps`` turns sample coordinates and weights into flat texel
@@ -130,23 +131,6 @@ class KeypointSet:
             raise ConfigurationError("keypoint weights must match offsets per anchor")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise ConfigurationError("keypoint weights must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class DepthChunking:
-    """Partition of depth levels 0..D-1 into K contiguous chunks plus a permutation."""
-
-    chunk_count: int
-    permutation: np.ndarray
-    chunk_sets: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        d = len(self.permutation)
-        if sorted(self.permutation.tolist()) != list(range(d)):
-            raise ConfigurationError("permutation must be a bijection over depth levels")
-        flat = [i for s in self.chunk_sets for i in s]
-        if sorted(flat) != list(range(d)) or len(self.chunk_sets) != self.chunk_count:
-            raise ConfigurationError("chunk sets must partition the depth levels")
 
 
 @dataclass(frozen=True)
@@ -318,40 +302,22 @@ def ldfa_depth_sample(
     return _reduce_taps(texels, idx, taps).reshape(lead + (d, f))
 
 
-def partition_depths(depth_levels: int, chunks: int, seed: int, training: bool) -> DepthChunking:
-    """Contiguous chunking of the depth levels, seeded-permuted during training.
+def chunk_means(f_depth: np.ndarray, chunks: int) -> np.ndarray:
+    """Mean-pooled chunk representations C_k over K contiguous depth chunks.
 
-    Chunk sizes are as equal as possible; the remainder goes to the last chunk.
+    Each chunk holds D // K levels; the remainder goes to the last chunk.
     """
+    f_depth = np.asarray(f_depth, dtype=np.float64)
+    depth_levels = f_depth.shape[-2]
     if not 1 <= chunks <= depth_levels:
         raise ConfigurationError(
             f"chunk count {chunks} must satisfy 1 <= K <= D={depth_levels}", field="depth_chunks"
         )
-    if training:
-        permutation = np.random.default_rng(seed).permutation(depth_levels)
-    else:
-        permutation = np.arange(depth_levels)
-    base = depth_levels // chunks
-    sets = []
-    start = 0
-    for k in range(chunks):
-        size = base if k < chunks - 1 else depth_levels - base * (chunks - 1)
-        sets.append(tuple(range(start, start + size)))
-        start += size
-    return DepthChunking(chunk_count=chunks, permutation=permutation, chunk_sets=tuple(sets))
-
-
-def chunk_means(f_depth: np.ndarray, chunking: DepthChunking) -> np.ndarray:
-    """Mean-pooled chunk representations C_k over the permuted depth rows."""
-    f_depth = np.asarray(f_depth, dtype=np.float64)
-    out = []
-    for s in chunking.chunk_sets:
-        rows = chunking.permutation[list(s)]
-        if np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
-            # a contiguous ascending range (always so at inference): a view, not a copy
-            rows = slice(rows[0], rows[0] + len(rows))
-        out.append(np.mean(f_depth[..., rows, :], axis=-2))
-    return np.stack(out, axis=-2)
+    size = depth_levels // chunks
+    bounds = [k * size for k in range(chunks)] + [depth_levels]
+    return np.stack(
+        [np.mean(f_depth[..., lo:hi, :], axis=-2) for lo, hi in zip(bounds[:-1], bounds[1:])], axis=-2
+    )
 
 
 def cross_depth_modulate(chunks: np.ndarray, params: LdfaParams) -> np.ndarray:
@@ -366,7 +332,7 @@ def cross_depth_modulate(chunks: np.ndarray, params: LdfaParams) -> np.ndarray:
 
 
 def gated_global_fusion(m: np.ndarray, f_depth: np.ndarray, params: LdfaParams) -> np.ndarray:
-    """Soft-gated blend of the modulated vector with the unpermuted depth mean."""
+    """Soft-gated blend of the modulated vector with the global depth mean."""
     m = np.asarray(m, dtype=np.float64)
     g = np.mean(np.asarray(f_depth, dtype=np.float64), axis=-2)
     logit = np.concatenate([m, g], axis=-1) @ params.gate_w + params.gate_b
@@ -381,11 +347,10 @@ def lift_lidar(
     stack: DepthPlaneStack,
     keypoint_params: KeypointParams,
     ldfa_params: LdfaParams,
-    chunking: DepthChunking,
+    chunks: int,
 ) -> np.ndarray:
     """Full LDFA chain: keypoints, depth sampling, chunking, modulation, gating."""
     keypoints = generate_keypoints(features, scales, keypoint_params)
     f_depth = ldfa_depth_sample(centroids, keypoints, stack)
-    chunks = chunk_means(f_depth, chunking)
-    modulated = cross_depth_modulate(chunks, ldfa_params)
+    modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ldfa_params)
     return gated_global_fusion(modulated, f_depth, ldfa_params)

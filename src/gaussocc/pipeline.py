@@ -1,12 +1,14 @@
 """End-to-end pipeline runner: lifting, smoothing, fusion, refinement, splat, metrics.
 
-Every random draw derives from the master seed and a stage label, so a run
-is a deterministic function of (config, seeds, weight bundle).  GOC_THREADS
-caps the splat worker processes, clamped to the usable cores; sharding
-never changes per-voxel accumulation order, so the emitted grid digest is
-identical for any worker count.  Inputs a later stage never reads (the
-scene's views and depth planes, the per-modality features) are dropped as
-soon as they are consumed, so they are not resident during the splat.
+The pipeline runs forward only.  Its random draws (scene, weights, anchors)
+derive from the master seed and a stage label, so a run is a deterministic
+function of (config, seeds, weight bundle); smoothing runs only when the
+config turns it on.  GOC_THREADS caps the splat worker processes, clamped
+to the usable cores; sharding never changes per-voxel accumulation order,
+so the emitted grid digest is identical for any worker count.  Inputs a
+later stage never reads (the scene's views and depth planes, the
+per-modality features) are dropped as soon as they are consumed, so they
+are not resident during the splat.
 
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
@@ -131,6 +133,12 @@ def _load_or_generate_scene(config: RunConfig) -> SyntheticScene:
             raise ConfigurationError(
                 "scene feature width does not match the model feature width", field="scene"
             )
+        if scene.config.depth_planes != config.model.depth_planes:
+            raise ConfigurationError(
+                f"scene has {scene.config.depth_planes} depth planes, the model "
+                f"{config.model.depth_planes}",
+                field="scene",
+            )
         return scene
     return generate_scene(config.scene_config, derive_seed(config.seed, "scene"))
 
@@ -165,7 +173,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
     threads_requested = _requested_threads()
     threads = thread_cap()
     timings: dict[str, float] = {}
-    seeds = {label: derive_seed(config.seed, label) for label in ("scene", "weights", "anchors", "chunking")}
+    seeds = {label: derive_seed(config.seed, label) for label in ("scene", "weights", "anchors")}
     model = config.model
 
     with _timed(timings, "scene"):
@@ -183,9 +191,6 @@ def run_pipeline(config: RunConfig) -> RunResult:
         f_cam = lifting.aggregate_camera(arrays["centroid"], scene.views, cam_params)
         kp_params = lifting.KeypointParams.from_bundle(bundle, model.feature_width, model.lidar_keypoints)
         ldfa_params = lifting.LdfaParams.from_bundle(bundle, model.feature_width, model.depth_chunks)
-        chunking = lifting.partition_depths(
-            model.depth_planes, model.depth_chunks, seeds["chunking"], training=False
-        )
         f_lidar = lifting.lift_lidar(
             arrays["centroid"],
             arrays["feature"],
@@ -193,17 +198,15 @@ def run_pipeline(config: RunConfig) -> RunResult:
             scene.stack,
             kp_params,
             ldfa_params,
-            chunking,
+            model.depth_chunks,
         )
         truth = scene.truth
         del scene  # the views and depth planes are not read again
 
-    with _timed(timings, "smoothing"):
-        smoothing_cfg = smoothing.SmoothingConfig(seed=derive_seed(config.seed, "smoothing"))
-        eps = float(bundle.get("smoothing.eps", ()))
-        f_cam, f_lidar, _ = smoothing.smooth_features(
-            f_cam, f_lidar, smoothing_cfg, eps, training=False, force_on=config.smoothing
-        )
+    with _timed(timings, "smoothing"):  # timed even when off, so every run reports each stage
+        if config.smoothing:
+            eps = float(bundle.get("smoothing.eps", ()))
+            f_cam, f_lidar = smoothing.smooth_features(f_cam, f_lidar, eps)
 
     with _timed(timings, "fusion"):
         fusion_params = fusion.FusionParams.from_bundle(bundle, model.feature_width, model.consistency_width)

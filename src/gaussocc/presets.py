@@ -243,8 +243,11 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
     if fusion_mode not in FUSION_MODES:
         raise ConfigurationError(f"fusion_mode must be one of {FUSION_MODES}", field="fusion_mode")
     truncation = float(merged.get("truncation_sigmas", 6.0))
-    if truncation < 1.0:
-        raise ConfigurationError("truncation_sigmas must be >= 1", field="truncation_sigmas")
+    if not 1.0 <= truncation < np.inf:  # also rejects NaN
+        raise ConfigurationError("truncation_sigmas must be finite and >= 1", field="truncation_sigmas")
+    occupancy_threshold = float(merged.get("occupancy_threshold", 0.1))
+    if not np.isfinite(occupancy_threshold):
+        raise ConfigurationError("occupancy_threshold must be finite", field="occupancy_threshold")
 
     grid = GridSpec(
         origin=np.array(merged.get("grid_origin", base["grid_origin"])),
@@ -286,7 +289,7 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
         fusion_mode=fusion_mode,
         smoothing=bool(merged.get("smoothing", False)),
         truncation_sigmas=truncation,
-        occupancy_threshold=float(merged.get("occupancy_threshold", 0.1)),
+        occupancy_threshold=occupancy_threshold,
         grid=grid,
         taxonomy=taxonomy,
         model=model,

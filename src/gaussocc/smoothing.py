@@ -4,9 +4,9 @@ Camera and LiDAR anchor features are read as logits over the latent channel
 axis; bidirectional cross-entropy between their tempered softmaxes measures
 disagreement, exponential decay turns the entropies into normalized
 confidence weights, and a learnable scalar adds the per-anchor confidence
-back onto every channel as a gentle residual.  A stochastic layer mask makes
-the whole stage a training-time regularizer; at inference it is off unless
-forced on.
+back onto every channel as a gentle residual.  The stage runs one pass;
+the paper's random layer mask, a training-time regularizer, is not
+reproduced, and the pipeline runs the stage only when smoothing is on.
 """
 
 from __future__ import annotations
@@ -19,25 +19,9 @@ from .core import _softmax
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    temperature: float = 1.0
-    floor: float = 1e-6
-    layer_count: int = 1
-    selection_probability: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigurationError("temperature must be > 0", field="temperature")
-        if self.floor <= 0:
-            raise ConfigurationError("floor must be > 0", field="floor")
-        if not 0.0 <= self.selection_probability <= 1.0:
-            raise ConfigurationError(
-                "selection_probability must be in [0, 1]", field="selection_probability"
-            )
-        if self.layer_count < 1:
-            raise ConfigurationError("layer_count must be >= 1", field="layer_count")
+# softmax temperature and the floor that guards the log and the normalization
+TEMPERATURE = 1.0
+FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,41 +91,14 @@ def apply_smoothing(
     )
 
 
-def select_layers(layer_count: int, probability: float, seed: int, training: bool) -> np.ndarray:
-    """Boolean mask of layers to smooth; all-false at inference."""
-    if not 0.0 <= probability <= 1.0:
-        raise ConfigurationError("selection probability must be in [0, 1]")
-    if not training:
-        return np.zeros(layer_count, dtype=bool)
-    return np.random.default_rng(seed).random(layer_count) < probability
-
-
-def entropy_maps(f_cam: np.ndarray, f_lidar: np.ndarray, config: SmoothingConfig) -> EntropyMaps:
-    p_cam = tempered_softmax(f_cam, config.temperature)
-    q_lidar = tempered_softmax(f_lidar, config.temperature)
-    h_cl, h_lc = bidirectional_cross_entropy(p_cam, q_lidar, config.floor)
-    w_cam, w_lidar = confidence_weights(h_cl, h_lc, config.floor)
+def entropy_maps(f_cam: np.ndarray, f_lidar: np.ndarray) -> EntropyMaps:
+    p_cam = tempered_softmax(f_cam, TEMPERATURE)
+    q_lidar = tempered_softmax(f_lidar, TEMPERATURE)
+    h_cl, h_lc = bidirectional_cross_entropy(p_cam, q_lidar, FLOOR)
+    w_cam, w_lidar = confidence_weights(h_cl, h_lc, FLOOR)
     return EntropyMaps(h_cam_to_lidar=h_cl, h_lidar_to_cam=h_lc, w_cam=w_cam, w_lidar=w_lidar)
 
 
-def smooth_features(
-    f_cam: np.ndarray,
-    f_lidar: np.ndarray,
-    config: SmoothingConfig,
-    eps: float,
-    *,
-    training: bool = False,
-    force_on: bool = False,
-):
-    """Run the smoothing stack: one residual pass per selected layer."""
-    if force_on:
-        mask = np.ones(config.layer_count, dtype=bool)
-    else:
-        mask = select_layers(config.layer_count, config.selection_probability, config.seed, training)
-    maps = None
-    for active in mask:
-        if not active:
-            continue
-        maps = entropy_maps(f_cam, f_lidar, config)
-        f_cam, f_lidar = apply_smoothing(f_cam, f_lidar, maps, eps)
-    return f_cam, f_lidar, maps
+def smooth_features(f_cam: np.ndarray, f_lidar: np.ndarray, eps: float):
+    """One smoothing pass: the residual update under the features' entropy maps."""
+    return apply_smoothing(f_cam, f_lidar, entropy_maps(f_cam, f_lidar), eps)

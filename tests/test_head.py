@@ -592,6 +592,9 @@ class TestSplat:
     def test_truncation_radius_validated(self):
         with pytest.raises(ConfigurationError):
             splat_arrays(stack_primitives([isotropic_primitive([0, 0, 0])]), self.grid(), 0.5)
+        for radius in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                splat_arrays(stack_primitives([isotropic_primitive([0, 0, 0])]), self.grid(), radius)
 
     def test_label_assignment_and_threshold(self):
         spec = self.grid()

@@ -8,7 +8,6 @@ from gaussocc.harness import oracle_bilinear_sample
 from gaussocc.lifting import (
     CameraLiftParams,
     CameraView,
-    DepthChunking,
     DepthPlaneStack,
     KeypointParams,
     KeypointSet,
@@ -21,7 +20,6 @@ from gaussocc.lifting import (
     generate_keypoints,
     ldfa_depth_sample,
     lift_lidar,
-    partition_depths,
     project_to_view,
 )
 
@@ -351,88 +349,60 @@ class TestLdfaDepthSample:
 
 
 class TestPartitionDepths:
+    """The contiguous depth chunks that chunk_means pools: a level-index column
+    pools to each chunk's mean level index."""
+
     def test_singleton_chunks(self):
-        chunking = partition_depths(4, 4, seed=0, training=False)
-        assert chunking.chunk_sets == ((0,), (1,), (2,), (3,))
-        np.testing.assert_array_equal(chunking.permutation, np.arange(4))
+        levels = np.broadcast_to(np.arange(4.0)[:, None], (2, 4, 3))
+        np.testing.assert_array_equal(chunk_means(levels, 4), levels)
 
     def test_even_split(self):
-        chunking = partition_depths(4, 2, seed=0, training=False)
-        assert chunking.chunk_sets == ((0, 1), (2, 3))
+        np.testing.assert_array_equal(chunk_means(np.arange(4.0)[:, None], 2), [[0.5], [2.5]])
 
     def test_remainder_to_last(self):
-        chunking = partition_depths(3, 2, seed=0, training=False)
-        assert tuple(len(s) for s in chunking.chunk_sets) == (1, 2)
+        np.testing.assert_array_equal(chunk_means(np.arange(3.0)[:, None], 2), [[0.0], [1.5]])
+        np.testing.assert_array_equal(chunk_means(np.arange(8.0)[:, None], 3), [[0.5], [2.5], [5.5]])
 
     def test_chunks_exceed_levels(self):
-        with pytest.raises(ConfigurationError):
-            partition_depths(3, 4, seed=0, training=False)
-
-    def test_inference_ignores_seed(self):
-        a = partition_depths(8, 3, seed=1, training=False)
-        b = partition_depths(8, 3, seed=999, training=False)
-        np.testing.assert_array_equal(a.permutation, b.permutation)
-
-    def test_training_permutation_seeded(self):
-        a = partition_depths(8, 3, seed=5, training=True)
-        b = partition_depths(8, 3, seed=5, training=True)
-        np.testing.assert_array_equal(a.permutation, b.permutation)
-        assert sorted(a.permutation.tolist()) == list(range(8))
+        for k in (4, 0):  # K > D and K < 1
+            with pytest.raises(ConfigurationError) as err:
+                chunk_means(np.zeros((3, 2)), k)
+            assert err.value.field == "depth_chunks"
 
 
 class TestChunkMeans:
     def test_singleton_identity(self):
         rng = np.random.default_rng(4)
         f_depth = rng.normal(size=(4, 3))
-        chunking = partition_depths(4, 4, seed=0, training=False)
-        np.testing.assert_array_equal(chunk_means(f_depth, chunking), f_depth)
+        np.testing.assert_array_equal(chunk_means(f_depth, 4), f_depth)
 
     def test_hand_mean(self):
         f_depth = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 5.0], [7.0, 7.0]])
-        chunking = partition_depths(4, 2, seed=0, training=False)
-        np.testing.assert_allclose(chunk_means(f_depth, chunking), [[1.0, 1.0], [6.0, 6.0]])
+        np.testing.assert_allclose(chunk_means(f_depth, 2), [[1.0, 1.0], [6.0, 6.0]])
 
     def test_constant_field(self):
         f_depth = np.full((6, 2), 3.25)
-        chunking = partition_depths(6, 3, seed=0, training=False)
-        np.testing.assert_allclose(chunk_means(f_depth, chunking), np.full((3, 2), 3.25))
-
-    def test_permutation_selects_rows(self):
-        f_depth = np.arange(4, dtype=float)[:, None]
-        chunking = DepthChunking(
-            chunk_count=2, permutation=np.array([3, 2, 1, 0]), chunk_sets=((0, 1), (2, 3))
-        )
-        np.testing.assert_allclose(chunk_means(f_depth, chunking), [[2.5], [0.5]])
+        np.testing.assert_allclose(chunk_means(f_depth, 3), np.full((3, 2), 3.25))
 
     def test_equal_chunks_recover_global_mean(self):
         rng = np.random.default_rng(5)
         f_depth = rng.normal(size=(8, 3))
-        chunking = partition_depths(8, 4, seed=0, training=False)
         np.testing.assert_allclose(
-            chunk_means(f_depth, chunking).mean(axis=0), f_depth.mean(axis=0), rtol=1e-12, atol=1e-12
+            chunk_means(f_depth, 4).mean(axis=0), f_depth.mean(axis=0), rtol=1e-12, atol=1e-12
         )
 
     def test_bitwise_equal_to_gathered_rows(self):
-        # contiguous ascending chunks are read as slices, the others through a gather
+        # per-chunk np.mean over a slice view and over a gathered copy of the rows
         rng = np.random.default_rng(6)
         f_depth = rng.normal(size=(2, 50, 8, 16))
-        for chunking in (
-            partition_depths(8, 3, seed=0, training=False),
-            partition_depths(8, 3, seed=7, training=True),
-            DepthChunking(
-                chunk_count=2,
-                permutation=np.array([2, 3, 4, 5, 1, 0, 7, 6]),
-                chunk_sets=((0, 1, 2, 3), (4, 5, 6, 7)),
-            ),
-        ):
+        for k, bounds in ((1, (0, 8)), (3, (0, 2, 4, 8)), (4, (0, 2, 4, 6, 8)), (8, tuple(range(9)))):
+            spans = list(zip(bounds[:-1], bounds[1:]))
+            sliced = np.stack([np.mean(f_depth[..., lo:hi, :], axis=-2) for lo, hi in spans], axis=-2)
             gathered = np.stack(
-                [
-                    np.mean(f_depth[..., chunking.permutation[list(s)], :], axis=-2)
-                    for s in chunking.chunk_sets
-                ],
-                axis=-2,
+                [np.mean(f_depth[..., list(range(lo, hi)), :], axis=-2) for lo, hi in spans], axis=-2
             )
-            assert chunk_means(f_depth, chunking).tobytes() == gathered.tobytes()
+            out = chunk_means(f_depth, k)
+            assert out.tobytes() == sliced.tobytes() == gathered.tobytes()
 
 
 def ldfa_params(f, k, phi_w=None, phi_b=None, gate_w=None, gate_b=0.0):
@@ -514,7 +484,6 @@ class TestLiftLidarDriver:
         scales = np.full((12, 3), 0.5)
         kp_params = KeypointParams.from_bundle(small_bundle, 16, 4)
         ld_params = LdfaParams.from_bundle(small_bundle, 16, 4)
-        chunking = partition_depths(8, 4, seed=0, training=False)
-        out = lift_lidar(centroids, features, scales, small_scene.stack, kp_params, ld_params, chunking)
+        out = lift_lidar(centroids, features, scales, small_scene.stack, kp_params, ld_params, 4)
         assert out.shape == (12, 16)
         assert np.all(np.isfinite(out))

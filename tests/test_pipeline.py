@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussocc import head, metrics, pipeline
+from gaussocc import head, metrics, pipeline, smoothing
 from gaussocc.cli import main
 from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import ConfigurationError, LabelError
 from gaussocc.formats import load_grid
-from gaussocc.harness import oracle_lovasz_per_class
+from gaussocc.harness import generate_scene, oracle_lovasz_per_class, save_scene
 from gaussocc.metrics import lovasz_per_class, weighted_ce
 from gaussocc.pipeline import derive_seed, grid_probabilities, run_pipeline, score_grid, thread_cap
 from gaussocc.presets import parse_config_file, resolve_config
@@ -47,6 +47,24 @@ class TestConfigResolution:
         with pytest.raises(ConfigurationError) as info:
             resolve_config({"fusion_mode": "sum"})
         assert info.value.field == "fusion_mode"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("plane_shape", "16 24 5"),
+            ("camera_shape", "32"),
+            ("noise_sigma", -1.0),
+            ("noise_sigma", "nan"),
+            ("truncation_sigmas", "nan"),
+            ("truncation_sigmas", "inf"),
+            ("occupancy_threshold", "nan"),
+            ("occupancy_threshold", "inf"),
+        ],
+    )
+    def test_malformed_value_names_field(self, key, value):
+        with pytest.raises(ConfigurationError) as info:
+            resolve_config({key: value})
+        assert info.value.field == key
 
     def test_preset_defaults(self):
         cfg = resolve_config({"preset": "openocc"})
@@ -163,6 +181,22 @@ class TestRunPipeline:
         off = run_pipeline(small_config(tmp_path, subdir="s0", smoothing=False))
         on = run_pipeline(small_config(tmp_path, subdir="s1", smoothing=True))
         assert off.manifest["outputs"]["grid_digest"] != on.manifest["outputs"]["grid_digest"]
+
+    def test_smoothing_off_skips_stage(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("smooth_features ran with smoothing off")
+
+        monkeypatch.setattr(smoothing, "smooth_features", refuse)
+        result = run_pipeline(small_config(tmp_path, smoothing=False))
+        assert "smoothing" in result.manifest["stage_timings_s"]
+
+    def test_scene_depth_planes_must_match_model(self, tmp_path):
+        six = small_config(tmp_path, depth_planes=6)
+        path = tmp_path / "six.gscn"
+        save_scene(generate_scene(six.scene_config, 0), path)
+        with pytest.raises(ConfigurationError, match="depth planes") as info:
+            run_pipeline(small_config(tmp_path, scene=str(path)))
+        assert info.value.field == "scene"
 
     def test_missing_weights_file(self, tmp_path):
         cfg = small_config(tmp_path, weights=str(tmp_path / "missing.gocw"))
@@ -444,6 +478,25 @@ class TestCli:
         code = main(["run", "--preset", "synthetic", "--gaussians", "0", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "gaussian_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, flags, key",
+        [
+            ("", ["--truncation", "nan"], "truncation_sigmas"),
+            ("plane_shape = 16 24 5", [], "plane_shape"),
+            ("camera_shape = 32", [], "camera_shape"),
+            ("noise_sigma = -1", [], "noise_sigma"),
+            ("occupancy_threshold = nan", [], "occupancy_threshold"),
+        ],
+    )
+    def test_malformed_value_exit_code(self, tmp_path, capsys, line, flags, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        code = main(["run", "--config", str(config), *flags, "--out", str(tmp_path / "z")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "z").exists()
 
     def test_unreadable_scene_exit_code(self, tmp_path, capsys):
         code = main([

@@ -4,12 +4,10 @@ import pytest
 from gaussocc.errors import ConfigurationError
 from gaussocc.smoothing import (
     EntropyMaps,
-    SmoothingConfig,
     apply_smoothing,
     bidirectional_cross_entropy,
     confidence_weights,
     entropy_maps,
-    select_layers,
     smooth_features,
     tempered_softmax,
 )
@@ -52,8 +50,6 @@ class TestTemperedSoftmax:
     def test_non_positive_temperature(self):
         with pytest.raises(ConfigurationError):
             tempered_softmax(np.zeros(3), 0.0)
-        with pytest.raises(ConfigurationError):
-            SmoothingConfig(temperature=-1.0)
 
 
 class TestBidirectionalCrossEntropy:
@@ -133,43 +129,19 @@ class TestApplySmoothing:
         assert out_cam.shape == (5, 9) and out_lidar.shape == (5, 9)
 
 
-class TestSelectLayers:
-    def test_zero_probability(self):
-        assert not select_layers(8, 0.0, seed=1, training=True).any()
-
-    def test_unit_probability(self):
-        assert select_layers(8, 1.0, seed=1, training=True).all()
-
-    def test_seed_determinism(self):
-        a = select_layers(16, 0.5, seed=9, training=True)
-        b = select_layers(16, 0.5, seed=9, training=True)
-        np.testing.assert_array_equal(a, b)
-
-    def test_inference_all_false(self):
-        assert not select_layers(8, 1.0, seed=1, training=False).any()
-
-
 class TestSmoothFeaturesDriver:
-    def test_disabled_at_inference(self):
-        rng = np.random.default_rng(5)
-        f_cam, f_lidar = rng.normal(size=(2, 4, 6))
-        cfg = SmoothingConfig()
-        out_cam, out_lidar, maps = smooth_features(f_cam, f_lidar, cfg, eps=0.5, training=False)
-        np.testing.assert_array_equal(out_cam, f_cam)
-        np.testing.assert_array_equal(out_lidar, f_lidar)
-        assert maps is None
-
-    def test_force_on_changes_features(self):
+    def test_one_pass_changes_features(self):
         rng = np.random.default_rng(6)
         f_cam, f_lidar = rng.normal(size=(2, 4, 6))
-        cfg = SmoothingConfig()
-        out_cam, out_lidar, maps = smooth_features(f_cam, f_lidar, cfg, eps=0.5, force_on=True)
-        assert maps is not None
-        assert not np.array_equal(out_cam, f_cam)
+        out_cam, out_lidar = smooth_features(f_cam, f_lidar, eps=0.5)
+        maps = entropy_maps(f_cam, f_lidar)
         assert np.all(maps.w_cam > 0) and np.all(maps.w_cam < 1)
+        expected = apply_smoothing(f_cam, f_lidar, maps, 0.5)
+        assert out_cam.tobytes() == expected[0].tobytes() and out_lidar.tobytes() == expected[1].tobytes()
+        assert not np.array_equal(out_cam, f_cam)
 
     def test_weight_symmetry_bitwise(self):
         rng = np.random.default_rng(7)
         f = rng.normal(size=(10, 8))
-        maps = entropy_maps(f, f, SmoothingConfig())
+        maps = entropy_maps(f, f)
         np.testing.assert_array_equal(maps.w_cam, maps.w_lidar)
