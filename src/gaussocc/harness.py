@@ -1,11 +1,12 @@
 """Synthetic scenes, sensor degradation models, and brute-force oracles.
 
 Scenes are built from a handful of class-labelled Gaussian blobs: the truth
-grid assigns each voxel to its densest blob above a threshold, depth planes
-carry each blob's XY footprint in the blob's class channel (soft one-hot
-signatures plus noise, so lifting has linearly recoverable signal), and
-camera planes carry projected image-space footprints.  Everything is a pure
-function of (config, seed).
+grid assigns each voxel to its densest blob above a threshold, evaluating
+each blob only inside its per-blob threshold box (exact, see
+``_blob_truth``); depth planes carry each blob's XY footprint in the blob's
+class channel (soft one-hot signatures plus noise, so lifting has linearly
+recoverable signal), and camera planes carry projected image-space
+footprints.  Everything is a pure function of (config, seed).
 
 The oracles are deliberately naive: the dense splatter evaluates every
 primitive at every voxel with no truncation, the bilinear sampler builds one
@@ -77,6 +78,8 @@ class SceneConfig:
             raise ConfigurationError("camera_shape must be two positive sizes", field="camera_shape")
         if not 0 <= self.noise_sigma < np.inf:  # also rejects NaN
             raise ConfigurationError("noise_sigma must be finite and >= 0", field="noise_sigma")
+        if not 0 < self.truth_threshold < 1:  # also rejects NaN; the truth box radius needs ln t
+            raise ConfigurationError("truth_threshold must be in (0, 1)", field="truth_threshold")
 
     def scale_range(self) -> tuple[float, float]:
         if self.blob_scale_range is not None:
@@ -101,8 +104,8 @@ class DegradationConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1]", field=name)
         for name in ("camera_noise_sigma", "lidar_noise_sigma"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0", field=name)
+            if not 0 <= getattr(self, name) < np.inf:  # also rejects NaN
+                raise ConfigurationError(f"{name} must be finite and >= 0", field=name)
 
 
 @dataclass(frozen=True)
@@ -146,22 +149,54 @@ def _camera_rig(config: SceneConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     return rig
 
 
+def _threshold_sigmas(threshold: float) -> float:
+    """Mahalanobis radius sqrt(-2 ln t) at which a unit-peak Gaussian falls to ``threshold``."""
+    return math.sqrt(-2.0 * math.log(threshold))
+
+
 def _blob_truth(config: SceneConfig, centroids, scales, rotations, classes) -> SemanticOccupancyGrid:
-    centers = voxel_centers(config.grid)
-    best_density = np.zeros(config.grid.dims)
-    best_class = np.full(config.grid.dims, config.taxonomy.empty_id, dtype=np.int64)
+    """Label each voxel with its densest blob's class where that density reaches the threshold.
+
+    Each blob is evaluated only inside its threshold box: on axis k,
+    exp(-q/2) >= t needs |d_k| <= sqrt(-2 ln t * Sigma_kk), and the box is that
+    range padded by one voxel on each side (so float rounding of q at the
+    edge drops no voxel) and clipped to the grid.  The labels equal those of
+    one dense pass over every blob and voxel:
+
+    - outside its box, a blob's density is below t;
+    - so a voxel whose best density reaches t finds its winner, and every
+      blob tied with it, among the blobs whose boxes cover it;
+    - under the strict ``>`` update the first of those tied blobs wins, as
+      in the dense pass, and a voxel whose best density stays below t is
+      empty either way.
+    """
+    spec = config.grid
+    axes = [spec.origin[a] + (np.arange(spec.dims[a]) + 0.5) * spec.voxel_size[a] for a in range(3)]
+    reach = _threshold_sigmas(config.truth_threshold)
+    best_density = np.zeros(spec.dims)
+    best_class = np.full(spec.dims, config.taxonomy.empty_id, dtype=np.int64)
     for i in range(len(centroids)):
-        inv = np.linalg.inv(make_covariance(scales[i], rotations[i]))
-        d = centers - centroids[i]
+        sigma = make_covariance(scales[i], rotations[i])
+        half = reach * np.sqrt(np.diag(sigma))
+        # centre j = origin + (j + 0.5) * voxel lies within half of the centroid for lo < j < hi - 1
+        lo = np.ceil((centroids[i] - half - spec.origin) / spec.voxel_size - 0.5) - 1
+        hi = np.floor((centroids[i] + half - spec.origin) / spec.voxel_size - 0.5) + 2
+        lo, hi = np.maximum(lo, 0).astype(np.int64), np.minimum(hi, spec.dims).astype(np.int64)
+        if np.any(hi <= lo):
+            continue
+        box = tuple(slice(lo[a], hi[a]) for a in range(3))
+        inv = np.linalg.inv(sigma)
+        d = np.stack(np.meshgrid(*(axes[a][box[a]] - centroids[i, a] for a in range(3)), indexing="ij"), axis=-1)
         quad = np.einsum("...i,ij,...j->...", d, inv, d)
         dens = np.exp(-0.5 * quad)
-        better = dens > best_density
-        best_density = np.where(better, dens, best_density)
-        best_class = np.where(better, classes[i], best_class)
+        box_density, box_class = best_density[box], best_class[box]
+        better = dens > box_density
+        np.copyto(box_density, dens, where=better)
+        np.copyto(box_class, classes[i], where=better)
     labels = np.where(
         best_density >= config.truth_threshold, best_class, config.taxonomy.empty_id
     ).astype(np.uint8)
-    return SemanticOccupancyGrid(spec=config.grid, labels=labels)
+    return SemanticOccupancyGrid(spec=spec, labels=labels)
 
 
 def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
@@ -305,7 +340,7 @@ def blob_primitives(scene: SyntheticScene) -> tuple[dict, float]:
         "opacity_logit": np.full(count, 60.0),
         "semantic_logits": logits,
     }
-    return arrays, float(math.floor(math.sqrt(-2.0 * math.log(scene.config.truth_threshold))) + 1)
+    return arrays, float(math.floor(_threshold_sigmas(scene.config.truth_threshold)) + 1)
 
 
 def oracle_dense_splat(

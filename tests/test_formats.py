@@ -312,6 +312,8 @@ INVALID_HEADER = {
         rb"stack\.cell_size=[^\n]*", b"stack.cell_size=0.5 -0.5", b"stack.cell_size"
     ),
     "gscn-short-stack-origin": _scene_case(rb"stack\.origin_xy=[^ ]*", b"stack.origin_xy=", b"stack.origin_xy"),
+    "gscn-zero-truth-threshold": _scene_case(rb"truth_threshold=[^\n]*", b"truth_threshold=0.0", b"truth_threshold"),
+    "gscn-unit-truth-threshold": _scene_case(rb"truth_threshold=[^\n]*", b"truth_threshold=1.0", b"truth_threshold"),
 }
 
 

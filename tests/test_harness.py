@@ -1,12 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gaussocc.core import GaussianPrimitive, GridSpec, make_covariance, stack_primitives, voxel_centers
+from gaussocc.core import (
+    GaussianPrimitive,
+    GridSpec,
+    SemanticOccupancyGrid,
+    make_covariance,
+    stack_primitives,
+    voxel_centers,
+)
 from gaussocc.errors import ConfigurationError, FormatError
 from gaussocc import head, presets
 from gaussocc.harness import (
     DegradationConfig,
     SceneConfig,
+    _blob_truth,
     blob_primitives,
     degrade,
     dump_scene,
@@ -52,6 +62,12 @@ class TestGenerateScene:
     def test_non_positive_plane_shapes_rejected(self, small_grid, small_taxonomy, shapes):
         with pytest.raises(ConfigurationError):
             SceneConfig(grid=small_grid, taxonomy=small_taxonomy, feature_width=16, **shapes)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.0, 1.5, float("nan")])
+    def test_truth_threshold_outside_unit_interval_rejected(self, small_grid, small_taxonomy, threshold):
+        with pytest.raises(ConfigurationError) as info:
+            SceneConfig(grid=small_grid, taxonomy=small_taxonomy, feature_width=16, truth_threshold=threshold)
+        assert info.value.field == "truth_threshold"
 
     def test_single_central_blob_occupies_exact_ball(self, small_grid, small_taxonomy):
         config = SceneConfig(
@@ -131,6 +147,13 @@ class TestDegrade:
         with pytest.raises(ConfigurationError):
             DegradationConfig(mode="rain", camera_dropout_fraction=1.5)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["camera_noise_sigma", "lidar_noise_sigma"])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, name, sigma):
+        with pytest.raises(ConfigurationError) as info:
+            DegradationConfig(mode="rain", **{name: sigma})
+        assert info.value.field == name
+
 
 class TestSceneCodec:
     def test_round_trip(self, small_scene, tmp_path):
@@ -152,6 +175,147 @@ class TestSceneCodec:
         data = dump_scene(small_scene)
         with pytest.raises(FormatError):
             parse_scene(data[:-10])
+
+
+def reference_blob_truth(config, centroids, scales, rotations, classes):
+    """The dense truth pass: every blob evaluated at every voxel."""
+    centers = voxel_centers(config.grid)
+    best_density = np.zeros(config.grid.dims)
+    best_class = np.full(config.grid.dims, config.taxonomy.empty_id, dtype=np.int64)
+    for i in range(len(centroids)):
+        inv = np.linalg.inv(make_covariance(scales[i], rotations[i]))
+        d = centers - centroids[i]
+        quad = np.einsum("...i,ij,...j->...", d, inv, d)
+        dens = np.exp(-0.5 * quad)
+        better = dens > best_density
+        best_density = np.where(better, dens, best_density)
+        best_class = np.where(better, classes[i], best_class)
+    labels = np.where(
+        best_density >= config.truth_threshold, best_class, config.taxonomy.empty_id
+    ).astype(np.uint8)
+    return SemanticOccupancyGrid(spec=config.grid, labels=labels)
+
+
+# GridSpec (-4, -4, -2) + (16, 16, 16) voxels of 0.5 x 0.5 x 0.25: x and y span [-4, 4], z spans [-2, 2]
+BOX_GRID = GridSpec(origin=np.array([-4.0, -4.0, -2.0]), voxel_size=np.array([0.5, 0.5, 0.25]), dims=(16, 16, 16))
+TILTED = np.array([0.9, 0.3, -0.2, 0.25]) / np.linalg.norm([0.9, 0.3, -0.2, 0.25])
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+# hand-built blob sets: (centroid, scale, rotation, class) rows
+BLOB_SETS = {
+    # one rotated anisotropic blob across each of the six faces
+    "overhanging-faces": [
+        ((-4.3, 0.2, 0.1), (1.2, 0.4, 0.6), TILTED, 0),
+        ((4.1, -0.7, -0.3), (0.5, 1.1, 0.3), TILTED[[1, 0, 3, 2]], 1),
+        ((0.4, -4.2, 0.5), (0.8, 1.3, 0.4), TILTED[[2, 3, 0, 1]], 2),
+        ((-0.9, 4.4, -0.6), (1.4, 0.6, 0.5), TILTED, 3),
+        ((1.1, 1.3, -2.2), (0.9, 0.7, 0.8), TILTED[[3, 2, 1, 0]], 4),
+        ((-1.7, -1.2, 2.05), (0.6, 0.9, 0.35), TILTED, 5),
+    ],
+    "wholly-outside": [
+        ((9.0, 0.0, 0.0), (0.5, 0.5, 0.5), TILTED, 1),
+        ((0.0, 0.0, 0.0), (0.7, 0.5, 0.3), TILTED, 2),
+    ],
+    # centred on a voxel corner, far below half a voxel wide
+    "sub-voxel-between-centres": [
+        ((0.0, 0.5, -0.5), (0.04, 0.06, 0.03), TILTED, 3),
+        ((1.25, 1.25, 0.125), (0.05, 0.05, 0.05), IDENTITY, 4),
+    ],
+    "coincident-classes": [
+        ((0.3, -0.2, 0.1), (1.0, 0.6, 0.4), TILTED, 2),
+        ((0.3, -0.2, 0.1), (1.0, 0.6, 0.4), TILTED, 4),
+    ],
+}
+
+# dump_scene sha256 of the three benchmark workloads' scenes, recorded on the dense truth pass
+WORKLOAD_OVERRIDES = {
+    "occ3d": {"preset": "occ3d", "smoothing": True, "blob_min": 8, "blob_max": 8},
+    "dense-grid": {
+        "preset": "synthetic",
+        "gaussian_count": 25600,
+        "grid_dims": (256, 256, 32),
+        "grid_origin": (-51.2, -51.2, -2.0),
+        "grid_voxel": (0.4, 0.4, 0.25),
+        "plane_shape": (128, 128),
+        "camera_shape": (64, 96),
+        "truncation_sigmas": 3.0,
+        "blob_min": 8,
+        "blob_max": 8,
+    },
+    "small": {"preset": "synthetic", "blob_min": 8, "blob_max": 8},
+}
+SCENE_SHA256 = {
+    ("occ3d", 3): "811ad102400117ca548856cb32dd9b7d21e15985058d132c22e124bf44000d13",
+    ("occ3d", 7): "72122a1d15ef6ff9a68aad3b1c7964fb16bb3fe7a21b3c290b11ee6580388f92",
+    ("dense-grid", 3): "ca36bf41630e88af7cd2ecb77769a000852a5282972ac5e431e4da91b2526462",
+    ("dense-grid", 7): "82068adb0a282332a3850aa9694695e85fbe900ff73c3dff393b836bf4625961",
+    ("small", 3): "1a2f7dde6732dbb5cce637a20f7a3bfabfef6b443d650c681efc1aeb5ca0d995",
+    ("small", 7): "e8dfe28f9c9519400cde8b55cb0f6aed3f5b25569d0b1c58e8308ae612e8337e",
+}
+
+
+class TestBlobTruth:
+    """The boxed truth pass labels every voxel as the dense pass does."""
+
+    @staticmethod
+    def config(taxonomy, threshold):
+        return SceneConfig(grid=BOX_GRID, taxonomy=taxonomy, feature_width=16, truth_threshold=threshold)
+
+    @staticmethod
+    def assert_matches_reference(config, centroids, scales, rotations, classes):
+        blobs = tuple(np.asarray(a, dtype=np.float64) for a in (centroids, scales, rotations))
+        classes = np.asarray(classes, dtype=np.int64)
+        fast = _blob_truth(config, *blobs, classes).labels
+        dense = reference_blob_truth(config, *blobs, classes).labels
+        np.testing.assert_array_equal(fast, dense)
+        return fast
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_small_fixture_scene(self, small_scene, seed):
+        scene = generate_scene(small_scene.config, seed)
+        labels = self.assert_matches_reference(
+            scene.config, scene.blob_centroids, scene.blob_scales, scene.blob_rotations, scene.blob_classes
+        )
+        np.testing.assert_array_equal(scene.truth.labels, labels)
+
+    @pytest.mark.parametrize("threshold", [1e-6, 0.1, 0.9])
+    @pytest.mark.parametrize("case", sorted(BLOB_SETS))
+    def test_hand_built_blobs(self, small_taxonomy, case, threshold):
+        labels = self.assert_matches_reference(self.config(small_taxonomy, threshold), *zip(*BLOB_SETS[case]))
+        if case == "coincident-classes":
+            # equal densities everywhere: the first blob wins every voxel it claims
+            assert set(np.unique(labels)) == {BLOB_SETS[case][0][3], small_taxonomy.empty_id}
+
+    def test_every_face_overhung(self, small_taxonomy):
+        labels = self.assert_matches_reference(self.config(small_taxonomy, 1e-6), *zip(*BLOB_SETS["overhanging-faces"]))
+        occupied = labels != small_taxonomy.empty_id
+        for axis in range(3):
+            assert np.take(occupied, 0, axis=axis).any() and np.take(occupied, -1, axis=axis).any()
+
+    @pytest.mark.parametrize(
+        "axis,steps,scale",
+        [(0, 5, 1.45), (0, 6, 1.35), (1, 5, 1.2), (1, 5, 1.35), (2, 1, 0.7), (2, 3, 1.0), (2, 4, 0.75), (2, 6, 0.55)],
+    )
+    def test_threshold_at_a_voxel_centre(self, small_taxonomy, axis, steps, scale):
+        """The threshold is the density at the voxel ``steps`` voxels from the
+        centroid along ``axis``, so that voxel lies on the box edge up to
+        rounding: in these cases the one-voxel pad is what keeps it."""
+        centroid = voxel_centers(BOX_GRID)[7, 8, 8]
+        scales = np.array([scale, 0.8 * scale, 1.3 * scale])
+        inv = np.linalg.inv(make_covariance(scales, IDENTITY))
+        d = voxel_centers(BOX_GRID) - centroid
+        edge = [7, 8, 8]
+        edge[axis] += steps
+        threshold = float(np.exp(-0.5 * np.einsum("...i,ij,...j->...", d, inv, d))[tuple(edge)])
+        labels = self.assert_matches_reference(
+            self.config(small_taxonomy, threshold), [centroid], [scales], [IDENTITY], [1]
+        )
+        assert labels[tuple(edge)] == 1
+
+    @pytest.mark.parametrize("workload,seed", sorted(SCENE_SHA256))
+    def test_workload_scene_bytes_pinned(self, workload, seed):
+        config = presets.resolve_config(WORKLOAD_OVERRIDES[workload]).scene_config
+        assert hashlib.sha256(dump_scene(generate_scene(config, seed))).hexdigest() == SCENE_SHA256[workload, seed]
 
 
 class TestDenseSplatOracle:
