@@ -11,7 +11,7 @@ from .errors import GaussOccError
 from .harness import generate_scene, save_scene
 from .params import build_parameter_bundle
 from .pipeline import derive_seed, run_pipeline
-from .presets import PRESET_NAMES, parse_config_file, resolve_config
+from .presets import KNOWN_KEYS, PRESET_NAMES, parse_config_file, resolve_config
 
 
 def _add_run_options(parser: argparse.ArgumentParser):
@@ -29,22 +29,14 @@ def _add_run_options(parser: argparse.ArgumentParser):
 
 
 def _resolve(args: argparse.Namespace, extra: dict | None = None):
-    file_overrides = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    flags = {
-        "preset": getattr(args, "preset", None),
-        "gaussian_count": getattr(args, "gaussian_count", None),
-        "fusion_mode": getattr(args, "fusion_mode", None),
-        "seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-        "scene": getattr(args, "scene", None),
-        "weights": getattr(args, "weights", None),
-        "head_blocks": getattr(args, "head_blocks", None),
-        "truncation_sigmas": getattr(args, "truncation_sigmas", None),
-    }
-    if getattr(args, "smoothing", None) is not None:
-        flags["smoothing"] = args.smoothing == "on"
-    if extra:
-        flags.update(extra)
+    """``--config`` keys, overridden by the flags that were given, then by ``extra``.
+
+    Every run option's argparse ``dest`` is its config key, so the flags are
+    the parsed arguments whose names are known keys.
+    """
+    file_overrides = parse_config_file(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if key in KNOWN_KEYS}
+    flags.update(extra or {})
     return resolve_config(overrides=flags, file_overrides=file_overrides)
 
 

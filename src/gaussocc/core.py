@@ -93,6 +93,11 @@ class GridSpec:
     def upper(self) -> np.ndarray:
         return self.origin + self.extent
 
+    @property
+    def axis_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Voxel-centre coordinates along each axis: origin + (arange(dims) + 0.5) * voxel_size."""
+        return tuple(self.origin[a] + (np.arange(self.dims[a]) + 0.5) * self.voxel_size[a] for a in range(3))
+
 
 def voxel_center(spec: GridSpec, index) -> np.ndarray:
     """Center of the voxel at ``index``: origin + (index + 0.5) * voxel_size."""
@@ -106,8 +111,7 @@ def voxel_center(spec: GridSpec, index) -> np.ndarray:
 
 def voxel_centers(spec: GridSpec) -> np.ndarray:
     """All voxel centers as an (X, Y, Z, 3) array."""
-    axes = [spec.origin[a] + (np.arange(spec.dims[a]) + 0.5) * spec.voxel_size[a] for a in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+    gx, gy, gz = np.meshgrid(*spec.axis_centers, indexing="ij")
     return np.stack([gx, gy, gz], axis=-1)
 
 

@@ -118,13 +118,8 @@ def load_bundle(path) -> ParameterBundle:
     return parse_bundle(data)
 
 
-def dump_grid(grid: SemanticOccupancyGrid, class_count: int | None = None) -> bytes:
+def dump_grid(grid: SemanticOccupancyGrid, class_count: int) -> bytes:
     spec = grid.spec
-    if class_count is None:
-        if grid.scores is not None:
-            class_count = int(grid.scores.shape[-1]) + 1  # semantic score channels + empty
-        else:
-            class_count = int(grid.labels.max(initial=0)) + 1
     header = GOC1_MAGIC + struct.pack(
         "<IIIII3f3f",
         FORMAT_VERSION,
@@ -172,7 +167,7 @@ def _read_grid(r: _Reader) -> SemanticOccupancyGrid:
     return SemanticOccupancyGrid(spec=spec, labels=labels.reshape((dx, dy, dz), order="F"))
 
 
-def emit_grid(grid: SemanticOccupancyGrid, path, class_count: int | None = None) -> None:
+def emit_grid(grid: SemanticOccupancyGrid, path, class_count: int) -> None:
     Path(path).write_bytes(dump_grid(grid, class_count=class_count))
 
 

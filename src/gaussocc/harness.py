@@ -58,7 +58,6 @@ class SceneConfig:
     camera_shape: tuple[int, int] = (32, 48)
     blob_range: tuple[int, int] = (3, 12)
     noise_sigma: float = 0.02
-    blob_scale_range: tuple[float, float] | None = None
     truth_threshold: float = 0.1
 
     def __post_init__(self):
@@ -80,12 +79,6 @@ class SceneConfig:
             raise ConfigurationError("noise_sigma must be finite and >= 0", field="noise_sigma")
         if not 0 < self.truth_threshold < 1:  # also rejects NaN; the truth box radius needs ln t
             raise ConfigurationError("truth_threshold must be in (0, 1)", field="truth_threshold")
-
-    def scale_range(self) -> tuple[float, float]:
-        if self.blob_scale_range is not None:
-            return self.blob_scale_range
-        v = float(np.max(self.grid.voxel_size))
-        return (1.5 * v, 4.0 * v)
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,7 @@ def _blob_truth(config: SceneConfig, centroids, scales, rotations, classes) -> S
       empty either way.
     """
     spec = config.grid
-    axes = [spec.origin[a] + (np.arange(spec.dims[a]) + 0.5) * spec.voxel_size[a] for a in range(3)]
+    axes = spec.axis_centers
     reach = _threshold_sigmas(config.truth_threshold)
     best_density = np.zeros(spec.dims)
     best_class = np.full(spec.dims, config.taxonomy.empty_id, dtype=np.int64)
@@ -206,7 +199,8 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     lo = config.grid.origin + 0.1 * config.grid.extent
     hi = config.grid.origin + 0.9 * config.grid.extent
     centroids = lo + rng.random((n_blobs, 3)) * (hi - lo)
-    s_lo, s_hi = config.scale_range()
+    v = float(np.max(config.grid.voxel_size))
+    s_lo, s_hi = 1.5 * v, 4.0 * v
     scales = s_lo + rng.random((n_blobs, 3)) * (s_hi - s_lo)
     quats = rng.normal(size=(n_blobs, 4))
     rotations = quats / np.linalg.norm(quats, axis=1, keepdims=True)

@@ -550,7 +550,7 @@ def _splat_slab(x_lo: int, x_hi: int, inputs: _SplatInputs, density: np.ndarray,
     ])[:, rows]
     probs1 = np.concatenate([inputs.class_probs[keep], np.ones((len(keep), 1))], axis=1)
     c_sem = probs1.shape[1] - 1
-    axes = [spec.origin[a] + (np.arange(spec.dims[a]) + 0.5) * spec.voxel_size[a] for a in range(3)]
+    axes = spec.axis_centers
     index = [np.arange(spec.dims[a], dtype=np.float64)[:, None] for a in range(3)]
     floor = -0.5 * inputs.radius_sq
     buf = np.empty(int(np.prod(TILE)) * int((stops - starts).max()))
@@ -700,9 +700,9 @@ def splat_arrays(
     The grid is evaluated in ``TILE``-sized voxel tiles, each with one
     stacked class-product matmul over the primitives whose boxes meet it,
     so a voxel's sums agree with a per-primitive loop to rounding.
-    ``threads`` caps the worker processes (pipeline: ``GOC_THREADS``); the
-    count is further clamped to the usable cores and to one worker per
-    column of tiles along x.  Each worker is a forked child that splats one
+    ``threads`` caps the worker processes (pipeline: ``GOC_THREADS``,
+    passed unclamped); ``_worker_count`` clamps it to the usable cores and
+    to one worker per column of tiles along x, and is the only clamp.  Each worker is a forked child that splats one
     x-slab of whole tile columns and labels it, writing into one shared
     anonymous mapping whose views are the returned grid's arrays; the
     parent only waits.  One worker, or a platform without ``os.fork``, runs

@@ -48,14 +48,9 @@ CE_LOG_FLOOR = 1e-12
 REFERENCE_MIOU = {"openocc": 25.3, "occ3d": 49.4, "kitti": 25.2}
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_ce: float = 10.0
-    lambda_lovasz: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_ce < 0 or self.lambda_lovasz < 0:
-            raise ValueError("loss weights must be non-negative")
+# weights of the two loss terms in the objective
+LAMBDA_CE = 10.0
+LAMBDA_LOVASZ = 1.0
 
 
 @dataclass(frozen=True)
@@ -226,8 +221,8 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray, excluded_class: int | 
     return lovasz_mean(lovasz_per_class(probs, labels, excluded_class))
 
 
-def total_loss(ce: float, lovasz: float, weights: LossWeights) -> float:
-    return weights.lambda_ce * ce + weights.lambda_lovasz * lovasz
+def total_loss(ce: float, lovasz: float) -> float:
+    return LAMBDA_CE * ce + LAMBDA_LOVASZ * lovasz
 
 
 def class_iou(pred: SemanticOccupancyGrid, truth: SemanticOccupancyGrid, c_total: int) -> IoUReport:

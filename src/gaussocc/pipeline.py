@@ -3,8 +3,9 @@
 The pipeline runs forward only.  Its random draws (scene, weights, anchors)
 derive from the master seed and a stage label, so a run is a deterministic
 function of (config, seeds, weight bundle); smoothing runs only when the
-config turns it on.  GOC_THREADS caps the splat worker processes, clamped
-to the usable cores; sharding never changes per-voxel accumulation order,
+config turns it on.  GOC_THREADS (default 8) is the splat's ``threads``
+request; ``head.splat_arrays`` alone clamps it to its worker count, which
+the manifest reports.  Sharding never changes per-voxel accumulation order,
 so the emitted grid digest is identical for any worker count.  Inputs a
 later stage never reads (the scene's views and depth planes, the
 per-modality features) are dropped as soon as they are consumed, so they
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, fusion, head, lifting, metrics, smoothing
-from .core import _usable_cores, init_anchors
+from .core import init_anchors
 from .errors import ConfigurationError
 from .harness import SyntheticScene, generate_scene, load_scene
 from .params import ParameterBundle, build_parameter_bundle, validate_bundle
@@ -58,18 +59,14 @@ def derive_seed(master: int, label: str) -> int:
 
 
 def _requested_threads() -> int:
+    """Splat worker processes asked for: GOC_THREADS, or 8 when it is unset or blank."""
     raw = os.environ.get("GOC_THREADS", "")
     if raw.strip():
         try:
             return max(1, int(raw))
         except ValueError:
             raise ConfigurationError(f"GOC_THREADS must be an integer, got {raw!r}") from None
-    return min(8, _usable_cores())
-
-
-def thread_cap() -> int:
-    """Splat worker processes: GOC_THREADS (default up to 8), clamped to the usable cores."""
-    return min(_requested_threads(), _usable_cores())
+    return 8
 
 
 def _probability_rows(sem: np.ndarray) -> np.ndarray:
@@ -171,7 +168,6 @@ def run_pipeline(config: RunConfig) -> RunResult:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     threads_requested = _requested_threads()
-    threads = thread_cap()
     timings: dict[str, float] = {}
     seeds = {label: derive_seed(config.seed, label) for label in ("scene", "weights", "anchors")}
     model = config.model
@@ -223,15 +219,14 @@ def run_pipeline(config: RunConfig) -> RunResult:
             config.grid,
             config.truncation_sigmas,
             occupancy_threshold=config.occupancy_threshold,
-            threads=threads,
+            threads=threads_requested,
         )
 
     with _timed(timings, "eval"):
         report = metrics.class_iou(pred, truth, config.taxonomy.c_total)
         ce, lovasz_losses = score_grid(pred, truth.labels, config.taxonomy)
         lovasz = metrics.lovasz_mean(lovasz_losses)
-        weights = metrics.LossWeights()
-        losses = {"ce": ce, "lovasz": lovasz, "total": metrics.total_loss(ce, lovasz, weights)}
+        losses = {"ce": ce, "lovasz": lovasz, "total": metrics.total_loss(ce, lovasz)}
         metrics_text = metrics.format_metrics(report, config.taxonomy, losses)
 
     with _timed(timings, "emit"):
@@ -241,14 +236,14 @@ def run_pipeline(config: RunConfig) -> RunResult:
         metrics_path = out_dir / "metrics.txt"
         metrics_path.write_text(metrics_text)
         bev_path = out_dir / "bev.ppm"
-        z_index = config.bev_z if config.bev_z is not None else config.grid.dims[2] // 2
-        formats.emit_bev_slice(pred, z_index, formats.palette_for(config.taxonomy.c_total), bev_path)
+        palette = formats.palette_for(config.taxonomy.c_total)
+        formats.emit_bev_slice(pred, config.grid.dims[2] // 2, palette, bev_path)
 
     manifest = {
         "config": config.flat(),
         "config_hash": config.config_hash(),
         "seeds": seeds,
-        "threads": threads,
+        "threads": head._worker_count(threads_requested, config.grid.dims[0]),  # the splat's worker count
         "threads_requested": threads_requested,
         "anchor_count": config.gaussian_count,
         "stage_timings_s": {k: round(v, 6) for k, v in timings.items()},

@@ -9,7 +9,7 @@ require network access.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +28,12 @@ from .harness import SceneConfig
 
 PRESET_NAMES = ("openocc", "occ3d", "kitti", "synthetic")
 
-# grids follow the benchmark layout each preset mirrors; lidar_clip_range is
-# the raw point clipping window, recorded separately from the grid extent
+# grids follow the benchmark layout each preset mirrors
 _PRESETS: dict[str, dict] = {
     "openocc": dict(
         grid_origin=(-51.2, -51.2, -5.0),
         grid_voxel=(0.2, 0.2, 0.2),
         grid_dims=(512, 512, 40),
-        lidar_clip_range=((-50.0, 50.0), (-50.0, 50.0), (-5.0, 3.0)),
-        nominal_image_size=(864, 1600),
         taxonomy=NUSCENES_CLASS_NAMES,
         gaussian_count=25600,
         feature_width=128,
@@ -50,8 +47,6 @@ _PRESETS: dict[str, dict] = {
         grid_origin=(-51.2, -51.2, -2.0),
         grid_voxel=(0.4, 0.4, 0.4),
         grid_dims=(256, 256, 20),
-        lidar_clip_range=((-51.2, 51.2), (-51.2, 51.2), (-2.0, 6.0)),
-        nominal_image_size=(864, 1600),
         taxonomy=NUSCENES_CLASS_NAMES,
         gaussian_count=12800,
         feature_width=128,
@@ -65,8 +60,6 @@ _PRESETS: dict[str, dict] = {
         grid_origin=(0.0, -25.6, -2.0),
         grid_voxel=(0.2, 0.2, 0.2),
         grid_dims=(256, 256, 32),
-        lidar_clip_range=((0.0, 51.2), (-25.6, 25.6), (-2.0, 4.4)),
-        nominal_image_size=(376, 1408),
         taxonomy=KITTI_CLASS_NAMES,
         gaussian_count=38400,
         feature_width=128,
@@ -80,8 +73,6 @@ _PRESETS: dict[str, dict] = {
         grid_origin=(-8.0, -8.0, -2.0),
         grid_voxel=(0.5, 0.5, 0.25),
         grid_dims=(32, 32, 16),
-        lidar_clip_range=((-8.0, 8.0), (-8.0, 8.0), (-2.0, 2.0)),
-        nominal_image_size=(32, 48),
         taxonomy=NUSCENES_CLASS_NAMES,
         gaussian_count=1024,
         feature_width=32,
@@ -104,7 +95,6 @@ _INT_KEYS = {
     "lidar_keypoints",
     "image_keypoints",
     "cameras",
-    "bev_z",
     "blob_min",
     "blob_max",
 }
@@ -114,6 +104,15 @@ _STR_KEYS = {"preset", "fusion_mode", "weights", "scene", "out"}
 _VEC3_KEYS = {"grid_origin", "grid_voxel"}
 _IVEC_KEYS = {"grid_dims", "plane_shape", "camera_shape"}
 KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS | _VEC3_KEYS | _IVEC_KEYS
+
+# config keys of the GridSpec and SceneConfig fields whose names differ from
+# them, so a fault names the key the user wrote (the first of several set)
+_FIELD_KEYS = {
+    "dims": ("grid_dims",),
+    "voxel_size": ("grid_voxel",),
+    "origin": ("grid_origin",),
+    "blob_range": ("blob_min", "blob_max"),
+}
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,6 @@ class RunConfig:
     scene_config: SceneConfig
     weights_path: str | None = None
     scene_path: str | None = None
-    bev_z: int | None = None
-    lidar_clip_range: tuple = field(default=())
-    nominal_image_size: tuple = field(default=())
 
     def flat(self) -> dict[str, str]:
         """Canonical flat view used for hashing and the manifest."""
@@ -164,10 +160,6 @@ class RunConfig:
             "camera_shape": " ".join(str(v) for v in self.scene_config.camera_shape),
             "blob_range": " ".join(str(v) for v in self.scene_config.blob_range),
             "noise_sigma": repr(self.scene_config.noise_sigma),
-            "lidar_clip_range": " ".join(
-                repr(float(v)) for pair in self.lidar_clip_range for v in pair
-            ),
-            "nominal_image_size": " ".join(str(v) for v in self.nominal_image_size),
         }
         return dict(sorted(entries.items()))
 
@@ -246,14 +238,9 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
     if not 1.0 <= truncation < np.inf:  # also rejects NaN
         raise ConfigurationError("truncation_sigmas must be finite and >= 1", field="truncation_sigmas")
     occupancy_threshold = float(merged.get("occupancy_threshold", 0.1))
-    if not np.isfinite(occupancy_threshold):
-        raise ConfigurationError("occupancy_threshold must be finite", field="occupancy_threshold")
+    if not 0 < occupancy_threshold < np.inf:  # also rejects NaN; at <= 0 every voxel is occupied
+        raise ConfigurationError("occupancy_threshold must be finite and > 0", field="occupancy_threshold")
 
-    grid = GridSpec(
-        origin=np.array(merged.get("grid_origin", base["grid_origin"])),
-        voxel_size=np.array(merged.get("grid_voxel", base["grid_voxel"])),
-        dims=tuple(merged.get("grid_dims", base["grid_dims"])),
-    )
     taxonomy = default_taxonomy(base["taxonomy"])
     model = ModelConfig(
         feature_width=int(merged.get("feature_width", base["feature_width"])),
@@ -265,22 +252,31 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
         head_blocks=int(merged.get("head_blocks", base["head_blocks"])),
         semantic_classes=taxonomy.c_sem,
     )
-    blob_min = int(merged.get("blob_min", 3))
-    blob_max = int(merged.get("blob_max", 12))
-    scene_config = SceneConfig(
-        grid=grid,
-        taxonomy=taxonomy,
-        feature_width=model.feature_width,
-        depth_planes=model.depth_planes,
-        plane_shape=tuple(merged.get("plane_shape", base["plane_shape"])),
-        cameras=int(merged.get("cameras", base["cameras"])),
-        camera_shape=tuple(merged.get("camera_shape", base["camera_shape"])),
-        blob_range=(blob_min, blob_max),
-        noise_sigma=float(merged.get("noise_sigma", 0.02)),
-    )
-    bev_z = merged.get("bev_z")
-    if bev_z is not None and not 0 <= int(bev_z) < grid.dims[2]:
-        raise ConfigurationError("bev_z outside grid depth", field="bev_z")
+    try:
+        grid = GridSpec(
+            origin=np.array(merged.get("grid_origin", base["grid_origin"])),
+            voxel_size=np.array(merged.get("grid_voxel", base["grid_voxel"])),
+            dims=tuple(merged.get("grid_dims", base["grid_dims"])),
+        )
+        blob_min = int(merged.get("blob_min", 3))
+        blob_max = int(merged.get("blob_max", 12))
+        scene_config = SceneConfig(
+            grid=grid,
+            taxonomy=taxonomy,
+            feature_width=model.feature_width,
+            depth_planes=model.depth_planes,
+            plane_shape=tuple(merged.get("plane_shape", base["plane_shape"])),
+            cameras=int(merged.get("cameras", base["cameras"])),
+            camera_shape=tuple(merged.get("camera_shape", base["camera_shape"])),
+            blob_range=(blob_min, blob_max),
+            noise_sigma=float(merged.get("noise_sigma", 0.02)),
+        )
+    except ConfigurationError as exc:
+        keys = _FIELD_KEYS.get(exc.field)
+        if keys is None:
+            raise
+        key = next((k for k in keys if k in merged), keys[0])
+        raise ConfigurationError(f"bad value for {key}: {exc}", field=key) from None
     return RunConfig(
         preset=preset,
         seed=int(merged.get("seed", 0)),
@@ -296,7 +292,4 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
         scene_config=scene_config,
         weights_path=merged.get("weights") or None,
         scene_path=merged.get("scene") or None,
-        bev_z=int(bev_z) if bev_z is not None else None,
-        lidar_clip_range=base["lidar_clip_range"],
-        nominal_image_size=base["nominal_image_size"],
     )

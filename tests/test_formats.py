@@ -101,11 +101,6 @@ class TestGridCodec:
         # magic + version + dims + class count + voxel size + origin = 48 bytes
         assert len(data) == 48 + 4
 
-    def test_class_count_defaults_to_score_channels_plus_empty(self):
-        spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(2, 2, 1))
-        grid = SemanticOccupancyGrid(spec=spec, labels=np.zeros((2, 2, 1)), scores=np.zeros((2, 2, 1, 17)))
-        assert dump_grid(grid) == dump_grid(grid, class_count=18)
-
     def test_x_fastest_layout(self):
         spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(2, 2, 1))
         labels = np.array([[[0], [1]], [[2], [3]]], dtype=np.uint8)  # labels[x][y][z]

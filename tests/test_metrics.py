@@ -8,7 +8,8 @@ from gaussocc import metrics
 from gaussocc.metrics import (
     IoUReport,
     ClassIoU,
-    LossWeights,
+    LAMBDA_CE,
+    LAMBDA_LOVASZ,
     REFERENCE_MIOU,
     _lovasz_gradient,
     class_iou,
@@ -241,17 +242,15 @@ class TestSlabbedLosses:
 
 class TestTotalLoss:
     def test_reference_weighting(self):
-        assert total_loss(0.5, 0.2, LossWeights(lambda_ce=10.0, lambda_lovasz=1.0)) == pytest.approx(5.2)
+        assert (LAMBDA_CE, LAMBDA_LOVASZ) == (10.0, 1.0)
+        assert total_loss(0.5, 0.2) == pytest.approx(5.2)
 
     def test_null_objective(self):
-        assert total_loss(3.0, 4.0, LossWeights(lambda_ce=0.0, lambda_lovasz=0.0)) == 0.0
+        assert total_loss(0.0, 0.0) == 0.0
 
     def test_single_term(self):
-        assert total_loss(0.7, 0.0, LossWeights()) == pytest.approx(7.0)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(lambda_ce=-1.0)
+        assert total_loss(0.7, 0.0) == pytest.approx(7.0)
+        assert total_loss(0.0, 0.3) == pytest.approx(0.3)
 
 
 class TestClassIoU:

@@ -12,7 +12,7 @@ from gaussocc.errors import ConfigurationError, LabelError
 from gaussocc.formats import load_grid
 from gaussocc.harness import generate_scene, oracle_lovasz_per_class, save_scene
 from gaussocc.metrics import lovasz_per_class, weighted_ce
-from gaussocc.pipeline import derive_seed, grid_probabilities, run_pipeline, score_grid, thread_cap
+from gaussocc.pipeline import derive_seed, grid_probabilities, run_pipeline, score_grid
 from gaussocc.presets import parse_config_file, resolve_config
 
 SMALL_RUN = {
@@ -30,6 +30,20 @@ def small_config(tmp_path, **overrides):
     merged["out"] = str(tmp_path / overrides.pop("subdir", "run"))
     merged.update(overrides)
     return resolve_config(merged)
+
+
+def run_counting_workers(tmp_path, monkeypatch, **overrides):
+    """Run the pipeline; return its manifest and the number of splat workers that ran."""
+    slabs = []
+    real = head._fork_slabs
+
+    def recorded(bounds, fill):
+        slabs.append(len(bounds) - 1)
+        real(bounds, fill)
+
+    monkeypatch.setattr(head, "_fork_slabs", recorded)
+    result = run_pipeline(small_config(tmp_path, **overrides))
+    return result.manifest, slabs[0] if slabs else 1
 
 
 class TestConfigResolution:
@@ -59,6 +73,13 @@ class TestConfigResolution:
             ("truncation_sigmas", "inf"),
             ("occupancy_threshold", "nan"),
             ("occupancy_threshold", "inf"),
+            ("occupancy_threshold", 0),
+            ("occupancy_threshold", -1),
+            ("grid_dims", "256 256"),
+            ("grid_voxel", "0 0.5 0.5"),
+            ("grid_origin", "nan 0 0"),
+            ("blob_min", 0),
+            ("blob_max", 2),
         ],
     )
     def test_malformed_value_names_field(self, key, value):
@@ -120,7 +141,6 @@ class TestRunPipeline:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_manifest_reports_splat_worker_peak_rss(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
         monkeypatch.setattr(head, "_usable_cores", lambda: 2)
         monkeypatch.setenv("GOC_THREADS", "2")
         forked = []
@@ -149,28 +169,33 @@ class TestRunPipeline:
         assert a.manifest["outputs"]["grid_digest"] == b.manifest["outputs"]["grid_digest"]
         assert a.grid_path.read_bytes() == b.grid_path.read_bytes()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_thread_cap_respects_env(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 4)
+        # 16 x-planes are two columns of 8x8x8 tiles, 8 x-planes one: the
+        # splat runs at most that many workers, and the manifest says so
+        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
         monkeypatch.setenv("GOC_THREADS", "3")
-        assert thread_cap() == 3
-        result = run_pipeline(small_config(tmp_path))
-        assert result.manifest["threads"] == 3
-        assert result.manifest["threads_requested"] == 3
+        manifest, workers = run_counting_workers(tmp_path, monkeypatch)
+        assert (manifest["threads"], manifest["threads_requested"], workers) == (2, 3, 2)
+        manifest, workers = run_counting_workers(tmp_path, monkeypatch, grid_dims=(8, 16, 8), subdir="x8")
+        assert (manifest["threads"], manifest["threads_requested"], workers) == (1, 3, 1)
         monkeypatch.setenv("GOC_THREADS", "bogus")
         with pytest.raises(ConfigurationError):
-            thread_cap()
+            run_pipeline(small_config(tmp_path))
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_thread_cap_clamped_to_usable_cores(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 4)
-        monkeypatch.setenv("GOC_THREADS", str(10**9))
-        assert thread_cap() == 4  # no thread is started for the requested value
-        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(head, "_usable_cores", lambda: 1)
         monkeypatch.setenv("GOC_THREADS", "6")
-        result = run_pipeline(small_config(tmp_path))
-        assert result.manifest["threads"] == 1
-        assert result.manifest["threads_requested"] == 6
-        monkeypatch.delenv("GOC_THREADS")
-        assert thread_cap() == 1
+        manifest, workers = run_counting_workers(tmp_path, monkeypatch)
+        assert (manifest["threads"], manifest["threads_requested"], workers) == (1, 6, 1)
+        monkeypatch.delenv("GOC_THREADS")  # unset: 8 are requested
+        manifest, workers = run_counting_workers(tmp_path, monkeypatch)
+        assert (manifest["threads"], manifest["threads_requested"], workers) == (1, 8, 1)
+        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        monkeypatch.setenv("GOC_THREADS", str(10**9))  # no worker is started for the requested value
+        manifest, workers = run_counting_workers(tmp_path, monkeypatch)
+        assert (manifest["threads"], manifest["threads_requested"], workers) == (2, 10**9, 2)
 
     def test_fusion_modes_change_output(self, tmp_path):
         adaptive = run_pipeline(small_config(tmp_path, subdir="ad", fusion_mode="adaptive"))
@@ -487,6 +512,8 @@ class TestCli:
             ("camera_shape = 32", [], "camera_shape"),
             ("noise_sigma = -1", [], "noise_sigma"),
             ("occupancy_threshold = nan", [], "occupancy_threshold"),
+            ("occupancy_threshold = 0", [], "occupancy_threshold"),
+            ("occupancy_threshold = -1", [], "occupancy_threshold"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, line, flags, key):
