@@ -65,7 +65,7 @@ def _cmd_eval(args) -> int:
     report = metrics.class_iou(pred, truth, config.taxonomy.c_total)
     text = metrics.format_metrics(report, config.taxonomy)
     if args.metrics_out:
-        Path(args.metrics_out).write_text(text)
+        formats.write_file(args.metrics_out, text.encode("utf-8"))
         print(f"wrote {args.metrics_out}")
     else:
         sys.stdout.write(text)

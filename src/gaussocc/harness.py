@@ -39,7 +39,7 @@ from .core import (
     voxel_centers,
 )
 from .errors import ConfigurationError, FormatError
-from .formats import _Reader, _read_grid, dump_grid
+from .formats import _Reader, _read_grid, dump_grid, write_file
 from .head import SsmParams, zoh_discretize
 from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet
 from .metrics import _lovasz_gradient
@@ -486,7 +486,7 @@ def dump_scene(scene: SyntheticScene) -> bytes:
 
 
 def save_scene(scene: SyntheticScene, path) -> None:
-    Path(path).write_bytes(dump_scene(scene))
+    write_file(path, dump_scene(scene))
 
 
 # scene header key of each GridSpec and DepthPlaneStack field; SceneConfig and

@@ -14,6 +14,12 @@ are not resident during the splat.
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
 vectors, and CE and Lovász equal their whole-volume values bit for bit.
+
+The emit stage writes ``pred_grid.goc1``, ``metrics.txt`` and ``bev.ppm``,
+and ``manifest.json`` follows it, each through ``formats.write_file``: a
+re-run into the same ``out_dir`` replaces each file as a new one instead of
+truncating it, so it costs no forced writeback.  The manifest's grid digest
+is the sha256 of the bytes ``emit_grid`` wrote; the file is not read back.
 """
 
 from __future__ import annotations
@@ -231,10 +237,10 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _timed(timings, "emit"):
         grid_path = out_dir / "pred_grid.goc1"
-        formats.emit_grid(pred, grid_path, class_count=config.taxonomy.c_total)
-        digest = hashlib.sha256(grid_path.read_bytes()).hexdigest()
+        grid_bytes = formats.emit_grid(pred, grid_path, class_count=config.taxonomy.c_total)
+        digest = hashlib.sha256(grid_bytes).hexdigest()
         metrics_path = out_dir / "metrics.txt"
-        metrics_path.write_text(metrics_text)
+        formats.write_file(metrics_path, metrics_text.encode("utf-8"))
         bev_path = out_dir / "bev.ppm"
         palette = formats.palette_for(config.taxonomy.c_total)
         formats.emit_bev_slice(pred, config.grid.dims[2] // 2, palette, bev_path)
@@ -260,7 +266,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
         },
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    formats.write_file(manifest_path, manifest_text.encode("utf-8"))
     return RunResult(
         out_dir=out_dir,
         manifest=manifest,

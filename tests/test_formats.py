@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import re
 import struct
 
@@ -22,6 +24,7 @@ from gaussocc.formats import (
     parse_bundle,
     parse_grid,
     save_bundle,
+    write_file,
 )
 from gaussocc.harness import SceneConfig, dump_scene, generate_scene, load_scene, parse_scene, save_scene
 from gaussocc.params import ParameterBundle
@@ -174,6 +177,73 @@ class TestBevSlice:
         assert small.shape == (7, 3)
         np.testing.assert_array_equal(small[:6], DEFAULT_PALETTE[:6])
         np.testing.assert_array_equal(small[-1], DEFAULT_PALETTE[-1])
+
+
+def _write_grid(path, k, scene, bundle):
+    spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(2, 2, 2))
+    emit_grid(SemanticOccupancyGrid(spec=spec, labels=np.full((2, 2, 2), k, dtype=np.uint8)), path, class_count=18)
+
+
+def _write_bev(path, k, scene, bundle):
+    spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(2, 2, 1))
+    grid = SemanticOccupancyGrid(spec=spec, labels=np.full((2, 2, 1), k, dtype=np.uint8))
+    emit_bev_slice(grid, 0, DEFAULT_PALETTE, path)
+
+
+def _write_bundle(path, k, scene, bundle):
+    save_bundle(ParameterBundle({"a": np.full(2, k, dtype=np.float32)}), path)
+
+
+def _write_scene(path, k, scene, bundle):
+    save_scene(dataclasses.replace(scene, seed=scene.seed + k), path)
+
+
+# every file writer of the package; write(path, k, ...) writes different bytes for k = 0 and 1
+WRITERS = {
+    "write_file": lambda path, k, scene, bundle: write_file(path, bytes([k]) * 4),
+    "emit_grid": _write_grid,
+    "emit_bev_slice": _write_bev,
+    "save_bundle": _write_bundle,
+    "save_scene": _write_scene,
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+class TestWriteFile:
+    def test_rewrite_replaces_file(self, writer, small_scene, small_bundle, tmp_path):
+        path = tmp_path / "out"
+        writer(path, 0, small_scene, small_bundle)
+        old = path.read_bytes()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            writer(path, 1, small_scene, small_bundle)
+            # truncating in place would leave the open file linked, holding the new bytes
+            assert os.fstat(fd).st_nlink == 0
+            assert os.pread(fd, len(old) + 1, 0) == old
+        finally:
+            os.close(fd)
+        new = path.read_bytes()
+        assert new != old
+        writer(tmp_path / "fresh", 1, small_scene, small_bundle)
+        assert new == (tmp_path / "fresh").read_bytes()
+
+    def test_symlink_replaced_not_followed(self, writer, small_scene, small_bundle, tmp_path):
+        target = tmp_path / "target"
+        target.write_bytes(b"old target bytes")
+        path = tmp_path / "out"
+        path.symlink_to(target)
+        writer(path, 1, small_scene, small_bundle)
+        assert not path.is_symlink() and path.is_file()
+        writer(tmp_path / "fresh", 1, small_scene, small_bundle)
+        assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
+        assert target.read_bytes() == b"old target bytes"
+
+    def test_directory_path_raises(self, writer, small_scene, small_bundle, tmp_path):
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            writer(path, 1, small_scene, small_bundle)
+        assert path.is_dir()
 
 
 def _scene_edit(pattern, replacement):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tracemalloc
@@ -168,6 +169,35 @@ class TestRunPipeline:
         b = run_pipeline(small_config(tmp_path, subdir="b"))
         assert a.manifest["outputs"]["grid_digest"] == b.manifest["outputs"]["grid_digest"]
         assert a.grid_path.read_bytes() == b.grid_path.read_bytes()
+
+    def test_grid_digest_is_sha256_of_file(self, tmp_path):
+        result = run_pipeline(small_config(tmp_path))
+        digest = hashlib.sha256(result.grid_path.read_bytes()).hexdigest()
+        assert result.manifest["outputs"]["grid_digest"] == digest
+        assert json.loads(result.manifest_path.read_text())["outputs"]["grid_digest"] == digest
+
+    def test_rerun_into_same_dir_gives_same_outputs(self, tmp_path):
+        first = run_pipeline(small_config(tmp_path))
+        names = ("grid_path", "metrics_path", "bev_path")
+        before = {name: getattr(first, name).read_bytes() for name in names}
+        again = run_pipeline(small_config(tmp_path))
+        fresh = run_pipeline(small_config(tmp_path, subdir="fresh"))
+        for name in names:
+            assert getattr(again, name).read_bytes() == before[name]
+        digest = first.manifest["outputs"]["grid_digest"]
+        assert again.manifest["outputs"]["grid_digest"] == digest == fresh.manifest["outputs"]["grid_digest"]
+
+    def test_rerun_replaces_outputs(self, tmp_path):
+        first = run_pipeline(small_config(tmp_path))
+        paths = (first.grid_path, first.metrics_path, first.bev_path, first.manifest_path)
+        fds = [os.open(path, os.O_RDONLY) for path in paths]
+        try:
+            run_pipeline(small_config(tmp_path))
+            # each output is a new file; the open ones were unlinked, not truncated
+            assert [os.fstat(fd).st_nlink for fd in fds] == [0, 0, 0, 0]
+        finally:
+            for fd in fds:
+                os.close(fd)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_thread_cap_respects_env(self, tmp_path, monkeypatch):
