@@ -10,12 +10,18 @@ scene codec in ``harness`` uses it too.
 
 ``write_file`` is the one writer: every file the package writes is created
 new after any old entry at its path is unlinked, because truncating the old
-file or renaming a temporary file over it makes ext4 force writeback.
+file or renaming a temporary file over it makes ext4 force writeback.  This
+only matters where a file already exists at the path and is not yet written
+back, as on a quick re-run into the same output directory; a write to a new
+path costs the same either way.
 """
 
 from __future__ import annotations
 
+import errno
 import math
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -37,12 +43,29 @@ def write_file(path, data: bytes) -> None:
     truncated in place.  Truncate-and-write and write-to-temp plus
     rename-over both make ext4 (``auto_da_alloc``, on by default) force the
     file's writeback on close, which cost 15-80 ms a file on a re-run into
-    the same directory (2-vCPU VM); a new file under an unlinked name does not.  A reader
-    holding the old file keeps the old bytes, and a symlink or hard link at
-    ``path`` is replaced, not written through.  A directory at ``path``
-    raises ``IsADirectoryError``.
+    the same directory seconds later (2-vCPU VM); a new file under an
+    unlinked name does not.  Once the old file is written back, unlinking
+    it costs tens of milliseconds too, so the gain there is smaller.
+
+    That forced writeback is ext4's guard against a replaced file being
+    left empty by a crash, and this writer gives it up: after a crash
+    within the kernel's writeback delay (30 s by default) of a rewrite, the
+    file can be empty and its old contents are gone.  Every file the
+    package writes can be made again from its inputs and seed.
+
+    An existing regular file that this process may not write raises
+    ``PermissionError`` and is left as it was, as truncating it would.  A
+    reader holding the old file keeps the old bytes, and a symlink or hard
+    link at ``path`` is replaced, not written through.  A directory at
+    ``path`` raises ``IsADirectoryError``.
     """
     path = Path(path)
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and stat.S_ISREG(mode) and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
     try:
         path.unlink()
     except FileNotFoundError:

@@ -18,8 +18,10 @@ vectors, and CE and Lovász equal their whole-volume values bit for bit.
 The emit stage writes ``pred_grid.goc1``, ``metrics.txt`` and ``bev.ppm``,
 and ``manifest.json`` follows it, each through ``formats.write_file``: a
 re-run into the same ``out_dir`` replaces each file as a new one instead of
-truncating it, so it costs no forced writeback.  The manifest's grid digest
-is the sha256 of the bytes ``emit_grid`` wrote; the file is not read back.
+truncating it, so a re-run within seconds of the last costs no forced
+writeback; a run into a new ``out_dir`` writes over nothing and gains
+nothing.  The manifest's grid digest is the sha256 of the bytes
+``emit_grid`` wrote; the file is not read back.
 """
 
 from __future__ import annotations

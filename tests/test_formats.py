@@ -238,6 +238,17 @@ class TestWriteFile:
         assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
         assert target.read_bytes() == b"old target bytes"
 
+    def test_read_only_file_raises(self, writer, small_scene, small_bundle, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        writer(path, 0, small_scene, small_bundle)
+        old, inode = path.read_bytes(), path.stat().st_ino
+        path.chmod(0o444)
+        if os.access(path, os.W_OK):  # root may write any file: answer as for an unprivileged user
+            monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        with pytest.raises(PermissionError):
+            writer(path, 1, small_scene, small_bundle)
+        assert (path.read_bytes(), path.stat().st_ino) == (old, inode)
+
     def test_directory_path_raises(self, writer, small_scene, small_bundle, tmp_path):
         path = tmp_path / "out"
         path.mkdir()
