@@ -8,6 +8,7 @@ from pathlib import Path
 
 from . import formats, metrics
 from .errors import GaussOccError
+from .fusion import FUSION_MODES
 from .harness import generate_scene, save_scene
 from .params import build_parameter_bundle
 from .pipeline import derive_seed, run_pipeline
@@ -18,7 +19,7 @@ def _add_run_options(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--preset", choices=PRESET_NAMES)
     parser.add_argument("--gaussians", type=int, dest="gaussian_count")
-    parser.add_argument("--fusion", dest="fusion_mode", choices=("addition", "concatenation", "adaptive"))
+    parser.add_argument("--fusion", dest="fusion_mode", choices=FUSION_MODES)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")
     parser.add_argument("--scene", help="scene file produced by `gaussocc synth`")

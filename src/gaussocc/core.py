@@ -326,8 +326,10 @@ class ModelConfig:
         ):
             if int(getattr(self, name)) < 1:
                 raise ConfigurationError(f"{name} must be >= 1", field=name)
-        if self.depth_chunks > self.depth_planes:
-            raise ConfigurationError("depth_chunks cannot exceed depth_planes", field="depth_chunks")
+        if not 2 <= self.depth_chunks <= self.depth_planes:  # LDFA modulates the last chunk by the others
+            raise ConfigurationError(
+                "depth_chunks must be >= 2 and cannot exceed depth_planes", field="depth_chunks"
+            )
 
     @property
     def consistency_width(self) -> int:

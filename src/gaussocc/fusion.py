@@ -41,23 +41,24 @@ class FusionParams:
     concat_w: np.ndarray
 
     @classmethod
-    def from_bundle(cls, bundle: ParameterBundle, f: int, f_lat: int) -> "FusionParams":
+    def from_bundle(cls, bundle: ParameterBundle) -> "FusionParams":
+        """Read from a bundle that ``params.validate_bundle`` has accepted."""
         return cls(
-            wq_l=bundle.get("fusion.wq_l", (f, f)),
-            wk_c=bundle.get("fusion.wk_c", (f, f)),
-            wv_c=bundle.get("fusion.wv_c", (f, f)),
-            wq_c=bundle.get("fusion.wq_c", (f, f)),
-            wk_l=bundle.get("fusion.wk_l", (f, f)),
-            wv_l=bundle.get("fusion.wv_l", (f, f)),
-            gate_w1=bundle.get("fusion.gate.w1", (2 * f, f)),
-            gate_b1=bundle.get("fusion.gate.b1", (f,)),
-            gate_w2=bundle.get("fusion.gate.w2", (f,)),
-            gate_b2=float(bundle.get("fusion.gate.b2", ())),
-            consist_proj_l=bundle.get("fusion.consist.proj_l", (f, f_lat)),
-            consist_proj_c=bundle.get("fusion.consist.proj_c", (f, f_lat)),
-            consist_w=bundle.get("fusion.consist.w", (f,)),
-            consist_b=bundle.get("fusion.consist.b", (f,)),
-            concat_w=bundle.get("fusion.concat.w", (2 * f, f)),
+            wq_l=bundle.get("fusion.wq_l"),
+            wk_c=bundle.get("fusion.wk_c"),
+            wv_c=bundle.get("fusion.wv_c"),
+            wq_c=bundle.get("fusion.wq_c"),
+            wk_l=bundle.get("fusion.wk_l"),
+            wv_l=bundle.get("fusion.wv_l"),
+            gate_w1=bundle.get("fusion.gate.w1"),
+            gate_b1=bundle.get("fusion.gate.b1"),
+            gate_w2=bundle.get("fusion.gate.w2"),
+            gate_b2=float(bundle.get("fusion.gate.b2")),
+            consist_proj_l=bundle.get("fusion.consist.proj_l"),
+            consist_proj_c=bundle.get("fusion.consist.proj_c"),
+            consist_w=bundle.get("fusion.consist.w"),
+            consist_b=bundle.get("fusion.consist.b"),
+            concat_w=bundle.get("fusion.concat.w"),
         )
 
     @property

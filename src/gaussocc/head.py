@@ -95,19 +95,16 @@ class SsmParams:
         if np.any(self.a >= 0):
             raise ConfigurationError("SSM diagonal A must be strictly negative")
 
-    @property
-    def feature_width(self) -> int:
-        return self.a.shape[0]
-
     @classmethod
-    def from_bundle(cls, bundle: ParameterBundle, prefix: str, f: int, n: int) -> "SsmParams":
+    def from_bundle(cls, bundle: ParameterBundle, prefix: str) -> "SsmParams":
+        """Read from a bundle that ``params.validate_bundle`` has accepted."""
         return cls(
-            a=bundle.get(f"{prefix}.a", (f, n)),
-            w_b=bundle.get(f"{prefix}.wb", (f, n)),
-            w_c=bundle.get(f"{prefix}.wc", (f, n)),
-            w_delta=bundle.get(f"{prefix}.wdelta", (f, f)),
-            b_delta=bundle.get(f"{prefix}.bdelta", (f,)),
-            d_skip=bundle.get(f"{prefix}.dskip", (f,)),
+            a=bundle.get(f"{prefix}.a"),
+            w_b=bundle.get(f"{prefix}.wb"),
+            w_c=bundle.get(f"{prefix}.wc"),
+            w_delta=bundle.get(f"{prefix}.wdelta"),
+            b_delta=bundle.get(f"{prefix}.bdelta"),
+            d_skip=bundle.get(f"{prefix}.dskip"),
         )
 
 
@@ -170,7 +167,10 @@ class HeadParams:
 
     @classmethod
     def from_bundle(cls, bundle: ParameterBundle, model: ModelConfig, spec: GridSpec) -> "HeadParams":
-        f, n = model.feature_width, model.state_width
+        """Read from a bundle that ``params.validate_bundle`` has accepted.
+
+        ``model`` gives the block count and ``spec`` the plane windows and raster key scale.
+        """
         omega = 2.0 * float(np.max(spec.extent))
         blocks = []
         for b in range(model.head_blocks):
@@ -183,32 +183,32 @@ class HeadParams:
                 )
                 half = np.array([spec.extent[a0] / 2, spec.extent[a1] / 2])
                 embed[plane] = PlaneEmbedParams(
-                    w1=bundle.get(f"{pre}.embed.w1", (2, f)),
-                    b1=bundle.get(f"{pre}.embed.b1", (f,)),
-                    w2=bundle.get(f"{pre}.embed.w2", (f, f)),
-                    b2=bundle.get(f"{pre}.embed.b2", (f,)),
+                    w1=bundle.get(f"{pre}.embed.w1"),
+                    b1=bundle.get(f"{pre}.embed.b1"),
+                    w2=bundle.get(f"{pre}.embed.w2"),
+                    b2=bundle.get(f"{pre}.embed.b2"),
                     center=center,
                     half_extent=half,
                 )
                 unet[plane] = UnetParams(
-                    enc1=bundle.get(f"{pre}.unet.enc1.w", (f, f)),
-                    enc2=bundle.get(f"{pre}.unet.enc2.w", (f, f)),
-                    dec1=bundle.get(f"{pre}.unet.dec1.w", (f, f)),
-                    dec2=bundle.get(f"{pre}.unet.dec2.w", (f, f)),
-                    ssm=SsmParams.from_bundle(bundle, f"{pre}.ssm", f, n),
+                    enc1=bundle.get(f"{pre}.unet.enc1.w"),
+                    enc2=bundle.get(f"{pre}.unet.enc2.w"),
+                    dec1=bundle.get(f"{pre}.unet.dec1.w"),
+                    dec2=bundle.get(f"{pre}.unet.dec2.w"),
+                    ssm=SsmParams.from_bundle(bundle, f"{pre}.ssm"),
                 )
             weights = {
-                (axis, plane): bundle.get(f"head.block{b}.psi.{axis}_{plane}.w", (f,))
+                (axis, plane): bundle.get(f"head.block{b}.psi.{axis}_{plane}.w")
                 for axis, plane in AXIS_PLANES
             }
             biases = {
-                (axis, plane): float(bundle.get(f"head.block{b}.psi.{axis}_{plane}.b", ()))
+                (axis, plane): float(bundle.get(f"head.block{b}.psi.{axis}_{plane}.b"))
                 for axis, plane in AXIS_PLANES
             }
             blocks.append(BlockParams(embed=embed, unet=unet, consensus=ConsensusParams(weights, biases)))
         decode = DecodeParams(
-            w=bundle.get("head.decode.w", (f, model.decode_width)),
-            b=bundle.get("head.decode.b", (model.decode_width,)),
+            w=bundle.get("head.decode.w"),
+            b=bundle.get("head.decode.b"),
         )
         return cls(blocks=tuple(blocks), decode=decode, omega=omega)
 
@@ -431,21 +431,6 @@ def run_head(arrays: dict, params: HeadParams, semantic_classes: int) -> dict:
     return out
 
 
-def _inverse_covariances(sig: np.ndarray) -> np.ndarray:
-    """Closed-form 3x3 inverses of covariances R diag(s^2) R^T (adjugate over determinant)."""
-    a, b, c = sig[:, 0, 0], sig[:, 0, 1], sig[:, 0, 2]
-    d, e, f = sig[:, 1, 1], sig[:, 1, 2], sig[:, 2, 2]
-    det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
-    inv = np.empty_like(sig)
-    inv[:, 0, 0] = (d * f - e * e) / det
-    inv[:, 0, 1] = inv[:, 1, 0] = (c * e - b * f) / det
-    inv[:, 0, 2] = inv[:, 2, 0] = (b * e - c * d) / det
-    inv[:, 1, 1] = (a * f - c * c) / det
-    inv[:, 1, 2] = inv[:, 2, 1] = (b * c - a * e) / det
-    inv[:, 2, 2] = (a * d - b * b) / det
-    return inv
-
-
 @dataclass(frozen=True)
 class _SplatInputs:
     """Per-primitive splat inputs; ``lo``/``hi`` bound each primitive's voxel box, clipped to the grid."""
@@ -482,7 +467,7 @@ def _splat_inputs(arrays: dict, spec: GridSpec, truncation_radius_sigmas: float)
     return _SplatInputs(
         spec=spec,
         centroid=centroids,
-        inv_sigma=_inverse_covariances(sigma),
+        inv_sigma=make_covariance(1.0 / scales, rotations),  # R diag(s^-2) R^T
         lo=np.clip(lo, 0, last),
         hi=np.clip(hi, 0, last),
         opacity=_sigmoid(np.asarray(arrays["opacity_logit"], dtype=np.float64)),

@@ -107,10 +107,6 @@ class DepthPlaneStack:
     def depth_levels(self) -> int:
         return self.planes.shape[0]
 
-    @property
-    def feature_width(self) -> int:
-        return self.planes.shape[-1]
-
     def to_plane_coords(self, xy: np.ndarray) -> np.ndarray:
         """World (x, y) -> continuous (col, row) texel-center coordinates."""
         rel = (np.asarray(xy, dtype=np.float64) - self.origin_xy) / self.cell_size
@@ -139,10 +135,11 @@ class CameraLiftParams:
     weight_logits: np.ndarray  # (P_img,)
 
     @classmethod
-    def from_bundle(cls, bundle: ParameterBundle, p_img: int) -> "CameraLiftParams":
+    def from_bundle(cls, bundle: ParameterBundle) -> "CameraLiftParams":
+        """Read from a bundle that ``params.validate_bundle`` has accepted."""
         return cls(
-            offsets=bundle.get("lift.cam.offsets", (p_img, 2)),
-            weight_logits=bundle.get("lift.cam.weight_logits", (p_img,)),
+            offsets=bundle.get("lift.cam.offsets"),
+            weight_logits=bundle.get("lift.cam.weight_logits"),
         )
 
 
@@ -154,12 +151,13 @@ class KeypointParams:
     weight_b: np.ndarray  # (P,)
 
     @classmethod
-    def from_bundle(cls, bundle: ParameterBundle, f: int, p: int) -> "KeypointParams":
+    def from_bundle(cls, bundle: ParameterBundle) -> "KeypointParams":
+        """Read from a bundle that ``params.validate_bundle`` has accepted."""
         return cls(
-            offset_w=bundle.get("lift.ldfa.offset.w", (f, 3 * p)),
-            offset_b=bundle.get("lift.ldfa.offset.b", (3 * p,)),
-            weight_w=bundle.get("lift.ldfa.weight.w", (f, p)),
-            weight_b=bundle.get("lift.ldfa.weight.b", (p,)),
+            offset_w=bundle.get("lift.ldfa.offset.w"),
+            offset_b=bundle.get("lift.ldfa.offset.b"),
+            weight_w=bundle.get("lift.ldfa.weight.w"),
+            weight_b=bundle.get("lift.ldfa.weight.b"),
         )
 
 
@@ -171,12 +169,13 @@ class LdfaParams:
     gate_b: float
 
     @classmethod
-    def from_bundle(cls, bundle: ParameterBundle, f: int, k: int) -> "LdfaParams":
+    def from_bundle(cls, bundle: ParameterBundle) -> "LdfaParams":
+        """Read from a bundle that ``params.validate_bundle`` has accepted."""
         return cls(
-            phi_w=bundle.get("lift.ldfa.phi.w", (max(k - 1, 1) * f, f)),
-            phi_b=bundle.get("lift.ldfa.phi.b", (f,)),
-            gate_w=bundle.get("lift.ldfa.gate.w", (2 * f,)),
-            gate_b=float(bundle.get("lift.ldfa.gate.b", ())),
+            phi_w=bundle.get("lift.ldfa.phi.w"),
+            phi_b=bundle.get("lift.ldfa.phi.b"),
+            gate_w=bundle.get("lift.ldfa.gate.w"),
+            gate_b=float(bundle.get("lift.ldfa.gate.b")),
         )
 
 

@@ -29,7 +29,7 @@ AXIS_PLANES = (("x", "xy"), ("x", "xz"), ("y", "xy"), ("y", "yz"), ("z", "xz"), 
 @dataclass(frozen=True)
 class ParamSpec:
     shape: tuple[int, ...]
-    init: str  # "uniform" | "zeros" | "ones" | "const" | "neg_arange_states"
+    init: str  # "uniform" | "const" | "neg_arange_states"
     fan_in: int = 1
     value: float = 0.0
 
@@ -38,20 +38,15 @@ def _uniform(shape, fan_in):
     return ParamSpec(tuple(shape), "uniform", fan_in=fan_in)
 
 
-def _zeros(shape):
-    return ParamSpec(tuple(shape), "zeros")
-
-
-def _ones(shape):
-    return ParamSpec(tuple(shape), "ones")
-
-
 def _const(shape, value):
     return ParamSpec(tuple(shape), "const", value=value)
 
 
 def declared_parameters(model: ModelConfig) -> dict[str, ParamSpec]:
-    """Every parameter path the pipeline stages resolve, with its shape."""
+    """Every parameter path the pipeline stages resolve, with its shape.
+
+    This is the one place that states parameter shapes.
+    """
     f = model.feature_width
     ns = model.state_width
     p = model.lidar_keypoints
@@ -68,23 +63,23 @@ def declared_parameters(model: ModelConfig) -> dict[str, ParamSpec]:
     specs["lift.ldfa.offset.b"] = _uniform((3 * p,), f)
     specs["lift.ldfa.weight.w"] = _uniform((f, p), f)
     specs["lift.ldfa.weight.b"] = _uniform((p,), f)
-    specs["lift.ldfa.phi.w"] = _uniform(((k - 1) * f if k > 1 else f, f), max((k - 1) * f, 1))
-    specs["lift.ldfa.phi.b"] = _zeros((f,))
+    specs["lift.ldfa.phi.w"] = _uniform(((k - 1) * f, f), (k - 1) * f)
+    specs["lift.ldfa.phi.b"] = _const((f,), 0.0)
     specs["lift.ldfa.gate.w"] = _uniform((2 * f,), 2 * f)
-    specs["lift.ldfa.gate.b"] = _zeros(())
+    specs["lift.ldfa.gate.b"] = _const((), 0.0)
 
     specs["smoothing.eps"] = _const((), INITIAL_SMOOTHING_EPS)
 
     for name in ("wq_l", "wk_c", "wv_c", "wq_c", "wk_l", "wv_l"):
         specs[f"fusion.{name}"] = _uniform((f, f), f)
     specs["fusion.gate.w1"] = _uniform((2 * f, f), 2 * f)
-    specs["fusion.gate.b1"] = _zeros((f,))
+    specs["fusion.gate.b1"] = _const((f,), 0.0)
     specs["fusion.gate.w2"] = _uniform((f,), f)
-    specs["fusion.gate.b2"] = _zeros(())
+    specs["fusion.gate.b2"] = _const((), 0.0)
     specs["fusion.consist.proj_l"] = _uniform((f, f_lat), f)
     specs["fusion.consist.proj_c"] = _uniform((f, f_lat), f)
     specs["fusion.consist.w"] = _uniform((f,), 1)
-    specs["fusion.consist.b"] = _zeros((f,))
+    specs["fusion.consist.b"] = _const((f,), 0.0)
     specs["fusion.concat.w"] = _uniform((2 * f, f), 2 * f)
 
     delta_bias = math.log(math.expm1(INITIAL_DELTA))
@@ -94,7 +89,7 @@ def declared_parameters(model: ModelConfig) -> dict[str, ParamSpec]:
             specs[f"{pre}.embed.w1"] = _uniform((2, f), 2)
             specs[f"{pre}.embed.b1"] = _uniform((f,), 2)
             specs[f"{pre}.embed.w2"] = _uniform((f, f), f)
-            specs[f"{pre}.embed.b2"] = _zeros((f,))
+            specs[f"{pre}.embed.b2"] = _const((f,), 0.0)
             for layer in ("enc1", "enc2", "dec1", "dec2"):
                 specs[f"{pre}.unet.{layer}.w"] = _uniform((f, f), f)
             specs[f"{pre}.ssm.a"] = ParamSpec((f, ns), "neg_arange_states")
@@ -102,12 +97,12 @@ def declared_parameters(model: ModelConfig) -> dict[str, ParamSpec]:
             specs[f"{pre}.ssm.wc"] = _uniform((f, ns), f)
             specs[f"{pre}.ssm.wdelta"] = _uniform((f, f), f)
             specs[f"{pre}.ssm.bdelta"] = _const((f,), delta_bias)
-            specs[f"{pre}.ssm.dskip"] = _ones((f,))
+            specs[f"{pre}.ssm.dskip"] = _const((f,), 1.0)
         for axis, plane in AXIS_PLANES:
             specs[f"head.block{b}.psi.{axis}_{plane}.w"] = _uniform((f,), f)
-            specs[f"head.block{b}.psi.{axis}_{plane}.b"] = _zeros(())
+            specs[f"head.block{b}.psi.{axis}_{plane}.b"] = _const((), 0.0)
     specs["head.decode.w"] = _uniform((f, model.decode_width), f)
-    specs["head.decode.b"] = _zeros((model.decode_width,))
+    specs["head.decode.b"] = _const((model.decode_width,), 0.0)
     return specs
 
 
@@ -140,14 +135,9 @@ class ParameterBundle:
             raise KeyError(f"parameter path not in bundle: {path}")
         return self._entries[path]
 
-    def get(self, path: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-        """Float64 view for compute; optionally enforces the declared shape."""
-        arr = self.raw(path)
-        if shape is not None and arr.shape != tuple(shape):
-            raise ConfigurationError(
-                f"parameter {path} has shape {arr.shape}, expected {tuple(shape)}"
-            )
-        return arr.astype(np.float64)
+    def get(self, path: str) -> np.ndarray:
+        """Float64 copy for compute."""
+        return self.raw(path).astype(np.float64)
 
 
 def build_parameter_bundle(model: ModelConfig, seed: int) -> ParameterBundle:
@@ -164,10 +154,6 @@ def _materialize(spec: ParamSpec, rng: np.random.Generator, model: ModelConfig) 
     if spec.init == "uniform":
         half = INIT_GAIN / math.sqrt(max(spec.fan_in, 1))
         return rng.uniform(-half, half, size=spec.shape)
-    if spec.init == "zeros":
-        return np.zeros(spec.shape)
-    if spec.init == "ones":
-        return np.ones(spec.shape)
     if spec.init == "const":
         return np.full(spec.shape, spec.value)
     if spec.init == "neg_arange_states":
@@ -176,8 +162,14 @@ def _materialize(spec: ParamSpec, rng: np.random.Generator, model: ModelConfig) 
 
 
 def validate_bundle(bundle: ParameterBundle, model: ModelConfig) -> None:
-    """Check every declared path resolves with exactly the declared shape."""
+    """Check every declared path resolves with exactly the declared shape.
+
+    The stage readers (``*Params.from_bundle``) restate no shapes: they rely
+    on this check having passed.
+    """
     for path, spec in declared_parameters(model).items():
         if path not in bundle:
             raise ConfigurationError(f"bundle missing parameter path: {path}")
-        bundle.get(path, spec.shape)
+        shape = bundle.raw(path).shape
+        if shape != spec.shape:
+            raise ConfigurationError(f"parameter {path} has shape {shape}, expected {spec.shape}")

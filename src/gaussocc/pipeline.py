@@ -47,8 +47,6 @@ from .presets import RunConfig
 # probability rows built at a time when the grid is scored: about 1 MB
 _SLAB_BYTES = 2**20
 
-STAGES = ("scene", "weights", "anchors", "lifting", "smoothing", "fusion", "head", "splat", "eval", "emit")
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -191,10 +189,10 @@ def run_pipeline(config: RunConfig) -> RunResult:
         arrays = init_anchors(config.gaussian_count, config.grid, seeds["anchors"], model=model)
 
     with _timed(timings, "lifting"):
-        cam_params = lifting.CameraLiftParams.from_bundle(bundle, model.image_keypoints)
+        cam_params = lifting.CameraLiftParams.from_bundle(bundle)
         f_cam = lifting.aggregate_camera(arrays["centroid"], scene.views, cam_params)
-        kp_params = lifting.KeypointParams.from_bundle(bundle, model.feature_width, model.lidar_keypoints)
-        ldfa_params = lifting.LdfaParams.from_bundle(bundle, model.feature_width, model.depth_chunks)
+        kp_params = lifting.KeypointParams.from_bundle(bundle)
+        ldfa_params = lifting.LdfaParams.from_bundle(bundle)
         f_lidar = lifting.lift_lidar(
             arrays["centroid"],
             arrays["feature"],
@@ -209,11 +207,11 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _timed(timings, "smoothing"):  # timed even when off, so every run reports each stage
         if config.smoothing:
-            eps = float(bundle.get("smoothing.eps", ()))
+            eps = float(bundle.get("smoothing.eps"))
             f_cam, f_lidar = smoothing.smooth_features(f_cam, f_lidar, eps)
 
     with _timed(timings, "fusion"):
-        fusion_params = fusion.FusionParams.from_bundle(bundle, model.feature_width, model.consistency_width)
+        fusion_params = fusion.FusionParams.from_bundle(bundle)
         arrays["feature"] = fusion.fuse(f_lidar, f_cam, fusion_params, config.fusion_mode)
         del f_cam, f_lidar
 

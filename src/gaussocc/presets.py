@@ -25,6 +25,7 @@ from .core import (
 from .errors import ConfigurationError
 from .fusion import FUSION_MODES
 from .harness import SceneConfig
+from .head import DEFAULT_OCCUPANCY_THRESHOLD
 
 PRESET_NAMES = ("openocc", "occ3d", "kitti", "synthetic")
 
@@ -237,7 +238,7 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
     truncation = float(merged.get("truncation_sigmas", 6.0))
     if not 1.0 <= truncation < np.inf:  # also rejects NaN
         raise ConfigurationError("truncation_sigmas must be finite and >= 1", field="truncation_sigmas")
-    occupancy_threshold = float(merged.get("occupancy_threshold", 0.1))
+    occupancy_threshold = float(merged.get("occupancy_threshold", DEFAULT_OCCUPANCY_THRESHOLD))
     if not 0 < occupancy_threshold < np.inf:  # also rejects NaN; at <= 0 every voxel is occupied
         raise ConfigurationError("occupancy_threshold must be finite and > 0", field="occupancy_threshold")
 

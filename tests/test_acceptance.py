@@ -198,7 +198,7 @@ def test_criterion_06_entropy_weight_laws():
 @criterion(7, "fusion convexity and gate laws")
 def test_criterion_07_fusion_laws(small_bundle, small_model):
     rng = np.random.default_rng(1007)
-    params = FusionParams.from_bundle(small_bundle, small_model.feature_width, small_model.consistency_width)
+    params = FusionParams.from_bundle(small_bundle)
     f = small_model.feature_width
     zero_value = FusionParams(**{
         **params.__dict__,

@@ -214,6 +214,12 @@ class TestDomainTypes:
             with pytest.raises(ConfigurationError), np.errstate(over="ignore"):
                 GridSpec(origin=np.array(origin, dtype=float), voxel_size=np.array(voxel, dtype=float), dims=(2, 2, 2))
 
+    def test_single_depth_chunk_rejected(self):
+        # LDFA modulates the last depth chunk by the others, so it needs two
+        with pytest.raises(ConfigurationError) as info:
+            ModelConfig(depth_chunks=1)
+        assert info.value.field == "depth_chunks"
+
 
 class TestActivations:
     """``_softplus`` and ``_sigmoid`` pinned bit for bit to their two-branch formulas."""

@@ -173,7 +173,7 @@ class TestBaselines:
         )
 
     def test_mode_dispatch(self, small_bundle, small_model):
-        params = FusionParams.from_bundle(small_bundle, small_model.feature_width, small_model.consistency_width)
+        params = FusionParams.from_bundle(small_bundle)
         rng = np.random.default_rng(3)
         f_l, f_c = rng.normal(size=(2, 4, 16))
         np.testing.assert_array_equal(fuse(f_l, f_c, params, "addition"), fuse_by_addition(f_l, f_c))

@@ -471,7 +471,7 @@ class TestGatedGlobalFusion:
 
 class TestLiftLidarDriver:
     def test_keypoint_weights_normalized(self, small_bundle, small_model):
-        params = KeypointParams.from_bundle(small_bundle, small_model.feature_width, small_model.lidar_keypoints)
+        params = KeypointParams.from_bundle(small_bundle)
         rng = np.random.default_rng(9)
         kp = generate_keypoints(rng.normal(size=(10, 16)), rng.uniform(0.2, 1.0, size=(10, 3)), params)
         np.testing.assert_allclose(kp.weights.sum(axis=-1), np.ones(10), atol=1e-12)
@@ -482,8 +482,8 @@ class TestLiftLidarDriver:
         centroids = rng.uniform(-4, 4, size=(12, 3))
         features = np.zeros((12, 16))
         scales = np.full((12, 3), 0.5)
-        kp_params = KeypointParams.from_bundle(small_bundle, 16, 4)
-        ld_params = LdfaParams.from_bundle(small_bundle, 16, 4)
+        kp_params = KeypointParams.from_bundle(small_bundle)
+        ld_params = LdfaParams.from_bundle(small_bundle)
         out = lift_lidar(centroids, features, scales, small_scene.stack, kp_params, ld_params, 4)
         assert out.shape == (12, 16)
         assert np.all(np.isfinite(out))

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from gaussocc.errors import ConfigurationError
+from gaussocc.fusion import FusionParams
+from gaussocc.head import HeadParams
+from gaussocc.lifting import CameraLiftParams, KeypointParams, LdfaParams
 from gaussocc.params import (
     INITIAL_DELTA,
     ParameterBundle,
@@ -46,8 +49,29 @@ def test_shape_mismatch_rejected(small_model, small_bundle):
         validate_bundle(ParameterBundle(entries), small_model)
 
 
+def test_readers_read_every_declared_path_once(small_model, small_bundle, small_grid):
+    """The stage readers and the schema name the same paths: a misspelled or
+    unread path in either shows here, since the readers state no shapes."""
+    reads = []
+
+    class RecordingBundle(ParameterBundle):
+        def raw(self, path):
+            reads.append(path)
+            return super().raw(path)
+
+    bundle = RecordingBundle({p: small_bundle.raw(p) for p in small_bundle.paths()})
+    CameraLiftParams.from_bundle(bundle)
+    KeypointParams.from_bundle(bundle)
+    LdfaParams.from_bundle(bundle)
+    bundle.get("smoothing.eps")  # the pipeline reads the smoothing temperature itself
+    FusionParams.from_bundle(bundle)
+    HeadParams.from_bundle(bundle, small_model, small_grid)
+    assert set(reads) == set(declared_parameters(small_model))
+    assert len(reads) == len(set(reads))
+
+
 def test_special_initializations(small_model, small_bundle):
-    assert float(small_bundle.get("smoothing.eps", ())) == pytest.approx(0.1)
+    assert float(small_bundle.get("smoothing.eps")) == pytest.approx(0.1)
     a = small_bundle.get("head.block0.xy.ssm.a")
     assert np.all(a < 0)
     np.testing.assert_array_equal(a[0], -np.arange(1, small_model.state_width + 1))
@@ -56,7 +80,7 @@ def test_special_initializations(small_model, small_bundle):
     )
     b_delta = float(small_bundle.get("head.block0.xy.ssm.bdelta")[0])
     assert math.log1p(math.exp(b_delta)) == pytest.approx(INITIAL_DELTA, rel=1e-5)
-    assert float(small_bundle.get("fusion.gate.b2", ())) == 0.0
+    assert float(small_bundle.get("fusion.gate.b2")) == 0.0
 
 
 def test_decode_width_tracks_classes(small_model):

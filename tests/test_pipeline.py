@@ -10,9 +10,10 @@ from gaussocc import head, metrics, pipeline, smoothing
 from gaussocc.cli import main
 from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import ConfigurationError, LabelError
-from gaussocc.formats import load_grid
+from gaussocc.formats import load_grid, save_bundle
 from gaussocc.harness import generate_scene, oracle_lovasz_per_class, save_scene
 from gaussocc.metrics import lovasz_per_class, weighted_ce
+from gaussocc.params import ParameterBundle, build_parameter_bundle, declared_parameters
 from gaussocc.pipeline import derive_seed, grid_probabilities, run_pipeline, score_grid
 from gaussocc.presets import parse_config_file, resolve_config
 
@@ -57,6 +58,11 @@ class TestConfigResolution:
         with pytest.raises(ConfigurationError) as info:
             resolve_config({"gaussian_count": 0})
         assert info.value.field == "gaussian_count"
+
+    def test_single_depth_chunk_rejected(self):
+        with pytest.raises(ConfigurationError) as info:
+            resolve_config({"depth_chunks": 1})
+        assert info.value.field == "depth_chunks"
 
     def test_bad_fusion_mode(self):
         with pytest.raises(ConfigurationError) as info:
@@ -243,6 +249,22 @@ class TestRunPipeline:
         path = tmp_path / "six.gscn"
         save_scene(generate_scene(six.scene_config, 0), path)
         with pytest.raises(ConfigurationError, match="depth planes") as info:
+            run_pipeline(small_config(tmp_path, scene=str(path)))
+        assert info.value.field == "scene"
+
+    def test_scene_grid_must_match_config(self, tmp_path):
+        coarse = small_config(tmp_path, grid_dims=(8, 8, 8))
+        path = tmp_path / "coarse.gscn"
+        save_scene(generate_scene(coarse.scene_config, 0), path)
+        with pytest.raises(ConfigurationError, match="grid") as info:
+            run_pipeline(small_config(tmp_path, scene=str(path)))
+        assert info.value.field == "scene"
+
+    def test_scene_feature_width_must_match_model(self, tmp_path):
+        wide = small_config(tmp_path, feature_width=48)
+        path = tmp_path / "wide.gscn"
+        save_scene(generate_scene(wide.scene_config, 0), path)
+        with pytest.raises(ConfigurationError, match="feature width") as info:
             run_pipeline(small_config(tmp_path, scene=str(path)))
         assert info.value.field == "scene"
 
@@ -547,6 +569,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "z").exists()
+
+    def test_single_depth_chunk_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("depth_chunks = 1\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "depth_chunks" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, stored", [("fusion.wq_l", (3, 3)), ("fusion.gate.b2", (1,))])
+    def test_misshapen_weights_exit_code(self, tmp_path, capsys, path, stored):
+        # a well-formed GOCW file whose one tensor has the wrong shape; without
+        # the shape check at load, each fails mid-run with an untyped error
+        model = resolve_config({"preset": "synthetic"}).model
+        bundle = build_parameter_bundle(model, seed=2)
+        entries = {p: bundle.raw(p) for p in bundle.paths()}
+        entries[path] = np.zeros(stored, dtype=np.float32)
+        weights = tmp_path / "bad.gocw"
+        save_bundle(ParameterBundle(entries), weights)
+        out = tmp_path / "out"
+        code = main(["run", "--preset", "synthetic", "--gaussians", "32", "--weights", str(weights), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        expected = declared_parameters(model)[path].shape
+        assert err.startswith("error: ") and path in err
+        assert str(stored) in err and str(expected) in err
+        assert not list(out.glob("*"))
 
     def test_unreadable_scene_exit_code(self, tmp_path, capsys):
         code = main([
