@@ -26,7 +26,7 @@ class DegenerateCovarianceError(GaussOccError):
 
 
 class SplatWorkerError(GaussOccError):
-    """A splat worker process failed or was interrupted. ``slab`` is its [x_lo, x_hi) range."""
+    """A forked splat or eval worker failed or was interrupted. ``slab`` is its [x_lo, x_hi) range."""
 
     def __init__(self, message: str, slab: tuple[int, int]):
         super().__init__(message)

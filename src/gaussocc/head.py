@@ -603,20 +603,26 @@ def _grid_buffers(dims: tuple, c_sem: int, shared: bool):
     return density, scores.reshape(dims + (c_sem,)), labels.reshape(dims)
 
 
-def _fork_slabs(bounds: list[int], fill) -> None:
-    """Run ``fill(x_lo, x_hi)`` for each slab in its own forked child and wait for all.
+def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list[bytes]:
+    """Run ``fill(x_lo, x_hi)`` for each slab in its own forked child; return what each returned.
 
-    A child always leaves through ``os._exit``, with status 0 only if its
-    slab is complete; a failure's message reaches the parent through a pipe.
-    The children start with SIGINT blocked, so an interrupt reaches the
-    parent only.  If a child fails, a fork fails or the wait is interrupted,
-    every child still running is killed and every child is reaped before the
-    error propagates.  The children call BLAS (the splat's per-tile class
-    products); forking while the parent's BLAS threads exist is safe because
-    OpenBLAS shuts its thread pool down before a fork and a child starts its
-    own only if one of its products is large enough to be threaded.
+    ``fill`` may return bytes (or None, read as empty); the child writes them
+    to a pipe, and the parent reads each child's pipe to its end before
+    reaping it, in slab order, so a payload larger than the pipe buffer
+    cannot deadlock.  The payloads come back in slab order.  A child always
+    leaves through ``os._exit``, with status 0 only if its slab is complete;
+    a failure's message reaches the parent through the same pipe.  The
+    children start with SIGINT blocked, so an interrupt reaches the parent
+    only.  If a child fails, a fork fails or the wait is interrupted, every
+    child still running is killed and every child is reaped before a
+    ``SplatWorkerError`` naming ``stage`` and the slab propagates.  The
+    children may call BLAS (the splat's per-tile class products); forking
+    while the parent's BLAS threads exist is safe because OpenBLAS shuts its
+    thread pool down before a fork and a child starts its own only if one of
+    its products is large enough to be threaded.
     """
-    children = []  # [pid or None once reaped, read end of its message pipe, slab]
+    children = []  # [pid or None once reaped, read end of its pipe, slab]
+    payloads = []
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for slab in zip(bounds[:-1], bounds[1:]):
@@ -631,7 +637,9 @@ def _fork_slabs(bounds: list[int], fill) -> None:
                 status = 1
                 try:
                     os.close(read_fd)
-                    fill(*slab)
+                    view = memoryview(fill(*slab) or b"")
+                    while view:
+                        view = view[os.write(write_fd, view):]
                     status = 0
                 except BaseException as exc:  # the child reports and exits, never unwinds
                     os.write(write_fd, f"{type(exc).__name__}: {exc}".encode()[:4096])
@@ -642,18 +650,25 @@ def _fork_slabs(bounds: list[int], fill) -> None:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for child in children:
             pid, read_fd, (x_lo, x_hi) = child
+            chunks = []
+            while chunk := os.read(read_fd, 2**20):
+                chunks.append(chunk)
+            data = b"".join(chunks)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             child[0] = None
             if code != 0:
-                message = os.read(read_fd, 4096).decode(errors="replace") or f"exit code {code}"
-                raise SplatWorkerError(f"splat worker of x-slab [{x_lo}, {x_hi}) failed: {message}", (x_lo, x_hi))
+                message = data[-4096:].decode(errors="replace") or f"exit code {code}"
+                raise SplatWorkerError(
+                    f"{stage} worker of x-slab [{x_lo}, {x_hi}) failed: {message}", (x_lo, x_hi)
+                )
+            payloads.append(data)
     except KeyboardInterrupt:
         running = [slab for pid, _, slab in children if pid is not None]
         if not running:
             raise
         x_lo, x_hi = running[0]
         raise SplatWorkerError(
-            f"interrupted while waiting for the splat worker of x-slab [{x_lo}, {x_hi})", (x_lo, x_hi)
+            f"interrupted while waiting for the {stage} worker of x-slab [{x_lo}, {x_hi})", (x_lo, x_hi)
         ) from None
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -662,6 +677,7 @@ def _fork_slabs(bounds: list[int], fill) -> None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             os.close(read_fd)
+    return payloads
 
 
 def splat_arrays(

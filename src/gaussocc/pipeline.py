@@ -14,8 +14,13 @@ are not resident during the splat.
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
 vectors, and CE and Lovász equal their whole-volume values bit for bit.
+Its all-voxel pass runs in forked workers, one per contiguous range of
+x-planes, through the splat's fork helper (``head._fork_slabs``), when the
+grid has enough slabs to pay for the forks; the manifest's
+``eval_workers`` is that count.
 
-The emit stage writes ``pred_grid.goc1``, ``metrics.txt`` and ``bev.ppm``,
+The emit stage creates ``out_dir`` (so a run refused at load leaves none
+behind) and writes ``pred_grid.goc1``, ``metrics.txt`` and ``bev.ppm``,
 and ``manifest.json`` follows it, each through ``formats.write_file``: a
 re-run into the same ``out_dir`` replaces each file as a new one instead of
 truncating it, so a re-run within seconds of the last costs no forced
@@ -28,7 +33,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
+import pickle
 import resource
 import time
 from contextlib import contextmanager
@@ -46,6 +53,11 @@ from .presets import RunConfig
 
 # probability rows built at a time when the grid is scored: about 1 MB
 _SLAB_BYTES = 2**20
+# slabs an eval worker must get before the eval forks.  On the small
+# workload's 32x32x16 grid (3 slabs) two workers took score_grid from 2.6-3.5
+# ms to 8.7 ms (median of 40 calls), so it stays in-process; on dense-grid
+# (256 one-plane slabs) two took it from 0.20 to 0.13 s (best of 5; 2-vCPU VM)
+_MIN_WORKER_SLABS = 8
 
 
 @dataclass(frozen=True)
@@ -95,32 +107,65 @@ def grid_probabilities(grid) -> np.ndarray:
     return _probability_rows(grid.scores)
 
 
-def score_grid(pred, truth_labels: np.ndarray, taxonomy) -> tuple[float, dict[int, float]]:
+def _planes_per_slab(dims: tuple, c_total: int) -> int:
+    """Whole x-planes of probability rows in one slab of about _SLAB_BYTES."""
+    return max(1, _SLAB_BYTES // (8 * c_total * dims[1] * dims[2]))
+
+
+def _eval_workers(threads: int, dims: tuple, c_total: int) -> int:
+    """Eval workers: the splat's clamp (``head._worker_count``), each with at least _MIN_WORKER_SLABS slabs."""
+    slabs = -(-dims[0] // _planes_per_slab(dims, c_total))
+    return max(1, min(head._worker_count(threads, dims[0]), slabs // _MIN_WORKER_SLABS))
+
+
+def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) -> tuple[float, dict[int, float]]:
     """Weighted CE and per-class Lovász of a predicted grid against truth labels.
 
     The probability rows are built in x-slabs of about _SLAB_BYTES: first for
     the foreground voxels only (the Lovász thresholds), then for every voxel
     in ascending order, each slab feeding ``metrics.CrossEntropyTerms`` and
-    ``metrics.LovaszCandidates``.  Both results equal the whole-volume
-    ``weighted_ce`` and ``lovasz_per_class`` bit for bit.  The class count
-    is the score channels plus empty; a taxonomy of another size is a
-    ``LabelError``.
+    ``metrics.LovaszCandidates``.  The second pass runs in ``_eval_workers``
+    forked workers (``threads`` is the request), one per ascending range of
+    x-planes: each fills its CE terms into one shared vector and returns its
+    argmax counts, per-class max and candidates, which the parent folds in
+    range order.  The thresholds are fixed before any worker starts, so the
+    candidates are the sequential ones, and both results equal the
+    whole-volume ``weighted_ce`` and ``lovasz_per_class`` bit for bit, for
+    any worker count.  A failed worker raises ``SplatWorkerError`` naming
+    the eval stage and its range.  The class count is the score channels
+    plus empty; a taxonomy of another size is a ``LabelError``.
     """
     scores = pred.scores.reshape(-1, pred.scores.shape[-1])
     c_total = scores.shape[-1] + 1
-    ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total)
+    dims = pred.spec.dims
+    workers = _eval_workers(threads, dims, c_total)
+    forked = workers > 1 and hasattr(os, "fork")
+    terms = np.frombuffer(mmap.mmap(-1, 8 * len(scores)), dtype=np.float64) if forked else None
+    ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total, terms)
     labels = ce.labels  # flat int64, shared rather than converted twice
     lovasz = metrics.LovaszCandidates(labels, c_total, taxonomy.empty_id)
-    plane = pred.spec.dims[1] * pred.spec.dims[2]
-    step = plane * max(1, _SLAB_BYTES // (8 * c_total * plane))
+    plane = dims[1] * dims[2]
+    step = plane * _planes_per_slab(dims, c_total)
     foreground = lovasz.foreground
     for i in range(0, len(foreground), step):
         index = foreground[i : i + step]
         lovasz.add_foreground(index, _probability_rows(scores[index]))
-    for start in range(0, len(labels), step):
-        probs = _probability_rows(scores[start : start + step])
-        ce.add(start, probs)
-        lovasz.add(start, probs)
+
+    def scan(x_lo: int, x_hi: int):
+        for start in range(x_lo * plane, x_hi * plane, step):
+            probs = _probability_rows(scores[start : min(start + step, x_hi * plane)])
+            ce.add(start, probs)
+            lovasz.add(start, probs)
+
+    def gather(x_lo: int, x_hi: int) -> bytes:  # a worker's range, and what its copy of lovasz added
+        scan(x_lo, x_hi)
+        return pickle.dumps((lovasz.predicted, lovasz.p_max, lovasz.found))
+
+    if forked:
+        for payload in head._fork_slabs(head._slab_bounds(dims[0], workers), gather, "eval"):
+            lovasz.fold(*pickle.loads(payload))
+    else:
+        scan(0, dims[0])
     return ce.value(), lovasz.losses()
 
 
@@ -172,7 +217,6 @@ def _health(report: metrics.IoUReport) -> dict:
 
 def run_pipeline(config: RunConfig) -> RunResult:
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     threads_requested = _requested_threads()
     timings: dict[str, float] = {}
     seeds = {label: derive_seed(config.seed, label) for label in ("scene", "weights", "anchors")}
@@ -230,12 +274,13 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _timed(timings, "eval"):
         report = metrics.class_iou(pred, truth, config.taxonomy.c_total)
-        ce, lovasz_losses = score_grid(pred, truth.labels, config.taxonomy)
+        ce, lovasz_losses = score_grid(pred, truth.labels, config.taxonomy, threads=threads_requested)
         lovasz = metrics.lovasz_mean(lovasz_losses)
         losses = {"ce": ce, "lovasz": lovasz, "total": metrics.total_loss(ce, lovasz)}
         metrics_text = metrics.format_metrics(report, config.taxonomy, losses)
 
     with _timed(timings, "emit"):
+        out_dir.mkdir(parents=True, exist_ok=True)
         grid_path = out_dir / "pred_grid.goc1"
         grid_bytes = formats.emit_grid(pred, grid_path, class_count=config.taxonomy.c_total)
         digest = hashlib.sha256(grid_bytes).hexdigest()
@@ -250,11 +295,12 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "config_hash": config.config_hash(),
         "seeds": seeds,
         "threads": head._worker_count(threads_requested, config.grid.dims[0]),  # the splat's worker count
+        "eval_workers": _eval_workers(threads_requested, config.grid.dims, config.taxonomy.c_total),
         "threads_requested": threads_requested,
         "anchor_count": config.gaussian_count,
         "stage_timings_s": {k: round(v, 6) for k, v in timings.items()},
         # high-water RSS of this process so far, and of the largest child it
-        # has waited for, i.e. a forked splat worker (Linux reports KiB)
+        # has waited for, i.e. a forked splat or eval worker (Linux reports KiB)
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "peak_rss_children_mb": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0, 1),
         "health": _health(report),

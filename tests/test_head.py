@@ -790,6 +790,22 @@ class TestSplatWorkers:
         monkeypatch.setattr(head, "_usable_cores", lambda: 1)
         assert head._worker_count(8, 256) == 1
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_payloads_larger_than_pipe_buffer_return_in_slab_order(self):
+        # each child's payload is several times a 64 KiB pipe buffer, and the
+        # last child's is the largest, so it blocks writing while the parent
+        # still reads the first
+        def fill(x_lo, x_hi):
+            if x_lo == 2:
+                return None  # read as an empty payload
+            return bytes([x_lo, x_hi]) * (100_000 * (x_lo + 1))
+
+        payloads = head._fork_slabs([0, 1, 2, 3, 4], fill)
+        assert payloads == [bytes([0, 1]) * 100_000, bytes([1, 2]) * 200_000, b"",
+                            bytes([3, 4]) * 400_000]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_slab_bounds_cut_between_tile_columns(self):
         assert head._slab_bounds(13, 2) == [0, 8, 13]
         assert head._slab_bounds(29, 3) == [0, 8, 16, 29]

@@ -1,3 +1,5 @@
+from copy import deepcopy
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,45 @@ class TestSlabbedLosses:
                 found.add(lo, probs[lo:hi])
             assert ce.value() == weighted_ce(probs, labels, weights)
             assert found.losses() == lovasz_per_class(probs, labels, c - 1)
+
+    def test_ranges_gathered_by_copies_fold_to_whole_array(self):
+        # what a forked eval worker does: a copy of the candidates after the
+        # foreground pass adds one index range, and the copies fold in order
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            n, c = int(rng.integers(20, 300)), int(rng.integers(2, 7))
+            probs, labels = quantized_volume(rng, n, c)
+            cuts = rng.choice(np.arange(1, n), size=int(rng.integers(1, 5)), replace=False)
+            bounds = [0, *sorted(cuts.tolist()), n]
+            found = metrics.LovaszCandidates(labels, c, c - 1)
+            found.add_foreground(found.foreground, probs[found.foreground])
+            copies = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                copy = deepcopy(found)
+                for start in range(lo, hi, 7):
+                    copy.add(start, probs[start : min(start + 7, hi)])
+                copies.append(copy)
+            for copy in copies:
+                found.fold(copy.predicted, copy.p_max, copy.found)
+            assert found.losses() == lovasz_per_class(probs, labels, c - 1)
+
+
+class TestColumnMax:
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 8, 9, 1000, 1001])
+    def test_equals_axis_max(self, rows):
+        rng = np.random.default_rng(rows)
+        probs = rng.uniform(size=(rows, 18))
+        tied = rng.integers(0, 3, size=(rows, 18)) / 4.0  # many equal values per column
+        for volume in (probs, tied, -probs):
+            got = metrics._column_max(volume)
+            assert got.shape == (18,)
+            assert got.tobytes() == volume.max(axis=0, initial=-np.inf).tobytes()
+
+    def test_leaves_rows_unchanged(self):
+        probs = np.random.default_rng(3).uniform(size=(9, 5))
+        before = probs.copy()
+        metrics._column_max(probs)
+        np.testing.assert_array_equal(probs, before)
 
 
 class TestTotalLoss:

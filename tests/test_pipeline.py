@@ -9,7 +9,7 @@ import pytest
 from gaussocc import head, metrics, pipeline, smoothing
 from gaussocc.cli import main
 from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
-from gaussocc.errors import ConfigurationError, LabelError
+from gaussocc.errors import ConfigurationError, LabelError, SplatWorkerError
 from gaussocc.formats import load_grid, save_bundle
 from gaussocc.harness import generate_scene, oracle_lovasz_per_class, save_scene
 from gaussocc.metrics import lovasz_per_class, weighted_ce
@@ -34,18 +34,24 @@ def small_config(tmp_path, **overrides):
     return resolve_config(merged)
 
 
-def run_counting_workers(tmp_path, monkeypatch, **overrides):
-    """Run the pipeline; return its manifest and the number of splat workers that ran."""
-    slabs = []
+def record_forks(monkeypatch):
+    """Bounds of every ``head._fork_slabs`` call, in call order."""
+    calls = []
     real = head._fork_slabs
 
-    def recorded(bounds, fill):
-        slabs.append(len(bounds) - 1)
-        real(bounds, fill)
+    def recorded(bounds, fill, *args):
+        calls.append(list(bounds))
+        return real(bounds, fill, *args)
 
     monkeypatch.setattr(head, "_fork_slabs", recorded)
+    return calls
+
+
+def run_counting_workers(tmp_path, monkeypatch, **overrides):
+    """Run the pipeline; return its manifest and the number of splat workers that ran."""
+    forks = record_forks(monkeypatch)
     result = run_pipeline(small_config(tmp_path, **overrides))
-    return result.manifest, slabs[0] if slabs else 1
+    return result.manifest, len(forks[0]) - 1 if forks else 1
 
 
 class TestConfigResolution:
@@ -150,16 +156,9 @@ class TestRunPipeline:
     def test_manifest_reports_splat_worker_peak_rss(self, tmp_path, monkeypatch):
         monkeypatch.setattr(head, "_usable_cores", lambda: 2)
         monkeypatch.setenv("GOC_THREADS", "2")
-        forked = []
-        real = head._fork_slabs
-
-        def recorded(bounds, fill):
-            forked.append(bounds)
-            real(bounds, fill)
-
-        monkeypatch.setattr(head, "_fork_slabs", recorded)
+        forked = record_forks(monkeypatch)
         result = run_pipeline(small_config(tmp_path))
-        assert forked == [[0, 8, 16]]  # two x-slab workers
+        assert forked == [[0, 8, 16]]  # two splat workers; the eval's 16 planes stay in-process
         assert result.manifest["peak_rss_children_mb"] > 0
 
     def test_manifest_reports_health(self, tmp_path):
@@ -445,6 +444,137 @@ class TestScoreGrid:
         assert peak < volume_bytes / 4, (peak, volume_bytes)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestScoreGridWorkers:
+    """The all-voxel pass in forked workers, one per range of x-planes."""
+
+    # 24 x-planes: with one-plane slabs, up to three workers of 8 slabs each
+    DIMS = (24, 3, 2)
+
+    @pytest.mark.parametrize("workers, bounds", [
+        (1, None), (2, None), (3, None), (2, [0, 5, 24]), (3, [0, 1, 20, 24]),
+    ])
+    def test_bitwise_equal_for_any_workers_and_ranges(self, monkeypatch, workers, bounds):
+        rng = np.random.default_rng(40 + workers)
+        grid = grid_of_scores(tied_scores(rng, self.DIMS))
+        labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
+        probs = grid_probabilities(grid)
+        ce = weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)
+        lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
+        assert 3 in lovasz  # predicted, never true: its loss is the folded max p_3
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(head, "_usable_cores", lambda: workers)
+        if bounds is not None:
+            monkeypatch.setattr(head, "_slab_bounds", lambda x_dim, slabs: bounds)
+        forks = record_forks(monkeypatch)
+        assert score_grid(grid, labels, SCORE_TAXONOMY, threads=8) == (ce, lovasz)
+        assert forks == ([] if workers == 1 else [bounds or head._slab_bounds(24, workers)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_threshold_set_in_another_workers_range(self, monkeypatch):
+        # class 0's smallest foreground error (voxel 22, p_0 = 0.9) lies in
+        # the last of three ranges; every background voxel has p_0 = 0.3, so
+        # with the global t_0 = 0.1 each is a candidate, while the first
+        # range's own foreground (voxel 1, p_0 = 0.5) would have kept out
+        # those of its range
+        scores = np.zeros(self.DIMS + (SCORE_TAXONOMY.c_sem,))
+        flat = scores.reshape(-1, SCORE_TAXONOMY.c_sem)
+        flat[:] = [0.3, 0.6, 0.0, 0.0]
+        labels = np.ones(self.DIMS, dtype=np.int64)
+        for voxel, p0 in ((1, 0.5), (22 * 6, 0.9)):
+            flat[voxel] = [p0, 1.0 - p0, 0.0, 0.0]
+            labels.reshape(-1)[voxel] = 0
+        grid = grid_of_scores(scores)
+        probs = grid_probabilities(grid)
+        lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
+        sorted_lengths = []
+        gradient = metrics._lovasz_gradient
+
+        def recording_gradient(fg_sorted):
+            sorted_lengths.append(len(fg_sorted))
+            return gradient(fg_sorted)
+
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(head, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(metrics, "_lovasz_gradient", recording_gradient)
+        forks = record_forks(monkeypatch)
+        ce, got = score_grid(grid, labels, SCORE_TAXONOMY, threads=3)
+        assert forks == [[0, 8, 16, 24]]
+        assert got == lovasz
+        assert ce == weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)
+        assert sorted_lengths[0] == grid.labels.size  # class 0: every voxel
+        oracle = oracle_lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
+        assert abs(got[0] - oracle[0]) <= 1e-12
+
+    def test_failed_worker_raises_after_every_child_is_reaped(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        grid = grid_of_scores(tied_scores(rng, self.DIMS))
+        labels = rng.integers(0, SCORE_TAXONOMY.c_total, size=self.DIMS)
+        add = metrics.CrossEntropyTerms.add
+        plane = self.DIMS[1] * self.DIMS[2]
+
+        def failing(self, start, probs):
+            if start >= 8 * plane:
+                raise RuntimeError("boom")
+            add(self, start, probs)
+
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(head, "_slab_bounds", lambda x_dim, slabs: [0, 8, 24])
+        monkeypatch.setattr(metrics.CrossEntropyTerms, "add", failing)
+        with pytest.raises(SplatWorkerError, match=r"eval worker of x-slab \[8, 24\) failed: RuntimeError: boom") as info:
+            score_grid(grid, labels, SCORE_TAXONOMY, threads=2)
+        assert info.value.slab == (8, 24)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_count_needs_eight_slabs_each(self, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        # small: 32x32x16 at 18 classes is 14 x-planes per ~1 MB slab, 3 slabs
+        assert pipeline._eval_workers(2, (32, 32, 16), 18) == 1
+        # dense-grid: one x-plane per slab, 256 slabs; the splat's clamp decides
+        assert pipeline._eval_workers(2, (256, 256, 32), 18) == 2
+        assert pipeline._eval_workers(8, (256, 256, 32), 18) == 4
+        assert pipeline._eval_workers(1, (256, 256, 32), 18) == 1
+        # 24 one-plane slabs: three workers, not the four the cores allow
+        assert pipeline._eval_workers(8, (24, 256, 32), 18) == 3
+        assert pipeline._eval_workers(8, (15, 256, 32), 18) == 1
+
+    def test_forked_run_leaves_no_child_and_same_metrics(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)  # one-plane slabs: the eval forks on 16 planes
+        monkeypatch.setenv("GOC_THREADS", "1")
+        alone = run_pipeline(small_config(tmp_path, subdir="alone"))
+        assert (alone.manifest["threads"], alone.manifest["eval_workers"]) == (1, 1)
+        monkeypatch.setenv("GOC_THREADS", "2")
+        forks = record_forks(monkeypatch)
+        forked = run_pipeline(small_config(tmp_path, subdir="forked"))
+        assert forks == [[0, 8, 16], [0, 8, 16]]  # the splat, then the eval
+        assert (forked.manifest["threads"], forked.manifest["eval_workers"]) == (2, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert forked.metrics_path.read_bytes() == alone.metrics_path.read_bytes()
+        assert forked.manifest["outputs"]["grid_digest"] == alone.manifest["outputs"]["grid_digest"]
+
+    def test_small_preset_scores_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setenv("GOC_THREADS", "2")
+        forks = []
+        real = os.fork
+
+        def counted():
+            forks.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        result = run_pipeline(resolve_config({"preset": "synthetic", "out": str(tmp_path / "small")}))
+        assert result.manifest["threads"] == 2 and result.manifest["eval_workers"] == 1
+        assert len(forks) == 2  # the splat's two x-slab workers only
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestCli:
     def test_run_and_eval_round_trip(self, tmp_path, capsys):
         out = tmp_path / "cli_run"
@@ -596,7 +726,7 @@ class TestCli:
         expected = declared_parameters(model)[path].shape
         assert err.startswith("error: ") and path in err
         assert str(stored) in err and str(expected) in err
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     def test_unreadable_scene_exit_code(self, tmp_path, capsys):
         code = main([
@@ -605,3 +735,4 @@ class TestCli:
         ])
         assert code == 1
         assert "nope.gscn" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
