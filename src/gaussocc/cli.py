@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import formats, metrics
-from .errors import GaussOccError
+from .errors import ConfigurationError, GaussOccError
 from .fusion import FUSION_MODES
 from .harness import generate_scene, save_scene
 from .params import build_parameter_bundle
@@ -75,7 +75,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _resolve(args)
-    counts = [int(v) for v in args.sweep_gaussians.split(",")] if args.sweep_gaussians else [config.gaussian_count]
+    try:
+        counts = [int(v) for v in args.sweep_gaussians.split(",")] if args.sweep_gaussians else [config.gaussian_count]
+    except ValueError:
+        raise ConfigurationError(
+            f"sweep_gaussians must be comma-separated integers, got {args.sweep_gaussians!r}",
+            field="sweep_gaussians",
+        ) from None
     modes = args.sweep_fusion.split(",") if args.sweep_fusion else [config.fusion_mode]
     base_out = Path(config.out_dir)
     for count in counts:

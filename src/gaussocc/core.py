@@ -7,8 +7,7 @@ semantic logit vector, and a latent feature embedding.  The pipeline carries
 many primitives as one struct-of-arrays dict (``init_anchors``), one row per
 primitive; ``GaussianPrimitive`` is the validated single-primitive value the
 reference paths build.  The types here are immutable value objects; arrays
-are frozen after construction so instances can be shared freely across
-threads.
+are frozen after construction.
 """
 
 from __future__ import annotations
@@ -84,6 +83,15 @@ class GridSpec:
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "voxel_size", voxel)
         object.__setattr__(self, "dims", dims)
+
+    def __eq__(self, other) -> bool:
+        """Same dims, origin and voxel size, as one bool (the field-wise default compares arrays)."""
+        return (
+            isinstance(other, GridSpec)
+            and self.dims == other.dims
+            and np.array_equal(self.origin, other.origin)
+            and np.array_equal(self.voxel_size, other.voxel_size)
+        )
 
     @property
     def extent(self) -> np.ndarray:

@@ -612,13 +612,7 @@ def parse_scene(data: bytes) -> SyntheticScene:
     r.take(truth_len)
     truth = _read_grid(_Reader(data, "truth grid", truth_start, r.offset))
     r.expect_end()
-    spec = truth.spec
-    if (
-        spec.dims != grid.dims
-        or not np.array_equal(spec.origin, grid.origin)
-        or not np.array_equal(spec.voxel_size, grid.voxel_size)
-        or truth.labels.max() >= taxonomy.c_total
-    ):
+    if truth.spec != grid or truth.labels.max() >= taxonomy.c_total:
         raise FormatError("truth grid does not match the scene header's grid or classes", offset=truth_start)
     return SyntheticScene(
         seed=header.value("seed", int),

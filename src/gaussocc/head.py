@@ -24,8 +24,10 @@ scores and density come from one stacked matmul of its (voxel, primitive)
 densities with the primitives' class probabilities.  The grid is cut into
 x-slabs of whole tile columns, one per worker process (at most ``threads``,
 which the pipeline takes from ``GOC_THREADS``, and at most one per tile
-column); each forked worker splats and labels its slab into a shared
+column); each worker splats and labels its slab into one anonymous
 mapping, so the result is bit-identical for any worker count.
+``_fork_slabs`` runs the splat's and the eval's slab workers, and alone
+decides whether they fork or run in-process.
 """
 
 from __future__ import annotations
@@ -591,10 +593,8 @@ def _slab_bounds(x_dim: int, slabs: int) -> list[int]:
     return np.minimum(columns * TILE[0], x_dim).tolist()
 
 
-def _grid_buffers(dims: tuple, c_sem: int, shared: bool):
-    """Zeroed density and scores plus the u8 labels; one shared anonymous mapping when ``shared``."""
-    if not shared:
-        return np.zeros(dims), np.zeros(dims + (c_sem,)), np.empty(dims, dtype=np.uint8)
+def _grid_buffers(dims: tuple, c_sem: int):
+    """Zeroed density and scores plus the u8 labels, views of one anonymous mapping that workers share."""
     voxels = int(np.prod(dims))
     buf = mmap.mmap(-1, voxels * (8 + 8 * c_sem + 1))
     density = np.frombuffer(buf, dtype=np.float64, count=voxels).reshape(dims)
@@ -604,16 +604,18 @@ def _grid_buffers(dims: tuple, c_sem: int, shared: bool):
 
 
 def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list[bytes]:
-    """Run ``fill(x_lo, x_hi)`` for each slab in its own forked child; return what each returned.
+    """Run ``fill(x_lo, x_hi)`` for each slab; return what each returned, in slab order.
 
-    ``fill`` may return bytes (or None, read as empty); the child writes them
-    to a pipe, and the parent reads each child's pipe to its end before
-    reaping it, in slab order, so a payload larger than the pipe buffer
-    cannot deadlock.  The payloads come back in slab order.  A child always
-    leaves through ``os._exit``, with status 0 only if its slab is complete;
-    a failure's message reaches the parent through the same pipe.  The
-    children start with SIGINT blocked, so an interrupt reaches the parent
-    only.  If a child fails, a fork fails or the wait is interrupted, every
+    With one slab, or without ``os.fork``, each slab runs here in slab order
+    and an exception propagates as is; otherwise each runs in its own forked
+    child.  ``fill`` may return bytes (or None, read as empty); a child
+    writes them to a pipe, and the parent reads each child's pipe to its end
+    before reaping it, in slab order, so a payload larger than the pipe
+    buffer cannot deadlock.  A child always leaves through ``os._exit``,
+    with status 0 only if its slab is complete; a failure's message reaches
+    the parent through the same pipe.  The children start with SIGINT
+    blocked, so an interrupt reaches the parent only.  If a child fails, a
+    fork fails or the wait is interrupted, every
     child still running is killed and every child is reaped before a
     ``SplatWorkerError`` naming ``stage`` and the slab propagates.  The
     children may call BLAS (the splat's per-tile class products); forking
@@ -621,11 +623,14 @@ def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list[bytes]:
     thread pool down before a fork and a child starts its own only if one of
     its products is large enough to be threaded.
     """
+    slabs = list(zip(bounds[:-1], bounds[1:]))
+    if len(slabs) < 2 or not hasattr(os, "fork"):
+        return [bytes(fill(*slab) or b"") for slab in slabs]
     children = []  # [pid or None once reaped, read end of its pipe, slab]
     payloads = []
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        for slab in zip(bounds[:-1], bounds[1:]):
+        for slab in slabs:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -703,11 +708,11 @@ def splat_arrays(
     so a voxel's sums agree with a per-primitive loop to rounding.
     ``threads`` caps the worker processes (pipeline: ``GOC_THREADS``,
     passed unclamped); ``_worker_count`` clamps it to the usable cores and
-    to one worker per column of tiles along x, and is the only clamp.  Each worker is a forked child that splats one
-    x-slab of whole tile columns and labels it, writing into one shared
-    anonymous mapping whose views are the returned grid's arrays; the
-    parent only waits.  One worker, or a platform without ``os.fork``, runs
-    the same slab function in-process.  Each tile lies in exactly one slab
+    to one worker per column of tiles along x, and is the only clamp.  Each
+    worker splats one x-slab of whole tile columns and labels it, writing
+    into one anonymous mapping whose views are the returned grid's arrays;
+    ``_fork_slabs`` runs the workers, forked or in-process, and the parent
+    only waits for forked ones.  Each tile lies in exactly one slab
     and is computed from its own primitive list, in ascending index order,
     so results are bit-identical for any worker count.  A failed or
     interrupted worker raises ``SplatWorkerError`` naming its slab, after
@@ -715,16 +720,11 @@ def splat_arrays(
     """
     inputs = _splat_inputs(arrays, spec, truncation_radius_sigmas)
     c_sem = inputs.class_probs.shape[1]
-    workers = _worker_count(threads, spec.dims[0])
-    forked = workers > 1 and hasattr(os, "fork")
-    density, scores, labels = _grid_buffers(spec.dims, c_sem, shared=forked)
+    density, scores, labels = _grid_buffers(spec.dims, c_sem)
 
     def fill(x_lo: int, x_hi: int):
         _splat_slab(x_lo, x_hi, inputs, density, scores)
         _label_slab(x_lo, x_hi, density, scores, labels, occupancy_threshold)
 
-    if forked:
-        _fork_slabs(_slab_bounds(spec.dims[0], workers), fill)
-    else:
-        fill(0, spec.dims[0])
+    _fork_slabs(_slab_bounds(spec.dims[0], _worker_count(threads, spec.dims[0])), fill)
     return SemanticOccupancyGrid(spec=spec, labels=labels, scores=scores)

@@ -26,11 +26,11 @@ A class with no foreground voxel has loss max(p_c).
 Both losses take their probability rows in slabs, so a caller never has to
 hold a whole probability volume: ``CrossEntropyTerms`` writes one term per
 voxel and averages them once at the end, and ``LovaszCandidates`` first
-fixes each t_c from the foreground rows, then counts the argmax classes,
-keeps max(p_c) and appends the candidates slab by slab in ascending index.
-The results do not depend on the slab sizes, bit for bit.  The slabs of a
-later index range may be gathered elsewhere (a forked worker, into its own
-copy) and folded in afterwards, in range order, with the same result.
+fixes each t_c from the foreground rows, then turns each slab into a part
+(its argmax counts, max(p_c) and candidates) and folds the parts in
+ascending index.  The results do not depend on the slab sizes, bit for bit.
+A part depends only on its slab and the thresholds, so it may be made
+anywhere (a forked worker) and folded in afterwards, with the same result.
 ``weighted_ce`` and ``lovasz_per_class`` are the one-slab case.
 """
 
@@ -93,7 +93,7 @@ class CrossEntropyTerms:
     ``start + len(probs)``; rows are renormalized defensively and the log is
     floored at 1e-12.  ``value`` is one mean over the whole term vector, so
     it is the same number however the rows were split into slabs.  ``terms``
-    is the float64 vector to fill, one entry per voxel (a shared mapping
+    is the float64 vector to fill, one entry per voxel (an anonymous mapping
     lets forked workers fill it); a new one by default.
     """
 
@@ -163,15 +163,16 @@ class LovaszCandidates:
     1. ``add_foreground(index, probs)`` for the rows of ``foreground`` (the
        voxels whose truth class is scored), in chunks of any size; this fixes
        each class threshold t_c = min(1 - p_c) over its foreground.
-    2. ``add(start, probs)`` for every voxel, in slabs of ascending index;
-       this counts the argmax classes, keeps each class's max p_c and appends
-       the candidates (foreground or p_c >= t_c) in ascending index.
+    2. ``add(start, probs)`` for every voxel, in slabs of any size; it
+       changes nothing and returns the slab's part: its argmax class counts,
+       each class's max p_c and its candidates (foreground or p_c >= t_c) in
+       ascending index.
 
-    ``fold(predicted, p_max, found)`` takes the ``predicted``, ``p_max``
-    and ``found`` of a copy that ran pass 2 over a later index range (a
-    forked worker); copies are folded in range order.  ``losses`` then sorts
-    each class's candidates, which are exactly the set the module docstring
-    derives, whatever the slab sizes and ranges were.
+    ``fold(parts)`` adds parts to the counts, max and candidates, and is the
+    only way they change; parts must be folded in ascending index, wherever
+    they were made (a forked worker makes those of its range).  ``losses``
+    then sorts each class's candidates, which are exactly the set the module
+    docstring derives, whatever the slab sizes were.
     """
 
     def __init__(self, labels: np.ndarray, classes: int, excluded_class: int | None):
@@ -189,20 +190,20 @@ class LovaszCandidates:
         labels = self.labels[index]
         np.minimum.at(self.thresholds, labels, 1.0 - probs[np.arange(len(labels)), labels])
 
-    def add(self, start: int, probs: np.ndarray) -> None:
+    def add(self, start: int, probs: np.ndarray) -> tuple:
         labels = self.labels[start : start + len(probs)]
-        self.predicted += np.bincount(np.argmax(probs, axis=-1), minlength=len(self.predicted))
-        np.maximum(self.p_max, _column_max(probs), out=self.p_max)
+        counts = np.bincount(np.argmax(probs, axis=-1), minlength=len(self.predicted))
         keep = probs >= self.thresholds
         fg_rows = np.flatnonzero(self.scored[labels])
         keep[fg_rows, labels[fg_rows]] = True
         rows, classes = np.divmod(np.flatnonzero(keep), keep.shape[1])  # row-major, like nonzero
-        self.found.append((classes, probs[rows, classes], labels[rows] == classes))
+        return counts, _column_max(probs), (classes, probs[rows, classes], labels[rows] == classes)
 
-    def fold(self, predicted: np.ndarray, p_max: np.ndarray, found: list) -> None:
-        self.predicted += predicted
-        np.maximum(self.p_max, p_max, out=self.p_max)
-        self.found.extend(found)
+    def fold(self, parts) -> None:
+        for counts, p_max, found in parts:
+            self.predicted += counts
+            np.maximum(self.p_max, p_max, out=self.p_max)
+            self.found.append(found)
 
     def losses(self) -> dict[int, float]:
         classes, p, fg = (np.concatenate(part) for part in zip(*self.found))
@@ -237,7 +238,7 @@ def lovasz_per_class(probs: np.ndarray, labels: np.ndarray, excluded_class: int 
     probs = np.asarray(probs, dtype=np.float64).reshape(-1, np.asarray(probs).shape[-1])
     found = LovaszCandidates(labels, probs.shape[-1], excluded_class)
     found.add_foreground(found.foreground, probs[found.foreground])
-    found.add(0, probs)
+    found.fold([found.add(0, probs)])
     return found.losses()
 
 
@@ -259,9 +260,7 @@ def total_loss(ce: float, lovasz: float) -> float:
 
 def class_iou(pred: SemanticOccupancyGrid, truth: SemanticOccupancyGrid, c_total: int) -> IoUReport:
     """Exact per-class confusion counts between two grids sharing a spec."""
-    if pred.spec.dims != truth.spec.dims or not np.array_equal(
-        pred.spec.origin, truth.spec.origin
-    ) or not np.array_equal(pred.spec.voxel_size, truth.spec.voxel_size):
+    if pred.spec != truth.spec:
         raise GridMismatchError("prediction and truth grids must share the same spec")
     p = pred.labels.reshape(-1).astype(np.int64)
     t = truth.labels.reshape(-1).astype(np.int64)

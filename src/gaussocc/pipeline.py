@@ -14,9 +14,9 @@ are not resident during the splat.
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
 vectors, and CE and Lovász equal their whole-volume values bit for bit.
-Its all-voxel pass runs in forked workers, one per contiguous range of
-x-planes, through the splat's fork helper (``head._fork_slabs``), when the
-grid has enough slabs to pay for the forks; the manifest's
+Its all-voxel pass runs through the splat's slab runner
+(``head._fork_slabs``), one worker per contiguous range of x-planes, forked
+when the grid has enough slabs to pay for the forks; the manifest's
 ``eval_workers`` is that count.
 
 The emit stage creates ``out_dir`` (so a run refused at load leaves none
@@ -124,23 +124,21 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
     The probability rows are built in x-slabs of about _SLAB_BYTES: first for
     the foreground voxels only (the Lovász thresholds), then for every voxel
     in ascending order, each slab feeding ``metrics.CrossEntropyTerms`` and
-    ``metrics.LovaszCandidates``.  The second pass runs in ``_eval_workers``
-    forked workers (``threads`` is the request), one per ascending range of
-    x-planes: each fills its CE terms into one shared vector and returns its
-    argmax counts, per-class max and candidates, which the parent folds in
-    range order.  The thresholds are fixed before any worker starts, so the
-    candidates are the sequential ones, and both results equal the
-    whole-volume ``weighted_ce`` and ``lovasz_per_class`` bit for bit, for
-    any worker count.  A failed worker raises ``SplatWorkerError`` naming
-    the eval stage and its range.  The class count is the score channels
-    plus empty; a taxonomy of another size is a ``LabelError``.
+    ``metrics.LovaszCandidates``.  ``head._fork_slabs`` runs the second pass,
+    ``gather``, over ``_eval_workers`` ascending ranges of x-planes
+    (``threads`` is the request): each range fills its CE terms into one
+    anonymous mapping and returns its slabs' Lovász parts, which the parent
+    folds in range order.  The thresholds are fixed before any range is
+    gathered, so the candidates are the sequential ones, and both results
+    equal the whole-volume ``weighted_ce`` and ``lovasz_per_class`` bit for
+    bit, for any worker count.  A failed worker raises ``SplatWorkerError``
+    naming the eval stage and its range.  The class count is the score
+    channels plus empty; a taxonomy of another size is a ``LabelError``.
     """
     scores = pred.scores.reshape(-1, pred.scores.shape[-1])
     c_total = scores.shape[-1] + 1
     dims = pred.spec.dims
-    workers = _eval_workers(threads, dims, c_total)
-    forked = workers > 1 and hasattr(os, "fork")
-    terms = np.frombuffer(mmap.mmap(-1, 8 * len(scores)), dtype=np.float64) if forked else None
+    terms = np.frombuffer(mmap.mmap(-1, 8 * len(scores)), dtype=np.float64)
     ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total, terms)
     labels = ce.labels  # flat int64, shared rather than converted twice
     lovasz = metrics.LovaszCandidates(labels, c_total, taxonomy.empty_id)
@@ -151,44 +149,34 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
         index = foreground[i : i + step]
         lovasz.add_foreground(index, _probability_rows(scores[index]))
 
-    def scan(x_lo: int, x_hi: int):
+    def gather(x_lo: int, x_hi: int) -> bytes:  # a worker's CE terms, and its range's Lovász parts
+        parts = []
         for start in range(x_lo * plane, x_hi * plane, step):
             probs = _probability_rows(scores[start : min(start + step, x_hi * plane)])
             ce.add(start, probs)
-            lovasz.add(start, probs)
+            parts.append(lovasz.add(start, probs))
+        return pickle.dumps(parts)
 
-    def gather(x_lo: int, x_hi: int) -> bytes:  # a worker's range, and what its copy of lovasz added
-        scan(x_lo, x_hi)
-        return pickle.dumps((lovasz.predicted, lovasz.p_max, lovasz.found))
-
-    if forked:
-        for payload in head._fork_slabs(head._slab_bounds(dims[0], workers), gather, "eval"):
-            lovasz.fold(*pickle.loads(payload))
-    else:
-        scan(0, dims[0])
+    bounds = head._slab_bounds(dims[0], _eval_workers(threads, dims, c_total))
+    for payload in head._fork_slabs(bounds, gather, "eval"):
+        lovasz.fold(pickle.loads(payload))
     return ce.value(), lovasz.losses()
 
 
 def _load_or_generate_scene(config: RunConfig) -> SyntheticScene:
-    if config.scene_path:
-        scene = load_scene(config.scene_path)
-        if scene.config.grid.dims != config.grid.dims:
-            raise ConfigurationError(
-                f"scene grid {scene.config.grid.dims} does not match configured grid {config.grid.dims}",
-                field="scene",
-            )
-        if scene.config.feature_width != config.model.feature_width:
-            raise ConfigurationError(
-                "scene feature width does not match the model feature width", field="scene"
-            )
-        if scene.config.depth_planes != config.model.depth_planes:
-            raise ConfigurationError(
-                f"scene has {scene.config.depth_planes} depth planes, the model "
-                f"{config.model.depth_planes}",
-                field="scene",
-            )
-        return scene
-    return generate_scene(config.scene_config, derive_seed(config.seed, "scene"))
+    """The scene file, refused unless it was made for this grid, class list and model; else a new scene."""
+    if not config.scene_path:
+        return generate_scene(config.scene_config, derive_seed(config.seed, "scene"))
+    scene = load_scene(config.scene_path)
+    for what, theirs, wanted in (
+        ("grid", scene.config.grid, config.grid),
+        ("classes", scene.config.taxonomy.names, config.taxonomy.names),
+        ("feature width", scene.config.feature_width, config.model.feature_width),
+        ("depth planes", scene.config.depth_planes, config.model.depth_planes),
+    ):
+        if theirs != wanted:
+            raise ConfigurationError(f"scene {what} {theirs} does not match the configured {wanted}", field="scene")
+    return scene
 
 
 def _load_or_build_bundle(config: RunConfig) -> ParameterBundle:

@@ -173,9 +173,11 @@ def parse_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` file; '#' starts a comment."""
     raw: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -1,3 +1,4 @@
+import ast
 import os
 import signal
 import subprocess
@@ -692,7 +693,7 @@ def slab_grid(x_dim=13):
 def splat_by_slabs(inputs, spec, slabs, threshold=0.1):
     """Run the slab kernel and the labelling over ``slabs`` x-slabs in-process."""
     c_sem = inputs.class_probs.shape[1]
-    density, scores, labels = head._grid_buffers(spec.dims, c_sem, shared=False)
+    density, scores, labels = head._grid_buffers(spec.dims, c_sem)
     bounds = head._slab_bounds(spec.dims[0], slabs)
     for x_lo, x_hi in zip(bounds[:-1], bounds[1:]):
         head._splat_slab(x_lo, x_hi, inputs, density, scores)
@@ -805,6 +806,54 @@ class TestSplatWorkers:
                             bytes([3, 4]) * 400_000]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_same_payloads_forked_and_in_process(self, monkeypatch):
+        calls = []
+
+        def fill(x_lo, x_hi):
+            calls.append((x_lo, x_hi))  # the parent sees this only for a slab it ran itself
+            return None if x_lo == 2 else bytes(range(x_lo, x_hi)) * 1000
+
+        bounds = [0, 2, 3, 7]
+        forked = head._fork_slabs(bounds, fill)
+        assert calls == []
+        assert forked == [bytes([0, 1]) * 1000, b"", bytes([3, 4, 5, 6]) * 1000]
+        monkeypatch.delattr(os, "fork")  # a platform without fork runs every slab in-process
+        in_process = head._fork_slabs(bounds, fill)
+        assert calls == [(0, 2), (2, 3), (3, 7)]
+        assert in_process == forked and all(type(payload) is bytes for payload in in_process)
+
+    def test_one_slab_runs_in_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        def failing(x_lo, x_hi):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        calls = []
+        assert head._fork_slabs([0, 13], lambda x_lo, x_hi: calls.append((x_lo, x_hi))) == [b""]
+        payloads = head._fork_slabs([0, 13], lambda x_lo, x_hi: bytearray(b"ab"))
+        assert payloads == [b"ab"] and type(payloads[0]) is bytes  # as a child's pipe returns it
+        assert calls == [(0, 13)]
+        with pytest.raises(RuntimeError, match="boom"):  # in-process, a failure propagates as is
+            head._fork_slabs([0, 13], failing)
+
+    def test_fork_slabs_is_the_only_fork(self):
+        # the one place that forks, so no caller keeps a second, in-process code path
+        forks = []
+        for path in sorted(os.listdir(os.path.dirname(gaussocc.__file__))):
+            if not path.endswith(".py"):
+                continue
+            with open(os.path.join(os.path.dirname(gaussocc.__file__), path)) as source:
+                tree = ast.parse(source.read())
+            functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.fork", "fork"):
+                    enclosing = [f.name for f in functions if node in ast.walk(f)]
+                    forks.append((path, enclosing))
+        assert forks == [("head.py", ["_fork_slabs"])]
 
     def test_slab_bounds_cut_between_tile_columns(self):
         assert head._slab_bounds(13, 2) == [0, 8, 13]

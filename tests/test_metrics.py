@@ -237,13 +237,14 @@ class TestSlabbedLosses:
                 found.add_foreground(index, probs[index])
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 ce.add(lo, probs[lo:hi])
-                found.add(lo, probs[lo:hi])
+                found.fold([found.add(lo, probs[lo:hi])])
             assert ce.value() == weighted_ce(probs, labels, weights)
             assert found.losses() == lovasz_per_class(probs, labels, c - 1)
 
     def test_ranges_gathered_by_copies_fold_to_whole_array(self):
         # what a forked eval worker does: a copy of the candidates after the
-        # foreground pass adds one index range, and the copies fold in order
+        # foreground pass makes the parts of one index range, and the parts
+        # of every range fold in order into the original
         rng = np.random.default_rng(16)
         for _ in range(30):
             n, c = int(rng.integers(20, 300)), int(rng.integers(2, 7))
@@ -252,15 +253,27 @@ class TestSlabbedLosses:
             bounds = [0, *sorted(cuts.tolist()), n]
             found = metrics.LovaszCandidates(labels, c, c - 1)
             found.add_foreground(found.foreground, probs[found.foreground])
-            copies = []
+            ranges = []
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 copy = deepcopy(found)
-                for start in range(lo, hi, 7):
-                    copy.add(start, probs[start : min(start + 7, hi)])
-                copies.append(copy)
-            for copy in copies:
-                found.fold(copy.predicted, copy.p_max, copy.found)
+                ranges.append([copy.add(start, probs[start : min(start + 7, hi)]) for start in range(lo, hi, 7)])
+            for parts in ranges:
+                found.fold(parts)
             assert found.losses() == lovasz_per_class(probs, labels, c - 1)
+
+    def test_add_changes_nothing(self):
+        # a part reaches the candidates only through fold, so an in-process
+        # gather that is then folded counts each candidate once
+        rng = np.random.default_rng(17)
+        probs, labels = quantized_volume(rng, 50, 4)
+        found = metrics.LovaszCandidates(labels, 4, 3)
+        found.add_foreground(found.foreground, probs[found.foreground])
+        before = deepcopy(found)
+        counts, p_max, (classes, p, fg) = found.add(0, probs)
+        assert counts.sum() == 50 and p_max.tobytes() == probs.max(axis=0).tobytes()
+        assert len(classes) == len(p) == len(fg) > 0
+        assert found.found == [] and found.predicted.tobytes() == before.predicted.tobytes()
+        assert found.p_max.tobytes() == before.p_max.tobytes()
 
 
 class TestColumnMax:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussocc import head, metrics, pipeline, smoothing
+from gaussocc import head, lifting, metrics, pipeline, smoothing
 from gaussocc.cli import main
 from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import ConfigurationError, LabelError, SplatWorkerError
@@ -35,12 +35,13 @@ def small_config(tmp_path, **overrides):
 
 
 def record_forks(monkeypatch):
-    """Bounds of every ``head._fork_slabs`` call, in call order."""
+    """Bounds of every ``head._fork_slabs`` call that forks (more than one slab), in call order."""
     calls = []
     real = head._fork_slabs
 
     def recorded(bounds, fill, *args):
-        calls.append(list(bounds))
+        if len(bounds) > 2:  # one slab runs in-process
+            calls.append(list(bounds))
         return real(bounds, fill, *args)
 
     monkeypatch.setattr(head, "_fork_slabs", recorded)
@@ -259,6 +260,28 @@ class TestRunPipeline:
             run_pipeline(small_config(tmp_path, scene=str(path)))
         assert info.value.field == "scene"
 
+    @pytest.mark.parametrize("scene_overrides", [
+        {"grid_origin": (-7.0, -8.0, -2.0)},  # the synthetic preset's origin, shifted 1 m in x
+        {"grid_voxel": (0.5, 0.5, 0.5)},
+        {"preset": "kitti", "grid_origin": (-8.0, -8.0, -2.0), "grid_voxel": (0.5, 0.5, 0.25),
+         "feature_width": 32, "state_width": 8, "cameras": 2},
+    ])
+    def test_scene_refused_before_any_stage(self, tmp_path, monkeypatch, scene_overrides):
+        # without the check, a shifted grid ran every stage and failed in
+        # class_iou, and a KITTI-taxonomy scene failed after the splat
+        other = small_config(tmp_path, **scene_overrides)
+        path = tmp_path / "other.gscn"
+        save_scene(generate_scene(other.scene_config, 0), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lift_lidar ran on a mismatched scene")
+
+        monkeypatch.setattr(lifting, "lift_lidar", refuse)
+        with pytest.raises(ConfigurationError, match="scene") as info:
+            run_pipeline(small_config(tmp_path, scene=str(path)))
+        assert info.value.field == "scene"
+        assert not (tmp_path / "run").exists()
+
     def test_scene_feature_width_must_match_model(self, tmp_path):
         wide = small_config(tmp_path, feature_width=48)
         path = tmp_path / "wide.gscn"
@@ -343,7 +366,7 @@ def assert_streamed_equals_whole(grid, labels, monkeypatch):
 
     def recording_add(self, start, rows):
         starts.append(start)
-        add(self, start, rows)
+        return add(self, start, rows)
 
     monkeypatch.setattr(metrics.LovaszCandidates, "add", recording_add)
     for slab_bytes, planes in ((1, 1), (3 * plane * 8 * SCORE_TAXONOMY.c_total, 3), (2**40, x)):
@@ -557,6 +580,34 @@ class TestScoreGridWorkers:
         assert forked.metrics_path.read_bytes() == alone.metrics_path.read_bytes()
         assert forked.manifest["outputs"]["grid_digest"] == alone.manifest["outputs"]["grid_digest"]
 
+    def test_ranges_without_fork_equal_forked(self, monkeypatch):
+        # with os.fork gone the same three ranges run in-process, each gathered
+        # once and folded once
+        rng = np.random.default_rng(45)
+        grid = grid_of_scores(tied_scores(rng, self.DIMS))
+        labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
+        starts = []
+        add = metrics.LovaszCandidates.add
+
+        def recording_add(self, start, rows):
+            starts.append(start)  # seen by the parent only for a range it ran itself
+            return add(self, start, rows)
+
+        monkeypatch.setattr(metrics.LovaszCandidates, "add", recording_add)
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(head, "_usable_cores", lambda: 3)
+        forks = record_forks(monkeypatch)
+        forked = score_grid(grid, labels, SCORE_TAXONOMY, threads=3)
+        assert forks == [[0, 8, 16, 24]] and starts == []
+        monkeypatch.delattr(os, "fork")
+        in_process = score_grid(grid, labels, SCORE_TAXONOMY, threads=3)
+        assert forks == [[0, 8, 16, 24]] * 2
+        assert starts == list(range(0, 24 * 6, 6))
+        assert in_process == forked
+        probs = grid_probabilities(grid)
+        assert forked == (weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights),
+                          lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id))
+
     def test_small_preset_scores_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(head, "_usable_cores", lambda: 2)
         monkeypatch.setenv("GOC_THREADS", "2")
@@ -727,6 +778,25 @@ class TestCli:
         assert err.startswith("error: ") and path in err
         assert str(stored) in err and str(expected) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("counts", ["64,x", "64,"])
+    def test_malformed_sweep_counts_exit_code(self, tmp_path, capsys, counts):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--preset", "synthetic", "--gaussians", "48", "--out", str(out),
+                     "--sweep-gaussians", counts, "--sweep-fusion", "addition"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "sweep_gaussians" in err and repr(counts) in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seed = 3\n# caf\xe9\n")  # latin-1, not UTF-8
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config) in err and "byte 14" in err
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
     def test_unreadable_scene_exit_code(self, tmp_path, capsys):
         code = main([
