@@ -84,13 +84,13 @@ def _cmd_sweep(args) -> int:
         ) from None
     modes = args.sweep_fusion.split(",") if args.sweep_fusion else [config.fusion_mode]
     base_out = Path(config.out_dir)
-    for count in counts:
-        for mode in modes:
-            tag = f"g{count}_{mode}"
-            result = run_pipeline(
-                _resolve(args, extra={"gaussian_count": count, "fusion_mode": mode, "out": str(base_out / tag)})
-            )
-            print(f"{tag}: {result.metrics_path}")
+    runs = [  # all resolved before the first run, so a bad entry is refused with no work done
+        _resolve(args, extra={"gaussian_count": count, "fusion_mode": mode, "out": str(base_out / f"g{count}_{mode}")})
+        for count in counts
+        for mode in modes
+    ]
+    for run in runs:
+        print(f"{Path(run.out_dir).name}: {run_pipeline(run).metrics_path}")
     return 0
 
 

@@ -93,6 +93,9 @@ class GridSpec:
             and np.array_equal(self.voxel_size, other.voxel_size)
         )
 
+    def __hash__(self) -> int:  # what __eq__ compares, as floats, not bytes: a -0.0 origin hashes as 0.0
+        return hash((self.dims, tuple(self.origin.tolist()), tuple(self.voxel_size.tolist())))
+
     @property
     def extent(self) -> np.ndarray:
         return self.voxel_size * np.asarray(self.dims, dtype=np.float64)

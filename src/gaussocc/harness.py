@@ -41,7 +41,7 @@ from .core import (
 from .errors import ConfigurationError, FormatError
 from .formats import _Reader, _read_grid, dump_grid, write_file
 from .head import SsmParams, zoh_discretize
-from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet
+from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet, project_to_view
 from .metrics import _lovasz_gradient
 
 DEGRADATION_MODES = ("none", "rain", "night")
@@ -244,13 +244,12 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     views = []
     for intr, extr in _camera_rig(config):
         plane = np.zeros((h_c, w_c, f))
-        cam_pts = centroids @ extr[:3, :3].T + extr[:3, 3]
+        uv, depths, _ = project_to_view(centroids, CameraView(plane=plane, intrinsics=intr, extrinsics=extr))
         for i in range(n_blobs):
-            depth = cam_pts[i, 2]
+            depth = depths[i]
             if depth <= 1e-3:
                 continue
-            u = intr[0, 2] + intr[0, 0] * cam_pts[i, 0] / depth
-            v = intr[1, 2] + intr[1, 1] * cam_pts[i, 1] / depth
+            u, v = uv[i]
             radius = np.clip(intr[0, 0] * float(np.mean(scales[i])) / depth, 1.0, w_c / 2.0)
             if u < -3 * radius or u > w_c - 1 + 3 * radius or v < -3 * radius or v > h_c - 1 + 3 * radius:
                 continue

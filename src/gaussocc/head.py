@@ -26,14 +26,15 @@ x-slabs of whole tile columns, one per worker process (at most ``threads``,
 which the pipeline takes from ``GOC_THREADS``, and at most one per tile
 column); each worker splats and labels its slab into one anonymous
 mapping, so the result is bit-identical for any worker count.
-``_fork_slabs`` runs the splat's and the eval's slab workers, and alone
-decides whether they fork or run in-process.
+``_fork_slabs`` runs the splat's and the eval's slab workers, alone decides
+whether they fork or run in-process, and returns their values.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import pickle
 import signal
 from dataclasses import dataclass
 
@@ -603,29 +604,29 @@ def _grid_buffers(dims: tuple, c_sem: int):
     return density, scores.reshape(dims + (c_sem,)), labels.reshape(dims)
 
 
-def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list[bytes]:
+def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list:
     """Run ``fill(x_lo, x_hi)`` for each slab; return what each returned, in slab order.
 
-    With one slab, or without ``os.fork``, each slab runs here in slab order
-    and an exception propagates as is; otherwise each runs in its own forked
-    child.  ``fill`` may return bytes (or None, read as empty); a child
-    writes them to a pipe, and the parent reads each child's pipe to its end
-    before reaping it, in slab order, so a payload larger than the pipe
-    buffer cannot deadlock.  A child always leaves through ``os._exit``,
-    with status 0 only if its slab is complete; a failure's message reaches
-    the parent through the same pipe.  The children start with SIGINT
-    blocked, so an interrupt reaches the parent only.  If a child fails, a
-    fork fails or the wait is interrupted, every
-    child still running is killed and every child is reaped before a
-    ``SplatWorkerError`` naming ``stage`` and the slab propagates.  The
-    children may call BLAS (the splat's per-tile class products); forking
-    while the parent's BLAS threads exist is safe because OpenBLAS shuts its
-    thread pool down before a fork and a child starts its own only if one of
-    its products is large enough to be threaded.
+    With one slab, or without ``os.fork``, each slab runs here in slab order:
+    its value is returned as is and an exception propagates as is.  Otherwise
+    each runs in its own forked child, which pickles ``fill``'s value (None
+    if it only writes shared memory) into a pipe; the parent reads each pipe
+    to its end before reaping the child, in slab order, so a value larger
+    than the pipe buffer cannot deadlock, and unpickles the values once
+    every child is reaped.  A child always leaves through ``os._exit``, with
+    status 0 only if its slab is complete and its value pickled; a failure's
+    message reaches the parent through the same pipe.  The children start
+    with SIGINT blocked, so an interrupt reaches the parent only.  If a child fails, a fork fails or the wait is
+    interrupted, every child still running is killed and every child is
+    reaped before a ``SplatWorkerError`` naming ``stage`` and the slab
+    propagates.  The children may call BLAS (the splat's per-tile class
+    products); forking while the parent's BLAS threads exist is safe because
+    OpenBLAS shuts its thread pool down before a fork and a child starts its
+    own only if one of its products is large enough to be threaded.
     """
     slabs = list(zip(bounds[:-1], bounds[1:]))
     if len(slabs) < 2 or not hasattr(os, "fork"):
-        return [bytes(fill(*slab) or b"") for slab in slabs]
+        return [fill(*slab) for slab in slabs]
     children = []  # [pid or None once reaped, read end of its pipe, slab]
     payloads = []
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -642,7 +643,7 @@ def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list[bytes]:
                 status = 1
                 try:
                     os.close(read_fd)
-                    view = memoryview(fill(*slab) or b"")
+                    view = memoryview(pickle.dumps(fill(*slab)))
                     while view:
                         view = view[os.write(write_fd, view):]
                     status = 0
@@ -682,7 +683,7 @@ def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list[bytes]:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             os.close(read_fd)
-    return payloads
+    return [pickle.loads(data) for data in payloads]
 
 
 def splat_arrays(

@@ -23,14 +23,15 @@ benchmark volumes).
 A class with no foreground voxel has loss max(p_c).
 ``harness.oracle_lovasz_per_class`` keeps the full sort as the reference.
 
-Both losses take their probability rows in slabs, so a caller never has to
-hold a whole probability volume: ``CrossEntropyTerms`` writes one term per
-voxel and averages them once at the end, and ``LovaszCandidates`` first
-fixes each t_c from the foreground rows, then turns each slab into a part
-(its argmax counts, max(p_c) and candidates) and folds the parts in
-ascending index.  The results do not depend on the slab sizes, bit for bit.
-A part depends only on its slab and the thresholds, so it may be made
-anywhere (a forked worker) and folded in afterwards, with the same result.
+Both losses take their probability rows, which ``probability_rows`` alone
+builds from splat scores, in slabs, so a caller never has to hold a whole
+probability volume: ``CrossEntropyTerms`` writes one term per voxel and
+averages them once at the end, and ``LovaszCandidates`` first fixes each t_c
+from the foreground rows, then turns each slab into a part (its argmax
+counts, max(p_c) and candidates) and folds the parts in ascending index.
+The results do not depend on the slab sizes, bit for bit.  A part depends
+only on its slab and the thresholds, so it may be made anywhere (a forked
+worker) and folded in afterwards, with the same result.
 ``weighted_ce`` and ``lovasz_per_class`` are the one-slab case.
 """
 
@@ -78,6 +79,21 @@ class IoUReport:
     empty_id: int
 
 
+def probability_rows(sem: np.ndarray) -> np.ndarray:
+    """Class probabilities of voxel rows of semantic scores (any leading shape).
+
+    Semantic channels keep their accumulated mixture mass; the empty channel
+    takes the left-over max(1 - density, 0); rows are renormalized in place
+    (sums floored at ``CE_LOG_FLOOR``), allocating the result once.  Each row
+    depends only on its own scores, so a slab gets the same bits as the whole.
+    """
+    probs = np.empty(sem.shape[:-1] + (sem.shape[-1] + 1,))
+    probs[..., :-1] = sem
+    np.maximum(1.0 - sem.sum(axis=-1), 0.0, out=probs[..., -1])
+    probs /= np.maximum(probs.sum(axis=-1, keepdims=True), CE_LOG_FLOOR)
+    return probs
+
+
 def _flat_labels(labels: np.ndarray, classes: int) -> np.ndarray:
     """Labels as one int64 vector; a label outside [0, classes) is a LabelError."""
     labels = np.asarray(labels).reshape(-1).astype(np.int64, copy=False)
@@ -91,10 +107,10 @@ class CrossEntropyTerms:
 
     ``add(start, probs)`` takes the probability rows of voxels ``start`` to
     ``start + len(probs)``; rows are renormalized defensively and the log is
-    floored at 1e-12.  ``value`` is one mean over the whole term vector, so
-    it is the same number however the rows were split into slabs.  ``terms``
-    is the float64 vector to fill, one entry per voxel (an anonymous mapping
-    lets forked workers fill it); a new one by default.
+    floored at ``CE_LOG_FLOOR``.  ``value`` is one mean over the whole term
+    vector, so it is the same number however the rows were split into slabs.
+    ``terms`` is the float64 vector to fill, one entry per voxel (an
+    anonymous mapping lets forked workers fill it); a new one by default.
     """
 
     def __init__(self, labels: np.ndarray, class_weights: np.ndarray, classes: int,

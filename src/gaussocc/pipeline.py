@@ -14,10 +14,10 @@ are not resident during the splat.
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
 vectors, and CE and Lovász equal their whole-volume values bit for bit.
-Its all-voxel pass runs through the splat's slab runner
-(``head._fork_slabs``), one worker per contiguous range of x-planes, forked
-when the grid has enough slabs to pay for the forks; the manifest's
-``eval_workers`` is that count.
+``score_grid`` only orchestrates: ``metrics`` owns the probability rule and
+the losses, and ``head._fork_slabs`` runs the all-voxel pass over
+``eval_workers`` (manifest) ranges of x-planes, forked when the grid has
+enough slabs to pay for the forks, and returns each range's Lovász parts.
 
 The emit stage creates ``out_dir`` (so a run refused at load leaves none
 behind) and writes ``pred_grid.goc1``, ``metrics.txt`` and ``bev.ppm``,
@@ -35,7 +35,6 @@ import hashlib
 import json
 import mmap
 import os
-import pickle
 import resource
 import time
 from contextlib import contextmanager
@@ -87,26 +86,6 @@ def _requested_threads() -> int:
     return 8
 
 
-def _probability_rows(sem: np.ndarray) -> np.ndarray:
-    """Class probabilities of voxel rows of semantic scores (any leading shape).
-
-    Semantic channels keep their accumulated mixture mass; the empty channel
-    takes the left-over max(1 - density, 0); rows are renormalized in place,
-    so the result is allocated once.  Each row depends only on its own
-    scores, so a slab of rows gets the same bits as the whole volume.
-    """
-    probs = np.empty(sem.shape[:-1] + (sem.shape[-1] + 1,))
-    probs[..., :-1] = sem
-    np.maximum(1.0 - sem.sum(axis=-1), 0.0, out=probs[..., -1])
-    probs /= np.maximum(probs.sum(axis=-1, keepdims=True), 1e-12)
-    return probs
-
-
-def grid_probabilities(grid) -> np.ndarray:
-    """Per-voxel class probabilities of the whole grid, from its splat scores."""
-    return _probability_rows(grid.scores)
-
-
 def _planes_per_slab(dims: tuple, c_total: int) -> int:
     """Whole x-planes of probability rows in one slab of about _SLAB_BYTES."""
     return max(1, _SLAB_BYTES // (8 * c_total * dims[1] * dims[2]))
@@ -121,19 +100,20 @@ def _eval_workers(threads: int, dims: tuple, c_total: int) -> int:
 def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) -> tuple[float, dict[int, float]]:
     """Weighted CE and per-class Lovász of a predicted grid against truth labels.
 
-    The probability rows are built in x-slabs of about _SLAB_BYTES: first for
-    the foreground voxels only (the Lovász thresholds), then for every voxel
-    in ascending order, each slab feeding ``metrics.CrossEntropyTerms`` and
-    ``metrics.LovaszCandidates``.  ``head._fork_slabs`` runs the second pass,
-    ``gather``, over ``_eval_workers`` ascending ranges of x-planes
-    (``threads`` is the request): each range fills its CE terms into one
-    anonymous mapping and returns its slabs' Lovász parts, which the parent
-    folds in range order.  The thresholds are fixed before any range is
-    gathered, so the candidates are the sequential ones, and both results
-    equal the whole-volume ``weighted_ce`` and ``lovasz_per_class`` bit for
-    bit, for any worker count.  A failed worker raises ``SplatWorkerError``
-    naming the eval stage and its range.  The class count is the score
-    channels plus empty; a taxonomy of another size is a ``LabelError``.
+    ``metrics.probability_rows`` builds the rows in x-slabs of about
+    _SLAB_BYTES: first for the foreground voxels only (the Lovász
+    thresholds), then for every voxel in ascending order, each slab feeding
+    ``metrics.CrossEntropyTerms`` and ``metrics.LovaszCandidates``.
+    ``head._fork_slabs`` runs the second pass, ``gather``, over
+    ``_eval_workers`` ascending ranges of x-planes (``threads`` is the
+    request): each range fills its CE terms into one anonymous mapping and
+    returns its list of Lovász parts, which the parent folds in range order.
+    The thresholds are fixed before any range is gathered, so the candidates
+    are the sequential ones, and both results equal the whole-volume
+    ``weighted_ce`` and ``lovasz_per_class`` bit for bit, for any worker
+    count.  A failed worker raises ``SplatWorkerError`` naming the eval
+    stage and its range.  The class count is the score channels plus empty;
+    a taxonomy of another size is a ``LabelError``.
     """
     scores = pred.scores.reshape(-1, pred.scores.shape[-1])
     c_total = scores.shape[-1] + 1
@@ -147,19 +127,19 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
     foreground = lovasz.foreground
     for i in range(0, len(foreground), step):
         index = foreground[i : i + step]
-        lovasz.add_foreground(index, _probability_rows(scores[index]))
+        lovasz.add_foreground(index, metrics.probability_rows(scores[index]))
 
-    def gather(x_lo: int, x_hi: int) -> bytes:  # a worker's CE terms, and its range's Lovász parts
+    def gather(x_lo: int, x_hi: int) -> list:  # a worker's CE terms, and its range's Lovász parts
         parts = []
         for start in range(x_lo * plane, x_hi * plane, step):
-            probs = _probability_rows(scores[start : min(start + step, x_hi * plane)])
+            probs = metrics.probability_rows(scores[start : min(start + step, x_hi * plane)])
             ce.add(start, probs)
             parts.append(lovasz.add(start, probs))
-        return pickle.dumps(parts)
+        return parts
 
     bounds = head._slab_bounds(dims[0], _eval_workers(threads, dims, c_total))
-    for payload in head._fork_slabs(bounds, gather, "eval"):
-        lovasz.fold(pickle.loads(payload))
+    for parts in head._fork_slabs(bounds, gather, "eval"):
+        lovasz.fold(parts)
     return ce.value(), lovasz.losses()
 
 

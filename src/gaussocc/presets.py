@@ -248,10 +248,10 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
     model = ModelConfig(
         feature_width=int(merged.get("feature_width", base["feature_width"])),
         state_width=int(merged.get("state_width", base["state_width"])),
-        lidar_keypoints=int(merged.get("lidar_keypoints", 4)),
-        image_keypoints=int(merged.get("image_keypoints", 4)),
-        depth_chunks=int(merged.get("depth_chunks", 4)),
-        depth_planes=int(merged.get("depth_planes", 8)),
+        lidar_keypoints=int(merged.get("lidar_keypoints", ModelConfig.lidar_keypoints)),
+        image_keypoints=int(merged.get("image_keypoints", ModelConfig.image_keypoints)),
+        depth_chunks=int(merged.get("depth_chunks", ModelConfig.depth_chunks)),
+        depth_planes=int(merged.get("depth_planes", ModelConfig.depth_planes)),
         head_blocks=int(merged.get("head_blocks", base["head_blocks"])),
         semantic_classes=taxonomy.c_sem,
     )
@@ -261,8 +261,8 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
             voxel_size=np.array(merged.get("grid_voxel", base["grid_voxel"])),
             dims=tuple(merged.get("grid_dims", base["grid_dims"])),
         )
-        blob_min = int(merged.get("blob_min", 3))
-        blob_max = int(merged.get("blob_max", 12))
+        blob_min = int(merged.get("blob_min", SceneConfig.blob_range[0]))
+        blob_max = int(merged.get("blob_max", SceneConfig.blob_range[1]))
         scene_config = SceneConfig(
             grid=grid,
             taxonomy=taxonomy,
@@ -272,7 +272,7 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
             cameras=int(merged.get("cameras", base["cameras"])),
             camera_shape=tuple(merged.get("camera_shape", base["camera_shape"])),
             blob_range=(blob_min, blob_max),
-            noise_sigma=float(merged.get("noise_sigma", 0.02)),
+            noise_sigma=float(merged.get("noise_sigma", SceneConfig.noise_sigma)),
         )
     except ConfigurationError as exc:
         keys = _FIELD_KEYS.get(exc.field)

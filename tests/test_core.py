@@ -214,6 +214,20 @@ class TestDomainTypes:
             with pytest.raises(ConfigurationError), np.errstate(over="ignore"):
                 GridSpec(origin=np.array(origin, dtype=float), voxel_size=np.array(voxel, dtype=float), dims=(2, 2, 2))
 
+    def test_grid_spec_hash_follows_equality(self):
+        def spec(origin, voxel=(0.5, 0.5, 0.25), dims=(4, 4, 2)):
+            return GridSpec(origin=np.array(origin, dtype=float), voxel_size=np.array(voxel), dims=dims)
+
+        a = spec((-0.0, -8.0, 2.0))
+        b = spec((0.0, -8.0, 2.0))  # -0.0 == 0.0, though their bytes differ
+        assert a == b and hash(a) == hash(b)
+        assert hash(spec((1, 2, 3))) == hash(spec(np.array([1, 2, 3], dtype=np.float32)))
+        table = {a: "a"}
+        assert table[b] == "a" and len({a, b}) == 1
+        others = [spec((0.0, -8.0, 2.5)), spec((0.0, -8.0, 2.0), voxel=(0.5, 0.5, 0.5)),
+                  spec((0.0, -8.0, 2.0), dims=(4, 2, 4))]
+        assert all(other != a and other not in table for other in others)
+
     def test_single_depth_chunk_rejected(self):
         # LDFA modulates the last depth chunk by the others, so it needs two
         with pytest.raises(ConfigurationError) as info:

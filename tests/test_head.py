@@ -793,16 +793,16 @@ class TestSplatWorkers:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_payloads_larger_than_pipe_buffer_return_in_slab_order(self):
-        # each child's payload is several times a 64 KiB pipe buffer, and the
-        # last child's is the largest, so it blocks writing while the parent
-        # still reads the first
+        # each child's pickled value is several times a 64 KiB pipe buffer,
+        # and the last child's is the largest, so it blocks writing while the
+        # parent still reads the first
         def fill(x_lo, x_hi):
             if x_lo == 2:
-                return None  # read as an empty payload
+                return None  # a fill that only writes shared memory
             return bytes([x_lo, x_hi]) * (100_000 * (x_lo + 1))
 
         payloads = head._fork_slabs([0, 1, 2, 3, 4], fill)
-        assert payloads == [bytes([0, 1]) * 100_000, bytes([1, 2]) * 200_000, b"",
+        assert payloads == [bytes([0, 1]) * 100_000, bytes([1, 2]) * 200_000, None,
                             bytes([3, 4]) * 400_000]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -818,11 +818,11 @@ class TestSplatWorkers:
         bounds = [0, 2, 3, 7]
         forked = head._fork_slabs(bounds, fill)
         assert calls == []
-        assert forked == [bytes([0, 1]) * 1000, b"", bytes([3, 4, 5, 6]) * 1000]
+        assert forked == [bytes([0, 1]) * 1000, None, bytes([3, 4, 5, 6]) * 1000]
         monkeypatch.delattr(os, "fork")  # a platform without fork runs every slab in-process
         in_process = head._fork_slabs(bounds, fill)
         assert calls == [(0, 2), (2, 3), (3, 7)]
-        assert in_process == forked and all(type(payload) is bytes for payload in in_process)
+        assert in_process == forked and [type(value) for value in in_process] == [type(v) for v in forked]
 
     def test_one_slab_runs_in_process(self, monkeypatch):
         def no_fork():
@@ -833,12 +833,42 @@ class TestSplatWorkers:
 
         monkeypatch.setattr(os, "fork", no_fork)
         calls = []
-        assert head._fork_slabs([0, 13], lambda x_lo, x_hi: calls.append((x_lo, x_hi))) == [b""]
+        assert head._fork_slabs([0, 13], lambda x_lo, x_hi: calls.append((x_lo, x_hi))) == [None]
         payloads = head._fork_slabs([0, 13], lambda x_lo, x_hi: bytearray(b"ab"))
-        assert payloads == [b"ab"] and type(payloads[0]) is bytes  # as a child's pipe returns it
+        assert payloads == [b"ab"] and type(payloads[0]) is bytearray  # the fill's value, unconverted
         assert calls == [(0, 13)]
         with pytest.raises(RuntimeError, match="boom"):  # in-process, a failure propagates as is
             head._fork_slabs([0, 13], failing)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_values_returned_as_is_in_process_and_copied_forked(self, monkeypatch):
+        made = {}
+
+        def fill(x_lo, x_hi):
+            made[x_lo] = [np.arange(x_lo, x_hi, dtype=np.float64), {"slab": (x_lo, x_hi)}]
+            return made[x_lo]
+
+        bounds = [0, 2, 3, 7]
+        forked = head._fork_slabs(bounds, fill)
+        assert made == {}  # made in the children only
+        monkeypatch.delattr(os, "fork")
+        in_process = head._fork_slabs(bounds, fill)
+        assert [id(value) for value in in_process] == [id(made[x_lo]) for x_lo in bounds[:-1]]
+        for copy, own in zip(forked, in_process):
+            assert copy is not own
+            np.testing.assert_array_equal(copy[0], own[0])
+            assert copy[0].dtype == own[0].dtype and copy[1] == own[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_unpicklable_value_raises_worker_error(self):
+        def fill(x_lo, x_hi):
+            return (lambda: None) if x_lo == 3 else x_lo  # a lambda cannot be pickled
+
+        with pytest.raises(SplatWorkerError, match=r"eval worker of x-slab \[3, 7\)") as info:
+            head._fork_slabs([0, 2, 3, 7], fill, "eval")
+        assert info.value.slab == (3, 7) and "pickle" in str(info.value)
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_fork_slabs_is_the_only_fork(self):
         # the one place that forks, so no caller keeps a second, in-process code path

@@ -14,7 +14,7 @@ from gaussocc.formats import load_grid, save_bundle
 from gaussocc.harness import generate_scene, oracle_lovasz_per_class, save_scene
 from gaussocc.metrics import lovasz_per_class, weighted_ce
 from gaussocc.params import ParameterBundle, build_parameter_bundle, declared_parameters
-from gaussocc.pipeline import derive_seed, grid_probabilities, run_pipeline, score_grid
+from gaussocc.pipeline import derive_seed, run_pipeline, score_grid
 from gaussocc.presets import parse_config_file, resolve_config
 
 SMALL_RUN = {
@@ -296,40 +296,23 @@ class TestRunPipeline:
             run_pipeline(cfg)
 
     def test_grid_probabilities_normalized(self, small_grid):
-        from gaussocc.core import SemanticOccupancyGrid
-
         rng = np.random.default_rng(6)
-        scores = rng.uniform(0, 0.3, size=small_grid.dims + (17,))
-        grid = SemanticOccupancyGrid(
-            spec=small_grid, labels=np.zeros(small_grid.dims, dtype=np.uint8), scores=scores
-        )
-        probs = grid_probabilities(grid)
+        probs = metrics.probability_rows(rng.uniform(0, 0.3, size=small_grid.dims + (17,)))
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(probs >= 0)
         # a voxel with zero semantic mass is all empty-class probability
-        empty_probs = grid_probabilities(
-            SemanticOccupancyGrid(
-                spec=small_grid,
-                labels=np.zeros(small_grid.dims, dtype=np.uint8),
-                scores=np.zeros(small_grid.dims + (17,)),
-            ),
-        )
+        empty_probs = metrics.probability_rows(np.zeros(small_grid.dims + (17,)))
         np.testing.assert_allclose(empty_probs[..., 17], 1.0)
 
     def test_grid_probabilities_bitwise_equal_to_concatenate_formula(self, small_grid):
-        from gaussocc.core import SemanticOccupancyGrid
-
         rng = np.random.default_rng(7)
         # per-voxel mass from 0 to about 2.5: rows with and without left-over empty mass
         mass = rng.uniform(0, 1, size=small_grid.dims + (1,))
         scores = rng.uniform(0, 0.3, size=small_grid.dims + (17,)) * mass
-        grid = SemanticOccupancyGrid(
-            spec=small_grid, labels=np.zeros(small_grid.dims, dtype=np.uint8), scores=scores
-        )
         empty = np.maximum(1.0 - scores.sum(axis=-1), 0.0)
         concatenated = np.concatenate([scores, empty[..., None]], axis=-1)
         expected = concatenated / np.maximum(concatenated.sum(axis=-1, keepdims=True), 1e-12)
-        probs = grid_probabilities(grid)
+        probs = metrics.probability_rows(scores)
         assert probs.dtype == expected.dtype and probs.shape == expected.shape
         assert probs.tobytes() == expected.tobytes()
         assert np.any(empty > 0) and np.any(empty == 0)
@@ -356,7 +339,7 @@ def assert_streamed_equals_whole(grid, labels, monkeypatch):
     """For slabs of one x-plane, three x-planes (uneven) and the whole volume:
     CE and every Lovász loss bitwise equal to the whole-array functions, and
     Lovász within 1e-12 of the full-sort oracle."""
-    probs = grid_probabilities(grid)
+    probs = metrics.probability_rows(grid.scores)
     ce = weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)
     lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
     oracle = oracle_lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
@@ -431,7 +414,7 @@ class TestScoreGrid:
         grid = grid_of_scores(tied_scores(rng, (7, 3, 2)))
         labels = np.full(grid.spec.dims, SCORE_TAXONOMY.empty_id)
         lovasz = assert_streamed_equals_whole(grid, labels, monkeypatch)
-        probs = grid_probabilities(grid).reshape(-1, SCORE_TAXONOMY.c_total)
+        probs = metrics.probability_rows(grid.scores).reshape(-1, SCORE_TAXONOMY.c_total)
         for c, loss in lovasz.items():
             assert loss == probs[:, c].max()
 
@@ -481,7 +464,7 @@ class TestScoreGridWorkers:
         rng = np.random.default_rng(40 + workers)
         grid = grid_of_scores(tied_scores(rng, self.DIMS))
         labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
-        probs = grid_probabilities(grid)
+        probs = metrics.probability_rows(grid.scores)
         ce = weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)
         lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
         assert 3 in lovasz  # predicted, never true: its loss is the folded max p_3
@@ -509,7 +492,7 @@ class TestScoreGridWorkers:
             flat[voxel] = [p0, 1.0 - p0, 0.0, 0.0]
             labels.reshape(-1)[voxel] = 0
         grid = grid_of_scores(scores)
-        probs = grid_probabilities(grid)
+        probs = metrics.probability_rows(grid.scores)
         lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
         sorted_lengths = []
         gradient = metrics._lovasz_gradient
@@ -604,7 +587,7 @@ class TestScoreGridWorkers:
         assert forks == [[0, 8, 16, 24]] * 2
         assert starts == list(range(0, 24 * 6, 6))
         assert in_process == forked
-        probs = grid_probabilities(grid)
+        probs = metrics.probability_rows(grid.scores)
         assert forked == (weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights),
                           lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id))
 
@@ -788,6 +771,15 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: ") and "sweep_gaussians" in err and repr(counts) in err
         assert err.count("\n") == 1 and not out.exists()
+
+    def test_sweep_refuses_bad_entry_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--preset", "synthetic", "--gaussians", "32", "--out", str(out),
+                     "--sweep-gaussians", "32,0", "--sweep-fusion", "addition"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and "gaussian_count" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
     def test_config_not_utf8_exit_code(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
