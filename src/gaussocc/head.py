@@ -584,7 +584,12 @@ def _label_slab(x_lo: int, x_hi: int, density: np.ndarray, scores: np.ndarray, l
 
 
 def _worker_count(threads: int, x_dim: int) -> int:
-    """Splat workers: at most ``threads``, the usable cores and one per column of tiles along x."""
+    """Splat workers: at most ``threads``, the usable cores and one per column of tiles along x.
+
+    One without ``os.fork``, where ``_fork_slabs`` runs every slab in-process.
+    """
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(int(threads), _usable_cores(), -(-x_dim // TILE[0])))
 
 
@@ -709,7 +714,8 @@ def splat_arrays(
     so a voxel's sums agree with a per-primitive loop to rounding.
     ``threads`` caps the worker processes (pipeline: ``GOC_THREADS``,
     passed unclamped); ``_worker_count`` clamps it to the usable cores and
-    to one worker per column of tiles along x, and is the only clamp.  Each
+    to one worker per column of tiles along x (to one without ``os.fork``),
+    and is the only clamp.  Each
     worker splats one x-slab of whole tile columns and labels it, writing
     into one anonymous mapping whose views are the returned grid's arrays;
     ``_fork_slabs`` runs the workers, forked or in-process, and the parent

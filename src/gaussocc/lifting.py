@@ -10,6 +10,12 @@ mean-pooled in contiguous depth chunks, chunk context modulates the last
 chunk through a sigmoid mask, and a learnable soft gate blends the modulated
 vector with the global depth mean.  The paper's training-time shuffle of the
 depth levels is not reproduced: this pipeline runs forward only.
+``lift_lidar`` runs the whole chain over blocks of anchors with about
+_LIFT_BLOCK_BYTES of depth samples each, against one texel-major copy of the
+stack per call, and writes each block's rows into one (N, F) output: no
+(N, D, F) tensor over every anchor is held, and since each row goes through
+the same operations the output is bitwise equal to the chain over every
+anchor at once.
 
 Both branches sample planes through one gather-and-reduce kernel:
 ``_bilinear_taps`` turns sample coordinates and weights into flat texel
@@ -42,6 +48,11 @@ from .params import ParameterBundle
 # occ3d-sized depth sampling took 0.23-0.27 s with 0.5 MB blocks and
 # 0.49 s with 16 MB blocks.
 _GATHER_BYTES = 2**19
+
+# Byte budget of one anchor block's (rows, D, F) depth samples in lift_lidar:
+# 1,024 anchors at D = 8, F = 128.  Holding every anchor's samples at once
+# set the run's peak: occ3d's lifting took the process from 167 to 402 MB.
+_LIFT_BLOCK_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -281,13 +292,20 @@ def generate_keypoints(
     return KeypointSet(offsets=offsets, weights=weights)
 
 
+def _texel_major(stack: DepthPlaneStack) -> np.ndarray:
+    """(H*W, D*F) copy of the stack: one gathered row holds a texel's features at every depth level."""
+    d, h, w, f = stack.planes.shape
+    return np.moveaxis(np.asarray(stack.planes, dtype=np.float64), 0, 2).reshape(h * w, d * f)
+
+
 def ldfa_depth_sample(
-    centroids: np.ndarray, keypoints: KeypointSet, stack: DepthPlaneStack
+    centroids: np.ndarray, keypoints: KeypointSet, stack: DepthPlaneStack, texels: np.ndarray | None = None
 ) -> np.ndarray:
     """Weighted keypoint samples per depth level: one D x F row block per anchor.
 
     Keypoints project to plane coordinates by dropping z and geo-referencing
-    (x, y) against the stack's XY extent.
+    (x, y) against the stack's XY extent.  ``texels`` is the stack's
+    ``_texel_major`` copy, made here when not given.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     positions = centroids[..., None, :] + keypoints.offsets
@@ -296,8 +314,8 @@ def ldfa_depth_sample(
     weights = np.broadcast_to(keypoints.weights, lead + (p,)).reshape(-1, p)
     d, h, w, f = stack.planes.shape
     idx, taps = _bilinear_taps(uv, h, w, weights)
-    # texel-major copy: one gathered row holds the texel's features at every depth level
-    texels = np.moveaxis(np.asarray(stack.planes, dtype=np.float64), 0, 2).reshape(h * w, d * f)
+    if texels is None:
+        texels = _texel_major(stack)
     return _reduce_taps(texels, idx, taps).reshape(lead + (d, f))
 
 
@@ -325,7 +343,7 @@ def cross_depth_modulate(chunks: np.ndarray, params: LdfaParams) -> np.ndarray:
     k = chunks.shape[-2]
     if k < 2:
         raise ConfigurationError("cross-depth modulation needs at least two chunks", field="depth_chunks")
-    context = chunks[..., : k - 1, :].reshape(chunks.shape[:-2] + (-1,))
+    context = chunks[..., : k - 1, :].reshape(chunks.shape[:-2] + ((k - 1) * chunks.shape[-1],))
     mask = _sigmoid(context @ params.phi_w + params.phi_b)
     return mask * chunks[..., k - 1, :]
 
@@ -348,8 +366,35 @@ def lift_lidar(
     ldfa_params: LdfaParams,
     chunks: int,
 ) -> np.ndarray:
-    """Full LDFA chain: keypoints, depth sampling, chunking, modulation, gating."""
-    keypoints = generate_keypoints(features, scales, keypoint_params)
-    f_depth = ldfa_depth_sample(centroids, keypoints, stack)
-    modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ldfa_params)
-    return gated_global_fusion(modulated, f_depth, ldfa_params)
+    """Full LDFA chain: keypoints, depth sampling, chunking, modulation, gating.
+
+    Anchors (the leading axes, flattened to rows) go through the chain in
+    blocks of about _LIFT_BLOCK_BYTES of depth samples, which share one
+    texel-major copy of the stack made once per call; each block's rows are
+    written into one (N, F) output, which is bitwise equal to the chain over
+    every anchor at once.  An empty input still runs the chain once, on no
+    rows, so a bad ``chunks`` is refused whatever N is.
+    """
+    centroids = np.asarray(centroids, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
+    scales = np.asarray(scales, dtype=np.float64)
+    lead = np.broadcast_shapes(centroids.shape[:-1], features.shape[:-1], scales.shape[:-1])
+    points = np.broadcast_to(centroids, lead + (3,)).reshape(-1, 3)
+    feats = np.broadcast_to(features, lead + features.shape[-1:]).reshape(-1, features.shape[-1])
+    scales = np.broadcast_to(scales, lead + (3,)).reshape(-1, 3)
+    n = len(points)
+    d, _, _, f = stack.planes.shape
+    out = np.empty((n, f))
+    rows = max(2, _LIFT_BLOCK_BYTES // (8 * d * f))
+    # Blocks of `rows` anchors, but a last anchor on its own joins the block
+    # before it: numpy multiplies a one-row matrix through gemv, not gemm,
+    # which rounds differently from the chain over every anchor.
+    starts = list(range(0, max(n - 1, 1), rows))
+    texels = _texel_major(stack)
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        block = slice(lo, hi)
+        keypoints = generate_keypoints(feats[block], scales[block], keypoint_params)
+        f_depth = ldfa_depth_sample(points[block], keypoints, stack, texels)
+        modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ldfa_params)
+        out[block] = gated_global_fusion(modulated, f_depth, ldfa_params)
+    return out.reshape(lead + (f,))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -487,3 +489,61 @@ class TestLiftLidarDriver:
         out = lift_lidar(centroids, features, scales, small_scene.stack, kp_params, ld_params, 4)
         assert out.shape == (12, 16)
         assert np.all(np.isfinite(out))
+
+    @staticmethod
+    def lidar_args(bundle, stack, seed, lead):
+        """Random anchors with leading axes ``lead``, then the rest of lift_lidar's arguments."""
+        rng = np.random.default_rng(seed)
+        f = stack.planes.shape[-1]
+        return (rng.uniform(-8, 8, size=lead + (3,)), rng.normal(size=lead + (f,)),
+                rng.uniform(0.2, 1.0, size=lead + (3,)), stack, KeypointParams.from_bundle(bundle),
+                LdfaParams.from_bundle(bundle), 4)
+
+    @staticmethod
+    def unblocked(centroids, features, scales, stack, kp_params, ld_params, chunks):
+        """The LDFA chain over every anchor at once, composed from the public steps."""
+        keypoints = generate_keypoints(features, scales, kp_params)
+        f_depth = ldfa_depth_sample(centroids, keypoints, stack)
+        modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ld_params)
+        return gated_global_fusion(modulated, f_depth, ld_params)
+
+    # 16-anchor blocks; a last anchor on its own joins the block before it
+    @pytest.mark.parametrize("n, blocks", [(0, [0]), (1, [1]), (16, [16]), (17, [17]), (53, [16, 16, 16, 5])],
+                             ids=["empty", "one", "one-block", "block-plus-one", "ragged-blocks"])
+    def test_blocked_chain_bitwise_equal_to_unblocked(self, small_bundle, small_scene, monkeypatch, n, blocks):
+        d, _, _, f = small_scene.stack.planes.shape
+        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", 16 * 8 * d * f)
+        seen, copies = [], []
+        keypoints, texel_major = lifting.generate_keypoints, lifting._texel_major
+        monkeypatch.setattr(lifting, "generate_keypoints", lambda feats, *a: seen.append(len(feats)) or keypoints(feats, *a))
+        monkeypatch.setattr(lifting, "_texel_major", lambda s: copies.append(s) or texel_major(s))
+        args = self.lidar_args(small_bundle, small_scene.stack, 11, (n,))
+        out = lift_lidar(*args)
+        assert seen == blocks
+        assert len(copies) == 1  # one texel-major copy per call, shared by every block
+        assert out.shape == (n, f)
+        np.testing.assert_array_equal(out, self.unblocked(*args))
+
+    def test_leading_axes_blocked_bitwise(self, small_bundle, small_scene, monkeypatch):
+        d, _, _, f = small_scene.stack.planes.shape
+        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", 16 * 8 * d * f)
+        args = self.lidar_args(small_bundle, small_scene.stack, 12, (2, 37))
+        out = lift_lidar(*args)
+        assert out.shape == (2, 37, f)
+        np.testing.assert_array_equal(out, self.unblocked(*args))
+
+    def test_peak_allocation_below_whole_depth_tensor(self, small_bundle, small_scene, monkeypatch):
+        # eight and a half 1 MiB blocks: the traced peak (numpy reports its
+        # allocations to tracemalloc, so it repeats exactly) must stay below
+        # one (N, D, F) float64 depth tensor over every anchor
+        d, _, _, f = small_scene.stack.planes.shape
+        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", 2**20)
+        n = 17 * (2**20 // (8 * d * f)) // 2
+        args = self.lidar_args(small_bundle, small_scene.stack, 13, (n,))
+        tracemalloc.start()
+        try:
+            lift_lidar(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * d * f, (peak, 8 * n * d * f)

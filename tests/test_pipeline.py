@@ -563,9 +563,21 @@ class TestScoreGridWorkers:
         assert forked.metrics_path.read_bytes() == alone.metrics_path.read_bytes()
         assert forked.manifest["outputs"]["grid_digest"] == alone.manifest["outputs"]["grid_digest"]
 
+    def test_manifest_reports_one_worker_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)  # one-plane slabs: the eval forks on 16 planes
+        monkeypatch.setenv("GOC_THREADS", "2")
+        forked = run_pipeline(small_config(tmp_path, subdir="forked"))
+        assert (forked.manifest["threads"], forked.manifest["eval_workers"]) == (2, 2)
+        monkeypatch.delattr(os, "fork")  # every slab runs in-process, and the manifest says so
+        alone = run_pipeline(small_config(tmp_path, subdir="alone"))
+        assert (alone.manifest["threads"], alone.manifest["eval_workers"]) == (1, 1)
+        assert alone.manifest["outputs"]["grid_digest"] == forked.manifest["outputs"]["grid_digest"]
+        assert alone.metrics_path.read_bytes() == forked.metrics_path.read_bytes()
+
     def test_ranges_without_fork_equal_forked(self, monkeypatch):
-        # with os.fork gone the same three ranges run in-process, each gathered
-        # once and folded once
+        # with os.fork gone head._worker_count is 1, so the eval runs as one
+        # in-process range, each slab gathered once and folded once
         rng = np.random.default_rng(45)
         grid = grid_of_scores(tied_scores(rng, self.DIMS))
         labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
@@ -584,7 +596,7 @@ class TestScoreGridWorkers:
         assert forks == [[0, 8, 16, 24]] and starts == []
         monkeypatch.delattr(os, "fork")
         in_process = score_grid(grid, labels, SCORE_TAXONOMY, threads=3)
-        assert forks == [[0, 8, 16, 24]] * 2
+        assert forks == [[0, 8, 16, 24]]  # the forked run's ranges only
         assert starts == list(range(0, 24 * 6, 6))
         assert in_process == forked
         probs = metrics.probability_rows(grid.scores)
