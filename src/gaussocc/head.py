@@ -19,9 +19,14 @@ applies it.
 ``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
 probabilities.  The grid is split into 8 x 8 x 8 voxel tiles (``TILE``); the
-primitives are binned to the tiles their boxes meet, and each tile's class
-scores and density come from one stacked matmul of its (voxel, primitive)
-densities with the primitives' class probabilities.  The grid is cut into
+primitives are binned to the tiles their boxes meet.  Each tile sums its
+(voxel, primitive) quadratic forms from three 2-D partial planes, as
+(Pxy + Pyz) + Pxz, out of per-axis terms built in bulk for runs of
+consecutive tiles under a byte budget (``_AXIS_RUN_BYTES``).  Its class
+scores and density come from one stacked matmul of the densities with the
+primitives' opacity-scaled [class probabilities | 1] rows, cut along the
+primitives so no product passes OpenBLAS's threading cutoff
+(``BLAS_THREAD_MNK``), and are assigned to the tile's voxels.  The grid is cut into
 x-slabs of whole tile columns, one per worker process (at most ``threads``,
 which the pipeline takes from ``GOC_THREADS``, and at most one per tile
 column); each worker splats and labels its slab into one anonymous
@@ -73,10 +78,26 @@ _SCAN_BLOCK_BYTES = 2**19
 # Voxel tile (x, y, z) of the splat kernel: one stacked class-product matmul
 # per tile.  On the dense-grid and occ3d splat inputs (64 x-planes, one
 # process on a Xeon VM), tiles with 4 voxels on any axis were 8-20% slower,
-# from per-tile overhead; 8 x 8 x 16 was 5-9% faster, but its 128-row
-# products reach OpenBLAS's threading cutoff at half the primitive count
-# (see _splat_slab).
+# from per-tile overhead.  With the partial-plane kernel and its products cut
+# at BLAS_THREAD_MNK, 8 x 8 x 16 took 0.724 s against 0.737 s on the whole
+# dense-grid slab and 0.485 s against 0.499 s on occ3d's (in-process, median
+# of 7, seed 3): 2-3%, within the spread of the runs.  It is not adopted,
+# because it regroups each voxel's sum over primitives.
 TILE = (8, 8, 8)
+
+# m n k above which OpenBLAS 0.3.31, the build bundled with numpy 2.4, runs a
+# GEMM on more than one thread.  Measured by counting a forked child's threads
+# after one product: 64 x 868 x 18 and 100 x 100 x 100 left it at one thread,
+# 64 x 869 x 18 and 100 x 100 x 101 started a second.  The splat's class
+# products stay at or below it, so no forked worker starts BLAS threads.
+BLAS_THREAD_MNK = 10**6
+
+# Byte budget of the axis terms _splat_slab builds at once, for one run of
+# consecutive tiles.  A (primitive, tile) row holds eight float64 terms per
+# voxel of the tile's side: three along x and y, two along z.  Built for a whole
+# dense-grid slab at once, they raised the workers' peak RSS from 247 to 337 MB.
+_AXIS_RUN_BYTES = 2**20
+_AXIS_ROW_BYTES = 8 * (3 * TILE[0] + 3 * TILE[1] + 2 * TILE[2])
 
 # axis pairs backing each plane: (first coord, second coord); the second
 # coordinate is the primary raster sort key
@@ -480,27 +501,36 @@ def _splat_inputs(arrays: dict, spec: GridSpec, truncation_radius_sigmas: float)
 
 
 def _splat_slab(x_lo: int, x_hi: int, inputs: _SplatInputs, density: np.ndarray, scores: np.ndarray):
-    """Accumulate every primitive into the voxel slab [x_lo, x_hi), one ``TILE`` at a time.
+    """Write every primitive's densities into the voxel slab [x_lo, x_hi), one ``TILE`` at a time.
 
     Tiles are anchored at multiples of ``TILE`` and clipped to the slab and
     the grid.  Each primitive whose clipped voxel box meets the slab is
     binned to every tile its box meets; a stable sort on the tile id keeps
-    each tile's P primitives in ascending index order.  Per tile, the
-    per-axis terms of the quadratic form (m00 dx^2, 2 m01 dx, 2 m02 dx;
-    m11 dy^2, 2 m12 dy, dy; m22 dz^2, dz) are (t_axis, P) arrays, each
-    carrying the -1/2 of exp(-q/2), an exact power-of-two scaling.  A
-    squared term is -inf where the voxel lies outside the primitive's box,
-    and the form is summed as ((((A + B) + C) + D) + E) + F, so each
-    (voxel, primitive) pair gets the bits of the per-primitive evaluation,
-    or -inf outside the box.  Pairs beyond the truncation radius (the box
-    included) are raised to -radius^2 / 2 before the exp, which keeps numpy's
-    exp on its fast path, and are then zeroed by the radius mask.  The class
-    product is one stacked matmul of the (tx, ty tz, P) densities with
-    [class_probs | 1], yielding the scores and the density together; it
-    reassociates the sum over primitives, so a voxel matches the
-    per-primitive loop to rounding, not bitwise.  The result of a voxel
-    depends only on its tile, so any slab cut along tile boundaries gives
-    the same bits.
+    each tile's P primitives in ascending index order.  Consecutive tiles
+    form runs whose axis terms fit ``_AXIS_RUN_BYTES`` (a tile with more rows
+    is a run of its own).  For all (primitive, tile) rows of a run at once,
+    the per-axis terms are (TILE[a], rows) arrays: the deltas dy and dz; the
+    squared terms xx = m00 dx^2, yy = m11 dy^2 and zz = m22 dz^2, -inf where
+    the voxel lies outside the primitive's box; and the cross coefficients
+    times the deltas, 2 m01 dx, 2 m02 dx and 2 m12 dy.  Each carries the -1/2
+    of exp(-q/2), an exact power-of-two scaling.  Per tile, three partial
+    planes Pxy = (xx + yy) + (2 m01 dx) dy, Pyz = zz + (2 m12 dy) dz and
+    Pxz = (2 m02 dx) dz give the form as (Pxy + Pyz) + Pxz: one write and one
+    read-modify-write of the (tx, ty, tz, P) block.  Pairs beyond the
+    truncation radius (the box included) are raised to -radius^2 / 2 before
+    the exp, which keeps numpy's exp on its fast path, and are then zeroed by
+    the radius mask.  Opacity scales the [class_probs | 1] rows once per
+    slab, so the class product, one stacked matmul of the (tx, ty tz, P)
+    densities with those rows, yields the scores and the density together;
+    it is cut along P into blocks of at most ``BLAS_THREAD_MNK``
+    multiply-adds, summed in block order.  The matmul reassociates each
+    voxel's sum over primitives, so a voxel matches the per-primitive loop to
+    rounding, not bitwise; a primitive alone gets the bits of a per-primitive
+    loop in the same grouping.  Tiles partition the grid and a sum of
+    non-negative products is never -0.0, so each tile's result is assigned to
+    its voxels of the zeroed buffers, not added.  A voxel's result depends
+    only on its tile, not on the runs or the slab, so any slab cut along tile
+    boundaries gives the same bits.
     """
     spec, lo, hi = inputs.spec, inputs.lo.copy(), inputs.hi.copy()
     np.maximum(lo[:, 0], x_lo, out=lo[:, 0])
@@ -523,56 +553,86 @@ def _splat_slab(x_lo: int, x_hi: int, inputs: _SplatInputs, density: np.ndarray,
     starts = np.flatnonzero(np.diff(tile, prepend=-1))
     stops = np.append(starts[1:], len(tile))
     corner = np.multiply(np.unravel_index(tile[starts], tiles_per_axis), np.asarray(TILE)[:, None])
-    tiles = zip(
+    end = np.minimum(corner + np.asarray(TILE)[:, None], np.array([[x_hi], [spec.dims[1]], [spec.dims[2]]]))
+    np.maximum(corner[0], x_lo, out=corner[0])
+    tiles = list(zip(
         starts.tolist(), stops.tolist(),
-        np.maximum(corner[0], x_lo).tolist(), np.minimum(corner[0] + TILE[0], x_hi).tolist(),
-        corner[1].tolist(), np.minimum(corner[1] + TILE[1], spec.dims[1]).tolist(),
-        corner[2].tolist(), np.minimum(corner[2] + TILE[2], spec.dims[2]).tolist(),
-    )
+        corner[0].tolist(), end[0].tolist(), corner[1].tolist(), end[1].tolist(), corner[2].tolist(), end[2].tolist(),
+    ))
     c, m = inputs.centroid[keep], inputs.inv_sigma[keep]
-    table = np.stack([
-        c[:, 0], -0.5 * m[:, 0, 0], -m[:, 0, 1], -m[:, 0, 2], lo[:, 0], hi[:, 0],
-        c[:, 1], -0.5 * m[:, 1, 1], -m[:, 1, 2], lo[:, 1], hi[:, 1],
-        c[:, 2], -0.5 * m[:, 2, 2], lo[:, 2], hi[:, 2],
-        inputs.opacity[keep],
-    ])[:, rows]
+    # per primitive: m00, 2 m01, 2 m02; m11, 2 m12; m22, each times -1/2
+    coef = np.stack([-0.5 * m[:, 0, 0], -m[:, 0, 1], -m[:, 0, 2], -0.5 * m[:, 1, 1], -m[:, 1, 2], -0.5 * m[:, 2, 2]])
     probs1 = np.concatenate([inputs.class_probs[keep], np.ones((len(keep), 1))], axis=1)
+    probs1 *= inputs.opacity[keep, None]
     c_sem = probs1.shape[1] - 1
-    axes = spec.axis_centers
-    index = [np.arange(spec.dims[a], dtype=np.float64)[:, None] for a in range(3)]
+    # each tile's voxel centres per axis, (TILE[a], tiles); a clipped tile's pad is never read
+    tile_centers = [np.concatenate([axis, np.zeros(t)])[corner[a] + np.arange(t)[:, None]]
+                    for a, (axis, t) in enumerate(zip(spec.axis_centers, TILE))]
     floor = -0.5 * inputs.radius_sq
-    buf = np.empty(int(np.prod(TILE)) * int((stops - starts).max()))
-    for start, stop, x0, x1, y0, y1, z0, z1 in tiles:
-        cx, m00, m01, m02, lox, hix, cy, m11, m12, loy, hiy, cz, m22, loz, hiz, opacity = table[:, start:stop]
-        ix, iy, iz = index[0][x0:x1], index[1][y0:y1], index[2][z0:z1]
-        dx = axes[0][x0:x1, None] - cx
-        dy = axes[1][y0:y1, None] - cy
-        dz = axes[2][z0:z1, None] - cz
-        xx = np.where((ix >= lox) & (ix <= hix), m00 * dx**2, -np.inf)
-        yy = np.where((iy >= loy) & (iy <= hiy), m11 * dy**2, -np.inf)
-        zz = np.where((iz >= loz) & (iz <= hiz), m22 * dz**2, -np.inf)
-        shape = (x1 - x0, y1 - y0, z1 - z0, stop - start)
-        quad = buf[: int(np.prod(shape))].reshape(shape)
-        quad[...] = (xx[:, None] + yy)[:, :, None]
-        quad += zz
-        quad += (m01 * dx)[:, None, None] * dy[:, None]
-        quad += (m02 * dx)[:, None, None] * dz
-        quad += (m12 * dy)[:, None] * dz
-        inside = quad >= floor
-        np.maximum(quad, floor, out=quad)
-        dens = np.exp(quad, out=quad)
-        dens *= opacity
-        dens *= inside
-        # A stack of (ty tz, P) @ (P, c_sem + 1) products, not one (tx ty tz, P)
-        # product.  numpy's bundled OpenBLAS (0.3.31) threads a product once
-        # m n k exceeds 10^6: a 64-row product only from P = 869 on, one
-        # 512-row product from P = 109 on.  Threaded products would start BLAS
-        # threads in every forked worker: with two workers on a 2-vCPU Xeon VM
-        # the occ3d splat (P <= 140) then took 1.64 s instead of 0.48 s.
-        out = np.matmul(dens.reshape(shape[0], -1, shape[3]), probs1[rows[start:stop]])
-        box = (slice(x0, x1), slice(y0, y1), slice(z0, z1))
-        scores[box] += out[..., :c_sem].reshape(shape[:3] + (c_sem,))
-        density[box] += out[..., c_sem].reshape(shape[:3])
+    counts = stops - starts
+    tx, ty, tz, most = *TILE, int(counts.max())
+    quad_buf, xy_buf, cross_buf, yz_buf, xz_buf = (np.empty(size * most) for size in (
+        tx * ty * tz, tx * ty, tx * ty, ty * tz, tx * tz))
+    run_rows = max(1, _AXIS_RUN_BYTES // _AXIS_ROW_BYTES)
+
+    def axis_terms(a, t0, t1, prim, sq_coef, *cross_coefs):
+        """(TILE[a], rows) arrays: the -inf-masked squared term, each cross coefficient times the delta, the delta."""
+        delta = np.repeat(tile_centers[a][:, t0:t1], counts[t0:t1], axis=1)
+        delta -= c[prim, a]
+        sq = coef[sq_coef, prim] * delta**2
+        first = np.repeat(corner[a, t0:t1], counts[t0:t1])  # each row's first voxel
+        step = np.arange(TILE[a])[:, None]
+        np.copyto(sq, -np.inf, where=(step < lo[prim, a] - first) | (step > hi[prim, a] - first))
+        return sq, *(coef[k, prim] * delta for k in cross_coefs), delta
+
+    for t0, t1 in _tile_runs(starts, stops, run_rows):
+        r0 = int(starts[t0])
+        prim = rows[r0 : stops[t1 - 1]]
+        xx, mxy, mxz = axis_terms(0, t0, t1, prim, 0, 1, 2)[:3]
+        yy, myz, dy = axis_terms(1, t0, t1, prim, 3, 4)
+        zz, dz = axis_terms(2, t0, t1, prim, 5)
+        probs = probs1[prim]
+        for start, stop, x0, x1, y0, y1, z0, z1 in tiles[t0:t1]:
+            p = slice(start - r0, stop - r0)
+            shape = (x1 - x0, y1 - y0, z1 - z0, stop - start)
+            nx, ny, nz, n = shape
+            # the form as (Pxy + Pyz) + Pxz, each partial plane summed in the order written
+            pxy = np.add(xx[:nx, None, p], yy[None, :ny, p], out=xy_buf[: nx * ny * n].reshape(nx, ny, n))
+            pxy += np.multiply(mxy[:nx, None, p], dy[None, :ny, p], out=cross_buf[: nx * ny * n].reshape(nx, ny, n))
+            pyz = np.multiply(myz[:ny, None, p], dz[None, :nz, p], out=yz_buf[: ny * nz * n].reshape(ny, nz, n))
+            pyz += zz[:nz, p]
+            pxz = np.multiply(mxz[:nx, None, p], dz[None, :nz, p], out=xz_buf[: nx * nz * n].reshape(nx, nz, n))
+            quad = np.add(pxy[:, :, None], pyz, out=quad_buf[: nx * ny * nz * n].reshape(shape))
+            quad += pxz[:, None]
+            inside = quad >= floor
+            np.maximum(quad, floor, out=quad)
+            dens = np.exp(quad, out=quad)
+            dens *= inside
+            # A stack of (ty tz, P) @ (P, c_sem + 1) products, not one (tx ty tz, P)
+            # product, each cut along P into blocks of at most BLAS_THREAD_MNK
+            # multiply-adds that are summed in block order: a threaded product
+            # would start BLAS threads in every forked worker.  With two workers
+            # on a 2-vCPU Xeon VM the occ3d splat (P <= 140) took 1.64 s instead
+            # of 0.48 s with one 512-row product per tile (threaded from P = 109
+            # on).  Uncut, kitti's splat (P up to 1,582) took 14.6-86.5 s, against
+            # 4.9 s with one BLAS thread; cut, it takes 3.1-3.8 s.
+            dens, rows_p = dens.reshape(nx, ny * nz, n), probs[p]
+            block = max(1, BLAS_THREAD_MNK // (ny * nz * (c_sem + 1)))
+            out = np.matmul(dens[..., :block], rows_p[:block])
+            for k in range(block, n, block):
+                out += np.matmul(dens[..., k : k + block], rows_p[k : k + block])
+            box = (slice(x0, x1), slice(y0, y1), slice(z0, z1))
+            scores[box] = out[..., :c_sem].reshape(shape[:3] + (c_sem,))
+            density[box] = out[..., c_sem].reshape(shape[:3])
+
+
+def _tile_runs(starts: np.ndarray, stops: np.ndarray, run_rows: int):
+    """Cut tiles (row ``starts``/``stops``) into runs ``(t0, t1)``: from t0, the tiles that fit ``run_rows`` rows, at least one."""
+    t0 = 0
+    while t0 < len(starts):
+        t1 = max(t0 + 1, int(np.searchsorted(stops, starts[t0] + run_rows, side="right")))
+        yield t0, t1
+        t0 = t1
 
 
 def _label_slab(x_lo: int, x_hi: int, density: np.ndarray, scores: np.ndarray, labels: np.ndarray,
@@ -710,8 +770,9 @@ def splat_arrays(
     degenerate.  Zero rows give an all-empty grid.
 
     The grid is evaluated in ``TILE``-sized voxel tiles, each with one
-    stacked class-product matmul over the primitives whose boxes meet it,
-    so a voxel's sums agree with a per-primitive loop to rounding.
+    stacked class-product matmul over the primitives whose boxes meet it
+    (cut along them below ``BLAS_THREAD_MNK``), so a voxel's sums agree
+    with a per-primitive loop to rounding.
     ``threads`` caps the worker processes (pipeline: ``GOC_THREADS``,
     passed unclamped); ``_worker_count`` clamps it to the usable cores and
     to one worker per column of tiles along x (to one without ``os.fork``),

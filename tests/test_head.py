@@ -732,21 +732,123 @@ class TestSplatSlabKernel:
             assert np.take(touched, 0, axis=axis).any() and np.take(touched, -1, axis=axis).any()
 
     def test_single_primitive_bitwise_equal_to_reference(self):
-        # one primitive per tile leaves the matmul a single product: each pair's density keeps its bits
+        # One primitive per tile leaves the matmul a single product, so each pair's density keeps its bits.
+        # The reference is a per-primitive loop in the kernel's grouping: the six terms summed as
+        # (xx + yy + xy) + (zz + yz) + xz, and opacity multiplied into the class row, not into the density.
         rng = np.random.default_rng(9)
         spec = slab_grid()
         arrays = random_arrays(rng, 30, spec)
         sigma = make_covariance(np.exp(arrays["log_scale"]), arrays["rotation"])
         half_extents = 3.0 * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
+        axes = spec.axis_centers
+        splatted = 0
         for i in range(30):
             one = {key: value[i : i + 1] for key, value in arrays.items()}
             inputs = head._splat_inputs(one, spec, 3.0)
             want_d, want_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
-            reference_splat_slab(0, spec.dims[0], spec, inputs.centroid, inputs.inv_sigma, half_extents[i : i + 1],
-                                 inputs.opacity, inputs.class_probs, 9.0, want_d, want_s)
+            lo = np.ceil((inputs.centroid[0] - half_extents[i] - spec.origin) / spec.voxel_size - 0.5).astype(int)
+            hi = np.floor((inputs.centroid[0] + half_extents[i] - spec.origin) / spec.voxel_size - 0.5).astype(int)
+            lo, hi = np.clip(lo, 0, np.asarray(spec.dims) - 1), np.clip(hi, 0, np.asarray(spec.dims) - 1)
+            if np.all(lo <= hi):
+                dx, dy, dz = (axes[a][lo[a] : hi[a] + 1] - inputs.centroid[0, a] for a in range(3))
+                m = inputs.inv_sigma[0]
+                pxy = m[0, 0] * dx[:, None] ** 2 + m[1, 1] * dy**2 + 2.0 * m[0, 1] * dx[:, None] * dy
+                pyz = m[2, 2] * dz**2 + 2.0 * m[1, 2] * dy[:, None] * dz
+                pxz = 2.0 * m[0, 2] * dx[:, None] * dz
+                quad = pxy[:, :, None] + pyz[None] + pxz[:, None]
+                dens = np.where(quad <= 9.0, np.exp(-0.5 * quad), 0.0)
+                box = tuple(slice(lo[a], hi[a] + 1) for a in range(3))
+                want_d[box] = dens * inputs.opacity[0]
+                want_s[box] = dens[..., None] * (inputs.opacity[0] * inputs.class_probs[0])
             got_d, got_s, _ = splat_by_slabs(inputs, spec, 2)
             np.testing.assert_array_equal(got_d, want_d)
             np.testing.assert_array_equal(got_s, want_s)
+            splatted += bool(want_d.any())
+        assert splatted >= 15
+
+    @pytest.mark.parametrize("run_rows", [1, 40])
+    def test_axis_term_runs_bitwise_equal_to_one_run(self, monkeypatch, run_rows):
+        # A budget of one row puts a run boundary at every tile; 40 rows gives runs of 2-3 tiles that end
+        # in a ragged, shorter run.  Each row's terms are the same whichever run builds them.
+        spec = slab_grid(29)
+        inputs = head._splat_inputs(random_arrays(np.random.default_rng(29), 50, spec), spec, 3.0)
+        runs, real = [], head._tile_runs
+
+        def record(starts, stops, rows):
+            cuts = list(real(starts, stops, rows))
+            runs.append([(int(stops[t1 - 1] - starts[t0]), t1 - t0) for t0, t1 in cuts])  # (rows, tiles)
+            return cuts
+
+        monkeypatch.setattr(head, "_tile_runs", record)
+        want_d, want_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+        head._splat_slab(0, spec.dims[0], inputs, want_d, want_s)
+        monkeypatch.setattr(head, "_AXIS_RUN_BYTES", run_rows * head._AXIS_ROW_BYTES)
+        got_d, got_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+        head._splat_slab(0, spec.dims[0], inputs, got_d, got_s)
+        np.testing.assert_array_equal(got_d, want_d)
+        np.testing.assert_array_equal(got_s, want_s)
+        one_run, cut = runs
+        assert len(one_run) == 1 and one_run[0][1] == 16  # every tile of the grid in one run
+        if run_rows == 1:
+            assert [tiles for _, tiles in cut] == [1] * 16
+        else:
+            assert len(cut) > 2 and max(tiles for _, tiles in cut) > 1
+            assert all(rows <= run_rows for rows, _ in cut) and cut[-1][0] < min(rows for rows, _ in cut[:-1])
+
+    def test_peak_allocation_below_unbounded_axis_terms(self, monkeypatch):
+        # Primitives spanning about two tiles per axis on a grid of 128 tiles: many (primitive, tile) rows,
+        # about 80 primitives per tile.  With runs of 64 rows, one slab's peak must stay below the axis
+        # terms of all its rows at once.
+        rng = np.random.default_rng(12)
+        spec = GridSpec(origin=np.array([-8.0, -8.0, -2.0]), voxel_size=np.full(3, 0.25), dims=(64, 64, 16))
+        arrays = random_arrays(rng, 1500, spec)
+        arrays["centroid"] = rng.uniform(spec.origin, spec.origin + spec.extent, size=(1500, 3))
+        arrays["log_scale"] = np.log(rng.uniform(0.3, 0.6, size=(1500, 3)))
+        inputs = head._splat_inputs(arrays, spec, 3.0)
+        met = np.all(inputs.lo <= inputs.hi, axis=1)
+        rows = int(np.prod(inputs.hi[met] // head.TILE - inputs.lo[met] // head.TILE + 1, axis=1).sum())
+        unbounded = rows * head._AXIS_ROW_BYTES
+        assert unbounded > 4 * 2**20
+        monkeypatch.setattr(head, "_AXIS_RUN_BYTES", 64 * head._AXIS_ROW_BYTES)
+        density, scores = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+        tracemalloc.start()
+        try:
+            head._splat_slab(0, spec.dims[0], inputs, density, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert density.any()
+        assert peak < unbounded, (peak, unbounded)  # about 0.45 of it; 1.76 with the whole slab's terms at once
+
+    def test_class_products_at_or_below_blas_cutoff(self, monkeypatch):
+        # The inputs of test_workers_forked_after_threaded_blas: the tile at the origin holds P > 868
+        # primitives, so one (64 x P) @ (P x 18) product would pass OpenBLAS's threading cutoff.
+        spec = slab_grid(29)
+        arrays = random_arrays(np.random.default_rng(11), 2500, spec)
+        inputs = head._splat_inputs(arrays, spec, 3.0)
+        p_first = np.count_nonzero(np.all(inputs.lo <= np.minimum(inputs.hi, 7), axis=1))
+        assert p_first > 868
+        products, real = [], np.matmul
+
+        def record(a, b, *args, **kwargs):
+            products.append((a.shape[-2], a.shape[-1], b.shape[-1]))  # (m, k, n)
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", record)
+        density, scores = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+        head._splat_slab(0, 8, inputs, density, scores)
+        monkeypatch.undo()
+        assert max(m * n * k for m, k, n in products) <= head.BLAS_THREAD_MNK
+        ks = np.cumsum([k for _, k, _ in products])
+        assert p_first in ks[1:]  # the origin tile, whose rows come first, took more than one product
+        # the blocks' partial products are all summed: within rounding of the per-primitive loop
+        sigma = make_covariance(np.exp(arrays["log_scale"]), arrays["rotation"])
+        half_extents = 3.0 * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
+        want_d, want_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+        reference_splat_slab(0, 8, spec, inputs.centroid, inputs.inv_sigma, half_extents,
+                             inputs.opacity, inputs.class_probs, 9.0, want_d, want_s)
+        np.testing.assert_allclose(density, want_d, rtol=0, atol=1e-12 * want_d.max())
+        np.testing.assert_allclose(scores, want_s, rtol=0, atol=1e-12 * want_d.max())
 
     def test_labels_match_whole_volume_expression(self):
         rng = np.random.default_rng(7)
