@@ -12,7 +12,8 @@ The oracles are deliberately naive: the dense splatter evaluates every
 primitive at every voxel with no truncation, the bilinear sampler builds one
 full corner array per corner, the sequential scan runs the state recurrence
 token by token from its definition, and the Lovász reference sorts every
-voxel's error for every present class.
+voxel's error for every present class.  No oracle shares code with the
+kernel it checks, so a fault in the kernel cannot cancel out.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ from .core import (
     SemanticOccupancyGrid,
     _sigmoid,
     _softmax,
-    _softplus,
     make_covariance,
     stack_primitives,
     voxel_centers,
 )
 from .errors import ConfigurationError, FormatError
 from .formats import _Reader, _read_grid, dump_grid, write_file
-from .head import SsmParams, zoh_discretize
+from .head import SsmParams
 from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet, project_to_view
-from .metrics import _lovasz_gradient
 
 DEGRADATION_MODES = ("none", "rain", "night")
 
@@ -398,15 +397,16 @@ def oracle_bilinear_sample(plane: np.ndarray, uv: np.ndarray) -> np.ndarray:
 
 
 def oracle_sequential_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
-    """Reference recurrence, one token at a time from the definition."""
+    """Reference recurrence, one token at a time from the definition, sharing no code with ``head``."""
     x = np.asarray(tokens, dtype=np.float64)
     h = np.zeros((params.a.shape[0], params.a.shape[1]))
     out = np.empty_like(x)
     for t in range(x.shape[0]):
-        delta_t = _softplus(x[t] @ params.w_delta + params.b_delta)
+        delta_t = np.logaddexp(0.0, x[t] @ params.w_delta + params.b_delta)
         b_t = x[t] @ params.w_b
         c_t = x[t] @ params.w_c
-        abar, bbar = zoh_discretize(params.a, b_t[None, :], delta_t[:, None])
+        abar = np.exp(delta_t[:, None] * params.a)
+        bbar = (abar - 1.0) / params.a * b_t[None, :]
         h = abar * h + bbar * x[t][:, None]
         out[t] = h @ c_t + params.d_skip * x[t]
     return out
@@ -415,7 +415,10 @@ def oracle_sequential_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
 def oracle_lovasz_per_class(
     probs: np.ndarray, labels: np.ndarray, excluded_class: int | None
 ) -> dict[int, float]:
-    """Reference Lovász hinge: one full-volume stable sort per present class."""
+    """Reference Lovász hinge: one full-volume stable sort per present class, sharing no code with ``metrics``.
+
+    The gradient differences the Jaccard loss |M_k| / |F_c ∪ M_k| of the sorted prefixes M_k.
+    """
     probs = np.asarray(probs, dtype=np.float64).reshape(-1, np.asarray(probs).shape[-1])
     labels = np.asarray(labels).reshape(-1).astype(np.int64)
     predicted = np.argmax(probs, axis=-1)
@@ -427,8 +430,9 @@ def oracle_lovasz_per_class(
         fg = (labels == c).astype(np.float64)
         errors = np.where(fg == 1.0, 1.0 - probs[:, c], probs[:, c])
         order = np.argsort(-errors, kind="stable")
-        grad = _lovasz_gradient(fg[order])
-        losses[int(c)] = float(np.dot(errors[order], grad))
+        prefix = np.arange(1, len(order) + 1)  # |M_k|; |F_c ∪ M_k| = |F_c| + |M_k| - |F_c ∩ M_k|
+        jaccard = prefix / (fg.sum() + prefix - np.cumsum(fg[order]))
+        losses[int(c)] = float(np.dot(errors[order], np.diff(jaccard, prepend=0.0)))
     return losses
 
 

@@ -66,7 +66,6 @@ from .params import AXIS_PLANES, PLANES, ParameterBundle
 
 MIN_SPLAT_SCALE = 1e-6
 DEFAULT_OCCUPANCY_THRESHOLD = 0.1
-ZOH_SERIES_CUTOFF = 1e-4
 
 # Byte budget of one (tokens, F, N) time block in selective_scan, which
 # allocates two such buffers per call.  Blocks that stay in a core's L2 cache
@@ -264,12 +263,9 @@ def _inverse_permutation(order: np.ndarray) -> np.ndarray:
 def zoh_discretize(a, b, delta, *, out=None):
     """Zero-order-hold discretization of dh/dt = a h + b x over step delta.
 
-    Abar = exp(z) and Bbar = ((Abar - 1) / a) b = (expm1(z) / z) delta b, with
-    z = delta * a.  expm1(z) / z is computed once, straight into the Bbar
-    buffer; the truncated series 1 + z/2 + z^2/6 + z^3/24 is then evaluated
-    only on the entries with |z| < 1e-4, if there are any, and written over
-    them, so z == 0 yields 1 and neither a NaN nor a warning.  Bbar is scaled
-    by delta and b in place and Abar overwrites z.  Without ``out`` a call
+    With z = delta * a, Abar = exp(z) and Bbar = (Abar - 1) / a * b, computed
+    as expm1(z) / a * b: accurate for small |z|, and 0 at z = 0.  ``a`` must
+    be nonzero (``SsmParams`` holds it negative).  Without ``out`` a call
     allocates its two outputs; they broadcast over any shapes, and 0-d
     inputs give scalars.  With ``out=(abar, bbar)``, two float64 arrays of
     the broadcast shape of all three inputs, z and then Abar are written into
@@ -284,14 +280,8 @@ def zoh_discretize(a, b, delta, *, out=None):
     else:
         z, bbar = out
         np.multiply(delta, a, out=z)
-    np.abs(z, out=bbar)
-    small = bbar < ZOH_SERIES_CUTOFF
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(np.expm1(z, out=bbar), z, out=bbar)
-    if small.any():
-        zs = np.broadcast_to(z, bbar.shape)[small]
-        bbar[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
-    bbar *= delta
+    np.expm1(z, out=bbar)
+    bbar /= a
     bbar *= b
     np.exp(z, out=z)
     return (z, bbar) if out is not None else (z[()], bbar[()])
@@ -302,8 +292,9 @@ def selective_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
 
     Per token: delta = softplus(x W_delta + b_delta), state input B = x W_b,
     readout C = x W_c; h_t = Abar_t h_{t-1} + Bbar_t x_t with h_0 = 0 and
-    y_t = C_t . h_t + D_skip x_t.  The sequence is processed in time blocks
-    of max(1, _SCAN_BLOCK_BYTES // (8 F N)) tokens, so that a block's
+    y_t = C_t . h_t + D_skip x_t; ``zoh_discretize`` gives Abar_t = exp(delta_t a)
+    and Bbar_t = expm1(delta_t a) / a B_t, for nonzero a.  The sequence is
+    processed in time blocks of max(1, _SCAN_BLOCK_BYTES // (8 F N)) tokens, so that a block's
     (tokens, F, N) state stays in a core's L2 cache.  Two block buffers are
     allocated once per call and reused by every block: ``zoh_discretize``
     writes z, then Abar, into the first and Bbar into the second; Bbar_t x_t
@@ -550,6 +541,7 @@ def _splat_slab(x_lo: int, x_hi: int, inputs: _SplatInputs, density: np.ndarray,
     tile = np.ravel_multi_index(first[rows].T + offset, tiles_per_axis)
     order = np.argsort(tile, kind="stable")
     tile, rows = tile[order], rows[order]
+    del rank, sy, sz, offset, order  # 56 bytes per (primitive, tile) row, not held through the tile loop
     starts = np.flatnonzero(np.diff(tile, prepend=-1))
     stops = np.append(starts[1:], len(tile))
     corner = np.multiply(np.unravel_index(tile[starts], tiles_per_axis), np.asarray(TILE)[:, None])

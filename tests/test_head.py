@@ -149,8 +149,8 @@ class TestZohDiscretize:
         exact = (np.expm1(z) / z) * delta
         np.testing.assert_allclose(bbar, exact, rtol=1e-10)
 
-    def test_edge_mix_matches_two_branch_formula(self):
-        # z = 0 (delta = 0), both sides of the 1e-4 cutoff, and |z| up to 50
+    def test_edge_mix_matches_expm1_formula(self):
+        # z = 0 (delta = 0), |z| around 1e-4 and from 1e-9 up to 50, both signs of a
         mags = np.concatenate([[0.0, 0.99e-4, 1.01e-4], np.logspace(-9, np.log10(50.0), 301)])
         a = np.concatenate([-np.ones_like(mags), np.ones_like(mags)])
         delta = np.concatenate([mags, mags])
@@ -159,11 +159,8 @@ class TestZohDiscretize:
             warnings.simplefilter("error")
             abar, bbar = zoh_discretize(a, b, delta)
         z = delta * a
-        small = np.abs(z) < 1e-4
-        safe = np.where(small, 1.0, z)
-        phi = np.where(small, 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0, np.expm1(safe) / safe)
         np.testing.assert_array_equal(abar, np.exp(z))
-        np.testing.assert_array_equal(bbar, phi * delta * b)
+        np.testing.assert_array_equal(bbar, np.expm1(z) / a * b)
         assert np.all(np.isfinite(abar)) and np.all(np.isfinite(bbar))
 
     def test_out_buffers_bitwise_equal_to_allocating_call(self):
@@ -270,7 +267,7 @@ class TestScanTimeBlocks:
     T, F, N = 47, 16, 4
 
     def inputs(self):
-        """Tokens whose channel 0 switches the step: -3 makes every |z| < 1e-4 (series path)."""
+        """Tokens whose channel 0 switches the step: -3 makes every |z| < 1e-4 (small steps)."""
         rng = np.random.default_rng(18)
         params = random_ssm(rng, self.F, self.N)
         w_delta = params.w_delta.copy()
@@ -532,6 +529,29 @@ class TestHeadEquivariance:
         assert out["semantic_logits"].shape == (8, 17)
         norms = np.linalg.norm(out["rotation"], axis=1)
         np.testing.assert_allclose(norms, np.ones(8), atol=1e-9)
+
+
+class TestHeadLinearCost:
+    def test_scan_work_doubles_with_the_anchors(self, small_bundle, small_model, small_grid, monkeypatch):
+        # operation counts, not wall time: twice the anchors must give exactly
+        # twice the scanned tokens and state updates (T F N) in as many calls
+        params = HeadParams.from_bundle(small_bundle, small_model, small_grid)
+        scan, scans = head.selective_scan, []
+
+        def counted(tokens, ssm):
+            scans.append((len(tokens), tokens.size * ssm.a.shape[1]))
+            return scan(tokens, ssm)
+
+        monkeypatch.setattr(head, "selective_scan", counted)
+        work = []
+        for n in (64, 128):  # multiples of 4, so both pooling levels halve exactly
+            scans.clear()
+            run_head(init_anchors(n, small_grid, seed=21, model=small_model), params, 17)
+            work.append((len(scans), *np.sum(scans, axis=0)))
+        (calls, tokens, updates), (calls2, tokens2, updates2) = work
+        assert calls == calls2 == 3 * small_model.head_blocks
+        assert tokens == calls * 64 // 4
+        assert (tokens2, updates2) == (2 * tokens, 2 * updates)
 
 
 def isotropic_primitive(centroid, scale=1.0, opacity_logit=40.0, logits=None):
