@@ -120,6 +120,12 @@ def _f32_exact(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
+def _texel_major_planes(planes: np.ndarray) -> np.ndarray:
+    """(D, H, W, F) depth planes as float64 stored texel-major: the (D, H, W, F) view of an
+    (H, W, D, F) array, which ``lifting._texel_major`` reshapes without a copy."""
+    return np.ascontiguousarray(planes.transpose(1, 2, 0, 3), dtype=np.float64).transpose(2, 0, 1, 3)
+
+
 def _camera_rig(config: SceneConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Outward-looking surround rig at the grid center: (intrinsics, extrinsics)."""
     h, w = config.camera_shape
@@ -233,7 +239,7 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
         planes[:, :, :, classes[i]] += z_w[:, None, None] * footprint[None]
     planes += rng.normal(0.0, config.noise_sigma, size=planes.shape)
     stack = DepthPlaneStack(
-        planes=_f32_exact(planes),
+        planes=_texel_major_planes(planes.astype(np.float32)),
         z_intervals=z_intervals,
         origin_xy=spec.origin[:2].copy(),
         cell_size=cell,
@@ -302,7 +308,7 @@ def degrade(scene: SyntheticScene, config: DegradationConfig) -> SyntheticScene:
         keep = rng.random(lidar.shape[:3]) >= config.lidar_dropout_fraction
         lidar = lidar * keep[:, :, :, None]
     stack = DepthPlaneStack(
-        planes=_f32_exact(lidar),
+        planes=_texel_major_planes(lidar.astype(np.float32)),
         z_intervals=scene.stack.z_intervals,
         origin_xy=scene.stack.origin_xy,
         cell_size=scene.stack.cell_size,
@@ -590,10 +596,10 @@ def parse_scene(data: bytes) -> SyntheticScene:
     blobs = np.array([header.floats(f"blob{i}", 11) for i in range(header.value("blobs", int))]).reshape(-1, 11)
 
     d, (h_l, w_l), f = cfg.depth_planes, cfg.plane_shape, cfg.feature_width
-    planes = r.finite_f32(d * h_l * w_l * f, "depth planes").reshape(d, h_l, w_l, f).astype(np.float64)
+    planes = r.finite_f32(d * h_l * w_l * f, "depth planes").reshape(d, h_l, w_l, f)
     with header.checked():
         stack = DepthPlaneStack(
-            planes=planes,
+            planes=_texel_major_planes(planes),
             z_intervals=header.floats("stack.z_intervals", d, 2),
             origin_xy=header.floats("stack.origin_xy", 2),
             cell_size=header.floats("stack.cell_size", 2),

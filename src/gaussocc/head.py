@@ -10,11 +10,17 @@ the offset heads included, runs on its plane's raster-ordered rows before
 the result is scattered back to anchor order: BLAS results depend on a
 row's position, so computing in a canonical order is what makes the head
 bitwise equivariant under anchor permutations.  A raster order is a plain
-index array, scattered back through its inverse permutation.  After the
-final block ``run_head`` decodes the per-anchor attribute update (centroid
-offset, log-scale delta, quaternion delta, opacity, semantics) with one
-matmul in canonical order, scatters it back to anchor order once and
-applies it.
+index array, scattered back through its inverse permutation.  The planes'
+rows live in one (3, N, F) buffer per call: each plane streams its embeds
+and then its U-Net through row blocks (``_row_blocks``), the scan carrying
+its state from block to block, and a block's three planes run on three
+threads when ``_plane_workers`` allows.  Every product below a plane and in
+the offset heads is a ``_product``: row blocks that OpenBLAS runs on the
+calling thread, so plane threads never contend with BLAS threads and the
+result is bitwise the same for any ``threads``.  After the final block
+``run_head`` decodes the per-anchor attribute update (centroid offset,
+log-scale delta, quaternion delta, opacity, semantics) with one matmul in
+canonical order, scatters it back to anchor order once and applies it.
 
 ``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
@@ -41,6 +47,7 @@ import mmap
 import os
 import pickle
 import signal
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +95,27 @@ TILE = (8, 8, 8)
 # GEMM on more than one thread.  Measured by counting a forked child's threads
 # after one product: 64 x 868 x 18 and 100 x 100 x 100 left it at one thread,
 # 64 x 869 x 18 and 100 x 100 x 101 started a second.  The splat's class
-# products stay at or below it, so no forked worker starts BLAS threads.
+# products stay at or below it, so no forked worker starts BLAS threads, and
+# so do the head's (``_product``), so its plane threads never wait on BLAS's.
 BLAS_THREAD_MNK = 10**6
+
+# m k from which the same OpenBLAS runs an (m, k) @ (k,) product (GEMV) on more
+# than one thread, measured the same way: 3599 x 128 and 14399 x 32 kept one
+# thread, 3600 x 128 and 14400 x 32 started a second.
+BLAS_GEMV_THREAD_MK = 460_800
+
+# Rows of one U-Net block (``mamba_unet_refine``) and of one embed block: a
+# multiple of 32, so its bottleneck rows start at multiples of 8, and small
+# enough that a block's temporaries stay near 3 MB at F = 128.
+_UNET_BLOCK_ROWS = 512
+
+# Anchors times feature width from which ``refine_features`` runs the three
+# planes of a block on threads: where they break even.  run_head, one thread
+# against three, on the seed-3 occ3d and dense-grid inputs cut to fewer anchors
+# (2-vCPU VM, median of 15): F = 128, 2,048 anchors 0.097 vs 0.098 s and 4,096
+# 0.184 vs 0.159 s; F = 32, 8,192 anchors 0.077 vs 0.079 s and 12,800 0.124 vs
+# 0.119 s.  The per-token work is Python-bound at narrow widths.
+_PLANE_THREAD_VALUES = 2**18
 
 # Byte budget of the axis terms _splat_slab builds at once, for one run of
 # consecutive tiles.  A (primitive, tile) row holds eight float64 terms per
@@ -142,12 +168,13 @@ class PlaneEmbedParams:
     center: np.ndarray
     half_extent: np.ndarray
 
-    def __call__(self, coords: np.ndarray) -> np.ndarray:
+    def __call__(self, coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The embeds of (T, 2) coordinates, into ``out`` when given; both products are ``_product``s."""
         normed = (np.asarray(coords, dtype=np.float64) - self.center) / self.half_extent
-        hidden = normed @ self.w1
+        hidden = _product(normed, self.w1)
         hidden += self.b1
         np.maximum(hidden, 0.0, out=hidden)
-        out = hidden @ self.w2
+        out = _product(hidden, self.w2, out)
         out += self.b2
         return out
 
@@ -287,11 +314,12 @@ def zoh_discretize(a, b, delta, *, out=None):
     return (z, bbar) if out is not None else (z[()], bbar[()])
 
 
-def selective_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
+def selective_scan(tokens: np.ndarray, params: SsmParams, state: np.ndarray | None = None) -> np.ndarray:
     """Input-dependent diagonal SSM recurrence over a T x F sequence.
 
     Per token: delta = softplus(x W_delta + b_delta), state input B = x W_b,
-    readout C = x W_c; h_t = Abar_t h_{t-1} + Bbar_t x_t with h_0 = 0 and
+    readout C = x W_c; h_t = Abar_t h_{t-1} + Bbar_t x_t with h_0 = ``state``
+    (zeros when not given) and
     y_t = C_t . h_t + D_skip x_t; ``zoh_discretize`` gives Abar_t = exp(delta_t a)
     and Bbar_t = expm1(delta_t a) / a B_t, for nonzero a.  The sequence is
     processed in time blocks of max(1, _SCAN_BLOCK_BYTES // (8 F N)) tokens, so that a block's
@@ -303,17 +331,20 @@ def selective_scan(tokens: np.ndarray, params: SsmParams) -> np.ndarray:
     Abar_t h_{t-1} over Abar_t and the state over Bbar_t x_t.  The C readout
     is then one batched matmul over the block's states and the D skip is
     added for the whole block.  The state carries across blocks in its own
-    array, never as a view of a buffer that the next block overwrites.  The
-    recurrence itself is sequential, so any evaluation strategy must
-    reproduce the plain per-token recurrence.
+    array, never as a view of a buffer that the next block overwrites; a
+    given (F, N) ``state`` is that array, so it holds h_T on return and calls
+    over consecutive pieces of a sequence scan it bitwise as one call does.
+    The three projections are ``_product``s.  The recurrence itself is
+    sequential, so any evaluation strategy must reproduce the plain
+    per-token recurrence.
     """
     x = np.asarray(tokens, dtype=np.float64)
     t_total, f = x.shape
     n = params.a.shape[1]
-    delta = _softplus(x @ params.w_delta + params.b_delta)
-    b_in = x @ params.w_b
-    c_out = x @ params.w_c
-    h = np.zeros((f, n))
+    delta = _softplus(_product(x, params.w_delta) + params.b_delta)
+    b_in = _product(x, params.w_b)
+    c_out = _product(x, params.w_c)
+    h = np.zeros((f, n)) if state is None else state
     y = np.empty_like(x)
     block = max(1, min(t_total, _SCAN_BLOCK_BYTES // (8 * f * n)))
     abar_buf, states_buf = np.empty((block, f, n)), np.empty((block, f, n))
@@ -350,20 +381,69 @@ def _unpool2(x: np.ndarray, target_len: int) -> np.ndarray:
     return np.repeat(x, 2, axis=0)[:target_len]
 
 
-def mamba_unet_refine(tokens: np.ndarray, params: UnetParams) -> np.ndarray:
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Cuts of [0, n) into blocks of ``_UNET_BLOCK_ROWS``, a last block under 5 rows joined to the one before.
+
+    Pooled twice, such a block would leave one-row products, which numpy
+    runs through gemv, not gemm, with other bits than the whole sequence's.
+    """
+    starts = list(range(0, n, _UNET_BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] < 5:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _product(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w in row blocks that OpenBLAS runs on the calling thread, into ``out`` when given.
+
+    A block has a multiple of 8 rows (at least 8) and at most
+    ``BLAS_THREAD_MNK`` multiply-adds for a matrix ``w``, or fewer than
+    ``BLAS_GEMV_THREAD_MK`` for a vector ``w``.  A one-row last block would
+    go through gemv, so the cut before it moves back 8 rows.  The result has
+    the bits of the whole product on one BLAS thread (tests/test_head.py);
+    a whole matrix-vector product that OpenBLAS splits over threads can
+    round the last rows of a thread's share differently.
+    """
+    m, k = x.shape
+    rows = BLAS_THREAD_MNK // (k * w.shape[1]) if w.ndim == 2 else (BLAS_GEMV_THREAD_MK - 1) // k
+    rows = max(8, rows // 8 * 8)
+    if out is None:
+        out = np.empty((m,) + w.shape[1:])
+    cuts = list(range(0, m, rows)) + [m]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        cuts[-2] -= 8
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        np.matmul(x[lo:hi], w, out=out[lo:hi])
+    return out
+
+
+def mamba_unet_refine(tokens: np.ndarray, params: UnetParams, out: np.ndarray | None = None) -> np.ndarray:
     """Two-level pooled encoder, selective-scan bottleneck, unpooling decoder
-    with additive skips; output length equals input length."""
+    with additive skips; output length equals input length.
+
+    The sequence is walked in ``_row_blocks``: each block is pooled,
+    encoded, scanned from the state the block before left, decoded and
+    written into ``out`` (allocated when not given; it may be ``tokens``
+    itself), so only one block's temporaries are held.  Blocks start at
+    multiples of 32 rows, so both pooling levels pair the rows the whole
+    sequence pairs, and every product is a ``_product``: the output is
+    bitwise equal to the U-Net over the whole sequence at once.
+    """
     x = np.asarray(tokens, dtype=np.float64)
     if x.shape[0] < 4:
         raise SequenceTooShortError(f"refiner needs at least 4 tokens, got {x.shape[0]}")
-    e1 = _avg_pool2(x) @ params.enc1
-    e2 = _avg_pool2(e1) @ params.enc2
-    bottom = selective_scan(e2, params.ssm)
-    d1 = _unpool2(bottom, e1.shape[0]) @ params.dec1
-    d1 += e1
-    d0 = _unpool2(d1, x.shape[0]) @ params.dec2
-    d0 += x
-    return d0
+    if out is None:
+        out = np.empty_like(x)
+    state = np.zeros(params.ssm.a.shape)
+    for lo, hi in _row_blocks(x.shape[0]):
+        e1 = _product(_avg_pool2(x[lo:hi]), params.enc1)
+        e2 = _product(_avg_pool2(e1), params.enc2)
+        bottom = selective_scan(e2, params.ssm, state)
+        d1 = _product(_unpool2(bottom, e1.shape[0]), params.dec1)
+        d1 += e1
+        d0 = _product(_unpool2(d1, hi - lo), params.dec2)
+        np.add(d0, x[lo:hi], out=out[lo:hi])
+    return out
 
 
 def consensus_update(centroids: np.ndarray, planes: dict, params: ConsensusParams) -> np.ndarray:
@@ -378,7 +458,7 @@ def consensus_update(centroids: np.ndarray, planes: dict, params: ConsensusParam
 
     def head(axis, plane):
         rows, inverse = planes[plane]
-        return (rows @ params.weights[(axis, plane)] + params.biases[(axis, plane)])[inverse]
+        return (_product(rows, params.weights[(axis, plane)]) + params.biases[(axis, plane)])[inverse]
 
     offset = 0.5 * np.stack(
         [
@@ -391,33 +471,66 @@ def consensus_update(centroids: np.ndarray, planes: dict, params: ConsensusParam
     return np.asarray(centroids, dtype=np.float64) + offset
 
 
-def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadParams):
+def _plane_workers(threads: int, anchors: int, width: int) -> int:
+    """Threads refining a block's planes: one per plane when ``threads`` and the usable cores
+    are both at least 2 and anchors x ``width`` reach ``_PLANE_THREAD_VALUES``, else 1."""
+    if min(int(threads), _usable_cores()) >= 2 and anchors * width >= _PLANE_THREAD_VALUES:
+        return len(PLANES)
+    return 1
+
+
+def _refine_plane(block: BlockParams, plane: str, centroids, features, rows: np.ndarray, omega: float):
+    """One plane of a block, into ``rows``: the raster-ordered embeds plus features, refined in place.
+
+    Returns (``rows``, inverse permutation of the plane's raster order).
+    """
+    coords = centroids[:, PLANE_AXES[plane]]
+    order = raster_serialize(coords, omega)
+    for lo, hi in _row_blocks(len(order)):
+        block.embed[plane](coords[order[lo:hi]], out=rows[lo:hi])
+        rows[lo:hi] += features[order[lo:hi]]
+    mamba_unet_refine(rows, block.unet[plane], out=rows)
+    return rows, _inverse_permutation(order)
+
+
+def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadParams, *, threads: int = 1):
     """Run every refinement block; returns updated (centroids, features).
 
     All per-anchor linear maps run in each plane's raster-sorted order, which
     is canonical for coordinate-distinct anchor sets, so permuting the input
     anchors permutes the outputs bit-exactly (BLAS kernels are sensitive to
-    row position, never to row content).
+    row position, never to row content).  One (3, N, F) buffer per call
+    holds the planes' rows: each plane streams its embeds plus gathered
+    features into its slice in ``_row_blocks`` and refines the slice in
+    place.  The planes of a block are independent until ``consensus_update``,
+    so with ``_plane_workers(threads, N, F)`` = 3 they run on a pool of three
+    threads, created here and shut down before this returns (the splat's
+    ``os.fork`` never copies a live pool).  Every product below a plane is a
+    ``_product``, which OpenBLAS runs on the calling thread, so the result
+    is bitwise the same for any ``threads``.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
-    for block in params.blocks:
-        planes = {}
-        for plane in PLANES:
-            coords = centroids[:, PLANE_AXES[plane]]
-            order = raster_serialize(coords, params.omega)
-            seq = block.embed[plane](coords[order])
-            seq += features[order]
-            planes[plane] = (mamba_unet_refine(seq, block.unet[plane]), _inverse_permutation(order))
-        centroids = consensus_update(centroids, planes, block.consensus)
-        features = planes["xy"][0][planes["xy"][1]]
-        features += planes["xz"][0][planes["xz"][1]]
-        features += planes["yz"][0][planes["yz"][1]]
-        features /= 3.0
+    rows = np.empty((len(PLANES),) + features.shape)
+    pool = ThreadPoolExecutor(len(PLANES)) if _plane_workers(threads, *features.shape) > 1 else None
+    try:
+        for block in params.blocks:
+            def refine(p: int):
+                return _refine_plane(block, PLANES[p], centroids, features, rows[p], params.omega)
+
+            planes = dict(zip(PLANES, (pool.map if pool else map)(refine, range(len(PLANES)))))
+            centroids = consensus_update(centroids, planes, block.consensus)
+            features = planes["xy"][0][planes["xy"][1]]
+            features += planes["xz"][0][planes["xz"][1]]
+            features += planes["yz"][0][planes["yz"][1]]
+            features /= 3.0
+    finally:
+        if pool:
+            pool.shutdown()
     return centroids, features
 
 
-def run_head(arrays: dict, params: HeadParams, semantic_classes: int) -> dict:
+def run_head(arrays: dict, params: HeadParams, semantic_classes: int, *, threads: int = 1) -> dict:
     """Full head: block refinement, then one linear decode of the attribute update.
 
     Each anchor's 11 + C_sem decoded channels are a centroid offset (3), a
@@ -426,9 +539,10 @@ def run_head(arrays: dict, params: HeadParams, semantic_classes: int) -> dict:
     (canonical for distinct coordinates) and scatters back, for the same
     bitwise-equivariance reason as the block refiner.  Centroid, log-scale
     and rotation are updated residually (the rotation renormalized);
-    opacity and semantic logits are overwritten.
+    opacity and semantic logits are overwritten.  ``threads`` is
+    ``refine_features``' request; the decode is one whole product.
     """
-    centroids, features = refine_features(arrays["centroid"], arrays["feature"], params)
+    centroids, features = refine_features(arrays["centroid"], arrays["feature"], params, threads=threads)
     canonical = np.lexsort((centroids[:, 2], centroids[:, 0], centroids[:, 1]))
     raw = features[canonical] @ params.decode.w + params.decode.b
     if raw.shape[-1] != 11 + semantic_classes:

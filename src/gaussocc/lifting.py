@@ -11,8 +11,9 @@ chunk through a sigmoid mask, and a learnable soft gate blends the modulated
 vector with the global depth mean.  The paper's training-time shuffle of the
 depth levels is not reproduced: this pipeline runs forward only.
 ``lift_lidar`` runs the whole chain over blocks of anchors with about
-_LIFT_BLOCK_BYTES of depth samples each, against one texel-major copy of the
-stack per call, and writes each block's rows into one (N, F) output: no
+_LIFT_BLOCK_BYTES of depth samples each, against one texel-major (H*W, D*F)
+view of the stack per call (a copy only for a stack not stored texel-major),
+and writes each block's rows into one (N, F) output: no
 (N, D, F) tensor over every anchor is held, and since each row goes through
 the same operations the output is bitwise equal to the chain over every
 anchor at once.
@@ -24,7 +25,7 @@ and ``_reduce_taps`` gathers the texels in cache-sized anchor chunks and
 sums them with one batched matmul.  Taps are built once per camera view,
 for the (anchor, view) pairs that project into the view only (the others
 are never sampled), and once for all depth levels, which reduce together
-against one texel-major (H*W, D*F) copy of the stack.  Out-of-bounds taps
+against the texel-major rows of the stack (``_texel_major``).  Out-of-bounds taps
 read a clipped texel with weight zero, so they contribute zeros rather
 than clamped edge values.  The summation order differs from the per-corner
 reference ``harness.oracle_bilinear_sample``; tests/test_lifting.py holds
@@ -293,7 +294,11 @@ def generate_keypoints(
 
 
 def _texel_major(stack: DepthPlaneStack) -> np.ndarray:
-    """(H*W, D*F) copy of the stack: one gathered row holds a texel's features at every depth level."""
+    """(H*W, D*F) rows of the stack: one gathered row holds a texel's features at every depth level.
+
+    A view of a float64 stack stored texel-major, (H, W, D, F) in memory, as
+    ``harness`` generates and loads scenes; a copy of any other stack.
+    """
     d, h, w, f = stack.planes.shape
     return np.moveaxis(np.asarray(stack.planes, dtype=np.float64), 0, 2).reshape(h * w, d * f)
 
@@ -305,7 +310,7 @@ def ldfa_depth_sample(
 
     Keypoints project to plane coordinates by dropping z and geo-referencing
     (x, y) against the stack's XY extent.  ``texels`` is the stack's
-    ``_texel_major`` copy, made here when not given.
+    ``_texel_major`` rows, taken here when not given.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     positions = centroids[..., None, :] + keypoints.offsets
@@ -369,8 +374,8 @@ def lift_lidar(
     """Full LDFA chain: keypoints, depth sampling, chunking, modulation, gating.
 
     Anchors (the leading axes, flattened to rows) go through the chain in
-    blocks of about _LIFT_BLOCK_BYTES of depth samples, which share one
-    texel-major copy of the stack made once per call; each block's rows are
+    blocks of about _LIFT_BLOCK_BYTES of depth samples, which share the
+    stack's ``_texel_major`` rows, taken once per call; each block's rows are
     written into one (N, F) output, which is bitwise equal to the chain over
     every anchor at once.  An empty input still runs the chain once, on no
     rows, so a bad ``chunks`` is refused whatever N is.

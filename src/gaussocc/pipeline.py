@@ -229,7 +229,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _timed(timings, "head"):
         head_params = head.HeadParams.from_bundle(bundle, model, config.grid)
-        arrays = head.run_head(arrays, head_params, model.semantic_classes)
+        arrays = head.run_head(arrays, head_params, model.semantic_classes, threads=threads_requested)
 
     with _timed(timings, "splat"):
         pred = head.splat_arrays(
@@ -264,6 +264,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "seeds": seeds,
         "threads": head._worker_count(threads_requested, config.grid.dims[0]),  # the splat's worker count
         "eval_workers": _eval_workers(threads_requested, config.grid.dims, config.taxonomy.c_total),
+        "head_threads": head._plane_workers(threads_requested, config.gaussian_count, model.feature_width),
         "threads_requested": threads_requested,
         "anchor_count": config.gaussian_count,
         "stage_timings_s": {k: round(v, 6) for k, v in timings.items()},

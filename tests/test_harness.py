@@ -12,7 +12,7 @@ from gaussocc.core import (
     voxel_centers,
 )
 from gaussocc.errors import ConfigurationError, FormatError
-from gaussocc import head, presets
+from gaussocc import head, lifting, presets
 from gaussocc.harness import (
     DegradationConfig,
     SceneConfig,
@@ -166,6 +166,16 @@ class TestSceneCodec:
         np.testing.assert_array_equal(again.views.views[1].plane, small_scene.views.views[1].plane)
         np.testing.assert_array_equal(again.blob_centroids, small_scene.blob_centroids)
         assert again.scene_hash() == small_scene.scene_hash()
+
+    def test_depth_stack_stored_texel_major(self, small_scene, tmp_path):
+        # generated, loaded and degraded stacks give lifting their (H*W, D*F) rows without a copy
+        path = tmp_path / "scene.gscn"
+        save_scene(small_scene, path)
+        again = load_scene(path)
+        rain = degrade(small_scene, DegradationConfig(mode="rain", seed=3))
+        for scene in (small_scene, again, rain):
+            assert np.shares_memory(lifting._texel_major(scene.stack), scene.stack.planes)
+        assert dump_scene(again) == dump_scene(small_scene)
 
     def test_bad_magic(self):
         with pytest.raises(FormatError):

@@ -1,8 +1,10 @@
 import ast
+import inspect
 import os
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -48,7 +50,7 @@ from gaussocc.head import (
     splat_arrays,
     zoh_discretize,
 )
-from gaussocc.params import AXIS_PLANES, PLANES
+from gaussocc.params import AXIS_PLANES, PLANES, build_parameter_bundle
 
 
 def manual_ssm(f=1, n=1, a=-1.0, w_b=0.0, w_c=0.0, w_delta=0.0, b_delta=-10.0, d_skip=0.0):
@@ -141,7 +143,7 @@ class TestZohDiscretize:
         assert np.all(abar > 0) and np.all(abar < 1)
 
     def test_series_matches_exact_form(self):
-        # straddles the 1e-4 branch cutoff from both sides
+        # small |z|, 1e-8 to 1e-3, where expm1 keeps the digits that exp(z) - 1 loses
         z = -np.logspace(-8, -3, 200)
         a = np.full_like(z, -1.0)
         delta = -z  # so delta * a == z
@@ -165,7 +167,7 @@ class TestZohDiscretize:
 
     def test_out_buffers_bitwise_equal_to_allocating_call(self):
         # the scan's shapes: a (1, F, N), b (T, 1, N), delta (T, F, 1), with
-        # z == 0, series-path and expm1-path entries
+        # z == 0 and small- and larger-|z| entries of the one expm1 formula
         rng = np.random.default_rng(17)
         t, f, n = 6, 5, 3
         a = -rng.uniform(0.5, 4.0, size=(1, f, n))
@@ -175,7 +177,7 @@ class TestZohDiscretize:
         delta[2, :3] = 1e-7
         delta[4, 1] = 2e-5
         want_abar, want_bbar = zoh_discretize(a, b, delta)
-        assert np.any(np.abs(delta * a) < 1e-4) and np.any(np.abs(delta * a) >= 1e-4)
+        assert np.any(np.abs(delta * a) < 1e-4) and np.any(np.abs(delta * a) >= 1e-4)  # both small and larger |z|
         abar_buf, bbar_buf = np.full((t, f, n), np.nan), np.full((t, f, n), np.nan)
         abar, bbar = zoh_discretize(a, b, delta, out=(abar_buf, bbar_buf))
         assert abar is abar_buf and bbar is bbar_buf
@@ -315,6 +317,157 @@ class TestScanTimeBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 73.1e6 / 4, peak
+
+
+def record_products(monkeypatch):
+    """Every ``np.matmul`` call from here on: (thread, m, k, n), n None for a vector right operand."""
+    products, real = [], np.matmul
+
+    def record(a, b, *args, **kwargs):
+        n = b.shape[-1] if b.ndim > 1 else None
+        products.append((threading.get_ident(), a.shape[-2], a.shape[-1], n))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", record)
+    return products
+
+
+def within_blas_cutoff(m, k, n):
+    """Whether OpenBLAS runs an (m, k) @ (k, n) product, or an (m, k) @ (k,) one for n None, on one thread."""
+    return m * k < head.BLAS_GEMV_THREAD_MK if n is None else m * k * n <= head.BLAS_THREAD_MNK
+
+
+class TestProduct:
+    # the head's widths: the embed's (2, F), F x F maps, the scan's F x N and the offset heads' (F,)
+    WIDTHS = [(2, 32), (2, 128), (32, 32), (32, 8), (32, None), (128, 128), (128, 16), (128, None)]
+
+    @staticmethod
+    def lengths(k, n):
+        """Row counts around one and two full blocks (the largest multiple of 8 rows within the
+        cutoff), the ones that end in a one-row block included."""
+        rows = (head.BLAS_THREAD_MNK // (k * n) if n else (head.BLAS_GEMV_THREAD_MK - 1) // k) // 8 * 8
+        return (1, 2, 7, 9, rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows + 5, 6401)
+
+    @pytest.mark.parametrize("k,n", WIDTHS)
+    def test_blocks_stay_on_one_blas_thread(self, monkeypatch, k, n):
+        rng = np.random.default_rng(31)
+        w = rng.normal(size=(k, n) if n else k)
+        products = record_products(monkeypatch)
+        head._product(rng.normal(size=(40000, k)), w)
+        assert products[0][1] == self.lengths(k, n)[5] and len(products) > 1
+        for m in self.lengths(k, n):
+            products.clear()
+            head._product(rng.normal(size=(m, k)), w)
+            assert sum(p[1] for p in products) == m
+            assert all(p[1] % 8 == 0 for p in products[:-2])  # the last two may give up 8 rows to no one-row block
+            assert all(within_blas_cutoff(*p[1:]) for p in products)
+            assert m == 1 or min(p[1] for p in products) > 1  # a one-row product would be a gemv
+
+    def test_bitwise_equal_to_whole_product_on_one_blas_thread(self):
+        # In a fresh interpreter with one BLAS thread, so that the whole product is not split over
+        # threads either: a threaded gemv can round the last rows of a thread's share differently.
+        cases = [(k, n, self.lengths(k, n)) for k, n in self.WIDTHS]
+        script = (
+            "import numpy as np\n"
+            "from gaussocc import head\n"
+            "rng = np.random.default_rng(31)\n"
+            f"for k, n, lengths in {cases}:\n"
+            "    w = rng.normal(size=(k, n) if n else k)\n"
+            "    for m in lengths:\n"
+            "        x = rng.normal(size=(m, k))\n"
+            "        assert np.array_equal(head._product(x, w), x @ w), (k, n, m)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gaussocc.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("k,n", [w for w in WIDTHS if w[1]])
+    def test_gemm_widths_bitwise_equal_to_threaded_whole_product(self, k, n):
+        rng = np.random.default_rng(32)
+        w = rng.normal(size=(k, n))
+        for m in (57, 1601, 3201, 6400, 12800, 12801):
+            x = rng.normal(size=(m, k))
+            np.testing.assert_array_equal(head._product(x, w), x @ w)
+
+    def test_writes_into_out(self):
+        rng = np.random.default_rng(33)
+        x, w = rng.normal(size=(300, 128)), rng.normal(size=(128, 128))
+        buf = np.full((300, 128), np.nan)
+        assert head._product(x, w, buf) is buf
+        np.testing.assert_array_equal(buf, x @ w)
+
+
+def reference_unet(tokens, params):
+    """The U-Net over the whole sequence at once, with whole products, kept as its bitwise reference."""
+    x = np.asarray(tokens, dtype=np.float64)
+    e1 = head._avg_pool2(x) @ params.enc1
+    e2 = head._avg_pool2(e1) @ params.enc2
+    bottom = reference_selective_scan(e2, params.ssm)
+    d1 = head._unpool2(bottom, e1.shape[0]) @ params.dec1
+    d1 += e1
+    d0 = head._unpool2(d1, x.shape[0]) @ params.dec2
+    d0 += x
+    return d0
+
+
+def random_unet(rng, f, n):
+    enc = lambda: rng.normal(size=(f, f)) / np.sqrt(f)
+    return UnetParams(enc1=enc(), enc2=enc(), dec1=enc(), dec2=enc(), ssm=random_ssm(rng, f, n))
+
+
+class TestUnetBlocks:
+    # 33-36 tokens end in a block of 1-4 rows, joined to the one before; 37 in one of 5
+    @pytest.mark.parametrize("block", [32, 1024])
+    @pytest.mark.parametrize("f,n,lengths", [(32, 8, (4, 5, 31, 33, 34, 35, 36, 37, 64, 101, 515)),
+                                             (128, 16, (36, 37, 290, 600))])
+    def test_bitwise_equal_to_whole_sequence(self, monkeypatch, block, f, n, lengths):
+        rng = np.random.default_rng(34)
+        params = random_unet(rng, f, n)
+        monkeypatch.setattr(head, "_UNET_BLOCK_ROWS", block)
+        for t in lengths:
+            tokens = rng.normal(size=(t, f))
+            want = reference_unet(tokens, params)
+            np.testing.assert_array_equal(mamba_unet_refine(tokens, params), want)
+            assert mamba_unet_refine(tokens, params, out=tokens) is tokens  # in place
+            np.testing.assert_array_equal(tokens, want)
+
+    def test_blocks_carry_the_scan_state(self, monkeypatch):
+        # 32-row blocks of 101 tokens: three scans of 8 bottleneck rows, then one of 2 (5 tokens)
+        rng = np.random.default_rng(35)
+        params = random_unet(rng, 32, 8)
+        monkeypatch.setattr(head, "_UNET_BLOCK_ROWS", 32)
+        scans, real = [], head.selective_scan
+
+        def counted(tokens, ssm, state=None):
+            scans.append((len(tokens), state.copy()))
+            return real(tokens, ssm, state)
+
+        monkeypatch.setattr(head, "selective_scan", counted)
+        mamba_unet_refine(rng.normal(size=(101, 32)), params)
+        assert [t for t, _ in scans] == [8, 8, 8, 2]
+        assert not scans[0][1].any() and all(state.any() for _, state in scans[1:])
+
+    def test_in_place_peak_allocation_stays_block_sized(self):
+        # an occ3d-sized plane (12,800 x 128, N = 16) refined in place holds one block's temporaries,
+        # 2.8 MB; the U-Net over the whole sequence at once holds more than its 13 MB input
+        rng = np.random.default_rng(36)
+        params = random_unet(rng, 128, 16)
+        tokens = rng.normal(size=(12800, 128))
+        tracemalloc.start()
+        try:
+            mamba_unet_refine(tokens, params, out=tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+    def test_row_blocks_join_a_short_last_block(self, monkeypatch):
+        monkeypatch.setattr(head, "_UNET_BLOCK_ROWS", 32)
+        assert head._row_blocks(4) == [(0, 4)]
+        assert head._row_blocks(64) == [(0, 32), (32, 64)]
+        assert head._row_blocks(68) == [(0, 32), (32, 68)]
+        assert head._row_blocks(69) == [(0, 32), (32, 64), (64, 69)]
 
 
 class TestMambaUnet:
@@ -538,9 +691,9 @@ class TestHeadLinearCost:
         params = HeadParams.from_bundle(small_bundle, small_model, small_grid)
         scan, scans = head.selective_scan, []
 
-        def counted(tokens, ssm):
+        def counted(tokens, ssm, state=None):
             scans.append((len(tokens), tokens.size * ssm.a.shape[1]))
-            return scan(tokens, ssm)
+            return scan(tokens, ssm, state)
 
         monkeypatch.setattr(head, "selective_scan", counted)
         work = []
@@ -552,6 +705,75 @@ class TestHeadLinearCost:
         assert calls == calls2 == 3 * small_model.head_blocks
         assert tokens == calls * 64 // 4
         assert (tokens2, updates2) == (2 * tokens, 2 * updates)
+
+
+class TestHeadThreads:
+    # occ3d's widths (F = 128, N = 16), one block, at the floor of the threaded path
+    MODEL = ModelConfig(feature_width=128, state_width=16, head_blocks=1)
+    ANCHORS = head._PLANE_THREAD_VALUES // 128
+
+    @pytest.fixture(scope="class")
+    def inputs(self, small_grid):
+        params = HeadParams.from_bundle(build_parameter_bundle(self.MODEL, seed=41), self.MODEL, small_grid)
+        arrays = init_anchors(self.ANCHORS, small_grid, seed=42, model=self.MODEL)
+        arrays["feature"] = np.random.default_rng(43).normal(size=(self.ANCHORS, 128))
+        return arrays, params
+
+    def test_plane_workers(self, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        assert head._plane_workers(2, self.ANCHORS, 128) == 3
+        assert head._plane_workers(8, 4 * self.ANCHORS, 32) == 3
+        assert head._plane_workers(1, self.ANCHORS, 128) == 1
+        assert head._plane_workers(2, self.ANCHORS - 1, 128) == 1
+        monkeypatch.setattr(head, "_usable_cores", lambda: 1)
+        assert head._plane_workers(2, self.ANCHORS, 128) == 1
+
+    def test_bitwise_equal_for_one_and_two_threads(self, inputs, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        arrays, params = inputs
+        planes_seen = []
+        real = head._refine_plane
+
+        def recorded(block, plane, *args):
+            planes_seen.append((plane, threading.current_thread() is threading.main_thread()))
+            return real(block, plane, *args)
+
+        monkeypatch.setattr(head, "_refine_plane", recorded)
+        serial = run_head(arrays, params, 17, threads=1)
+        assert planes_seen == [(plane, True) for plane in PLANES]
+        planes_seen.clear()
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the three plane threads switch as often as they can
+        try:
+            threaded = run_head(arrays, params, 17, threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before  # the pool is shut down before run_head returns
+        assert sorted(planes_seen) == [(plane, False) for plane in PLANES]
+        for key in serial:
+            np.testing.assert_array_equal(threaded[key], serial[key])
+
+    def test_plane_products_at_or_below_blas_cutoff(self, inputs, monkeypatch):
+        # every product the plane threads make stays on their own thread (see test_class_products_at_or_below_blas_cutoff)
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        arrays, params = inputs
+        products = record_products(monkeypatch)
+        run_head(arrays, params, 17, threads=2)
+        monkeypatch.undo()
+        main = threading.main_thread().ident
+        in_planes = [p[1:] for p in products if p[0] != main]
+        assert len(in_planes) > 100 and {n for _, _, n in in_planes} >= {16, 128}
+        assert all(within_blas_cutoff(*p) for p in in_planes), max(in_planes, key=lambda p: p[0] * p[1] * (p[2] or 1))
+        # the offset heads run on the calling thread after the planes, below the cutoff too (the decode is an `@`)
+        heads = [p[1:] for p in products if p[0] == main and p[3] is None]
+        assert len(heads) >= 6 and all(within_blas_cutoff(*p) for p in heads)
+
+    def test_plane_path_has_no_matmul_operator(self):
+        # `@` does not reach the recorder above, so the plane path uses np.matmul (through _product) only
+        for fn in (PlaneEmbedParams.__call__, head._refine_plane, head._product, mamba_unet_refine,
+                   selective_scan, consensus_update):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), fn.__qualname__
 
 
 def isotropic_primitive(centroid, scale=1.0, opacity_logit=40.0, logits=None):

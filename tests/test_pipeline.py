@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,30 @@ class TestRunPipeline:
         monkeypatch.setenv("GOC_THREADS", str(10**9))  # no worker is started for the requested value
         manifest, workers = run_counting_workers(tmp_path, monkeypatch)
         assert (manifest["threads"], manifest["threads_requested"], workers) == (2, 10**9, 2)
+
+    def test_manifest_reports_head_threads(self, tmp_path, monkeypatch):
+        # 96 anchors of width 32 reach a floor of 96 x 32: the planes run on three threads only with
+        # two threads requested, and the grid is the same either way
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(head, "_PLANE_THREAD_VALUES", 96 * 32)
+        threads_seen = set()
+        real = head._refine_plane
+
+        def recorded(*args):
+            threads_seen.add(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(head, "_refine_plane", recorded)
+        digests = []
+        for requested, floor, want in (("2", 96 * 32, 3), ("1", 96 * 32, 1), ("2", 96 * 32 + 1, 1)):
+            monkeypatch.setenv("GOC_THREADS", requested)
+            monkeypatch.setattr(head, "_PLANE_THREAD_VALUES", floor)
+            threads_seen.clear()
+            manifest = run_pipeline(small_config(tmp_path, subdir=f"t{requested}-{floor}")).manifest
+            assert manifest["head_threads"] == want
+            assert (threading.get_ident() in threads_seen) == (want == 1)
+            digests.append(manifest["outputs"]["grid_digest"])
+        assert len(set(digests)) == 1
 
     def test_fusion_modes_change_output(self, tmp_path):
         adaptive = run_pipeline(small_config(tmp_path, subdir="ad", fusion_mode="adaptive"))
