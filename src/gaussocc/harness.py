@@ -6,7 +6,8 @@ each blob only inside its per-blob threshold box (exact, see
 ``_blob_truth``); depth planes carry each blob's XY footprint in the blob's
 class channel (soft one-hot signatures plus noise, so lifting has linearly
 recoverable signal), and camera planes carry projected image-space
-footprints.  Everything is a pure function of (config, seed).
+footprints.  Everything is a pure function of (config, seed).  Planes go to
+the ``lifting`` containers as made or read; the containers own their layout.
 
 The oracles are deliberately naive: the dense splatter evaluates every
 primitive at every voxel with no truncation, the bilinear sampler builds one
@@ -28,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    QUATERNION_TOLERANCE,
     ClassTaxonomy,
     GaussianPrimitive,
     GridSpec,
@@ -114,16 +116,6 @@ class SyntheticScene:
 
     def scene_hash(self) -> str:
         return hashlib.sha256(dump_scene(self)).hexdigest()
-
-
-def _f32_exact(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.float32).astype(np.float64)
-
-
-def _texel_major_planes(planes: np.ndarray) -> np.ndarray:
-    """(D, H, W, F) depth planes as float64 stored texel-major: the (D, H, W, F) view of an
-    (H, W, D, F) array, which ``lifting._texel_major`` reshapes without a copy."""
-    return np.ascontiguousarray(planes.transpose(1, 2, 0, 3), dtype=np.float64).transpose(2, 0, 1, 3)
 
 
 def _camera_rig(config: SceneConfig) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -239,7 +231,7 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
         planes[:, :, :, classes[i]] += z_w[:, None, None] * footprint[None]
     planes += rng.normal(0.0, config.noise_sigma, size=planes.shape)
     stack = DepthPlaneStack(
-        planes=_texel_major_planes(planes.astype(np.float32)),
+        planes=planes.astype(np.float32),
         z_intervals=z_intervals,
         origin_xy=spec.origin[:2].copy(),
         cell_size=cell,
@@ -263,7 +255,7 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
             foot = np.exp(-0.5 * ((du**2)[None, :] + (dv**2)[:, None]) / radius**2)
             plane[:, :, classes[i]] += foot
         plane += rng.normal(0.0, config.noise_sigma, size=plane.shape)
-        views.append(CameraView(plane=_f32_exact(plane), intrinsics=intr, extrinsics=extr))
+        views.append(CameraView(plane=plane.astype(np.float32), intrinsics=intr, extrinsics=extr))
 
     return SyntheticScene(
         seed=seed,
@@ -300,7 +292,7 @@ def degrade(scene: SyntheticScene, config: DegradationConfig) -> SyntheticScene:
             gain = np.where(cone, 1.0, 1.0 - config.camera_dropout_fraction)
             plane = plane * gain[:, :, None]
             plane = plane + rng.normal(0.0, 1.0, size=plane.shape) * config.camera_noise_sigma
-        cam_planes.append(CameraView(plane=_f32_exact(plane), intrinsics=view.intrinsics, extrinsics=view.extrinsics))
+        cam_planes.append(CameraView(plane=plane.astype(np.float32), intrinsics=view.intrinsics, extrinsics=view.extrinsics))
 
     lidar = scene.stack.planes.copy()
     if config.mode == "rain":
@@ -308,7 +300,7 @@ def degrade(scene: SyntheticScene, config: DegradationConfig) -> SyntheticScene:
         keep = rng.random(lidar.shape[:3]) >= config.lidar_dropout_fraction
         lidar = lidar * keep[:, :, :, None]
     stack = DepthPlaneStack(
-        planes=_texel_major_planes(lidar.astype(np.float32)),
+        planes=lidar.astype(np.float32),
         z_intervals=scene.stack.z_intervals,
         origin_xy=scene.stack.origin_xy,
         cell_size=scene.stack.cell_size,
@@ -594,12 +586,24 @@ def parse_scene(data: bytes) -> SyntheticScene:
         )
     # one row per blob: centroid (3), scale (3), rotation (4), class id
     blobs = np.array([header.floats(f"blob{i}", 11) for i in range(header.value("blobs", int))]).reshape(-1, 11)
+    for i, row in enumerate(blobs):
+        if not (
+            row[10].is_integer()
+            and 0 <= row[10] < taxonomy.c_sem
+            and np.all(row[3:6] > 0)
+            and abs(np.linalg.norm(row[6:10]) - 1.0) <= QUATERNION_TOLERANCE
+        ):
+            raise FormatError(
+                f"invalid scene header blob{i}: needs positive scales, a unit quaternion"
+                f" and a class id in [0, {taxonomy.c_sem})",
+                offset=header.field(f"blob{i}")[1],
+            )
 
     d, (h_l, w_l), f = cfg.depth_planes, cfg.plane_shape, cfg.feature_width
     planes = r.finite_f32(d * h_l * w_l * f, "depth planes").reshape(d, h_l, w_l, f)
     with header.checked():
         stack = DepthPlaneStack(
-            planes=_texel_major_planes(planes),
+            planes=planes,
             z_intervals=header.floats("stack.z_intervals", d, 2),
             origin_xy=header.floats("stack.origin_xy", 2),
             cell_size=header.floats("stack.cell_size", 2),
@@ -611,7 +615,7 @@ def parse_scene(data: bytes) -> SyntheticScene:
         with header.checked(f"cam{i}.intrinsics"):
             views.append(
                 CameraView(
-                    plane=plane.astype(np.float64),
+                    plane=plane,
                     intrinsics=header.floats(f"cam{i}.intrinsics", 3, 3),
                     extrinsics=header.floats(f"cam{i}.extrinsics", 4, 4),
                 )

@@ -114,7 +114,10 @@ _UNET_BLOCK_ROWS = 512
 # against three, on the seed-3 occ3d and dense-grid inputs cut to fewer anchors
 # (2-vCPU VM, median of 15): F = 128, 2,048 anchors 0.097 vs 0.098 s and 4,096
 # 0.184 vs 0.159 s; F = 32, 8,192 anchors 0.077 vs 0.079 s and 12,800 0.124 vs
-# 0.119 s.  The per-token work is Python-bound at narrow widths.
+# 0.119 s.  The per-token work is Python-bound at narrow widths.  The floor
+# matters end to end: set to 0, perfbench's small workload (1,024 anchors,
+# F = 32; seed 3, 3 runs each) went from run_s 0.032-0.035 to 0.040-0.044 s
+# and from peak_rss_mb 49.3 to 53.1-53.4 MB.
 _PLANE_THREAD_VALUES = 2**18
 
 # Byte budget of the axis terms _splat_slab builds at once, for one run of

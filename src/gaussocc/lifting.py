@@ -11,12 +11,13 @@ chunk through a sigmoid mask, and a learnable soft gate blends the modulated
 vector with the global depth mean.  The paper's training-time shuffle of the
 depth levels is not reproduced: this pipeline runs forward only.
 ``lift_lidar`` runs the whole chain over blocks of anchors with about
-_LIFT_BLOCK_BYTES of depth samples each, against one texel-major (H*W, D*F)
-view of the stack per call (a copy only for a stack not stored texel-major),
-and writes each block's rows into one (N, F) output: no
-(N, D, F) tensor over every anchor is held, and since each row goes through
-the same operations the output is bitwise equal to the chain over every
-anchor at once.
+_LIFT_BLOCK_BYTES of depth samples each, and writes each block's rows into
+one (N, F) output: no (N, D, F) tensor over every anchor is held, and since
+each row goes through the same operations the output is bitwise equal to the
+chain over every anchor at once.
+
+The scene containers own their storage: float64 planes, a stack's stored
+texel-major, (H, W, D, F) in memory, so ``DepthPlaneStack.texel_rows`` is a view.
 
 Both branches sample planes through one gather-and-reduce kernel:
 ``_bilinear_taps`` turns sample coordinates and weights into flat texel
@@ -25,11 +26,11 @@ and ``_reduce_taps`` gathers the texels in cache-sized anchor chunks and
 sums them with one batched matmul.  Taps are built once per camera view,
 for the (anchor, view) pairs that project into the view only (the others
 are never sampled), and once for all depth levels, which reduce together
-against the texel-major rows of the stack (``_texel_major``).  Out-of-bounds taps
-read a clipped texel with weight zero, so they contribute zeros rather
-than clamped edge values.  The summation order differs from the per-corner
-reference ``harness.oracle_bilinear_sample``; tests/test_lifting.py holds
-both branches within 1e-12 of references built from it.
+against the stack's ``texel_rows``.  Out-of-bounds taps read a clipped texel
+with weight zero, so they contribute zeros rather than clamped edge values.
+The summation order differs from the per-corner reference
+``harness.oracle_bilinear_sample``; tests/test_lifting.py holds both
+branches within 1e-12 of references built from it.
 
 Every operation is a pure function vectorized over leading anchor axes.
 """
@@ -65,6 +66,7 @@ class CameraView:
     extrinsics: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "plane", np.asarray(self.plane, dtype=np.float64))
         if self.plane.ndim != 3:
             raise ConfigurationError("camera plane must be H x W x F")
         if self.intrinsics.shape != (3, 3) or self.extrinsics.shape != (4, 4):
@@ -96,6 +98,8 @@ class DepthPlaneStack:
 
     ``origin_xy``/``cell_size`` geo-reference plane texels: texel (row r,
     col c) covers the cell centred at origin_xy + (c + 0.5, r + 0.5) * cell_size.
+    ``planes`` is kept as the float64 (D, H, W, F) view of a C-contiguous
+    (H, W, D, F) array: planes that already have that layout are not copied.
     """
 
     planes: np.ndarray
@@ -114,10 +118,20 @@ class DepthPlaneStack:
         cell = np.asarray(self.cell_size, dtype=np.float64)
         if cell.shape != (2,) or not np.all((cell > 0) & np.isfinite(cell)):
             raise ConfigurationError("stack cell_size must be two positive finite sizes", field="cell_size")
+        texel_major = np.ascontiguousarray(self.planes.transpose(1, 2, 0, 3), dtype=np.float64)
+        object.__setattr__(self, "planes", texel_major.transpose(2, 0, 1, 3))
+        object.__setattr__(self, "origin_xy", origin)
+        object.__setattr__(self, "cell_size", cell)
 
     @property
     def depth_levels(self) -> int:
         return self.planes.shape[0]
+
+    @property
+    def texel_rows(self) -> np.ndarray:
+        """(H*W, D*F) view of the planes: one row holds a texel's features at every depth level."""
+        d, h, w, f = self.planes.shape
+        return self.planes.transpose(1, 2, 0, 3).reshape(h * w, d * f)
 
     def to_plane_coords(self, xy: np.ndarray) -> np.ndarray:
         """World (x, y) -> continuous (col, row) texel-center coordinates."""
@@ -273,8 +287,7 @@ def aggregate_camera(
         rows = np.flatnonzero(valid)
         h, w = view.plane.shape[:2]
         idx, taps = _bilinear_taps(uv[rows, None, :] + params.offsets, h, w, weights)
-        plane = np.asarray(view.plane, dtype=np.float64).reshape(h * w, f)
-        acc[rows] += _reduce_taps(plane, idx, taps)
+        acc[rows] += _reduce_taps(view.plane.reshape(h * w, f), idx, taps)
         count += valid
     return (acc / np.maximum(count, 1)[:, None]).reshape(lead + (f,))
 
@@ -293,24 +306,11 @@ def generate_keypoints(
     return KeypointSet(offsets=offsets, weights=weights)
 
 
-def _texel_major(stack: DepthPlaneStack) -> np.ndarray:
-    """(H*W, D*F) rows of the stack: one gathered row holds a texel's features at every depth level.
-
-    A view of a float64 stack stored texel-major, (H, W, D, F) in memory, as
-    ``harness`` generates and loads scenes; a copy of any other stack.
-    """
-    d, h, w, f = stack.planes.shape
-    return np.moveaxis(np.asarray(stack.planes, dtype=np.float64), 0, 2).reshape(h * w, d * f)
-
-
-def ldfa_depth_sample(
-    centroids: np.ndarray, keypoints: KeypointSet, stack: DepthPlaneStack, texels: np.ndarray | None = None
-) -> np.ndarray:
+def ldfa_depth_sample(centroids: np.ndarray, keypoints: KeypointSet, stack: DepthPlaneStack) -> np.ndarray:
     """Weighted keypoint samples per depth level: one D x F row block per anchor.
 
     Keypoints project to plane coordinates by dropping z and geo-referencing
-    (x, y) against the stack's XY extent.  ``texels`` is the stack's
-    ``_texel_major`` rows, taken here when not given.
+    (x, y) against the stack's XY extent.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     positions = centroids[..., None, :] + keypoints.offsets
@@ -319,9 +319,7 @@ def ldfa_depth_sample(
     weights = np.broadcast_to(keypoints.weights, lead + (p,)).reshape(-1, p)
     d, h, w, f = stack.planes.shape
     idx, taps = _bilinear_taps(uv, h, w, weights)
-    if texels is None:
-        texels = _texel_major(stack)
-    return _reduce_taps(texels, idx, taps).reshape(lead + (d, f))
+    return _reduce_taps(stack.texel_rows, idx, taps).reshape(lead + (d, f))
 
 
 def chunk_means(f_depth: np.ndarray, chunks: int) -> np.ndarray:
@@ -374,8 +372,7 @@ def lift_lidar(
     """Full LDFA chain: keypoints, depth sampling, chunking, modulation, gating.
 
     Anchors (the leading axes, flattened to rows) go through the chain in
-    blocks of about _LIFT_BLOCK_BYTES of depth samples, which share the
-    stack's ``_texel_major`` rows, taken once per call; each block's rows are
+    blocks of about _LIFT_BLOCK_BYTES of depth samples; each block's rows are
     written into one (N, F) output, which is bitwise equal to the chain over
     every anchor at once.  An empty input still runs the chain once, on no
     rows, so a bad ``chunks`` is refused whatever N is.
@@ -395,11 +392,10 @@ def lift_lidar(
     # before it: numpy multiplies a one-row matrix through gemv, not gemm,
     # which rounds differently from the chain over every anchor.
     starts = list(range(0, max(n - 1, 1), rows))
-    texels = _texel_major(stack)
     for lo, hi in zip(starts, starts[1:] + [n]):
         block = slice(lo, hi)
         keypoints = generate_keypoints(feats[block], scales[block], keypoint_params)
-        f_depth = ldfa_depth_sample(points[block], keypoints, stack, texels)
+        f_depth = ldfa_depth_sample(points[block], keypoints, stack)
         modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ldfa_params)
         out[block] = gated_global_fusion(modulated, f_depth, ldfa_params)
     return out.reshape(lead + (f,))

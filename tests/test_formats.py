@@ -390,6 +390,12 @@ INVALID_HEADER = {
     "gscn-short-stack-origin": _scene_case(rb"stack\.origin_xy=[^ ]*", b"stack.origin_xy=", b"stack.origin_xy"),
     "gscn-zero-truth-threshold": _scene_case(rb"truth_threshold=[^\n]*", b"truth_threshold=0.0", b"truth_threshold"),
     "gscn-unit-truth-threshold": _scene_case(rb"truth_threshold=[^\n]*", b"truth_threshold=1.0", b"truth_threshold"),
+    # blob rows: centroid (3), scale (3), rotation (4), class id
+    "gscn-blob-class-too-large": _scene_case(rb"(blob0=[^\n]* )\d+\n", rb"\g<1>99\n", b"blob0"),
+    "gscn-blob-class-negative": _scene_case(rb"(blob0=[^\n]* )\d+\n", rb"\g<1>-3\n", b"blob0"),
+    "gscn-blob-class-fractional": _scene_case(rb"(blob0=[^\n]* )\d+\n", rb"\g<1>2.5\n", b"blob0"),
+    "gscn-blob-negative-scale": _scene_case(rb"(blob0=(?:[^ ]+ ){3})[^ ]+", rb"\g<1>-0.5", b"blob0"),
+    "gscn-blob-non-unit-quaternion": _scene_case(rb"(blob0=(?:[^ ]+ ){6})[^ ]+", rb"\g<1>5.0", b"blob0"),
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gaussocc.core import (
     voxel_centers,
 )
 from gaussocc.errors import ConfigurationError, FormatError
-from gaussocc import head, lifting, presets
+from gaussocc import head, presets
 from gaussocc.harness import (
     DegradationConfig,
     SceneConfig,
@@ -168,13 +169,16 @@ class TestSceneCodec:
         assert again.scene_hash() == small_scene.scene_hash()
 
     def test_depth_stack_stored_texel_major(self, small_scene, tmp_path):
-        # generated, loaded and degraded stacks give lifting their (H*W, D*F) rows without a copy
+        # constructed, generated, loaded and degraded stacks give lifting their (H*W, D*F) rows as a view
         path = tmp_path / "scene.gscn"
         save_scene(small_scene, path)
         again = load_scene(path)
         rain = degrade(small_scene, DegradationConfig(mode="rain", seed=3))
-        for scene in (small_scene, again, rain):
-            assert np.shares_memory(lifting._texel_major(scene.stack), scene.stack.planes)
+        built = replace(small_scene.stack, planes=np.ascontiguousarray(small_scene.stack.planes))
+        for stack in (built, small_scene.stack, again.stack, rain.stack):
+            assert stack.planes.dtype == np.float64
+            assert np.shares_memory(stack.texel_rows, stack.planes)
+        np.testing.assert_array_equal(built.planes, small_scene.stack.planes)
         assert dump_scene(again) == dump_scene(small_scene)
 
     def test_bad_magic(self):

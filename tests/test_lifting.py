@@ -35,6 +35,17 @@ def constant_view(value, h=101, w=101, channels=3):
     return make_view(np.full((h, w, channels), float(value)))
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes tracemalloc traced while it ran (numpy reports its
+    allocations to tracemalloc, so the peak repeats exactly)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def make_stack(planes, origin=(0.0, 0.0), cell=(1.0, 1.0)):
     d = planes.shape[0]
     z = np.stack([np.arange(d, dtype=float), np.arange(d, dtype=float) + 1.0], axis=1)
@@ -513,14 +524,15 @@ class TestLiftLidarDriver:
     def test_blocked_chain_bitwise_equal_to_unblocked(self, small_bundle, small_scene, monkeypatch, n, blocks):
         d, _, _, f = small_scene.stack.planes.shape
         monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", 16 * 8 * d * f)
-        seen, copies = [], []
-        keypoints, texel_major = lifting.generate_keypoints, lifting._texel_major
+        seen, views = [], []
+        keypoints, reduce_taps = lifting.generate_keypoints, lifting._reduce_taps
         monkeypatch.setattr(lifting, "generate_keypoints", lambda feats, *a: seen.append(len(feats)) or keypoints(feats, *a))
-        monkeypatch.setattr(lifting, "_texel_major", lambda s: copies.append(s) or texel_major(s))
+        monkeypatch.setattr(lifting, "_reduce_taps", lambda rows, *a: views.append(
+            np.shares_memory(rows, small_scene.stack.planes)) or reduce_taps(rows, *a))
         args = self.lidar_args(small_bundle, small_scene.stack, 11, (n,))
         out = lift_lidar(*args)
         assert seen == blocks
-        assert len(copies) == 1  # one texel-major copy per call, shared by every block
+        assert views == [True] * len(blocks)  # every block reads the stack's own rows: no copy
         assert out.shape == (n, f)
         np.testing.assert_array_equal(out, self.unblocked(*args))
 
@@ -533,17 +545,20 @@ class TestLiftLidarDriver:
         np.testing.assert_array_equal(out, self.unblocked(*args))
 
     def test_peak_allocation_below_whole_depth_tensor(self, small_bundle, small_scene, monkeypatch):
-        # eight and a half 1 MiB blocks: the traced peak (numpy reports its
-        # allocations to tracemalloc, so it repeats exactly) must stay below
-        # one (N, D, F) float64 depth tensor over every anchor
+        # eight and a half 1 MiB blocks: the traced peak must stay below one
+        # (N, D, F) float64 depth tensor over every anchor
         d, _, _, f = small_scene.stack.planes.shape
         monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", 2**20)
         n = 17 * (2**20 // (8 * d * f)) // 2
         args = self.lidar_args(small_bundle, small_scene.stack, 13, (n,))
-        tracemalloc.start()
-        try:
-            lift_lidar(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lift_lidar, *args)
         assert peak < 8 * n * d * f, (peak, 8 * n * d * f)
+
+    def test_constructed_stack_lifted_without_copy(self, small_bundle):
+        # a stack built from C-ordered (D, H, W, F) planes is stored texel-major when it
+        # is made, so lifting allocates no (H*W, D*F) copy of it
+        stack = make_stack(np.random.default_rng(14).normal(size=(8, 64, 64, 16)))
+        args = self.lidar_args(small_bundle, stack, 15, (40,))
+        out, peak = traced_peak(lift_lidar, *args)
+        assert peak < stack.planes.nbytes, (peak, stack.planes.nbytes)
+        np.testing.assert_array_equal(out, self.unblocked(*args))
