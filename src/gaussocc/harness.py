@@ -584,8 +584,16 @@ def parse_scene(data: bytes) -> SyntheticScene:
             noise_sigma=header.value("noise_sigma", float),
             truth_threshold=header.value("truth_threshold", float),
         )
+    count = header.value("blobs", int)
+    if not cfg.blob_range[0] <= count <= cfg.blob_range[1]:
+        raise FormatError(f"scene header blobs={count} is outside blob_range {cfg.blob_range}",
+                          offset=header.field("blobs")[1])
+    for key, (_, offset) in header.fields.items():
+        j = key[4:]  # compared by length first: int() refuses a string of over 4,300 digits
+        if key.startswith("blob") and j.isdigit() and (len(j) > len(str(count)) or int(j) >= count):
+            raise FormatError(f"scene header {key} is past its blobs={count}", offset=offset)
     # one row per blob: centroid (3), scale (3), rotation (4), class id
-    blobs = np.array([header.floats(f"blob{i}", 11) for i in range(header.value("blobs", int))]).reshape(-1, 11)
+    blobs = np.array([header.floats(f"blob{i}", 11) for i in range(count)]).reshape(-1, 11)
     for i, row in enumerate(blobs):
         if not (
             row[10].is_integer()

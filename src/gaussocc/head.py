@@ -25,17 +25,18 @@ canonical order, scatters it back to anchor order once and applies it.
 ``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
 probabilities.  The grid is split into 8 x 8 x 8 voxel tiles (``TILE``); the
-primitives are binned to the tiles their boxes meet.  Each tile sums its
-(voxel, primitive) quadratic forms from three 2-D partial planes, as
-(Pxy + Pyz) + Pxz, out of per-axis terms built in bulk for runs of
-consecutive tiles under a byte budget (``_AXIS_RUN_BYTES``).  Its class
+primitives are binned to the tiles their boxes meet, and within those tiles
+the truncation radius alone decides which voxels a primitive reaches.  Each
+tile sums its (voxel, primitive) quadratic forms from three 2-D partial
+planes, as (Pxy + Pyz) + Pxz, out of per-axis terms built in bulk for runs
+of consecutive tiles under a byte budget (``_AXIS_RUN_BYTES``).  Its class
 scores and density come from one stacked matmul of the densities with the
 primitives' opacity-scaled [class probabilities | 1] rows, cut along the
 primitives so no product passes OpenBLAS's threading cutoff
-(``BLAS_THREAD_MNK``), and are assigned to the tile's voxels.  The grid is cut into
-x-slabs of whole tile columns, one per worker process (at most ``threads``,
-which the pipeline takes from ``GOC_THREADS``, and at most one per tile
-column); each worker splats and labels its slab into one anonymous
+(``BLAS_THREAD_MNK``), and are assigned to the tile's voxels.  The grid is
+cut into x-slabs of whole tile columns, one per worker process (at most
+``threads``, which the pipeline takes from ``GOC_THREADS``, and at most one
+per tile column); each worker splats and labels its slab into one anonymous
 mapping, so the result is bit-identical for any worker count.
 ``_fork_slabs`` runs the splat's and the eval's slab workers, alone decides
 whether they fork or run in-process, and returns their values.
@@ -565,7 +566,7 @@ def run_head(arrays: dict, params: HeadParams, semantic_classes: int, *, threads
 
 @dataclass(frozen=True)
 class _SplatInputs:
-    """Per-primitive splat inputs; ``lo``/``hi`` bound each primitive's voxel box, clipped to the grid."""
+    """Per-primitive splat inputs; ``lo``/``hi`` bound each primitive's voxel box, which only bins it to tiles."""
 
     spec: GridSpec
     centroid: np.ndarray     # (N, 3)
@@ -600,8 +601,8 @@ def _splat_inputs(arrays: dict, spec: GridSpec, truncation_radius_sigmas: float)
         spec=spec,
         centroid=centroids,
         inv_sigma=make_covariance(1.0 / scales, rotations),  # R diag(s^-2) R^T
-        lo=np.clip(lo, 0, last),
-        hi=np.clip(hi, 0, last),
+        lo=np.clip(lo, 0, last + 1),  # a box beyond a face keeps lo > hi there
+        hi=np.clip(hi, -1, last),
         opacity=_sigmoid(np.asarray(arrays["opacity_logit"], dtype=np.float64)),
         class_probs=class_probs,
         radius_sq=float(truncation_radius_sigmas) ** 2,
@@ -612,33 +613,35 @@ def _splat_slab(x_lo: int, x_hi: int, inputs: _SplatInputs, density: np.ndarray,
     """Write every primitive's densities into the voxel slab [x_lo, x_hi), one ``TILE`` at a time.
 
     Tiles are anchored at multiples of ``TILE`` and clipped to the slab and
-    the grid.  Each primitive whose clipped voxel box meets the slab is
-    binned to every tile its box meets; a stable sort on the tile id keeps
-    each tile's P primitives in ascending index order.  Consecutive tiles
-    form runs whose axis terms fit ``_AXIS_RUN_BYTES`` (a tile with more rows
-    is a run of its own).  For all (primitive, tile) rows of a run at once,
-    the per-axis terms are (TILE[a], rows) arrays: the deltas dy and dz; the
-    squared terms xx = m00 dx^2, yy = m11 dy^2 and zz = m22 dz^2, -inf where
-    the voxel lies outside the primitive's box; and the cross coefficients
+    the grid.  Each primitive whose voxel box meets the slab is binned to
+    every tile its box meets; a stable sort on the tile id keeps each tile's P
+    primitives in ascending index order.  Consecutive tiles form runs whose
+    axis terms fit ``_AXIS_RUN_BYTES`` (a tile with more rows is a run of its
+    own).  For all (primitive, tile) rows of a run at once, the per-axis terms
+    are (TILE[a], rows) arrays: the deltas dy and dz; the squared terms
+    xx = m00 dx^2, yy = m11 dy^2 and zz = m22 dz^2; and the cross coefficients
     times the deltas, 2 m01 dx, 2 m02 dx and 2 m12 dy.  Each carries the -1/2
     of exp(-q/2), an exact power-of-two scaling.  Per tile, three partial
     planes Pxy = (xx + yy) + (2 m01 dx) dy, Pyz = zz + (2 m12 dy) dz and
     Pxz = (2 m02 dx) dz give the form as (Pxy + Pyz) + Pxz: one write and one
     read-modify-write of the (tx, ty, tz, P) block.  Pairs beyond the
-    truncation radius (the box included) are raised to -radius^2 / 2 before
-    the exp, which keeps numpy's exp on its fast path, and are then zeroed by
-    the radius mask.  Opacity scales the [class_probs | 1] rows once per
-    slab, so the class product, one stacked matmul of the (tx, ty tz, P)
-    densities with those rows, yields the scores and the density together;
-    it is cut along P into blocks of at most ``BLAS_THREAD_MNK``
-    multiply-adds, summed in block order.  The matmul reassociates each
-    voxel's sum over primitives, so a voxel matches the per-primitive loop to
-    rounding, not bitwise; a primitive alone gets the bits of a per-primitive
-    loop in the same grouping.  Tiles partition the grid and a sum of
-    non-negative products is never -0.0, so each tile's result is assigned to
-    its voxels of the zeroed buffers, not added.  A voxel's result depends
-    only on its tile, not on the runs or the slab, so any slab cut along tile
-    boundaries gives the same bits.
+    truncation radius are raised to -radius^2 / 2 before the exp, which keeps
+    numpy's exp on its fast path, and are then zeroed by the radius mask, the
+    one inclusion test: the box only bins.  Outside the box along axis k the
+    form is at least d_k^2 / Sigma_kk > r^2, so a voxel there is included
+    only where rounding puts its computed form at or below r^2, as the
+    per-primitive definition has it.  Opacity scales the [class_probs | 1]
+    rows once per slab, so the class product, one stacked matmul of the
+    (tx, ty tz, P) densities with those rows, yields the scores and the
+    density together; it is cut along P into blocks of at most
+    ``BLAS_THREAD_MNK`` multiply-adds, summed in block order.  The matmul
+    reassociates each voxel's sum over primitives, so a voxel matches the
+    per-primitive loop to rounding, not bitwise; a primitive alone gets the
+    bits of a per-primitive loop in the same grouping.  Tiles partition the
+    grid and a sum of non-negative products is never -0.0, so each tile's
+    result is assigned to its voxels of the zeroed buffers, not added.  A
+    voxel's result depends only on its tile, not on the runs or the slab, so
+    any slab cut along tile boundaries gives the same bits.
     """
     spec, lo, hi = inputs.spec, inputs.lo.copy(), inputs.hi.copy()
     np.maximum(lo[:, 0], x_lo, out=lo[:, 0])
@@ -685,14 +688,10 @@ def _splat_slab(x_lo: int, x_hi: int, inputs: _SplatInputs, density: np.ndarray,
     run_rows = max(1, _AXIS_RUN_BYTES // _AXIS_ROW_BYTES)
 
     def axis_terms(a, t0, t1, prim, sq_coef, *cross_coefs):
-        """(TILE[a], rows) arrays: the -inf-masked squared term, each cross coefficient times the delta, the delta."""
+        """(TILE[a], rows) arrays: the squared term, each cross coefficient times the delta, the delta."""
         delta = np.repeat(tile_centers[a][:, t0:t1], counts[t0:t1], axis=1)
         delta -= c[prim, a]
-        sq = coef[sq_coef, prim] * delta**2
-        first = np.repeat(corner[a, t0:t1], counts[t0:t1])  # each row's first voxel
-        step = np.arange(TILE[a])[:, None]
-        np.copyto(sq, -np.inf, where=(step < lo[prim, a] - first) | (step > hi[prim, a] - first))
-        return sq, *(coef[k, prim] * delta for k in cross_coefs), delta
+        return coef[sq_coef, prim] * delta**2, *(coef[k, prim] * delta for k in cross_coefs), delta
 
     for t0, t1 in _tile_runs(starts, stops, run_rows):
         r0 = int(starts[t0])

@@ -278,11 +278,13 @@ def class_iou(pred: SemanticOccupancyGrid, truth: SemanticOccupancyGrid, c_total
     """Exact per-class confusion counts between two grids sharing a spec."""
     if pred.spec != truth.spec:
         raise GridMismatchError("prediction and truth grids must share the same spec")
-    p = pred.labels.reshape(-1).astype(np.int64)
-    t = truth.labels.reshape(-1).astype(np.int64)
+    p, t = pred.labels.reshape(-1), truth.labels.reshape(-1)
     if p.size and max(p.max(), t.max()) >= c_total:
         raise LabelError(f"grid label exceeds class count {c_total}")
-    confusion = np.bincount(t * c_total + p, minlength=c_total * c_total).reshape(c_total, c_total)
+    index = t.astype(np.intp)  # t * c_total + p, the one voxel-sized integer array
+    index *= c_total
+    index += p
+    confusion = np.bincount(index, minlength=c_total * c_total).reshape(c_total, c_total)
     per_class = []
     for c in range(c_total):
         tp = int(confusion[c, c])

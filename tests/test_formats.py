@@ -367,6 +367,8 @@ def _scene_case(pattern, replacement, field):
     return build, lambda data: data.index(b"\n" + field + b"=") + 1
 
 
+OVERLONG_ROW = b"blob" + b"9" * 5000
+
 # parseable but invalid header values: (edit, offset of the offending field)
 INVALID_HEADER = {
     "goc1-zero-dim": (_goc1_field_edit(12, "<I", 0), lambda data: 8),
@@ -396,6 +398,12 @@ INVALID_HEADER = {
     "gscn-blob-class-fractional": _scene_case(rb"(blob0=[^\n]* )\d+\n", rb"\g<1>2.5\n", b"blob0"),
     "gscn-blob-negative-scale": _scene_case(rb"(blob0=(?:[^ ]+ ){3})[^ ]+", rb"\g<1>-0.5", b"blob0"),
     "gscn-blob-non-unit-quaternion": _scene_case(rb"(blob0=(?:[^ ]+ ){6})[^ ]+", rb"\g<1>5.0", b"blob0"),
+    # the blob count: within the header's blob_range (3 to 6 here), with no row past it
+    "gscn-blob-count-negative": _scene_case(rb"\nblobs=\d+", b"\nblobs=-1", b"blobs"),
+    "gscn-blob-count-above-range": _scene_case(rb"\nblobs=\d+", b"\nblobs=7", b"blobs"),
+    "gscn-blob-row-past-count": _scene_case(rb"\nblob0=([^\n]*)", rb"\g<0>\nblob9=\g<1>", b"blob9"),
+    # a row index of more digits than int() parses
+    "gscn-blob-row-index-overlong": _scene_case(rb"\nblob0=", b"\n" + OVERLONG_ROW + rb"=\g<0>", OVERLONG_ROW),
 }
 
 

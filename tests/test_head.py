@@ -1008,6 +1008,57 @@ class TestSplatSlabKernel:
             splatted += bool(want_d.any())
         assert splatted >= 15
 
+    def test_box_beyond_a_face_is_empty(self):
+        # A primitive wholly beyond one face keeps lo > hi on that axis, so it is binned to no tile.
+        spec = slab_grid()
+        faces = [(axis, side) for axis in range(3) for side in (-1, 1)]
+        centroids = np.tile(spec.origin + spec.extent / 2, (6, 1))
+        for k, (axis, side) in enumerate(faces):
+            centroids[k, axis] += side * (spec.extent[axis] / 2 + 1.0)  # box half extent 3 x 0.3 m
+        arrays = {
+            "centroid": centroids,
+            "log_scale": np.log(np.full((6, 3), 0.3)),
+            "rotation": np.tile([1.0, 0.0, 0.0, 0.0], (6, 1)),
+            "opacity_logit": np.zeros(6),
+            "semantic_logits": np.zeros((6, 17)),
+        }
+        inputs = head._splat_inputs(arrays, spec, 3.0)
+        for k, (axis, _) in enumerate(faces):
+            others = [a for a in range(3) if a != axis]
+            assert inputs.lo[k, axis] > inputs.hi[k, axis], (k, inputs.lo[k], inputs.hi[k])
+            assert np.all(inputs.lo[k, others] <= inputs.hi[k, others])
+        density, scores, _ = splat_by_slabs(inputs, spec, 2)
+        assert not density.any() and not scores.any()
+
+    def test_radius_test_alone_decides_at_box_boundary(self):
+        # The box's low z edge lies a rounding step above voxel z = 1, whose exact form is just above r^2,
+        # but whose computed form is r^2: the radius test includes it, and the box does not exclude it.
+        # The reference is the per-primitive loop over the whole grid with no box, in the kernel's grouping.
+        spec = GridSpec(origin=np.full(3, -17 * 0.25 / 2), voxel_size=np.full(3, 0.25), dims=(17, 17, 17))
+        arrays = {
+            "centroid": np.array([[-0.5, -0.5, np.nextafter(-0.75, 0)]]),
+            "log_scale": np.log([[0.4, 0.4, np.nextafter(0.4, 0)]]),
+            "rotation": np.array([[1.0, 0.0, 0.0, 0.0]]),
+            "opacity_logit": np.zeros(1),
+            "semantic_logits": np.random.default_rng(1).normal(size=(1, 17)),
+        }
+        inputs = head._splat_inputs(arrays, spec, 2.5)
+        assert inputs.lo[0, 2] == 2  # voxel z = 1 lies outside the box
+        dx, dy, dz = (axis - inputs.centroid[0, a] for a, axis in enumerate(spec.axis_centers))
+        m = inputs.inv_sigma[0]
+        pxy = m[0, 0] * dx[:, None] ** 2 + m[1, 1] * dy**2 + 2.0 * m[0, 1] * dx[:, None] * dy
+        pyz = m[2, 2] * dz**2 + 2.0 * m[1, 2] * dy[:, None] * dz
+        pxz = 2.0 * m[0, 2] * dx[:, None] * dz
+        quad = pxy[:, :, None] + pyz[None] + pxz[:, None]
+        dens = np.where(quad <= 6.25, np.exp(-0.5 * quad), 0.0)
+        want_d = dens * inputs.opacity[0]
+        want_s = dens[..., None] * (inputs.opacity[0] * inputs.class_probs[0])
+        got_d, got_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
+        head._splat_slab(0, spec.dims[0], inputs, got_d, got_s)
+        np.testing.assert_array_equal(got_d, want_d)
+        np.testing.assert_array_equal(got_s, want_s)
+        assert got_d[6, 6, 1] == pytest.approx(0.5 * np.exp(-6.25 / 2), rel=1e-12)  # 0.02197
+
     @pytest.mark.parametrize("run_rows", [1, 40])
     def test_axis_term_runs_bitwise_equal_to_one_run(self, monkeypatch, run_rows):
         # A budget of one row puts a run boundary at every tile; 40 rows gives runs of 2-3 tiles that end
@@ -1066,7 +1117,7 @@ class TestSplatSlabKernel:
         # The inputs of test_workers_forked_after_threaded_blas: the tile at the origin holds P > 868
         # primitives, so one (64 x P) @ (P x 18) product would pass OpenBLAS's threading cutoff.
         spec = slab_grid(29)
-        arrays = random_arrays(np.random.default_rng(11), 2500, spec)
+        arrays = random_arrays(np.random.default_rng(11), 3600, spec)  # 817 of them miss the grid
         inputs = head._splat_inputs(arrays, spec, 3.0)
         p_first = np.count_nonzero(np.all(inputs.lo <= np.minimum(inputs.hi, 7), axis=1))
         assert p_first > 868
@@ -1255,7 +1306,7 @@ class TestSplatWorkers:
         # m n k = 10^6, where OpenBLAS 0.3.31 threads a product: a worker starts BLAS threads too.  A
         # deadlock fails the test through the timeout instead of blocking it.
         spec = slab_grid(29)
-        arrays = random_arrays(np.random.default_rng(11), 2500, spec)
+        arrays = random_arrays(np.random.default_rng(11), 3600, spec)  # 817 of them miss the grid
         inputs = head._splat_inputs(arrays, spec, 3.0)
         first_tile = np.all(inputs.lo <= np.minimum(inputs.hi, 7), axis=1)  # boxes meeting the tile at the origin
         assert np.count_nonzero(first_tile) > 868

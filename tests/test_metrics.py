@@ -1,4 +1,5 @@
 from copy import deepcopy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,25 @@ class TestClassIoU:
         b = grid_from_labels(np.zeros((2, 1, 2), dtype=np.uint8))
         with pytest.raises(GridMismatchError):
             class_iou(a, b, c_total=2)
+
+    def test_one_index_vector_of_peak_memory(self):
+        # The confusion index t * c_total + p is built in place in one intp vector: no int64 copy of
+        # either label volume, and no temporary for the product or the sum.
+        rng = np.random.default_rng(3)
+        pred, truth = (grid_from_labels(rng.integers(0, 18, size=(64, 64, 32)).astype(np.uint8)) for _ in range(2))
+        want = np.zeros((18, 18), dtype=np.int64)
+        np.add.at(want, (truth.labels.ravel(), pred.labels.ravel()), 1)
+        tracemalloc.start()
+        try:
+            report = class_iou(pred, truth, c_total=18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        index_bytes = pred.labels.size * np.dtype(np.intp).itemsize
+        assert peak < 1.25 * index_bytes, (peak, index_bytes)  # the index vector, then 18 x 18 counts
+        for c, entry in enumerate(report.per_class):
+            assert (entry.tp, entry.fp, entry.fn) == (want[c, c], want[:, c].sum() - want[c, c],
+                                                      want[c].sum() - want[c, c])
 
     def test_symmetry_of_iou(self):
         rng = np.random.default_rng(1)
