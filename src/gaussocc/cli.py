@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -54,8 +55,7 @@ def _cmd_synth(args) -> int:
     scene = generate_scene(config.scene_config, derive_seed(config.seed, "scene"))
     out = Path(args.scene_out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_scene(scene, out)
-    print(f"wrote {out} hash {scene.scene_hash()}")
+    print(f"wrote {out} hash {hashlib.sha256(save_scene(scene, out)).hexdigest()}")
     return 0
 
 

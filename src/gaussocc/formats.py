@@ -36,8 +36,9 @@ GOC1_MAGIC = b"GOC1"
 FORMAT_VERSION = 1
 
 
-def write_file(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` as a new file, replacing any entry there.
+def write_file(path, data: bytes) -> bytes:
+    """Write ``data`` to ``path`` as a new file, replacing any entry there,
+    and return ``data``, so a writer can hand back the bytes it wrote.
 
     The old directory entry is unlinked first, so the file is never
     truncated in place.  Truncate-and-write and write-to-temp plus
@@ -71,6 +72,7 @@ def write_file(path, data: bytes) -> None:
     except FileNotFoundError:
         pass
     path.write_bytes(data)
+    return data
 
 
 class _Reader:
@@ -216,9 +218,7 @@ def _read_grid(r: _Reader) -> SemanticOccupancyGrid:
 
 def emit_grid(grid: SemanticOccupancyGrid, path, class_count: int) -> bytes:
     """Write the grid's GOC1 bytes to ``path`` and return them."""
-    data = dump_grid(grid, class_count=class_count)
-    write_file(path, data)
-    return data
+    return write_file(path, dump_grid(grid, class_count=class_count))
 
 
 def load_grid(path) -> SemanticOccupancyGrid:

@@ -486,8 +486,9 @@ def dump_scene(scene: SyntheticScene) -> bytes:
     return header + b"".join(blocks)
 
 
-def save_scene(scene: SyntheticScene, path) -> None:
-    write_file(path, dump_scene(scene))
+def save_scene(scene: SyntheticScene, path) -> bytes:
+    """Write the scene's bytes to ``path`` and return them."""
+    return write_file(path, dump_scene(scene))
 
 
 # scene header key of each GridSpec and DepthPlaneStack field; SceneConfig and
@@ -504,8 +505,9 @@ _HEADER_KEYS = {
 class _SceneHeader:
     """The ``key=value`` lines of a scene header, each kept with its byte offset.
 
-    Every fault (a missing key, a non-ASCII byte, a wrong value count, an
-    unparsable or non-finite number) is a FormatError at the line's offset.
+    Every fault (a missing or repeated key, a non-ASCII byte, a wrong value
+    count, an unparsable or non-finite number) is a FormatError at the
+    line's offset; a repeated key faults at its second line.
     """
 
     def __init__(self, r: _Reader):
@@ -519,6 +521,8 @@ class _SceneHeader:
                 key, _, value = line.decode("ascii").partition("=")
             except UnicodeDecodeError as exc:
                 raise FormatError("non-ASCII byte in scene header", offset=offset + exc.start) from None
+            if key in self.fields:
+                raise FormatError(f"scene header repeats {key}", offset=offset)
             self.fields[key] = (value, offset)
         self.end = offset
 

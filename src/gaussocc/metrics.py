@@ -24,8 +24,12 @@ A class with no foreground voxel has loss max(p_c).
 ``harness.oracle_lovasz_per_class`` keeps the full sort as the reference.
 
 Both losses take their probability rows, which ``probability_rows`` alone
-builds from splat scores, in slabs, so a caller never has to hold a whole
-probability volume: ``CrossEntropyTerms`` writes one term per voxel and
+builds from splat scores in closed form, [s, max(1 - d, 0)] / max(d, 1)
+with d the semantic mass, so each row is normalized once and both losses
+read it as given.  The truth labels are read in their own integer dtype
+(1 B per voxel for a uint8 grid), with no widened copy.  The rows come in
+slabs, so a caller never has to hold a whole probability volume:
+``CrossEntropyTerms`` writes one term per voxel and
 averages them once at the end, and ``LovaszCandidates`` first fixes each t_c
 from the foreground rows, then turns each slab into a part (its argmax
 counts, max(p_c) and candidates) and folds the parts in ascending index.
@@ -82,21 +86,30 @@ class IoUReport:
 def probability_rows(sem: np.ndarray) -> np.ndarray:
     """Class probabilities of voxel rows of semantic scores (any leading shape).
 
-    Semantic channels keep their accumulated mixture mass; the empty channel
-    takes the left-over max(1 - density, 0); rows are renormalized in place
-    (sums floored at ``CE_LOG_FLOOR``), allocating the result once.  Each row
-    depends only on its own scores, so a slab gets the same bits as the whole.
+    With d the row sum of the C semantic scores s, a row is
+    [s, max(1 - d, 0)] / max(d, 1): the semantic channels keep their
+    accumulated mixture mass, the empty channel takes the left-over mass, and
+    a row whose mass is above 1 is scaled down to sum to 1.  That divisor is
+    the row sum of [s, max(1 - d, 0)] itself, so no second row sum is taken:
+    for d <= 1, fl(d + fl(1 - d)) is exactly 1, and above 1 the empty entry
+    is 0.  numpy's pairwise sum of C + 1 values adds the last one after the
+    first C whenever C mod 8 != 7, so for the 17- and 19-class taxonomies the
+    rows have the bits of renormalizing the concatenated row by its own sum;
+    at C mod 8 = 7 that sum could round off 1 and the closed form is the
+    exact rule.  The result is allocated once.  Each row depends only on its
+    own scores, so a slab gets the same bits as the whole.
     """
-    probs = np.empty(sem.shape[:-1] + (sem.shape[-1] + 1,))
-    probs[..., :-1] = sem
-    np.maximum(1.0 - sem.sum(axis=-1), 0.0, out=probs[..., -1])
-    probs /= np.maximum(probs.sum(axis=-1, keepdims=True), CE_LOG_FLOOR)
+    mass = sem.sum(axis=-1, keepdims=True)
+    probs = np.concatenate([sem, np.maximum(1.0 - mass, 0.0)], axis=-1)
+    probs /= np.maximum(mass, 1.0)
     return probs
 
 
 def _flat_labels(labels: np.ndarray, classes: int) -> np.ndarray:
-    """Labels as one int64 vector; a label outside [0, classes) is a LabelError."""
-    labels = np.asarray(labels).reshape(-1).astype(np.int64, copy=False)
+    """Integer labels as one flat vector of their own dtype (a uint8 grid stays
+    1 B per voxel, and is a view when contiguous); a label outside
+    [0, classes) is a LabelError."""
+    labels = np.asarray(labels).reshape(-1)
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise LabelError(f"label outside class range [0, {classes})")
     return labels
@@ -106,9 +119,10 @@ class CrossEntropyTerms:
     """Per-voxel weighted cross-entropy terms -w_y log p_y, filled slab by slab.
 
     ``add(start, probs)`` takes the probability rows of voxels ``start`` to
-    ``start + len(probs)``; rows are renormalized defensively and the log is
-    floored at ``CE_LOG_FLOOR``.  ``value`` is one mean over the whole term
-    vector, so it is the same number however the rows were split into slabs.
+    ``start + len(probs)`` as given (``probability_rows`` made them, so they
+    are not normalized again) and gathers p_y from them; the log is floored
+    at ``CE_LOG_FLOOR``.  ``value`` is one mean over the whole term vector,
+    so it is the same number however the rows were split into slabs.
     ``terms`` is the float64 vector to fill, one entry per voxel (an
     anonymous mapping lets forked workers fill it); a new one by default.
     """
@@ -123,8 +137,7 @@ class CrossEntropyTerms:
 
     def add(self, start: int, probs: np.ndarray) -> None:
         labels = self.labels[start : start + len(probs)]
-        # gather, then renormalize: the same division as on the whole row, without a normalized copy
-        p_truth = probs[np.arange(len(labels)), labels] / np.maximum(probs.sum(axis=-1), CE_LOG_FLOOR)
+        p_truth = probs[np.arange(len(labels)), labels]
         self.terms[start : start + len(probs)] = -self.weights[labels] * np.log(
             np.maximum(p_truth, CE_LOG_FLOOR)
         )
@@ -226,7 +239,7 @@ class LovaszCandidates:
         by_class = np.argsort(classes, kind="stable")  # keeps ascending voxel index within a class
         counts = np.bincount(classes, minlength=len(self.scored))
         ends = np.cumsum(counts)
-        truth = np.bincount(self.labels, minlength=len(self.scored)) > 0
+        truth = np.isin(np.arange(len(self.scored)), self.labels)  # bincount would copy the labels to intp
         losses: dict[int, float] = {}
         for c in np.flatnonzero(truth | (self.predicted > 0)):
             if not self.scored[c]:

@@ -103,7 +103,10 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
     ``metrics.probability_rows`` builds the rows in x-slabs of about
     _SLAB_BYTES: first for the foreground voxels only (the Lovász
     thresholds), then for every voxel in ascending order, each slab feeding
-    ``metrics.CrossEntropyTerms`` and ``metrics.LovaszCandidates``.
+    ``metrics.CrossEntropyTerms`` and ``metrics.LovaszCandidates``, which
+    read the rows as given: each row is normalized once, where it is built.
+    Both take ``truth_labels`` as they are (a uint8 grid is flattened to a
+    view, never widened to an integer copy).
     ``head._fork_slabs`` runs the second pass, ``gather``, over
     ``_eval_workers`` ascending ranges of x-planes (``threads`` is the
     request): each range fills its CE terms into one anonymous mapping and
@@ -120,8 +123,7 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
     dims = pred.spec.dims
     terms = np.frombuffer(mmap.mmap(-1, 8 * len(scores)), dtype=np.float64)
     ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total, terms)
-    labels = ce.labels  # flat int64, shared rather than converted twice
-    lovasz = metrics.LovaszCandidates(labels, c_total, taxonomy.empty_id)
+    lovasz = metrics.LovaszCandidates(truth_labels, c_total, taxonomy.empty_id)
     plane = dims[1] * dims[2]
     step = plane * _planes_per_slab(dims, c_total)
     foreground = lovasz.foreground

@@ -136,6 +136,11 @@ class TestGridCodec:
         emit_grid(grid, path, class_count=c_total)
         np.testing.assert_array_equal(load_grid(path).labels, grid.labels)
 
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.goc1"
+        with pytest.raises(OSError, match="cannot read grid .*absent.goc1"):
+            load_grid(path)
+
 
 class TestBevSlice:
     def test_image_dims_match_grid(self, tmp_path):
@@ -167,6 +172,13 @@ class TestBevSlice:
         grid = SemanticOccupancyGrid(spec=spec, labels=np.zeros((2, 2, 2), dtype=np.uint8))
         with pytest.raises(IndexError):
             emit_bev_slice(grid, 2, DEFAULT_PALETTE, tmp_path / "x.ppm")
+
+    def test_palette_shorter_than_labels(self, tmp_path):
+        spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(3, 1, 1))
+        grid = SemanticOccupancyGrid(spec=spec, labels=np.array([0, 5, 2], dtype=np.uint8).reshape(3, 1, 1))
+        with pytest.raises(FormatError, match="palette with 5 entries cannot cover label 5"):
+            emit_bev_slice(grid, 0, DEFAULT_PALETTE[:5], tmp_path / "short.ppm")
+        assert not (tmp_path / "short.ppm").exists()
 
     def test_palette_extends_to_larger_taxonomies(self):
         pal = palette_for(20)
@@ -367,6 +379,12 @@ def _scene_case(pattern, replacement, field):
     return build, lambda data: data.index(b"\n" + field + b"=") + 1
 
 
+def _repeated_key_case(pattern, repeat, field):
+    """Scene header line ``pattern`` followed by the line ``repeat`` of the same key, faulting at ``repeat``."""
+    build, _ = _scene_case(pattern, rb"\g<0>" + repeat, field)
+    return build, lambda data: data.rindex(b"\n" + field + b"=") + 1
+
+
 OVERLONG_ROW = b"blob" + b"9" * 5000
 
 # parseable but invalid header values: (edit, offset of the offending field)
@@ -404,6 +422,9 @@ INVALID_HEADER = {
     "gscn-blob-row-past-count": _scene_case(rb"\nblob0=([^\n]*)", rb"\g<0>\nblob9=\g<1>", b"blob9"),
     # a row index of more digits than int() parses
     "gscn-blob-row-index-overlong": _scene_case(rb"\nblob0=", b"\n" + OVERLONG_ROW + rb"=\g<0>", OVERLONG_ROW),
+    # a repeated key faults at its second line, instead of the last one silently winning
+    "gscn-repeated-noise-sigma": _repeated_key_case(rb"\nnoise_sigma=[^\n]*", b"\nnoise_sigma=0.5", b"noise_sigma"),
+    "gscn-repeated-blob-row": _repeated_key_case(rb"\nblob3=[^\n]*", b"\nblob3=0 0 0 1 1 1 1 0 0 0 0", b"blob3"),
 }
 
 

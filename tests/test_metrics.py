@@ -66,20 +66,59 @@ class TestWeightedCe:
         permuted = weighted_ce(probs[:, perm], np.argsort(perm)[labels], weights[perm])
         assert permuted == pytest.approx(base, rel=1e-12)
 
-    def test_defensive_renormalization(self):
-        probs = np.array([[1.0, 1.0]])  # sums to 2; renormalized to 0.5 each
-        assert weighted_ce(probs, np.array([0]), np.ones(2)) == pytest.approx(np.log(2.0), abs=1e-12)
-
     def test_bitwise_equal_to_renormalize_then_gather(self):
+        # rows are normalized once, by probability_rows; CE gathers p_y from them and logs it, with no division
         rng = np.random.default_rng(8)
-        probs = rng.uniform(0.0, 0.4, size=(500, 6))  # rows sum to anything in [0, 2.4]
-        probs[:5] = 0.0  # zero rows hit the 1e-12 floor
+        scores = rng.uniform(0.0, 0.4, size=(500, 5))  # semantic mass anywhere in [0, 2]
+        scores[:5] = 0.0  # all empty-class probability: a semantic truth there hits the 1e-12 floor
+        probs = metrics.probability_rows(scores)
         labels = rng.integers(0, 6, size=500)
         weights = rng.uniform(0.5, 2.0, size=6)
-        renormalized = probs / np.maximum(probs.sum(axis=-1, keepdims=True), 1e-12)
-        p_truth = renormalized[np.arange(500), labels]
-        expected = float(np.mean(-weights[labels] * np.log(np.maximum(p_truth, 1e-12))))
-        assert weighted_ce(probs, labels, weights) == expected
+        p_truth = probs[np.arange(500), labels]
+        expected = -weights[labels] * np.log(np.maximum(p_truth, 1e-12))
+        assert weighted_ce(probs, labels, weights) == float(np.mean(expected))
+        # per voxel too: 79 of these rows sum to 1 only up to rounding, so a second division moves terms
+        ce = metrics.CrossEntropyTerms(labels, weights, 6)
+        ce.add(0, probs)
+        assert ce.terms.tobytes() == expected.tobytes()
+
+
+class TestProbabilityRows:
+    @pytest.mark.parametrize("c", [4, 17, 19])
+    def test_closed_form_equals_concatenate_then_renormalize(self, c):
+        # rows of mass 0, just under 1, exactly 1, just over 1 and 2.5; both formulas, bit for bit
+        rng = np.random.default_rng(c)
+        shares = rng.dirichlet(np.ones(c), size=(4, 200))
+        mass = np.array([1.0 - 2.0**-30, 1.0 + 2.0**-30, 2.5, 0.0])[:, None, None]
+        dyadic = np.zeros((1, c))  # 1/2 + 1/4 + 1/8 + 1/8: a row sum of exactly 1
+        dyadic[0, :4] = [0.5, 0.25, 0.125, 0.125]
+        scores = np.concatenate([(shares * mass).reshape(-1, c), rng.permuted(np.repeat(dyadic, 50, 0), axis=1)])
+        d = scores.sum(axis=-1)
+        assert np.any(d == 0) and np.any((0 < d) & (d < 1)) and np.any(d == 1) and np.any(d > 1)
+        concatenated = np.concatenate([scores, np.maximum(1.0 - d, 0.0)[:, None]], axis=-1)
+        closed = concatenated / np.maximum(d, 1.0)[:, None]
+        renormalized = concatenated / np.maximum(concatenated.sum(axis=-1, keepdims=True), 1e-12)
+        probs = metrics.probability_rows(scores)
+        assert probs.shape == (len(scores), c + 1) and probs.dtype == np.float64
+        assert probs.tobytes() == closed.tobytes()
+        assert probs.tobytes() == renormalized.tobytes()
+
+    def test_constructors_copy_no_integer_labels(self):
+        # uint8 truth is read as it is: the only voxel-sized allocations are the bool mask of scored
+        # voxels (1 B per voxel) and the foreground index (8 B per foreground voxel), not an int64 copy
+        rng = np.random.default_rng(3)
+        shape = (64, 64, 32)
+        labels = np.where(rng.uniform(size=shape) < 0.05, rng.integers(0, 17, size=shape), 17).astype(np.uint8)
+        terms = np.empty(labels.size)
+        tracemalloc.start()
+        try:
+            metrics.CrossEntropyTerms(labels, np.ones(18), 18, terms)
+            found = metrics.LovaszCandidates(labels, 18, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = labels.size + found.foreground.nbytes + 2**16
+        assert peak < budget, (peak, budget)
 
 
 class TestLovasz:
@@ -295,6 +334,10 @@ class TestColumnMax:
         np.testing.assert_array_equal(probs, before)
 
 
+def test_lovasz_mean_of_no_class_is_zero():
+    assert metrics.lovasz_mean({}) == 0.0
+
+
 class TestTotalLoss:
     def test_reference_weighting(self):
         assert (LAMBDA_CE, LAMBDA_LOVASZ) == (10.0, 1.0)
@@ -336,6 +379,13 @@ class TestClassIoU:
         b = grid_from_labels(np.zeros((2, 1, 2), dtype=np.uint8))
         with pytest.raises(GridMismatchError):
             class_iou(a, b, c_total=2)
+
+    @pytest.mark.parametrize("which", ["pred", "truth"])
+    def test_label_at_class_count(self, which):
+        labels = {"pred": np.zeros((2, 2, 1), dtype=np.uint8), "truth": np.zeros((2, 2, 1), dtype=np.uint8)}
+        labels[which][1, 1, 0] = 4
+        with pytest.raises(LabelError, match="exceeds class count 4"):
+            class_iou(grid_from_labels(labels["pred"]), grid_from_labels(labels["truth"]), c_total=4)
 
     def test_one_index_vector_of_peak_memory(self):
         # The confusion index t * c_total + p is built in place in one intp vector: no int64 copy of
@@ -403,6 +453,12 @@ class TestMeanIoU:
 
 
 class TestFormatMetrics:
+    def test_no_defined_class_prints_undefined_miou(self, taxonomy):
+        report = IoUReport(per_class=tuple(ClassIoU(0, 0, 0) for _ in range(18)), empty_id=17)
+        lines = format_metrics(report, taxonomy).splitlines()
+        assert lines[-1] == "mIoU\tundefined"
+        assert all(line.endswith("\tundefined") for line in lines[1:-1]) and len(lines) == 20
+
     def test_one_record_per_class_plus_summary(self, taxonomy):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 18, size=(4, 4, 2)).astype(np.uint8)

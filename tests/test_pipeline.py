@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussocc import head, lifting, metrics, pipeline, smoothing
-from gaussocc.cli import main
+from gaussocc import harness, head, lifting, metrics, pipeline, smoothing
+from gaussocc.cli import _resolve, build_parser, main
 from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import ConfigurationError, LabelError, SplatWorkerError
 from gaussocc.formats import load_grid, save_bundle
@@ -122,6 +122,27 @@ class TestConfigResolution:
         cfg = resolve_config(overrides={"gaussian_count": 20}, file_overrides=parsed)
         assert cfg.gaussian_count == 20
         assert cfg.seed == 3
+
+    @pytest.mark.parametrize("line, key", [("smoothing = maybe", "smoothing"), ("preset = nuscenes", "preset")])
+    def test_config_file_value_names_key(self, tmp_path, line, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ConfigurationError) as info:
+            resolve_config(file_overrides=parse_config_file(cfg_file))
+        assert info.value.field == key and line.split(" = ")[1] in str(info.value)
+
+    def test_config_line_without_equals_names_line(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = 3\nsmoothing on\n")
+        with pytest.raises(ConfigurationError, match=r"run\.cfg:2: expected key = value"):
+            parse_config_file(cfg_file)
+
+    def test_smoothing_flag_overrides_config_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("smoothing = on\n")
+        run = ["run", "--config", str(cfg_file)]
+        assert _resolve(build_parser().parse_args(run)).smoothing is True
+        assert _resolve(build_parser().parse_args(run + ["--smoothing", "off"])).smoothing is False
 
     def test_hash_tracks_config(self, tmp_path):
         a = small_config(tmp_path)
@@ -671,6 +692,21 @@ class TestCli:
             "--scene", str(scene_path), "--out", str(out),
         ])
         assert code == 0
+
+    def test_synth_encodes_scene_once_and_prints_file_hash(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        dump = harness.dump_scene
+
+        def counting_dump(scene):
+            calls.append(scene)
+            return dump(scene)
+
+        monkeypatch.setattr(harness, "dump_scene", counting_dump)
+        scene_path = tmp_path / "scene.gscn"
+        assert main(["synth", "--preset", "synthetic", "--seed", "8", "--scene-out", str(scene_path)]) == 0
+        assert len(calls) == 1
+        digest = hashlib.sha256(scene_path.read_bytes()).hexdigest()
+        assert capsys.readouterr().out == f"wrote {scene_path} hash {digest}\n"
 
     def test_weights_init_then_run(self, tmp_path):
         weights = tmp_path / "w.gocw"
