@@ -29,11 +29,54 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+# m n k above which OpenBLAS 0.3.31, the build bundled with numpy 2.4, runs a
+# GEMM on more than one thread.  Measured by counting a forked child's threads
+# after one product: 64 x 868 x 18 and 100 x 100 x 100 left it at one thread,
+# 64 x 869 x 18 and 100 x 100 x 101 started a second.  The splat's class
+# products stay at or below it, so no forked worker starts BLAS threads, and
+# so do the head's and the front end's (``_product``), so plane threads never
+# wait on BLAS's and front-end workers start none.
+BLAS_THREAD_MNK = 10**6
+
+# m k from which the same OpenBLAS runs an (m, k) @ (k,) product (GEMV) on more
+# than one thread, measured the same way: 3599 x 128 and 14399 x 32 kept one
+# thread, 3600 x 128 and 14400 x 32 started a second.
+BLAS_GEMV_THREAD_MK = 460_800
+
+
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _product(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w in row blocks that OpenBLAS runs on the calling thread, into ``out`` when given.
+
+    The leading axes of ``x`` are rows: an (..., k) ``x`` gives an
+    (...,) + w.shape[1:] result, a single row included.  A block has a
+    multiple of 8 rows (at least 8) and at most ``BLAS_THREAD_MNK``
+    multiply-adds for a matrix ``w``, or fewer than ``BLAS_GEMV_THREAD_MK``
+    for a vector ``w``.  A one-row last block would go through gemv, so the
+    cut before it moves back 8 rows.  The result has the bits of the whole
+    (rows, k) product on one BLAS thread (tests/test_head.py); a whole
+    matrix-vector product that OpenBLAS splits over threads can round the
+    last rows of a thread's share differently.
+    """
+    lead, k = x.shape[:-1], x.shape[-1]
+    x = x.reshape(-1, k)
+    m = len(x)
+    rows = BLAS_THREAD_MNK // (k * w.shape[1]) if w.ndim == 2 else (BLAS_GEMV_THREAD_MK - 1) // k
+    rows = max(8, rows // 8 * 8)
+    result = np.empty(lead + w.shape[1:]) if out is None else out
+    flat = result.reshape((m,) + w.shape[1:])
+    cuts = list(range(0, m, rows)) + [m]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        cuts[-2] -= 8
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        np.matmul(x[lo:hi], w, out=flat[lo:hi])
+    return result
 
 
 def _softplus(x):
@@ -47,8 +90,12 @@ def _softplus(x):
 
 
 def _sigmoid(x):
+    """1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|); one temporary besides e."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _softmax(x, axis=-1):

@@ -26,7 +26,10 @@ class DegenerateCovarianceError(GaussOccError):
 
 
 class SplatWorkerError(GaussOccError):
-    """A forked splat or eval worker failed or was interrupted. ``slab`` is its [x_lo, x_hi) range."""
+    """A forked splat, eval or front-end worker failed or was interrupted.
+
+    ``slab`` is its [lo, hi) range: of x-planes, or of anchors for the front end.
+    """
 
     def __init__(self, message: str, slab: tuple[int, int]):
         super().__init__(message)

@@ -7,6 +7,11 @@ streams convexly, and a consistency gate derived from the cosine similarity
 of the raw modality projections attenuates channels where the sensors
 disagree.  Addition and concatenation baselines are provided for the fusion
 mode sweep.
+
+Every product is a ``core._product`` and every other operation is per
+anchor, so the pipeline's front end fuses one anchor block at a time, inside
+forked anchor-range workers (``head._fork_slabs``), with the bits of one
+call over every anchor.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _sigmoid
+from .core import _product, _sigmoid
 from .errors import ConfigurationError
 from .params import ParameterBundle
 
@@ -84,10 +89,10 @@ def cross_attend_pointwise(f_l: np.ndarray, f_c: np.ndarray, params: FusionParam
     f_l = np.asarray(f_l, dtype=np.float64)
     f_c = np.asarray(f_c, dtype=np.float64)
     d = float(params.feature_width)
-    score_l = np.sum((f_l @ params.wq_l) * (f_c @ params.wk_c), axis=-1) / np.sqrt(d)
-    h_l = f_l + _sigmoid(score_l)[..., None] * (f_c @ params.wv_c)
-    score_c = np.sum((f_c @ params.wq_c) * (f_l @ params.wk_l), axis=-1) / np.sqrt(d)
-    h_c = f_c + _sigmoid(score_c)[..., None] * (f_l @ params.wv_l)
+    score_l = np.sum(_product(f_l, params.wq_l) * _product(f_c, params.wk_c), axis=-1) / np.sqrt(d)
+    h_l = f_l + _sigmoid(score_l)[..., None] * _product(f_c, params.wv_c)
+    score_c = np.sum(_product(f_c, params.wq_c) * _product(f_l, params.wk_l), axis=-1) / np.sqrt(d)
+    h_c = f_c + _sigmoid(score_c)[..., None] * _product(f_l, params.wv_l)
     return h_l, h_c
 
 
@@ -95,8 +100,8 @@ def soft_gate(h_l: np.ndarray, h_c: np.ndarray, params: FusionParams):
     """Scalar fusion mask from an MLP over the concatenated streams."""
     h_l = np.asarray(h_l, dtype=np.float64)
     h_c = np.asarray(h_c, dtype=np.float64)
-    hidden = np.maximum(np.concatenate([h_l, h_c], axis=-1) @ params.gate_w1 + params.gate_b1, 0.0)
-    m_gate = _sigmoid(hidden @ params.gate_w2 + params.gate_b2)
+    hidden = np.maximum(_product(np.concatenate([h_l, h_c], axis=-1), params.gate_w1) + params.gate_b1, 0.0)
+    m_gate = _sigmoid(_product(hidden, params.gate_w2) + params.gate_b2)
     h_fused = m_gate[..., None] * h_l + (1.0 - m_gate)[..., None] * h_c
     return m_gate, h_fused
 
@@ -110,8 +115,8 @@ def consistency_reweight(
     """
     f_l = np.asarray(f_l, dtype=np.float64)
     f_c = np.asarray(f_c, dtype=np.float64)
-    z_l = f_l @ params.consist_proj_l
-    z_c = f_c @ params.consist_proj_c
+    z_l = _product(f_l, params.consist_proj_l)
+    z_c = _product(f_c, params.consist_proj_c)
     norm_l = np.linalg.norm(z_l, axis=-1)
     norm_c = np.linalg.norm(z_c, axis=-1)
     denom = norm_l * norm_c
@@ -127,7 +132,7 @@ def fuse_by_addition(f_l: np.ndarray, f_c: np.ndarray) -> np.ndarray:
 
 def fuse_by_concat(f_l: np.ndarray, f_c: np.ndarray, params: FusionParams) -> np.ndarray:
     both = np.concatenate([np.asarray(f_l, dtype=np.float64), np.asarray(f_c, dtype=np.float64)], axis=-1)
-    return both @ params.concat_w
+    return _product(both, params.concat_w)
 
 
 def adaptive_fuse(f_l: np.ndarray, f_c: np.ndarray, params: FusionParams) -> FusedFeature:

@@ -19,7 +19,6 @@ kernel it checks, so a fault in the kernel cannot cancel out.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -113,9 +112,6 @@ class SyntheticScene:
     truth: SemanticOccupancyGrid
     stack: DepthPlaneStack
     views: MultiViewFeatureSet
-
-    def scene_hash(self) -> str:
-        return hashlib.sha256(dump_scene(self)).hexdigest()
 
 
 def _camera_rig(config: SceneConfig) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -15,8 +15,8 @@ rows live in one (3, N, F) buffer per call: each plane streams its embeds
 and then its U-Net through row blocks (``_row_blocks``), the scan carrying
 its state from block to block, and a block's three planes run on three
 threads when ``_plane_workers`` allows.  Every product below a plane and in
-the offset heads is a ``_product``: row blocks that OpenBLAS runs on the
-calling thread, so plane threads never contend with BLAS threads and the
+the offset heads is a ``core._product``: row blocks that OpenBLAS runs on
+the calling thread, so plane threads never contend with BLAS threads and the
 result is bitwise the same for any ``threads``.  After the final block
 ``run_head`` decodes the per-anchor attribute update (centroid offset,
 log-scale delta, quaternion delta, opacity, semantics) with one matmul in
@@ -38,8 +38,10 @@ cut into x-slabs of whole tile columns, one per worker process (at most
 ``threads``, which the pipeline takes from ``GOC_THREADS``, and at most one
 per tile column); each worker splats and labels its slab into one anonymous
 mapping, so the result is bit-identical for any worker count.
-``_fork_slabs`` runs the splat's and the eval's slab workers, alone decides
-whether they fork or run in-process, and returns their values.
+``_fork_slabs`` runs the splat's and the eval's x-slab workers and the
+pipeline front end's anchor-range workers (lifting, smoothing and fusion),
+alone decides whether they fork or run in-process, returns their values,
+and names the stage and its x-slab or anchor range when a worker fails.
 """
 
 from __future__ import annotations
@@ -54,9 +56,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLAS_GEMV_THREAD_MK,
+    BLAS_THREAD_MNK,
     GridSpec,
     ModelConfig,
     SemanticOccupancyGrid,
+    _product,
     _sigmoid,
     _softmax,
     _softplus,
@@ -73,6 +78,8 @@ from .errors import (
 from .params import AXIS_PLANES, PLANES, ParameterBundle
 
 MIN_SPLAT_SCALE = 1e-6
+# tokens ``mamba_unet_refine`` needs, and so anchors a run needs: the sequence is pooled twice
+MIN_REFINE_TOKENS = 4
 DEFAULT_OCCUPANCY_THRESHOLD = 0.1
 
 # Byte budget of one (tokens, F, N) time block in selective_scan, which
@@ -91,19 +98,6 @@ _SCAN_BLOCK_BYTES = 2**19
 # of 7, seed 3): 2-3%, within the spread of the runs.  It is not adopted,
 # because it regroups each voxel's sum over primitives.
 TILE = (8, 8, 8)
-
-# m n k above which OpenBLAS 0.3.31, the build bundled with numpy 2.4, runs a
-# GEMM on more than one thread.  Measured by counting a forked child's threads
-# after one product: 64 x 868 x 18 and 100 x 100 x 100 left it at one thread,
-# 64 x 869 x 18 and 100 x 100 x 101 started a second.  The splat's class
-# products stay at or below it, so no forked worker starts BLAS threads, and
-# so do the head's (``_product``), so its plane threads never wait on BLAS's.
-BLAS_THREAD_MNK = 10**6
-
-# m k from which the same OpenBLAS runs an (m, k) @ (k,) product (GEMV) on more
-# than one thread, measured the same way: 3599 x 128 and 14399 x 32 kept one
-# thread, 3600 x 128 and 14400 x 32 started a second.
-BLAS_GEMV_THREAD_MK = 460_800
 
 # Rows of one U-Net block (``mamba_unet_refine``) and of one embed block: a
 # multiple of 32, so its bottleneck rows start at multiples of 8, and small
@@ -397,30 +391,6 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _product(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x @ w in row blocks that OpenBLAS runs on the calling thread, into ``out`` when given.
-
-    A block has a multiple of 8 rows (at least 8) and at most
-    ``BLAS_THREAD_MNK`` multiply-adds for a matrix ``w``, or fewer than
-    ``BLAS_GEMV_THREAD_MK`` for a vector ``w``.  A one-row last block would
-    go through gemv, so the cut before it moves back 8 rows.  The result has
-    the bits of the whole product on one BLAS thread (tests/test_head.py);
-    a whole matrix-vector product that OpenBLAS splits over threads can
-    round the last rows of a thread's share differently.
-    """
-    m, k = x.shape
-    rows = BLAS_THREAD_MNK // (k * w.shape[1]) if w.ndim == 2 else (BLAS_GEMV_THREAD_MK - 1) // k
-    rows = max(8, rows // 8 * 8)
-    if out is None:
-        out = np.empty((m,) + w.shape[1:])
-    cuts = list(range(0, m, rows)) + [m]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        cuts[-2] -= 8
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        np.matmul(x[lo:hi], w, out=out[lo:hi])
-    return out
-
-
 def mamba_unet_refine(tokens: np.ndarray, params: UnetParams, out: np.ndarray | None = None) -> np.ndarray:
     """Two-level pooled encoder, selective-scan bottleneck, unpooling decoder
     with additive skips; output length equals input length.
@@ -434,8 +404,8 @@ def mamba_unet_refine(tokens: np.ndarray, params: UnetParams, out: np.ndarray | 
     bitwise equal to the U-Net over the whole sequence at once.
     """
     x = np.asarray(tokens, dtype=np.float64)
-    if x.shape[0] < 4:
-        raise SequenceTooShortError(f"refiner needs at least 4 tokens, got {x.shape[0]}")
+    if x.shape[0] < MIN_REFINE_TOKENS:
+        raise SequenceTooShortError(f"refiner needs at least {MIN_REFINE_TOKENS} tokens, got {x.shape[0]}")
     if out is None:
         out = np.empty_like(x)
     state = np.zeros(params.ssm.a.shape)
@@ -777,34 +747,37 @@ def _grid_buffers(dims: tuple, c_sem: int):
     return density, scores.reshape(dims + (c_sem,)), labels.reshape(dims)
 
 
-def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list:
-    """Run ``fill(x_lo, x_hi)`` for each slab; return what each returned, in slab order.
+def _fork_slabs(bounds: list[int], fill, stage: str = "splat", unit: str = "x-slab") -> list:
+    """Run ``fill(lo, hi)`` for each range [lo, hi) of ``bounds``; return what each returned, in range order.
 
-    With one slab, or without ``os.fork``, each slab runs here in slab order:
+    The splat and the eval cut the grid into x-slabs, the front end cuts the
+    anchors into anchor ranges: ``stage`` and ``unit`` name them in errors.
+    With one range, or without ``os.fork``, each range runs here in order:
     its value is returned as is and an exception propagates as is.  Otherwise
     each runs in its own forked child, which pickles ``fill``'s value (None
     if it only writes shared memory) into a pipe; the parent reads each pipe
-    to its end before reaping the child, in slab order, so a value larger
+    to its end before reaping the child, in range order, so a value larger
     than the pipe buffer cannot deadlock, and unpickles the values once
     every child is reaped.  A child always leaves through ``os._exit``, with
-    status 0 only if its slab is complete and its value pickled; a failure's
+    status 0 only if its range is complete and its value pickled; a failure's
     message reaches the parent through the same pipe.  The children start
-    with SIGINT blocked, so an interrupt reaches the parent only.  If a child fails, a fork fails or the wait is
-    interrupted, every child still running is killed and every child is
-    reaped before a ``SplatWorkerError`` naming ``stage`` and the slab
-    propagates.  The children may call BLAS (the splat's per-tile class
-    products); forking while the parent's BLAS threads exist is safe because
-    OpenBLAS shuts its thread pool down before a fork and a child starts its
-    own only if one of its products is large enough to be threaded.
+    with SIGINT blocked, so an interrupt reaches the parent only.  If a child
+    fails, a fork fails or the wait is interrupted, every child still running
+    is killed and every child is reaped before a ``SplatWorkerError`` naming
+    ``stage``, ``unit`` and the range propagates.  The children may call BLAS
+    (the splat's per-tile class products, the front end's ``_product``s);
+    forking while the parent's BLAS threads exist is safe because OpenBLAS
+    shuts its thread pool down before a fork and a child starts its own only
+    if one of its products is large enough to be threaded.
     """
-    slabs = list(zip(bounds[:-1], bounds[1:]))
-    if len(slabs) < 2 or not hasattr(os, "fork"):
-        return [fill(*slab) for slab in slabs]
-    children = []  # [pid or None once reaped, read end of its pipe, slab]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    if len(ranges) < 2 or not hasattr(os, "fork"):
+        return [fill(*piece) for piece in ranges]
+    children = []  # [pid or None once reaped, read end of its pipe, range]
     payloads = []
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        for slab in slabs:
+        for piece in ranges:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -816,7 +789,7 @@ def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list:
                 status = 1
                 try:
                     os.close(read_fd)
-                    view = memoryview(pickle.dumps(fill(*slab)))
+                    view = memoryview(pickle.dumps(fill(*piece)))
                     while view:
                         view = view[os.write(write_fd, view):]
                     status = 0
@@ -825,10 +798,10 @@ def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list:
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            children.append([pid, read_fd, slab])
+            children.append([pid, read_fd, piece])
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for child in children:
-            pid, read_fd, (x_lo, x_hi) = child
+            pid, read_fd, (lo, hi) = child
             chunks = []
             while chunk := os.read(read_fd, 2**20):
                 chunks.append(chunk)
@@ -838,16 +811,16 @@ def _fork_slabs(bounds: list[int], fill, stage: str = "splat") -> list:
             if code != 0:
                 message = data[-4096:].decode(errors="replace") or f"exit code {code}"
                 raise SplatWorkerError(
-                    f"{stage} worker of x-slab [{x_lo}, {x_hi}) failed: {message}", (x_lo, x_hi)
+                    f"{stage} worker of {unit} [{lo}, {hi}) failed: {message}", (lo, hi)
                 )
             payloads.append(data)
     except KeyboardInterrupt:
-        running = [slab for pid, _, slab in children if pid is not None]
+        running = [piece for pid, _, piece in children if pid is not None]
         if not running:
             raise
-        x_lo, x_hi = running[0]
+        lo, hi = running[0]
         raise SplatWorkerError(
-            f"interrupted while waiting for the {stage} worker of x-slab [{x_lo}, {x_hi})", (x_lo, x_hi)
+            f"interrupted while waiting for the {stage} worker of {unit} [{lo}, {hi})", (lo, hi)
         ) from None
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)

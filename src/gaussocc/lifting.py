@@ -10,11 +10,17 @@ mean-pooled in contiguous depth chunks, chunk context modulates the last
 chunk through a sigmoid mask, and a learnable soft gate blends the modulated
 vector with the global depth mean.  The paper's training-time shuffle of the
 depth levels is not reproduced: this pipeline runs forward only.
-``lift_lidar`` runs the whole chain over blocks of anchors with about
-_LIFT_BLOCK_BYTES of depth samples each, and writes each block's rows into
-one (N, F) output: no (N, D, F) tensor over every anchor is held, and since
-each row goes through the same operations the output is bitwise equal to the
-chain over every anchor at once.
+
+Anchors go through lifting in blocks of about _LIFT_BLOCK_BYTES of depth
+samples (a multiple of 8 rows; a last anchor on its own joins the block
+before it), walked by one loop, ``_in_blocks``: ``lift_lidar``
+runs its chain through it, and so does the pipeline's front end, which
+lifts, smooths and fuses each block in turn inside forked anchor-range
+workers (``head._fork_slabs``).  No (N, D, F) tensor over every anchor is
+held.  Every product is a ``core._product`` (row blocks that OpenBLAS runs
+on the calling thread) and every other operation is per anchor, so a block's
+rows are bitwise those of the chain over every anchor at once and no
+forked worker starts BLAS threads.
 
 The scene containers own their storage: float64 planes, a stack's stored
 texel-major, (H, W, D, F) in memory, so ``DepthPlaneStack.texel_rows`` is a view.
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _sigmoid, _softmax
+from .core import _product, _sigmoid, _softmax
 from .errors import ConfigurationError
 from .params import ParameterBundle
 
@@ -51,8 +57,9 @@ from .params import ParameterBundle
 # 0.49 s with 16 MB blocks.
 _GATHER_BYTES = 2**19
 
-# Byte budget of one anchor block's (rows, D, F) depth samples in lift_lidar:
-# 1,024 anchors at D = 8, F = 128.  Holding every anchor's samples at once
+# Byte budget of one anchor block's (rows, D, F) depth samples (``_in_blocks``,
+# which lift_lidar and the pipeline's front end walk): 1,024 anchors at D = 8,
+# F = 128.  Holding every anchor's samples at once
 # set the run's peak: occ3d's lifting took the process from 167 to 402 MB.
 _LIFT_BLOCK_BYTES = 2**23
 
@@ -212,7 +219,7 @@ def project_to_view(points: np.ndarray, view: CameraView):
     texel-center domain [0, W-1] x [0, H-1].  Invalid is a flag, never an error.
     """
     pts = np.asarray(points, dtype=np.float64)
-    cam = pts @ view.extrinsics[:3, :3].T + view.extrinsics[:3, 3]
+    cam = _product(pts, view.extrinsics[:3, :3].T) + view.extrinsics[:3, 3]
     depth = cam[..., 2]
     safe = np.where(depth == 0.0, 1.0, depth)
     fx, fy = view.intrinsics[0, 0], view.intrinsics[1, 1]
@@ -300,9 +307,9 @@ def generate_keypoints(
     features = np.asarray(features, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
     p = params.weight_w.shape[1]
-    raw = features @ params.offset_w + params.offset_b
+    raw = _product(features, params.offset_w) + params.offset_b
     offsets = raw.reshape(raw.shape[:-1] + (p, 3)) * scales[..., None, :]
-    weights = _softmax(features @ params.weight_w + params.weight_b)
+    weights = _softmax(_product(features, params.weight_w) + params.weight_b)
     return KeypointSet(offsets=offsets, weights=weights)
 
 
@@ -326,6 +333,7 @@ def chunk_means(f_depth: np.ndarray, chunks: int) -> np.ndarray:
     """Mean-pooled chunk representations C_k over K contiguous depth chunks.
 
     Each chunk holds D // K levels; the remainder goes to the last chunk.
+    Each mean is written into its slot of the (..., K, F) result.
     """
     f_depth = np.asarray(f_depth, dtype=np.float64)
     depth_levels = f_depth.shape[-2]
@@ -335,9 +343,10 @@ def chunk_means(f_depth: np.ndarray, chunks: int) -> np.ndarray:
         )
     size = depth_levels // chunks
     bounds = [k * size for k in range(chunks)] + [depth_levels]
-    return np.stack(
-        [np.mean(f_depth[..., lo:hi, :], axis=-2) for lo, hi in zip(bounds[:-1], bounds[1:])], axis=-2
-    )
+    out = np.empty(f_depth.shape[:-2] + (chunks, f_depth.shape[-1]))
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.mean(f_depth[..., lo:hi, :], axis=-2, out=out[..., k, :])
+    return out
 
 
 def cross_depth_modulate(chunks: np.ndarray, params: LdfaParams) -> np.ndarray:
@@ -347,17 +356,43 @@ def cross_depth_modulate(chunks: np.ndarray, params: LdfaParams) -> np.ndarray:
     if k < 2:
         raise ConfigurationError("cross-depth modulation needs at least two chunks", field="depth_chunks")
     context = chunks[..., : k - 1, :].reshape(chunks.shape[:-2] + ((k - 1) * chunks.shape[-1],))
-    mask = _sigmoid(context @ params.phi_w + params.phi_b)
-    return mask * chunks[..., k - 1, :]
+    logit = _product(context, params.phi_w)
+    logit += params.phi_b
+    mask = _sigmoid(logit)
+    mask *= chunks[..., k - 1, :]
+    return mask
 
 
 def gated_global_fusion(m: np.ndarray, f_depth: np.ndarray, params: LdfaParams) -> np.ndarray:
     """Soft-gated blend of the modulated vector with the global depth mean."""
     m = np.asarray(m, dtype=np.float64)
     g = np.mean(np.asarray(f_depth, dtype=np.float64), axis=-2)
-    logit = np.concatenate([m, g], axis=-1) @ params.gate_w + params.gate_b
+    logit = _product(np.concatenate([m, g], axis=-1), params.gate_w) + params.gate_b
     alpha = _sigmoid(logit)[..., None]
     return alpha * m + (1.0 - alpha) * g
+
+
+def _anchor_cuts(lo: int, hi: int, rows: int) -> list[int]:
+    """Cut points of [lo, hi) every ``rows`` anchors; a last anchor on its own joins the piece before it.
+
+    numpy multiplies a one-row matrix through gemv, not gemm, which rounds
+    differently from the chain over every anchor.  An empty range is one
+    empty piece, so a chain over it still runs once.
+    """
+    return list(range(lo, max(hi - 1, lo + 1), rows)) + [hi]
+
+
+def _in_blocks(lo: int, hi: int, stack: DepthPlaneStack, step, out: np.ndarray) -> np.ndarray:
+    """The one block loop: ``out[b_lo:b_hi] = step(b_lo, b_hi)`` for each block of [lo, hi).
+
+    A block holds about _LIFT_BLOCK_BYTES of (rows, D, F) depth samples, a
+    multiple of 8 rows (``_anchor_cuts`` joins a last anchor on its own to it).
+    """
+    d, _, _, f = stack.planes.shape
+    cuts = _anchor_cuts(lo, hi, max(8, _LIFT_BLOCK_BYTES // (8 * d * f) // 8 * 8))
+    for b_lo, b_hi in zip(cuts[:-1], cuts[1:]):
+        out[b_lo:b_hi] = step(b_lo, b_hi)
+    return out
 
 
 def lift_lidar(
@@ -371,11 +406,12 @@ def lift_lidar(
 ) -> np.ndarray:
     """Full LDFA chain: keypoints, depth sampling, chunking, modulation, gating.
 
-    Anchors (the leading axes, flattened to rows) go through the chain in
-    blocks of about _LIFT_BLOCK_BYTES of depth samples; each block's rows are
-    written into one (N, F) output, which is bitwise equal to the chain over
-    every anchor at once.  An empty input still runs the chain once, on no
-    rows, so a bad ``chunks`` is refused whatever N is.
+    Anchors (the leading axes, flattened to rows) go through the chain in the
+    blocks of ``_in_blocks``, the loop the pipeline's front end runs too; each
+    block's rows are written into one (N, F) output, which is bitwise equal to
+    the chain over every anchor at once.  Called on one front-end block, the
+    chain runs once.  An empty input still runs the chain once, on no rows,
+    so a bad ``chunks`` is refused whatever N is.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
@@ -384,18 +420,12 @@ def lift_lidar(
     points = np.broadcast_to(centroids, lead + (3,)).reshape(-1, 3)
     feats = np.broadcast_to(features, lead + features.shape[-1:]).reshape(-1, features.shape[-1])
     scales = np.broadcast_to(scales, lead + (3,)).reshape(-1, 3)
-    n = len(points)
-    d, _, _, f = stack.planes.shape
-    out = np.empty((n, f))
-    rows = max(2, _LIFT_BLOCK_BYTES // (8 * d * f))
-    # Blocks of `rows` anchors, but a last anchor on its own joins the block
-    # before it: numpy multiplies a one-row matrix through gemv, not gemm,
-    # which rounds differently from the chain over every anchor.
-    starts = list(range(0, max(n - 1, 1), rows))
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        block = slice(lo, hi)
-        keypoints = generate_keypoints(feats[block], scales[block], keypoint_params)
-        f_depth = ldfa_depth_sample(points[block], keypoints, stack)
+    n, f = len(points), stack.planes.shape[-1]
+
+    def chain(lo: int, hi: int) -> np.ndarray:
+        keypoints = generate_keypoints(feats[lo:hi], scales[lo:hi], keypoint_params)
+        f_depth = ldfa_depth_sample(points[lo:hi], keypoints, stack)
         modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ldfa_params)
-        out[block] = gated_global_fusion(modulated, f_depth, ldfa_params)
-    return out.reshape(lead + (f,))
+        return gated_global_fusion(modulated, f_depth, ldfa_params)
+
+    return _in_blocks(0, n, stack, chain, np.empty((n, f))).reshape(lead + (f,))

@@ -7,9 +7,20 @@ config turns it on.  GOC_THREADS (default 8) is the splat's ``threads``
 request; ``head.splat_arrays`` alone clamps it to its worker count, which
 the manifest reports.  Sharding never changes per-voxel accumulation order,
 so the emitted grid digest is identical for any worker count.  Inputs a
-later stage never reads (the scene's views and depth planes, the
-per-modality features) are dropped as soon as they are consumed, so they
-are not resident during the splat.
+later stage never reads (the scene's views and depth planes) are dropped as
+soon as they are consumed, so they are not resident during the splat.
+
+The front end (``_front_end``) is one chain over anchor blocks: per block of
+``lifting._in_blocks``, ``aggregate_camera``, ``lift_lidar``,
+``smooth_features`` (when on) and ``fuse``.  ``head._fork_slabs`` runs it
+over ``front_end_workers`` (manifest) contiguous anchor ranges, forked where
+the head threads its planes (anchors x width at least
+``head._PLANE_THREAD_VALUES``), each range writing its rows of the fused
+features into one shared anonymous (N, F) mapping that the head reads as
+the features.  So the per-modality features exist one block at a time, in
+no process over every anchor, and the fused features are bitwise those of
+the four stages over every anchor at once.  Each range times its own
+lifting, smoothing and fusion; each of those timings is the slowest range's.
 
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
@@ -97,6 +108,75 @@ def _eval_workers(threads: int, dims: tuple, c_total: int) -> int:
     return max(1, min(head._worker_count(threads, dims[0]), slabs // _MIN_WORKER_SLABS))
 
 
+def _front_end_workers(threads: int, anchors: int, width: int) -> int:
+    """Front-end workers: min(``threads``, usable cores) where the head threads its planes, else 1.
+
+    The floor is the head's (``head._plane_workers``: anchors x ``width`` at
+    least ``head._PLANE_THREAD_VALUES``); one without ``os.fork``, where
+    ``head._fork_slabs`` runs every range in-process.
+    """
+    if head._plane_workers(threads, anchors, width) == 1 or not hasattr(os, "fork"):
+        return 1
+    return min(int(threads), head._usable_cores())
+
+
+def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle, arrays: dict, workers: int):
+    """Lifting, smoothing (when on) and fusion of every anchor; returns (fused (N, F) features, timings, ranges).
+
+    The anchors are cut into ``workers`` contiguous ranges of whole multiples
+    of 8 rows (``lifting._anchor_cuts``), and ``head._fork_slabs`` runs each
+    range, forked when there are two or more.  A range walks its anchors in
+    ``lifting._in_blocks``: per block, ``aggregate_camera``, ``lift_lidar``,
+    ``smooth_features`` and ``fuse``, whose rows it writes into one shared
+    anonymous (N, F) mapping, so no process holds a full-width intermediate.
+    Every product is a ``_product`` and every other operation is per anchor,
+    so the features are bitwise those of the four stages over every anchor
+    at once, for any ``workers``.  Each range times its own lifting,
+    smoothing and fusion (summed over its blocks; smoothing is timed even
+    when off); each returned timing is the slowest range's.  A failed worker
+    raises ``SplatWorkerError`` naming the front-end stage and its anchor
+    range.
+    """
+    model = config.model
+    cam_params = lifting.CameraLiftParams.from_bundle(bundle)
+    kp_params = lifting.KeypointParams.from_bundle(bundle)
+    ldfa_params = lifting.LdfaParams.from_bundle(bundle)
+    fusion_params = fusion.FusionParams.from_bundle(bundle)
+    eps = float(bundle.get("smoothing.eps"))
+    centroids, features, log_scales = arrays["centroid"], arrays["feature"], arrays["log_scale"]
+    n, f = features.shape
+    fused = np.frombuffer(mmap.mmap(-1, 8 * n * f), dtype=np.float64).reshape(n, f)
+
+    def chain(lo: int, hi: int) -> dict[str, float]:
+        spent: dict[str, float] = {}
+
+        def block(b_lo: int, b_hi: int) -> np.ndarray:
+            rows = slice(b_lo, b_hi)
+            with _timed(spent, "lifting"):
+                f_cam = lifting.aggregate_camera(centroids[rows], scene.views, cam_params)
+                f_lidar = lifting.lift_lidar(
+                    centroids[rows],
+                    features[rows],
+                    np.exp(log_scales[rows]),
+                    scene.stack,
+                    kp_params,
+                    ldfa_params,
+                    model.depth_chunks,
+                )
+            with _timed(spent, "smoothing"):
+                if config.smoothing:
+                    f_cam, f_lidar = smoothing.smooth_features(f_cam, f_lidar, eps)
+            with _timed(spent, "fusion"):
+                return fusion.fuse(f_lidar, f_cam, fusion_params, config.fusion_mode)
+
+        lifting._in_blocks(lo, hi, scene.stack, block, fused)
+        return spent
+
+    bounds = lifting._anchor_cuts(0, n, -(-n // (8 * workers)) * 8)
+    spent = head._fork_slabs(bounds, chain, "front-end", "anchor range")
+    return fused, {stage: max(s[stage] for s in spent) for stage in spent[0]}, len(bounds) - 1
+
+
 def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) -> tuple[float, dict[int, float]]:
     """Weighted CE and per-class Lovász of a predicted grid against truth labels.
 
@@ -169,10 +249,10 @@ def _load_or_build_bundle(config: RunConfig) -> ParameterBundle:
 
 @contextmanager
 def _timed(timings: dict[str, float], stage: str):
-    """Record the wall time of the enclosed block under ``timings[stage]``."""
+    """Add the wall time of the enclosed block to ``timings[stage]``."""
     start = time.perf_counter()
     yield
-    timings[stage] = time.perf_counter() - start
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
 
 
 def _health(report: metrics.IoUReport) -> dict:
@@ -202,32 +282,11 @@ def run_pipeline(config: RunConfig) -> RunResult:
     with _timed(timings, "anchors"):
         arrays = init_anchors(config.gaussian_count, config.grid, seeds["anchors"], model=model)
 
-    with _timed(timings, "lifting"):
-        cam_params = lifting.CameraLiftParams.from_bundle(bundle)
-        f_cam = lifting.aggregate_camera(arrays["centroid"], scene.views, cam_params)
-        kp_params = lifting.KeypointParams.from_bundle(bundle)
-        ldfa_params = lifting.LdfaParams.from_bundle(bundle)
-        f_lidar = lifting.lift_lidar(
-            arrays["centroid"],
-            arrays["feature"],
-            np.exp(arrays["log_scale"]),
-            scene.stack,
-            kp_params,
-            ldfa_params,
-            model.depth_chunks,
-        )
-        truth = scene.truth
-        del scene  # the views and depth planes are not read again
-
-    with _timed(timings, "smoothing"):  # timed even when off, so every run reports each stage
-        if config.smoothing:
-            eps = float(bundle.get("smoothing.eps"))
-            f_cam, f_lidar = smoothing.smooth_features(f_cam, f_lidar, eps)
-
-    with _timed(timings, "fusion"):
-        fusion_params = fusion.FusionParams.from_bundle(bundle)
-        arrays["feature"] = fusion.fuse(f_lidar, f_cam, fusion_params, config.fusion_mode)
-        del f_cam, f_lidar
+    workers = _front_end_workers(threads_requested, config.gaussian_count, model.feature_width)
+    arrays["feature"], front_end_timings, front_end_workers = _front_end(config, scene, bundle, arrays, workers)
+    timings.update(front_end_timings)
+    truth = scene.truth
+    del scene  # the views and depth planes are not read again
 
     with _timed(timings, "head"):
         head_params = head.HeadParams.from_bundle(bundle, model, config.grid)
@@ -267,6 +326,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "threads": head._worker_count(threads_requested, config.grid.dims[0]),  # the splat's worker count
         "eval_workers": _eval_workers(threads_requested, config.grid.dims, config.taxonomy.c_total),
         "head_threads": head._plane_workers(threads_requested, config.gaussian_count, model.feature_width),
+        "front_end_workers": front_end_workers,
         "threads_requested": threads_requested,
         "anchor_count": config.gaussian_count,
         "stage_timings_s": {k: round(v, 6) for k, v in timings.items()},

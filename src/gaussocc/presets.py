@@ -25,7 +25,7 @@ from .core import (
 from .errors import ConfigurationError
 from .fusion import FUSION_MODES
 from .harness import SceneConfig
-from .head import DEFAULT_OCCUPANCY_THRESHOLD
+from .head import DEFAULT_OCCUPANCY_THRESHOLD, MIN_REFINE_TOKENS
 
 PRESET_NAMES = ("openocc", "occ3d", "kitti", "synthetic")
 
@@ -232,8 +232,8 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
     base = _PRESETS[preset]
 
     gaussian_count = int(merged.get("gaussian_count", base["gaussian_count"]))
-    if gaussian_count < 1:
-        raise ConfigurationError("gaussian_count must be >= 1", field="gaussian_count")
+    if gaussian_count < MIN_REFINE_TOKENS:  # the head refines every anchor as one token
+        raise ConfigurationError(f"gaussian_count must be >= {MIN_REFINE_TOKENS}", field="gaussian_count")
     fusion_mode = merged.get("fusion_mode", "adaptive")
     if fusion_mode not in FUSION_MODES:
         raise ConfigurationError(f"fusion_mode must be one of {FUSION_MODES}", field="fusion_mode")

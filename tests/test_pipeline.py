@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 import os
 import threading
@@ -7,9 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussocc import harness, head, lifting, metrics, pipeline, smoothing
+from gaussocc import fusion, harness, head, lifting, metrics, pipeline, smoothing
 from gaussocc.cli import _resolve, build_parser, main
-from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
+from gaussocc.core import (
+    NUSCENES_CLASS_NAMES,
+    ClassTaxonomy,
+    GridSpec,
+    SemanticOccupancyGrid,
+    init_anchors,
+)
 from gaussocc.errors import ConfigurationError, LabelError, SplatWorkerError
 from gaussocc.formats import load_grid, save_bundle
 from gaussocc.harness import generate_scene, oracle_lovasz_per_class, save_scene
@@ -66,6 +74,13 @@ class TestConfigResolution:
         with pytest.raises(ConfigurationError) as info:
             resolve_config({"gaussian_count": 0})
         assert info.value.field == "gaussian_count"
+
+    def test_fewer_gaussians_than_refiner_tokens_names_field(self):
+        # the head refines the anchors as token sequences of at least head.MIN_REFINE_TOKENS
+        with pytest.raises(ConfigurationError) as info:
+            resolve_config({"gaussian_count": head.MIN_REFINE_TOKENS - 1})
+        assert info.value.field == "gaussian_count"
+        assert resolve_config({"gaussian_count": head.MIN_REFINE_TOKENS}).gaussian_count == 4
 
     def test_single_depth_chunk_rejected(self):
         with pytest.raises(ConfigurationError) as info:
@@ -271,6 +286,38 @@ class TestRunPipeline:
             assert (threading.get_ident() in threads_seen) == (want == 1)
             digests.append(manifest["outputs"]["grid_digest"])
         assert len(set(digests)) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_manifest_reports_front_end_workers(self, tmp_path, monkeypatch):
+        # small's 1,024 anchors x 32 stay under the head's plane floor: one in-process range.  2,048 anchors
+        # x 128 reach it: two forked ranges, and each front-end stage reports the slower range's time
+        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setenv("GOC_THREADS", "2")
+        small = run_pipeline(resolve_config({"preset": "synthetic", "out": str(tmp_path / "small")})).manifest
+        assert small["front_end_workers"] == 1
+        ranges = []
+        real = head._fork_slabs
+
+        def recorded(bounds, fill, *args):
+            values = real(bounds, fill, *args)
+            if args[:1] == ("front-end",):
+                ranges.append((list(bounds), values))
+            return values
+
+        monkeypatch.setattr(head, "_fork_slabs", recorded)
+        result = run_pipeline(small_config(tmp_path, subdir="wide", gaussian_count=2048, feature_width=128))
+        manifest = result.manifest
+        assert json.loads(result.manifest_path.read_text())["front_end_workers"] == 2
+        assert manifest["front_end_workers"] == 2 and manifest["head_threads"] == 3
+        (bounds, values), = ranges
+        assert bounds == [0, 1024, 2048] and len(values) == 2
+        timings = manifest["stage_timings_s"]
+        assert list(timings) == ["scene", "weights", "anchors", "lifting", "smoothing", "fusion", "head", "splat",
+                                 "eval", "emit"]
+        for stage in ("lifting", "smoothing", "fusion"):
+            assert timings[stage] == round(max(value[stage] for value in values), 6)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_fusion_modes_change_output(self, tmp_path):
         adaptive = run_pipeline(small_config(tmp_path, subdir="ad", fusion_mode="adaptive"))
@@ -667,6 +714,184 @@ class TestScoreGridWorkers:
             os.waitpid(-1, os.WNOHANG)
 
 
+# occ3d's widths (F = 128, D = 8, so 1,024-anchor blocks) on a small grid with small planes
+FRONT_END_RUN = {
+    "preset": "synthetic",
+    "feature_width": 128,
+    "grid_dims": (16, 16, 8),
+    "plane_shape": (8, 12),
+    "camera_shape": (16, 24),
+    "seed": 7,
+}
+
+
+@pytest.fixture(scope="module")
+def front_end_inputs():
+    config = resolve_config(FRONT_END_RUN)
+    scene = generate_scene(config.scene_config, derive_seed(config.seed, "scene"))
+    bundle = build_parameter_bundle(config.model, derive_seed(config.seed, "weights"))
+    return config, scene, bundle
+
+
+def front_end_anchors(config, n):
+    """``n`` anchors of the config's grid, with random features so that every anchor lifts its own keypoints."""
+    arrays = init_anchors(n, config.grid, seed=n, model=config.model)
+    arrays["feature"] = np.random.default_rng(n).normal(size=arrays["feature"].shape)
+    return arrays
+
+
+def front_end_reference(config, scene, bundle, arrays):
+    """The four front-end stages over every anchor at once; the LDFA chain composed from its steps, unblocked."""
+    f_cam = lifting.aggregate_camera(arrays["centroid"], scene.views, lifting.CameraLiftParams.from_bundle(bundle))
+    keypoints = lifting.generate_keypoints(
+        arrays["feature"], np.exp(arrays["log_scale"]), lifting.KeypointParams.from_bundle(bundle)
+    )
+    f_depth = lifting.ldfa_depth_sample(arrays["centroid"], keypoints, scene.stack)
+    ldfa = lifting.LdfaParams.from_bundle(bundle)
+    modulated = lifting.cross_depth_modulate(lifting.chunk_means(f_depth, config.model.depth_chunks), ldfa)
+    f_lidar = lifting.gated_global_fusion(modulated, f_depth, ldfa)
+    if config.smoothing:
+        f_cam, f_lidar = smoothing.smooth_features(f_cam, f_lidar, float(bundle.get("smoothing.eps")))
+    return fusion.fuse(f_lidar, f_cam, fusion.FusionParams.from_bundle(bundle), config.fusion_mode)
+
+
+class TestFrontEnd:
+    # 16-anchor blocks: under one block, one block plus a one-anchor tail, two blocks plus one and plus five
+    BLOCK = 16
+    BOUNDS = {  # (anchors, workers) -> anchor ranges: whole multiples of 8, a one-anchor tail joined
+        (4, 1): [0, 4], (4, 2): [0, 4], (4, 3): [0, 4],
+        (9, 1): [0, 9], (9, 2): [0, 9], (9, 3): [0, 9],
+        (17, 1): [0, 17], (17, 2): [0, 17], (17, 3): [0, 8, 17],
+        (33, 1): [0, 33], (33, 2): [0, 24, 33], (33, 3): [0, 16, 33],
+        (37, 1): [0, 37], (37, 2): [0, 24, 37], (37, 3): [0, 16, 32, 37],
+    }
+    BLOCKS = {4: [4], 9: [9], 17: [17], 33: [16, 17], 37: [16, 16, 5]}  # block sizes of one range over every anchor
+
+    @staticmethod
+    def workers(monkeypatch, cores):
+        """Patch ``cores`` usable cores and a fork floor of one value; return the front end's worker count."""
+        monkeypatch.setattr(head, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(head, "_PLANE_THREAD_VALUES", 1)
+        return pipeline._front_end_workers(3, 1, 1)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 9, 17, 33, 37])
+    def test_bitwise_equal_to_stages_over_every_anchor(self, front_end_inputs, monkeypatch, n, cores):
+        config, scene, bundle = front_end_inputs
+        arrays = front_end_anchors(config, n)
+        d, _, _, f = scene.stack.planes.shape
+        workers = self.workers(monkeypatch, cores)
+        assert workers == cores
+        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", self.BLOCK * 8 * d * f)
+        blocks = []
+        in_blocks = lifting._in_blocks
+        monkeypatch.setattr(lifting, "_in_blocks", lambda lo, hi, *a: blocks.append(hi - lo) or in_blocks(lo, hi, *a))
+        forks = record_forks(monkeypatch)
+        bounds = self.BOUNDS[n, cores]
+        for smooth in (False, True):
+            for mode in ("addition", "concatenation", "adaptive"):
+                run = resolve_config({**FRONT_END_RUN, "smoothing": smooth, "fusion_mode": mode})
+                want = front_end_reference(run, scene, bundle, arrays)
+                got, timings, ranges = pipeline._front_end(run, scene, bundle, arrays, workers)
+                np.testing.assert_array_equal(got, want)
+                assert ranges == len(bounds) - 1 and list(timings) == ["lifting", "smoothing", "fusion"]
+        # one range runs in-process: its block loop, then lift_lidar's loop over each block, which is one
+        # block; forked ranges walk their blocks in the children
+        assert forks == ([bounds] * 6 if len(bounds) > 2 else [])
+        assert blocks == (([n] + self.BLOCKS[n]) * 6 if len(bounds) == 2 else [])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_real_blocks_forked_bitwise_equal(self, front_end_inputs, monkeypatch):
+        # two blocks plus five anchors, occ3d's stages (smoothing on, adaptive fusion), two workers
+        config, scene, bundle = front_end_inputs
+        run = resolve_config({**FRONT_END_RUN, "smoothing": True})
+        n = 2 * 1024 + 5
+        arrays = front_end_anchors(config, n)
+        forks = record_forks(monkeypatch)
+        got, _, ranges = pipeline._front_end(run, scene, bundle, arrays, self.workers(monkeypatch, 2))
+        assert forks == [[0, 1032, 2053]] and ranges == 2
+        np.testing.assert_array_equal(got, front_end_reference(run, scene, bundle, arrays))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_failed_worker_names_anchor_range_and_leaves_no_child(self, front_end_inputs, monkeypatch):
+        config, scene, bundle = front_end_inputs
+        d, _, _, f = scene.stack.planes.shape
+        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", self.BLOCK * 8 * d * f)
+        real = fusion.fuse
+
+        def failing(f_l, *args):
+            if len(f_l) == 5:  # the last range's one block
+                raise RuntimeError("boom")
+            return real(f_l, *args)
+
+        monkeypatch.setattr(fusion, "fuse", failing)
+        arrays = front_end_anchors(config, 37)
+        with pytest.raises(SplatWorkerError, match=r"front-end worker of anchor range \[32, 37\) failed: "
+                                                   r"RuntimeError: boom") as info:
+            pipeline._front_end(config, scene, bundle, arrays, self.workers(monkeypatch, 3))
+        assert info.value.slab == (32, 37)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_products_at_or_below_blas_cutoff(self, front_end_inputs, monkeypatch):
+        # every product a front-end worker makes stays on its own thread, so no worker starts BLAS threads
+        config, scene, bundle = front_end_inputs
+        arrays = front_end_anchors(config, 2 * 1024 + 5)
+        products, real = [], np.matmul
+
+        def record(a, b, *args, **kwargs):
+            products.append((a.shape[-2], a.shape[-1], b.shape[-1] if b.ndim > 1 else None))
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", record)
+        for mode in ("addition", "concatenation", "adaptive"):
+            run = resolve_config({**FRONT_END_RUN, "smoothing": True, "fusion_mode": mode})
+            pipeline._front_end(run, scene, bundle, arrays, 1)
+        monkeypatch.undo()
+        assert {n for _, _, n in products} >= {None, 128, 3 * config.model.lidar_keypoints}
+        assert max(m for m, _, _ in products) == 1024  # the largest products are whole blocks
+        for m, k, n in products:
+            assert (m * k < head.BLAS_GEMV_THREAD_MK if n is None else m * k * n <= head.BLAS_THREAD_MNK), (m, k, n)
+
+    def test_stages_have_no_matmul_operator(self):
+        # `@` does not reach the recorder above, so the front end uses np.matmul (through _product) only
+        for module in (lifting, smoothing, fusion):
+            tree = ast.parse(inspect.getsource(module))
+            assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), module.__name__
+
+    def test_in_process_peak_below_one_block_plus_output(self, front_end_inputs):
+        # occ3d's anchors and stages in-process: the traced peak stays below one block's depth samples plus
+        # the (N, F) features, while the four stages over every anchor at once exceed it
+        config, scene, bundle = front_end_inputs
+        run = resolve_config({**FRONT_END_RUN, "smoothing": True})
+        n = 12800
+        arrays = front_end_anchors(config, n)
+        budget = lifting._LIFT_BLOCK_BYTES + 8 * n * config.model.feature_width
+
+        def stages():
+            f_cam = lifting.aggregate_camera(arrays["centroid"], scene.views,
+                                             lifting.CameraLiftParams.from_bundle(bundle))
+            f_lidar = lifting.lift_lidar(
+                arrays["centroid"], arrays["feature"], np.exp(arrays["log_scale"]), scene.stack,
+                lifting.KeypointParams.from_bundle(bundle), lifting.LdfaParams.from_bundle(bundle),
+                config.model.depth_chunks,
+            )
+            f_cam, f_lidar = smoothing.smooth_features(f_cam, f_lidar, float(bundle.get("smoothing.eps")))
+            return fusion.fuse(f_lidar, f_cam, fusion.FusionParams.from_bundle(bundle), run.fusion_mode)
+
+        peaks = []
+        for fn in (lambda: pipeline._front_end(run, scene, bundle, arrays, 1), stages):
+            tracemalloc.start()
+            try:
+                fn()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        blocked, whole = peaks
+        assert blocked < budget < whole, (blocked, budget, whole)
+
+
 class TestCli:
     def test_run_and_eval_round_trip(self, tmp_path, capsys):
         out = tmp_path / "cli_run"
@@ -853,6 +1078,15 @@ class TestCli:
         assert code == 1
         assert captured.err.startswith("error: ") and "gaussian_count" in captured.err
         assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
+    def test_sweep_refuses_count_below_refiner_minimum_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--preset", "synthetic", "--sweep-gaussians", "64,2", "--sweep-fusion", "adaptive",
+                     "--seed", "3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and "gaussian_count" in captured.err
+        assert captured.out == "" and not (out / "g64_adaptive").exists() and not out.exists()
 
     def test_config_not_utf8_exit_code(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
