@@ -12,7 +12,6 @@ are frozen after construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +41,6 @@ BLAS_THREAD_MNK = 10**6
 # than one thread, measured the same way: 3599 x 128 and 14399 x 32 kept one
 # thread, 3600 x 128 and 14400 x 32 started a second.
 BLAS_GEMV_THREAD_MK = 460_800
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _product(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -25,15 +25,15 @@ class DegenerateCovarianceError(GaussOccError):
     """A primitive's covariance is numerically singular."""
 
 
-class SplatWorkerError(GaussOccError):
+class WorkerError(GaussOccError):
     """A forked splat, eval or front-end worker failed or was interrupted.
 
-    ``slab`` is its [lo, hi) range: of x-planes, or of anchors for the front end.
+    ``bounds`` is its [lo, hi) range: of x-planes, or of anchors for the front end.
     """
 
-    def __init__(self, message: str, slab: tuple[int, int]):
+    def __init__(self, message: str, bounds: tuple[int, int]):
         super().__init__(message)
-        self.slab = slab
+        self.bounds = bounds
 
 
 class GridMismatchError(GaussOccError):

@@ -10,7 +10,7 @@ mode sweep.
 
 Every product is a ``core._product`` and every other operation is per
 anchor, so the pipeline's front end fuses one anchor block at a time, inside
-forked anchor-range workers (``head._fork_slabs``), with the bits of one
+forked anchor-range workers (``workers.run``), with the bits of one
 call over every anchor.
 """
 

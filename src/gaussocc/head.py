@@ -34,27 +34,18 @@ scores and density come from one stacked matmul of the densities with the
 primitives' opacity-scaled [class probabilities | 1] rows, cut along the
 primitives so no product passes OpenBLAS's threading cutoff
 (``BLAS_THREAD_MNK``), and are assigned to the tile's voxels.  The grid is
-cut into x-slabs of whole tile columns, one per worker process (at most
-``threads``, which the pipeline takes from ``GOC_THREADS``, and at most one
-per tile column); each worker splats and labels its slab into one anonymous
-mapping, so the result is bit-identical for any worker count.
-``_fork_slabs`` runs the splat's and the eval's x-slab workers and the
-pipeline front end's anchor-range workers (lifting, smoothing and fusion),
-alone decides whether they fork or run in-process, returns their values,
-and names the stage and its x-slab or anchor range when a worker fails.
+cut into x-slabs of whole tile columns, one per ``workers`` process, and
+the result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
-import pickle
-import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .core import (
     BLAS_GEMV_THREAD_MK,
     BLAS_THREAD_MNK,
@@ -65,7 +56,6 @@ from .core import (
     _sigmoid,
     _softmax,
     _softplus,
-    _usable_cores,
     make_covariance,
     normalize_quaternion,
 )
@@ -73,7 +63,6 @@ from .errors import (
     ConfigurationError,
     DegenerateCovarianceError,
     SequenceTooShortError,
-    SplatWorkerError,
 )
 from .params import AXIS_PLANES, PLANES, ParameterBundle
 
@@ -448,7 +437,7 @@ def consensus_update(centroids: np.ndarray, planes: dict, params: ConsensusParam
 def _plane_workers(threads: int, anchors: int, width: int) -> int:
     """Threads refining a block's planes: one per plane when ``threads`` and the usable cores
     are both at least 2 and anchors x ``width`` reach ``_PLANE_THREAD_VALUES``, else 1."""
-    if min(int(threads), _usable_cores()) >= 2 and anchors * width >= _PLANE_THREAD_VALUES:
+    if min(int(threads), workers.usable_cores()) >= 2 and anchors * width >= _PLANE_THREAD_VALUES:
         return len(PLANES)
     return 1
 
@@ -549,31 +538,50 @@ class _SplatInputs:
 
 
 def _splat_inputs(arrays: dict, spec: GridSpec, truncation_radius_sigmas: float) -> _SplatInputs:
-    """Validate the primitives and derive what the slab kernel reads."""
+    """Validate the primitives and derive what the slab kernel reads.
+
+    A non-finite centroid, log-scale variance exp(2 log_scale) or rotation
+    is a ``DegenerateCovarianceError``, a non-finite opacity or semantic
+    logit a ``ConfigurationError``; each names the first array with a bad
+    value, in that order, and the lowest primitive it is bad for.
+    """
     if not 1 <= truncation_radius_sigmas < np.inf:  # also rejects NaN
         raise ConfigurationError("truncation radius must be finite and >= 1 sigma", field="truncation_sigmas")
     centroids = np.asarray(arrays["centroid"], dtype=np.float64)
-    scales = np.exp(np.asarray(arrays["log_scale"], dtype=np.float64))
+    rotations = np.asarray(arrays["rotation"], dtype=np.float64)
+    opacity_logits = np.asarray(arrays["opacity_logit"], dtype=np.float64)
+    semantic_logits = np.asarray(arrays["semantic_logits"], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        scales = np.exp(np.asarray(arrays["log_scale"], dtype=np.float64))
+        variances = scales * scales
+    for name, values in (("centroid", centroids), ("log_scale variance exp(2 log_scale)", variances),
+                         ("rotation", rotations), ("opacity_logit", opacity_logits),
+                         ("semantic_logits", semantic_logits)):
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad) and name.endswith(("logit", "logits")):
+            raise ConfigurationError(f"primitive {bad[0, 0]} has a non-finite {name}", field=name)
+        if len(bad):
+            raise DegenerateCovarianceError(f"primitive {bad[0, 0]} has a non-finite {name}")
     tiny = scales < MIN_SPLAT_SCALE
     if tiny.any():
         idx = int(np.argwhere(tiny.any(axis=1))[0, 0])
         raise DegenerateCovarianceError(
             f"primitive {idx} has scale below {MIN_SPLAT_SCALE} m; covariance is singular"
         )
-    rotations = np.asarray(arrays["rotation"], dtype=np.float64)
-    class_probs = _softmax(np.asarray(arrays["semantic_logits"], dtype=np.float64))
+    class_probs = _softmax(semantic_logits)
     sigma = make_covariance(scales, rotations)
     half_extents = truncation_radius_sigmas * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
     last = np.asarray(spec.dims) - 1
-    lo = np.ceil((centroids - half_extents - spec.origin) / spec.voxel_size - 0.5).astype(np.int64)
-    hi = np.floor((centroids + half_extents - spec.origin) / spec.voxel_size - 0.5).astype(np.int64)
+    lo = np.ceil((centroids - half_extents - spec.origin) / spec.voxel_size - 0.5)
+    hi = np.floor((centroids + half_extents - spec.origin) / spec.voxel_size - 0.5)
     return _SplatInputs(
         spec=spec,
         centroid=centroids,
         inv_sigma=make_covariance(1.0 / scales, rotations),  # R diag(s^-2) R^T
-        lo=np.clip(lo, 0, last + 1),  # a box beyond a face keeps lo > hi there
-        hi=np.clip(hi, -1, last),
-        opacity=_sigmoid(np.asarray(arrays["opacity_logit"], dtype=np.float64)),
+        # a box beyond a face keeps lo > hi there; clipped before the cast, which a wider box would overflow
+        lo=np.clip(lo, 0, last + 1).astype(np.int64),
+        hi=np.clip(hi, -1, last).astype(np.int64),
+        opacity=_sigmoid(opacity_logits),
         class_probs=class_probs,
         radius_sq=float(truncation_radius_sigmas) ** 2,
     )
@@ -721,117 +729,6 @@ def _label_slab(x_lo: int, x_hi: int, density: np.ndarray, scores: np.ndarray, l
         labels[x] = np.where(density[x] >= threshold, np.argmax(scores[x], axis=-1), c_sem)
 
 
-def _worker_count(threads: int, x_dim: int) -> int:
-    """Splat workers: at most ``threads``, the usable cores and one per column of tiles along x.
-
-    One without ``os.fork``, where ``_fork_slabs`` runs every slab in-process.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(int(threads), _usable_cores(), -(-x_dim // TILE[0])))
-
-
-def _slab_bounds(x_dim: int, slabs: int) -> list[int]:
-    """Cuts of [0, x_dim) into ``slabs`` runs of whole tile columns, as even as the columns allow."""
-    columns = np.linspace(0, -(-x_dim // TILE[0]), slabs + 1).astype(int)
-    return np.minimum(columns * TILE[0], x_dim).tolist()
-
-
-def _grid_buffers(dims: tuple, c_sem: int):
-    """Zeroed density and scores plus the u8 labels, views of one anonymous mapping that workers share."""
-    voxels = int(np.prod(dims))
-    buf = mmap.mmap(-1, voxels * (8 + 8 * c_sem + 1))
-    density = np.frombuffer(buf, dtype=np.float64, count=voxels).reshape(dims)
-    scores = np.frombuffer(buf, dtype=np.float64, count=voxels * c_sem, offset=8 * voxels)
-    labels = np.frombuffer(buf, dtype=np.uint8, count=voxels, offset=8 * voxels * (1 + c_sem))
-    return density, scores.reshape(dims + (c_sem,)), labels.reshape(dims)
-
-
-def _fork_slabs(bounds: list[int], fill, stage: str = "splat", unit: str = "x-slab") -> list:
-    """Run ``fill(lo, hi)`` for each range [lo, hi) of ``bounds``; return what each returned, in range order.
-
-    The splat and the eval cut the grid into x-slabs, the front end cuts the
-    anchors into anchor ranges: ``stage`` and ``unit`` name them in errors.
-    With one range, or without ``os.fork``, each range runs here in order:
-    its value is returned as is and an exception propagates as is.  Otherwise
-    each runs in its own forked child, which pickles ``fill``'s value (None
-    if it only writes shared memory) into a pipe; the parent reads each pipe
-    to its end before reaping the child, in range order, so a value larger
-    than the pipe buffer cannot deadlock, and unpickles the values once
-    every child is reaped.  A child always leaves through ``os._exit``, with
-    status 0 only if its range is complete and its value pickled; a failure's
-    message reaches the parent through the same pipe.  The children start
-    with SIGINT blocked, so an interrupt reaches the parent only.  If a child
-    fails, a fork fails or the wait is interrupted, every child still running
-    is killed and every child is reaped before a ``SplatWorkerError`` naming
-    ``stage``, ``unit`` and the range propagates.  The children may call BLAS
-    (the splat's per-tile class products, the front end's ``_product``s);
-    forking while the parent's BLAS threads exist is safe because OpenBLAS
-    shuts its thread pool down before a fork and a child starts its own only
-    if one of its products is large enough to be threaded.
-    """
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-    if len(ranges) < 2 or not hasattr(os, "fork"):
-        return [fill(*piece) for piece in ranges]
-    children = []  # [pid or None once reaped, read end of its pipe, range]
-    payloads = []
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        for piece in ranges:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    view = memoryview(pickle.dumps(fill(*piece)))
-                    while view:
-                        view = view[os.write(write_fd, view):]
-                    status = 0
-                except BaseException as exc:  # the child reports and exits, never unwinds
-                    os.write(write_fd, f"{type(exc).__name__}: {exc}".encode()[:4096])
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append([pid, read_fd, piece])
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for child in children:
-            pid, read_fd, (lo, hi) = child
-            chunks = []
-            while chunk := os.read(read_fd, 2**20):
-                chunks.append(chunk)
-            data = b"".join(chunks)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            child[0] = None
-            if code != 0:
-                message = data[-4096:].decode(errors="replace") or f"exit code {code}"
-                raise SplatWorkerError(
-                    f"{stage} worker of {unit} [{lo}, {hi}) failed: {message}", (lo, hi)
-                )
-            payloads.append(data)
-    except KeyboardInterrupt:
-        running = [piece for pid, _, piece in children if pid is not None]
-        if not running:
-            raise
-        lo, hi = running[0]
-        raise SplatWorkerError(
-            f"interrupted while waiting for the {stage} worker of {unit} [{lo}, {hi})", (lo, hi)
-        ) from None
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for pid, read_fd, _ in children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            os.close(read_fd)
-    return [pickle.loads(data) for data in payloads]
-
-
 def splat_arrays(
     arrays: dict,
     spec: GridSpec,
@@ -848,32 +745,32 @@ def splat_arrays(
     class.  Voxels whose total density clears the occupancy threshold take
     the argmax semantic class; the rest are empty (id ``c_sem``).
     Primitives with any axis scale below 1e-6 m are rejected as
-    degenerate.  Zero rows give an all-empty grid.
+    degenerate, and non-finite primitives are refused (``_splat_inputs``).
+    Zero rows give an all-empty grid.
 
     The grid is evaluated in ``TILE``-sized voxel tiles, each with one
     stacked class-product matmul over the primitives whose boxes meet it
     (cut along them below ``BLAS_THREAD_MNK``), so a voxel's sums agree
     with a per-primitive loop to rounding.
-    ``threads`` caps the worker processes (pipeline: ``GOC_THREADS``,
-    passed unclamped); ``_worker_count`` clamps it to the usable cores and
-    to one worker per column of tiles along x (to one without ``os.fork``),
-    and is the only clamp.  Each
-    worker splats one x-slab of whole tile columns and labels it, writing
-    into one anonymous mapping whose views are the returned grid's arrays;
-    ``_fork_slabs`` runs the workers, forked or in-process, and the parent
-    only waits for forked ones.  Each tile lies in exactly one slab
-    and is computed from its own primitive list, in ascending index order,
-    so results are bit-identical for any worker count.  A failed or
-    interrupted worker raises ``SplatWorkerError`` naming its slab, after
-    every child has been reaped.
+    ``threads`` is the worker request, which ``workers.count`` clamps to
+    one worker per column of tiles along x.  Each worker splats one x-slab
+    of whole tile columns and labels it, into ``workers.shared`` arrays that
+    are the returned grid's; ``workers.run`` runs the workers.  Each tile
+    lies in exactly one slab and is computed from its own primitive list, in
+    ascending index order, so results are bit-identical for any worker
+    count.  A failed worker raises ``WorkerError`` naming its x-slab.
     """
     inputs = _splat_inputs(arrays, spec, truncation_radius_sigmas)
     c_sem = inputs.class_probs.shape[1]
-    density, scores, labels = _grid_buffers(spec.dims, c_sem)
+    density = workers.shared(spec.dims)
+    scores = workers.shared(spec.dims + (c_sem,))
+    labels = workers.shared(spec.dims, np.uint8)
 
     def fill(x_lo: int, x_hi: int):
         _splat_slab(x_lo, x_hi, inputs, density, scores)
         _label_slab(x_lo, x_hi, density, scores, labels, occupancy_threshold)
 
-    _fork_slabs(_slab_bounds(spec.dims[0], _worker_count(threads, spec.dims[0])), fill)
+    x_dim = spec.dims[0]
+    count = workers.count(threads, -(-x_dim // TILE[0]))
+    workers.run(workers.slab_bounds(x_dim, count, TILE[0]), fill, "splat", "x-slab")
     return SemanticOccupancyGrid(spec=spec, labels=labels, scores=scores)

@@ -16,7 +16,7 @@ samples (a multiple of 8 rows; a last anchor on its own joins the block
 before it), walked by one loop, ``_in_blocks``: ``lift_lidar``
 runs its chain through it, and so does the pipeline's front end, which
 lifts, smooths and fuses each block in turn inside forked anchor-range
-workers (``head._fork_slabs``).  No (N, D, F) tensor over every anchor is
+workers (``workers.run``).  No (N, D, F) tensor over every anchor is
 held.  Every product is a ``core._product`` (row blocks that OpenBLAS runs
 on the calling thread) and every other operation is per anchor, so a block's
 rows are bitwise those of the chain over every anchor at once and no

@@ -3,32 +3,32 @@
 The pipeline runs forward only.  Its random draws (scene, weights, anchors)
 derive from the master seed and a stage label, so a run is a deterministic
 function of (config, seeds, weight bundle); smoothing runs only when the
-config turns it on.  GOC_THREADS (default 8) is the splat's ``threads``
-request; ``head.splat_arrays`` alone clamps it to its worker count, which
-the manifest reports.  Sharding never changes per-voxel accumulation order,
-so the emitted grid digest is identical for any worker count.  Inputs a
+config turns it on.  GOC_THREADS (default 8) is the ``threads`` request of
+the front end, the head, the splat and the eval; the manifest reports the
+worker count each ran.  No worker count changes an output bit.  Inputs a
 later stage never reads (the scene's views and depth planes) are dropped as
 soon as they are consumed, so they are not resident during the splat.
 
 The front end (``_front_end``) is one chain over anchor blocks: per block of
 ``lifting._in_blocks``, ``aggregate_camera``, ``lift_lidar``,
-``smooth_features`` (when on) and ``fuse``.  ``head._fork_slabs`` runs it
-over ``front_end_workers`` (manifest) contiguous anchor ranges, forked where
-the head threads its planes (anchors x width at least
-``head._PLANE_THREAD_VALUES``), each range writing its rows of the fused
-features into one shared anonymous (N, F) mapping that the head reads as
-the features.  So the per-modality features exist one block at a time, in
-no process over every anchor, and the fused features are bitwise those of
-the four stages over every anchor at once.  Each range times its own
+``smooth_features`` (when on) and ``fuse``.  ``workers.run`` runs it over
+``front_end_workers`` (manifest) contiguous anchor ranges, more than one
+only where the head threads its planes (``head._plane_workers``), each
+range writing its rows of the fused features into one ``workers.shared``
+(N, F) array that the head reads as the features.  So the per-modality
+features exist one block at a time, in no process over every anchor, and
+the fused features are bitwise those of the four stages over every anchor
+at once.  Each range times its own
 lifting, smoothing and fusion; each of those timings is the slowest range's.
 
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
 vectors, and CE and Lovász equal their whole-volume values bit for bit.
 ``score_grid`` only orchestrates: ``metrics`` owns the probability rule and
-the losses, and ``head._fork_slabs`` runs the all-voxel pass over
-``eval_workers`` (manifest) ranges of x-planes, forked when the grid has
-enough slabs to pay for the forks, and returns each range's Lovász parts.
+the losses, and ``workers.run`` runs the all-voxel pass over
+``eval_workers`` (manifest) ranges of x-planes, more than one only when the
+grid has enough slabs to pay for the forks, and returns each range's Lovász
+parts.
 
 The emit stage creates ``out_dir`` (so a run refused at load leaves none
 behind) and writes ``pred_grid.goc1``, ``metrics.txt`` and ``bev.ppm``,
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import resource
 import time
@@ -54,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats, fusion, head, lifting, metrics, smoothing
+from . import formats, fusion, head, lifting, metrics, smoothing, workers
 from .core import init_anchors
 from .errors import ConfigurationError
 from .harness import SyntheticScene, generate_scene, load_scene
@@ -87,7 +86,7 @@ def derive_seed(master: int, label: str) -> int:
 
 
 def _requested_threads() -> int:
-    """Splat worker processes asked for: GOC_THREADS, or 8 when it is unset or blank."""
+    """Workers asked for: GOC_THREADS, or 8 when it is unset or blank."""
     raw = os.environ.get("GOC_THREADS", "")
     if raw.strip():
         try:
@@ -102,40 +101,29 @@ def _planes_per_slab(dims: tuple, c_total: int) -> int:
     return max(1, _SLAB_BYTES // (8 * c_total * dims[1] * dims[2]))
 
 
-def _eval_workers(threads: int, dims: tuple, c_total: int) -> int:
-    """Eval workers: the splat's clamp (``head._worker_count``), each with at least _MIN_WORKER_SLABS slabs."""
-    slabs = -(-dims[0] // _planes_per_slab(dims, c_total))
-    return max(1, min(head._worker_count(threads, dims[0]), slabs // _MIN_WORKER_SLABS))
+def _eval_pieces(dims: tuple, c_total: int) -> int:
+    """Eval workers the grid pays for: one per _MIN_WORKER_SLABS slabs of probability rows."""
+    return -(-dims[0] // _planes_per_slab(dims, c_total)) // _MIN_WORKER_SLABS
 
 
-def _front_end_workers(threads: int, anchors: int, width: int) -> int:
-    """Front-end workers: min(``threads``, usable cores) where the head threads its planes, else 1.
-
-    The floor is the head's (``head._plane_workers``: anchors x ``width`` at
-    least ``head._PLANE_THREAD_VALUES``); one without ``os.fork``, where
-    ``head._fork_slabs`` runs every range in-process.
-    """
-    if head._plane_workers(threads, anchors, width) == 1 or not hasattr(os, "fork"):
-        return 1
-    return min(int(threads), head._usable_cores())
-
-
-def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle, arrays: dict, workers: int):
+def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle, arrays: dict, threads: int):
     """Lifting, smoothing (when on) and fusion of every anchor; returns (fused (N, F) features, timings, ranges).
 
-    The anchors are cut into ``workers`` contiguous ranges of whole multiples
-    of 8 rows (``lifting._anchor_cuts``), and ``head._fork_slabs`` runs each
-    range, forked when there are two or more.  A range walks its anchors in
+    The anchors are cut into contiguous ranges of whole multiples of 8 rows
+    (``lifting._anchor_cuts``), one per worker: ``threads`` is the request,
+    which ``workers.count`` clamps to one worker per 8 anchors where the
+    head threads its planes (``head._plane_workers``), else to one.
+    ``workers.run`` runs the ranges.  A range walks its anchors in
     ``lifting._in_blocks``: per block, ``aggregate_camera``, ``lift_lidar``,
-    ``smooth_features`` and ``fuse``, whose rows it writes into one shared
-    anonymous (N, F) mapping, so no process holds a full-width intermediate.
-    Every product is a ``_product`` and every other operation is per anchor,
-    so the features are bitwise those of the four stages over every anchor
-    at once, for any ``workers``.  Each range times its own lifting,
-    smoothing and fusion (summed over its blocks; smoothing is timed even
-    when off); each returned timing is the slowest range's.  A failed worker
-    raises ``SplatWorkerError`` naming the front-end stage and its anchor
-    range.
+    ``smooth_features`` and ``fuse``, whose rows it writes into one
+    ``workers.shared`` (N, F) array, so no process holds a full-width
+    intermediate.  Every product is a ``_product`` and every other operation
+    is per anchor, so the features are bitwise those of the four stages over
+    every anchor at once, for any worker count.  Each range times its own
+    lifting, smoothing and fusion (summed over its blocks; smoothing is
+    timed even when off); each returned timing is the slowest range's.  A
+    failed worker raises ``WorkerError`` naming the front-end stage and its
+    anchor range.
     """
     model = config.model
     cam_params = lifting.CameraLiftParams.from_bundle(bundle)
@@ -145,7 +133,7 @@ def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle
     eps = float(bundle.get("smoothing.eps"))
     centroids, features, log_scales = arrays["centroid"], arrays["feature"], arrays["log_scale"]
     n, f = features.shape
-    fused = np.frombuffer(mmap.mmap(-1, 8 * n * f), dtype=np.float64).reshape(n, f)
+    fused = workers.shared((n, f))
 
     def chain(lo: int, hi: int) -> dict[str, float]:
         spent: dict[str, float] = {}
@@ -172,8 +160,9 @@ def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle
         lifting._in_blocks(lo, hi, scene.stack, block, fused)
         return spent
 
-    bounds = lifting._anchor_cuts(0, n, -(-n // (8 * workers)) * 8)
-    spent = head._fork_slabs(bounds, chain, "front-end", "anchor range")
+    count = workers.count(threads, -(-n // 8) if head._plane_workers(threads, n, f) > 1 else 1)
+    bounds = lifting._anchor_cuts(0, n, -(-n // (8 * count)) * 8)
+    spent = workers.run(bounds, chain, "front-end", "anchor range")
     return fused, {stage: max(s[stage] for s in spent) for stage in spent[0]}, len(bounds) - 1
 
 
@@ -187,21 +176,22 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
     read the rows as given: each row is normalized once, where it is built.
     Both take ``truth_labels`` as they are (a uint8 grid is flattened to a
     view, never widened to an integer copy).
-    ``head._fork_slabs`` runs the second pass, ``gather``, over
-    ``_eval_workers`` ascending ranges of x-planes (``threads`` is the
-    request): each range fills its CE terms into one anonymous mapping and
+    ``workers.run`` runs the second pass, ``gather``, over ascending ranges
+    of x-planes cut at the splat's tile columns, one per worker: ``threads``
+    is the request, which ``workers.count`` clamps to ``_eval_pieces``.
+    Each range fills its CE terms into one ``workers.shared`` array and
     returns its list of Lovász parts, which the parent folds in range order.
     The thresholds are fixed before any range is gathered, so the candidates
     are the sequential ones, and both results equal the whole-volume
     ``weighted_ce`` and ``lovasz_per_class`` bit for bit, for any worker
-    count.  A failed worker raises ``SplatWorkerError`` naming the eval
+    count.  A failed worker raises ``WorkerError`` naming the eval
     stage and its range.  The class count is the score channels plus empty;
     a taxonomy of another size is a ``LabelError``.
     """
     scores = pred.scores.reshape(-1, pred.scores.shape[-1])
     c_total = scores.shape[-1] + 1
     dims = pred.spec.dims
-    terms = np.frombuffer(mmap.mmap(-1, 8 * len(scores)), dtype=np.float64)
+    terms = workers.shared((len(scores),))
     ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total, terms)
     lovasz = metrics.LovaszCandidates(truth_labels, c_total, taxonomy.empty_id)
     plane = dims[1] * dims[2]
@@ -219,8 +209,8 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
             parts.append(lovasz.add(start, probs))
         return parts
 
-    bounds = head._slab_bounds(dims[0], _eval_workers(threads, dims, c_total))
-    for parts in head._fork_slabs(bounds, gather, "eval"):
+    bounds = workers.slab_bounds(dims[0], workers.count(threads, _eval_pieces(dims, c_total)), head.TILE[0])
+    for parts in workers.run(bounds, gather, "eval", "x-slab"):
         lovasz.fold(parts)
     return ce.value(), lovasz.losses()
 
@@ -282,8 +272,9 @@ def run_pipeline(config: RunConfig) -> RunResult:
     with _timed(timings, "anchors"):
         arrays = init_anchors(config.gaussian_count, config.grid, seeds["anchors"], model=model)
 
-    workers = _front_end_workers(threads_requested, config.gaussian_count, model.feature_width)
-    arrays["feature"], front_end_timings, front_end_workers = _front_end(config, scene, bundle, arrays, workers)
+    arrays["feature"], front_end_timings, front_end_workers = _front_end(
+        config, scene, bundle, arrays, threads_requested
+    )
     timings.update(front_end_timings)
     truth = scene.truth
     del scene  # the views and depth planes are not read again
@@ -323,8 +314,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "config": config.flat(),
         "config_hash": config.config_hash(),
         "seeds": seeds,
-        "threads": head._worker_count(threads_requested, config.grid.dims[0]),  # the splat's worker count
-        "eval_workers": _eval_workers(threads_requested, config.grid.dims, config.taxonomy.c_total),
+        "threads": workers.count(threads_requested, -(-config.grid.dims[0] // head.TILE[0])),  # the splat's
+        "eval_workers": workers.count(threads_requested, _eval_pieces(config.grid.dims, config.taxonomy.c_total)),
         "head_threads": head._plane_workers(threads_requested, config.gaussian_count, model.feature_width),
         "front_end_workers": front_end_workers,
         "threads_requested": threads_requested,

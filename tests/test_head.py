@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gaussocc
-from gaussocc import head
+from gaussocc import head, workers
 from gaussocc.core import (
     GaussianPrimitive,
     GridSpec,
@@ -29,7 +29,7 @@ from gaussocc.errors import (
     ConfigurationError,
     DegenerateCovarianceError,
     SequenceTooShortError,
-    SplatWorkerError,
+    WorkerError,
 )
 from gaussocc.harness import oracle_sequential_scan
 from gaussocc.head import (
@@ -720,16 +720,16 @@ class TestHeadThreads:
         return arrays, params
 
     def test_plane_workers(self, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         assert head._plane_workers(2, self.ANCHORS, 128) == 3
         assert head._plane_workers(8, 4 * self.ANCHORS, 32) == 3
         assert head._plane_workers(1, self.ANCHORS, 128) == 1
         assert head._plane_workers(2, self.ANCHORS - 1, 128) == 1
-        monkeypatch.setattr(head, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 1)
         assert head._plane_workers(2, self.ANCHORS, 128) == 1
 
     def test_bitwise_equal_for_one_and_two_threads(self, inputs, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         arrays, params = inputs
         planes_seen = []
         real = head._refine_plane
@@ -755,7 +755,7 @@ class TestHeadThreads:
 
     def test_plane_products_at_or_below_blas_cutoff(self, inputs, monkeypatch):
         # every product the plane threads make stays on their own thread (see test_class_products_at_or_below_blas_cutoff)
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         arrays, params = inputs
         products = record_products(monkeypatch)
         run_head(arrays, params, 17, threads=2)
@@ -838,6 +838,39 @@ class TestSplat:
         for radius in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 splat_arrays(stack_primitives([isotropic_primitive([0, 0, 0])]), self.grid(), radius)
+
+    @pytest.mark.parametrize("array, index, value, error", [
+        ("centroid", (3, 0), np.nan, DegenerateCovarianceError),
+        ("centroid", (3, 1), np.inf, DegenerateCovarianceError),
+        ("log_scale", (3, 2), np.nan, DegenerateCovarianceError),
+        ("log_scale", (3, 0), 800.0, DegenerateCovarianceError),  # exp(800) overflows
+        ("log_scale", (3, 1), 400.0, DegenerateCovarianceError),  # exp(400) does not, its square does
+        ("rotation", (3, 1), np.nan, DegenerateCovarianceError),
+        ("opacity_logit", 3, np.nan, ConfigurationError),
+        ("semantic_logits", (3, 5), np.inf, ConfigurationError),
+    ])
+    def test_non_finite_primitive_refused(self, array, index, value, error):
+        # once dropped silently, or scored as NaN, or refused as a non-positive scale
+        spec = GridSpec(origin=np.array([-4.0, -4.0, -1.0]), voxel_size=np.array([0.5, 0.5, 0.25]), dims=(16, 16, 8))
+        arrays = random_arrays(np.random.default_rng(8), 20, spec)
+        arrays[array][index] = value
+        arrays[array][7] = value  # a later bad primitive: the lowest is named
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=rf"^primitive 3 has a non-finite {array}") as info:
+                splat_arrays(arrays, spec, 3.0, threads=1)
+        assert getattr(info.value, "field", array) == array
+
+    def test_box_wider_than_int64_still_covers_the_grid(self):
+        # at log-scale 45 the box is about 1e19 voxels wide, past int64: it is clipped to the grid first
+        spec = self.grid()
+        wide = stack_primitives([isotropic_primitive([0, 0, 0], opacity_logit=0.0)])
+        wide["log_scale"][:] = 45.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = splat_arrays(wide, spec, 6.0)
+        np.testing.assert_allclose(grid.scores.sum(axis=-1), 0.5)  # sigmoid(0) at every voxel
+        assert np.all(grid.labels != 17)
 
     def test_label_assignment_and_threshold(self):
         spec = self.grid()
@@ -935,8 +968,9 @@ def slab_grid(x_dim=13):
 def splat_by_slabs(inputs, spec, slabs, threshold=0.1):
     """Run the slab kernel and the labelling over ``slabs`` x-slabs in-process."""
     c_sem = inputs.class_probs.shape[1]
-    density, scores, labels = head._grid_buffers(spec.dims, c_sem)
-    bounds = head._slab_bounds(spec.dims[0], slabs)
+    density, scores = workers.shared(spec.dims), workers.shared(spec.dims + (c_sem,))
+    labels = workers.shared(spec.dims, np.uint8)
+    bounds = workers.slab_bounds(spec.dims[0], slabs, head.TILE[0])
     for x_lo, x_hi in zip(bounds[:-1], bounds[1:]):
         head._splat_slab(x_lo, x_hi, inputs, density, scores)
         head._label_slab(x_lo, x_hi, density, scores, labels, threshold)
@@ -958,7 +992,7 @@ class TestSplatSlabKernel:
         sigma = make_covariance(np.exp(arrays["log_scale"]), arrays["rotation"])
         half_extents = 3.0 * np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
         for slabs in (1, 2, 3):
-            bounds = head._slab_bounds(spec.dims[0], slabs)
+            bounds = workers.slab_bounds(spec.dims[0], slabs, head.TILE[0])
             for x_lo, x_hi in zip(bounds[:-1], bounds[1:]):
                 want_d, want_s = np.zeros(spec.dims), np.zeros(spec.dims + (17,))
                 reference_splat_slab(x_lo, x_hi, spec, inputs.centroid, inputs.inv_sigma, half_extents,
@@ -1175,99 +1209,10 @@ class TestSplatSlabKernel:
 
 
 class TestSplatWorkers:
-    def test_worker_count_clamped(self, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
-        assert head._worker_count(10**9, 256) == 4  # no process is started for the requested value
-        assert head._worker_count(3, 256) == 3
-        assert head._worker_count(4, 17) == 3  # one worker per tile column: 8 + 8 + 1 x-planes
-        assert head._worker_count(4, 8) == 1
-        assert head._worker_count(4, 1) == 1
-        assert head._worker_count(0, 256) == 1
-        monkeypatch.setattr(head, "_usable_cores", lambda: 1)
-        assert head._worker_count(8, 256) == 1
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_payloads_larger_than_pipe_buffer_return_in_slab_order(self):
-        # each child's pickled value is several times a 64 KiB pipe buffer,
-        # and the last child's is the largest, so it blocks writing while the
-        # parent still reads the first
-        def fill(x_lo, x_hi):
-            if x_lo == 2:
-                return None  # a fill that only writes shared memory
-            return bytes([x_lo, x_hi]) * (100_000 * (x_lo + 1))
-
-        payloads = head._fork_slabs([0, 1, 2, 3, 4], fill)
-        assert payloads == [bytes([0, 1]) * 100_000, bytes([1, 2]) * 200_000, None,
-                            bytes([3, 4]) * 400_000]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_same_payloads_forked_and_in_process(self, monkeypatch):
-        calls = []
-
-        def fill(x_lo, x_hi):
-            calls.append((x_lo, x_hi))  # the parent sees this only for a slab it ran itself
-            return None if x_lo == 2 else bytes(range(x_lo, x_hi)) * 1000
-
-        bounds = [0, 2, 3, 7]
-        forked = head._fork_slabs(bounds, fill)
-        assert calls == []
-        assert forked == [bytes([0, 1]) * 1000, None, bytes([3, 4, 5, 6]) * 1000]
-        monkeypatch.delattr(os, "fork")  # a platform without fork runs every slab in-process
-        in_process = head._fork_slabs(bounds, fill)
-        assert calls == [(0, 2), (2, 3), (3, 7)]
-        assert in_process == forked and [type(value) for value in in_process] == [type(v) for v in forked]
-
-    def test_one_slab_runs_in_process(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked")
-
-        def failing(x_lo, x_hi):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        calls = []
-        assert head._fork_slabs([0, 13], lambda x_lo, x_hi: calls.append((x_lo, x_hi))) == [None]
-        payloads = head._fork_slabs([0, 13], lambda x_lo, x_hi: bytearray(b"ab"))
-        assert payloads == [b"ab"] and type(payloads[0]) is bytearray  # the fill's value, unconverted
-        assert calls == [(0, 13)]
-        with pytest.raises(RuntimeError, match="boom"):  # in-process, a failure propagates as is
-            head._fork_slabs([0, 13], failing)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_values_returned_as_is_in_process_and_copied_forked(self, monkeypatch):
-        made = {}
-
-        def fill(x_lo, x_hi):
-            made[x_lo] = [np.arange(x_lo, x_hi, dtype=np.float64), {"slab": (x_lo, x_hi)}]
-            return made[x_lo]
-
-        bounds = [0, 2, 3, 7]
-        forked = head._fork_slabs(bounds, fill)
-        assert made == {}  # made in the children only
-        monkeypatch.delattr(os, "fork")
-        in_process = head._fork_slabs(bounds, fill)
-        assert [id(value) for value in in_process] == [id(made[x_lo]) for x_lo in bounds[:-1]]
-        for copy, own in zip(forked, in_process):
-            assert copy is not own
-            np.testing.assert_array_equal(copy[0], own[0])
-            assert copy[0].dtype == own[0].dtype and copy[1] == own[1]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_unpicklable_value_raises_worker_error(self):
-        def fill(x_lo, x_hi):
-            return (lambda: None) if x_lo == 3 else x_lo  # a lambda cannot be pickled
-
-        with pytest.raises(SplatWorkerError, match=r"eval worker of x-slab \[3, 7\)") as info:
-            head._fork_slabs([0, 2, 3, 7], fill, "eval")
-        assert info.value.slab == (3, 7) and "pickle" in str(info.value)
-        with pytest.raises(ChildProcessError):  # every child was reaped
-            os.waitpid(-1, os.WNOHANG)
-
     def test_fork_slabs_is_the_only_fork(self):
-        # the one place that forks, so no caller keeps a second, in-process code path
-        forks = []
+        # workers.run is the one place that forks, so no caller keeps a second, in-process code path; the
+        # anonymous mappings, pickles and signal masks of forked workers are made in workers.py alone
+        forks, uses = [], set()
         for path in sorted(os.listdir(os.path.dirname(gaussocc.__file__))):
             if not path.endswith(".py"):
                 continue
@@ -1278,24 +1223,30 @@ class TestSplatWorkers:
                 if isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.fork", "fork"):
                     enclosing = [f.name for f in functions if node in ast.walk(f)]
                     forks.append((path, enclosing))
-        assert forks == [("head.py", ["_fork_slabs"])]
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[0] in ("mmap", "pickle", "signal"):
+                    uses.add((path, ast.unparse(node.func).split(".")[0]))
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module]
+                    uses.update((path, name) for name in modules if name in ("mmap", "pickle", "signal"))
+        assert forks == [("workers.py", ["run"])]
+        assert uses == {("workers.py", name) for name in ("mmap", "pickle", "signal")}
 
     def test_slab_bounds_cut_between_tile_columns(self):
-        assert head._slab_bounds(13, 2) == [0, 8, 13]
-        assert head._slab_bounds(29, 3) == [0, 8, 16, 29]
-        assert head._slab_bounds(256, 2) == [0, 128, 256]
-        assert head._slab_bounds(7, 1) == [0, 7]
+        assert workers.slab_bounds(13, 2, head.TILE[0]) == [0, 8, 13]
+        assert workers.slab_bounds(29, 3, head.TILE[0]) == [0, 8, 16, 29]
+        assert workers.slab_bounds(256, 2, head.TILE[0]) == [0, 128, 256]
+        assert workers.slab_bounds(7, 1, head.TILE[0]) == [0, 7]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_forked_workers_bitwise_identical(self, monkeypatch, workers):
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_forked_workers_bitwise_identical(self, monkeypatch, count):
         # more workers than this machine may have cores: the shared mapping is written by each
-        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
-        rng = np.random.default_rng(workers)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 4)
+        rng = np.random.default_rng(count)
         spec = slab_grid(29)  # 4 tile columns, so 4 workers run
         arrays = random_arrays(rng, 50, spec)
         want = splat_arrays(arrays, spec, 3.0, threads=1)
-        got = splat_arrays(arrays, spec, 3.0, threads=workers)
+        got = splat_arrays(arrays, spec, 3.0, threads=count)
         np.testing.assert_array_equal(got.scores, want.scores)
         np.testing.assert_array_equal(got.labels, want.labels)
 
@@ -1314,9 +1265,9 @@ class TestSplatWorkers:
         script = (
             "import sys\n"
             "import numpy as np\n"
-            "from gaussocc import head\n"
+            "from gaussocc import head, workers\n"
             "from gaussocc.core import GridSpec\n"
-            "head._usable_cores = lambda: 2\n"
+            "workers.usable_cores = lambda: 2\n"
             "a = np.random.default_rng(0).random((2000, 2000))\n"
             "a @ a\n"
             "arrays = dict(np.load(sys.argv[1]))\n"
@@ -1340,14 +1291,14 @@ class TestSplatWorkers:
         spec = slab_grid()
         arrays = random_arrays(np.random.default_rng(3), 20, spec)
         want = splat_arrays(arrays, spec, 3.0, threads=1)
-        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 4)
         monkeypatch.delattr(os, "fork")  # a platform without fork runs the slabs in-process
         got = splat_arrays(arrays, spec, 3.0, threads=4)
         np.testing.assert_array_equal(got.scores, want.scores)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         real = head._splat_slab
 
         def failing(x_lo, x_hi, *args):
@@ -1358,15 +1309,15 @@ class TestSplatWorkers:
         monkeypatch.setattr(head, "_splat_slab", failing)
         spec = slab_grid()
         arrays = random_arrays(np.random.default_rng(4), 20, spec)
-        with pytest.raises(SplatWorkerError, match=r"x-slab \[8, 13\) failed: RuntimeError: boom") as info:
+        with pytest.raises(WorkerError, match=r"x-slab \[8, 13\) failed: RuntimeError: boom") as info:
             splat_arrays(arrays, spec, 3.0, threads=2)
-        assert info.value.slab == (8, 13)
+        assert info.value.bounds == (8, 13)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_running_siblings_are_killed(self, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
 
         def first_fails_rest_hang(x_lo, x_hi, *args):
             if x_lo == 0:
@@ -1377,7 +1328,7 @@ class TestSplatWorkers:
         spec = slab_grid(29)  # 4 tile columns for 3 workers
         arrays = random_arrays(np.random.default_rng(5), 5, spec)
         start = time.monotonic()
-        with pytest.raises(SplatWorkerError, match=r"x-slab \[0, 8\) failed: ValueError: bad slab"):
+        with pytest.raises(WorkerError, match=r"x-slab \[0, 8\) failed: ValueError: bad slab"):
             splat_arrays(arrays, spec, 3.0, threads=3)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
@@ -1385,7 +1336,7 @@ class TestSplatWorkers:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_interrupted_wait_reaps_children(self, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         monkeypatch.setattr(head, "_splat_slab", lambda *args: time.sleep(60))
         spec = slab_grid()
         arrays = random_arrays(np.random.default_rng(6), 5, spec)
@@ -1393,11 +1344,11 @@ class TestSplatWorkers:
         start = time.monotonic()
         interrupt.start()
         try:
-            with pytest.raises(SplatWorkerError, match=r"interrupted .* x-slab \[0, 8\)") as info:
+            with pytest.raises(WorkerError, match=r"interrupted .* x-slab \[0, 8\)") as info:
                 splat_arrays(arrays, spec, 3.0, threads=2)
         finally:
             interrupt.join(timeout=10)
-        assert info.value.slab == (0, 8)
+        assert info.value.bounds == (0, 8)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussocc import fusion, harness, head, lifting, metrics, pipeline, smoothing
+from gaussocc import fusion, harness, head, lifting, metrics, pipeline, smoothing, workers
 from gaussocc.cli import _resolve, build_parser, main
 from gaussocc.core import (
     NUSCENES_CLASS_NAMES,
@@ -18,7 +18,7 @@ from gaussocc.core import (
     SemanticOccupancyGrid,
     init_anchors,
 )
-from gaussocc.errors import ConfigurationError, LabelError, SplatWorkerError
+from gaussocc.errors import ConfigurationError, LabelError, WorkerError
 from gaussocc.formats import load_grid, save_bundle
 from gaussocc.harness import generate_scene, oracle_lovasz_per_class, save_scene
 from gaussocc.metrics import lovasz_per_class, weighted_ce
@@ -44,16 +44,16 @@ def small_config(tmp_path, **overrides):
 
 
 def record_forks(monkeypatch):
-    """Bounds of every ``head._fork_slabs`` call that forks (more than one slab), in call order."""
+    """Bounds of every ``workers.run`` call that forks (more than one slab), in call order."""
     calls = []
-    real = head._fork_slabs
+    real = workers.run
 
     def recorded(bounds, fill, *args):
         if len(bounds) > 2:  # one slab runs in-process
             calls.append(list(bounds))
         return real(bounds, fill, *args)
 
-    monkeypatch.setattr(head, "_fork_slabs", recorded)
+    monkeypatch.setattr(workers, "run", recorded)
     return calls
 
 
@@ -192,7 +192,7 @@ class TestRunPipeline:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_manifest_reports_splat_worker_peak_rss(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         monkeypatch.setenv("GOC_THREADS", "2")
         forked = record_forks(monkeypatch)
         result = run_pipeline(small_config(tmp_path))
@@ -239,34 +239,34 @@ class TestRunPipeline:
     def test_thread_cap_respects_env(self, tmp_path, monkeypatch):
         # 16 x-planes are two columns of 8x8x8 tiles, 8 x-planes one: the
         # splat runs at most that many workers, and the manifest says so
-        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 4)
         monkeypatch.setenv("GOC_THREADS", "3")
-        manifest, workers = run_counting_workers(tmp_path, monkeypatch)
-        assert (manifest["threads"], manifest["threads_requested"], workers) == (2, 3, 2)
-        manifest, workers = run_counting_workers(tmp_path, monkeypatch, grid_dims=(8, 16, 8), subdir="x8")
-        assert (manifest["threads"], manifest["threads_requested"], workers) == (1, 3, 1)
+        manifest, ran = run_counting_workers(tmp_path, monkeypatch)
+        assert (manifest["threads"], manifest["threads_requested"], ran) == (2, 3, 2)
+        manifest, ran = run_counting_workers(tmp_path, monkeypatch, grid_dims=(8, 16, 8), subdir="x8")
+        assert (manifest["threads"], manifest["threads_requested"], ran) == (1, 3, 1)
         monkeypatch.setenv("GOC_THREADS", "bogus")
         with pytest.raises(ConfigurationError):
             run_pipeline(small_config(tmp_path))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_thread_cap_clamped_to_usable_cores(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 1)
         monkeypatch.setenv("GOC_THREADS", "6")
-        manifest, workers = run_counting_workers(tmp_path, monkeypatch)
-        assert (manifest["threads"], manifest["threads_requested"], workers) == (1, 6, 1)
+        manifest, ran = run_counting_workers(tmp_path, monkeypatch)
+        assert (manifest["threads"], manifest["threads_requested"], ran) == (1, 6, 1)
         monkeypatch.delenv("GOC_THREADS")  # unset: 8 are requested
-        manifest, workers = run_counting_workers(tmp_path, monkeypatch)
-        assert (manifest["threads"], manifest["threads_requested"], workers) == (1, 8, 1)
-        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        manifest, ran = run_counting_workers(tmp_path, monkeypatch)
+        assert (manifest["threads"], manifest["threads_requested"], ran) == (1, 8, 1)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 4)
         monkeypatch.setenv("GOC_THREADS", str(10**9))  # no worker is started for the requested value
-        manifest, workers = run_counting_workers(tmp_path, monkeypatch)
-        assert (manifest["threads"], manifest["threads_requested"], workers) == (2, 10**9, 2)
+        manifest, ran = run_counting_workers(tmp_path, monkeypatch)
+        assert (manifest["threads"], manifest["threads_requested"], ran) == (2, 10**9, 2)
 
     def test_manifest_reports_head_threads(self, tmp_path, monkeypatch):
         # 96 anchors of width 32 reach a floor of 96 x 32: the planes run on three threads only with
         # two threads requested, and the grid is the same either way
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         monkeypatch.setattr(head, "_PLANE_THREAD_VALUES", 96 * 32)
         threads_seen = set()
         real = head._refine_plane
@@ -291,12 +291,12 @@ class TestRunPipeline:
     def test_manifest_reports_front_end_workers(self, tmp_path, monkeypatch):
         # small's 1,024 anchors x 32 stay under the head's plane floor: one in-process range.  2,048 anchors
         # x 128 reach it: two forked ranges, and each front-end stage reports the slower range's time
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         monkeypatch.setenv("GOC_THREADS", "2")
         small = run_pipeline(resolve_config({"preset": "synthetic", "out": str(tmp_path / "small")})).manifest
         assert small["front_end_workers"] == 1
         ranges = []
-        real = head._fork_slabs
+        real = workers.run
 
         def recorded(bounds, fill, *args):
             values = real(bounds, fill, *args)
@@ -304,7 +304,7 @@ class TestRunPipeline:
                 ranges.append((list(bounds), values))
             return values
 
-        monkeypatch.setattr(head, "_fork_slabs", recorded)
+        monkeypatch.setattr(workers, "run", recorded)
         result = run_pipeline(small_config(tmp_path, subdir="wide", gaussian_count=2048, feature_width=128))
         manifest = result.manifest
         assert json.loads(result.manifest_path.read_text())["front_end_workers"] == 2
@@ -550,11 +550,11 @@ class TestScoreGridWorkers:
     # 24 x-planes: with one-plane slabs, up to three workers of 8 slabs each
     DIMS = (24, 3, 2)
 
-    @pytest.mark.parametrize("workers, bounds", [
+    @pytest.mark.parametrize("count, bounds", [
         (1, None), (2, None), (3, None), (2, [0, 5, 24]), (3, [0, 1, 20, 24]),
     ])
-    def test_bitwise_equal_for_any_workers_and_ranges(self, monkeypatch, workers, bounds):
-        rng = np.random.default_rng(40 + workers)
+    def test_bitwise_equal_for_any_workers_and_ranges(self, monkeypatch, count, bounds):
+        rng = np.random.default_rng(40 + count)
         grid = grid_of_scores(tied_scores(rng, self.DIMS))
         labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
         probs = metrics.probability_rows(grid.scores)
@@ -562,12 +562,12 @@ class TestScoreGridWorkers:
         lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
         assert 3 in lovasz  # predicted, never true: its loss is the folded max p_3
         monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
-        monkeypatch.setattr(head, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(workers, "usable_cores", lambda: count)
         if bounds is not None:
-            monkeypatch.setattr(head, "_slab_bounds", lambda x_dim, slabs: bounds)
+            monkeypatch.setattr(workers, "slab_bounds", lambda total, pieces, width: bounds)
         forks = record_forks(monkeypatch)
         assert score_grid(grid, labels, SCORE_TAXONOMY, threads=8) == (ce, lovasz)
-        assert forks == ([] if workers == 1 else [bounds or head._slab_bounds(24, workers)])
+        assert forks == ([] if count == 1 else [bounds or workers.slab_bounds(24, count, head.TILE[0])])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -595,7 +595,7 @@ class TestScoreGridWorkers:
             return gradient(fg_sorted)
 
         monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
-        monkeypatch.setattr(head, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
         monkeypatch.setattr(metrics, "_lovasz_gradient", recording_gradient)
         forks = record_forks(monkeypatch)
         ce, got = score_grid(grid, labels, SCORE_TAXONOMY, threads=3)
@@ -619,29 +619,32 @@ class TestScoreGridWorkers:
             add(self, start, probs)
 
         monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(head, "_slab_bounds", lambda x_dim, slabs: [0, 8, 24])
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "slab_bounds", lambda total, pieces, width: [0, 8, 24])
         monkeypatch.setattr(metrics.CrossEntropyTerms, "add", failing)
-        with pytest.raises(SplatWorkerError, match=r"eval worker of x-slab \[8, 24\) failed: RuntimeError: boom") as info:
+        with pytest.raises(WorkerError, match=r"eval worker of x-slab \[8, 24\) failed: RuntimeError: boom") as info:
             score_grid(grid, labels, SCORE_TAXONOMY, threads=2)
-        assert info.value.slab == (8, 24)
+        assert info.value.bounds == (8, 24)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_worker_count_needs_eight_slabs_each(self, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 4)
+        def eval_count(threads, dims, c_total):
+            return workers.count(threads, pipeline._eval_pieces(dims, c_total))
+
         # small: 32x32x16 at 18 classes is 14 x-planes per ~1 MB slab, 3 slabs
-        assert pipeline._eval_workers(2, (32, 32, 16), 18) == 1
-        # dense-grid: one x-plane per slab, 256 slabs; the splat's clamp decides
-        assert pipeline._eval_workers(2, (256, 256, 32), 18) == 2
-        assert pipeline._eval_workers(8, (256, 256, 32), 18) == 4
-        assert pipeline._eval_workers(1, (256, 256, 32), 18) == 1
+        assert eval_count(2, (32, 32, 16), 18) == 1
+        # dense-grid: one x-plane per slab, 256 slabs; the threads and cores decide
+        assert eval_count(2, (256, 256, 32), 18) == 2
+        assert eval_count(8, (256, 256, 32), 18) == 4
+        assert eval_count(1, (256, 256, 32), 18) == 1
         # 24 one-plane slabs: three workers, not the four the cores allow
-        assert pipeline._eval_workers(8, (24, 256, 32), 18) == 3
-        assert pipeline._eval_workers(8, (15, 256, 32), 18) == 1
+        assert eval_count(8, (24, 256, 32), 18) == 3
+        assert eval_count(8, (15, 256, 32), 18) == 1
 
     def test_forked_run_leaves_no_child_and_same_metrics(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)  # one-plane slabs: the eval forks on 16 planes
         monkeypatch.setenv("GOC_THREADS", "1")
         alone = run_pipeline(small_config(tmp_path, subdir="alone"))
@@ -657,7 +660,7 @@ class TestScoreGridWorkers:
         assert forked.manifest["outputs"]["grid_digest"] == alone.manifest["outputs"]["grid_digest"]
 
     def test_manifest_reports_one_worker_without_fork(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)  # one-plane slabs: the eval forks on 16 planes
         monkeypatch.setenv("GOC_THREADS", "2")
         forked = run_pipeline(small_config(tmp_path, subdir="forked"))
@@ -669,7 +672,7 @@ class TestScoreGridWorkers:
         assert alone.metrics_path.read_bytes() == forked.metrics_path.read_bytes()
 
     def test_ranges_without_fork_equal_forked(self, monkeypatch):
-        # with os.fork gone head._worker_count is 1, so the eval runs as one
+        # with os.fork gone workers.count is 1, so the eval runs as one
         # in-process range, each slab gathered once and folded once
         rng = np.random.default_rng(45)
         grid = grid_of_scores(tied_scores(rng, self.DIMS))
@@ -683,7 +686,7 @@ class TestScoreGridWorkers:
 
         monkeypatch.setattr(metrics.LovaszCandidates, "add", recording_add)
         monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
-        monkeypatch.setattr(head, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
         forks = record_forks(monkeypatch)
         forked = score_grid(grid, labels, SCORE_TAXONOMY, threads=3)
         assert forks == [[0, 8, 16, 24]] and starts == []
@@ -697,7 +700,7 @@ class TestScoreGridWorkers:
                           lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id))
 
     def test_small_preset_scores_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(head, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         monkeypatch.setenv("GOC_THREADS", "2")
         forks = []
         real = os.fork
@@ -768,11 +771,11 @@ class TestFrontEnd:
     BLOCKS = {4: [4], 9: [9], 17: [17], 33: [16, 17], 37: [16, 16, 5]}  # block sizes of one range over every anchor
 
     @staticmethod
-    def workers(monkeypatch, cores):
-        """Patch ``cores`` usable cores and a fork floor of one value; return the front end's worker count."""
-        monkeypatch.setattr(head, "_usable_cores", lambda: cores)
+    def threads(monkeypatch, cores):
+        """Patch ``cores`` usable cores and a fork floor of one value; return the threads requested, 3."""
+        monkeypatch.setattr(workers, "usable_cores", lambda: cores)
         monkeypatch.setattr(head, "_PLANE_THREAD_VALUES", 1)
-        return pipeline._front_end_workers(3, 1, 1)
+        return 3
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -781,8 +784,7 @@ class TestFrontEnd:
         config, scene, bundle = front_end_inputs
         arrays = front_end_anchors(config, n)
         d, _, _, f = scene.stack.planes.shape
-        workers = self.workers(monkeypatch, cores)
-        assert workers == cores
+        threads = self.threads(monkeypatch, cores)  # the front end clamps the request to the cores
         monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", self.BLOCK * 8 * d * f)
         blocks = []
         in_blocks = lifting._in_blocks
@@ -793,7 +795,7 @@ class TestFrontEnd:
             for mode in ("addition", "concatenation", "adaptive"):
                 run = resolve_config({**FRONT_END_RUN, "smoothing": smooth, "fusion_mode": mode})
                 want = front_end_reference(run, scene, bundle, arrays)
-                got, timings, ranges = pipeline._front_end(run, scene, bundle, arrays, workers)
+                got, timings, ranges = pipeline._front_end(run, scene, bundle, arrays, threads)
                 np.testing.assert_array_equal(got, want)
                 assert ranges == len(bounds) - 1 and list(timings) == ["lifting", "smoothing", "fusion"]
         # one range runs in-process: its block loop, then lift_lidar's loop over each block, which is one
@@ -809,7 +811,7 @@ class TestFrontEnd:
         n = 2 * 1024 + 5
         arrays = front_end_anchors(config, n)
         forks = record_forks(monkeypatch)
-        got, _, ranges = pipeline._front_end(run, scene, bundle, arrays, self.workers(monkeypatch, 2))
+        got, _, ranges = pipeline._front_end(run, scene, bundle, arrays, self.threads(monkeypatch, 2))
         assert forks == [[0, 1032, 2053]] and ranges == 2
         np.testing.assert_array_equal(got, front_end_reference(run, scene, bundle, arrays))
 
@@ -827,10 +829,10 @@ class TestFrontEnd:
 
         monkeypatch.setattr(fusion, "fuse", failing)
         arrays = front_end_anchors(config, 37)
-        with pytest.raises(SplatWorkerError, match=r"front-end worker of anchor range \[32, 37\) failed: "
+        with pytest.raises(WorkerError, match=r"front-end worker of anchor range \[32, 37\) failed: "
                                                    r"RuntimeError: boom") as info:
-            pipeline._front_end(config, scene, bundle, arrays, self.workers(monkeypatch, 3))
-        assert info.value.slab == (32, 37)
+            pipeline._front_end(config, scene, bundle, arrays, self.threads(monkeypatch, 3))
+        assert info.value.bounds == (32, 37)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
