@@ -5,8 +5,11 @@ GOCW: magic "GOCW", version u32, entry count u32, then per entry
 GOC1: magic "GOC1", version u32, dims 3xu32, class count u32,
       voxel size 3xf32 LE, origin 3xf32 LE, labels u8 row-major x fastest.
 All integers little-endian.  Loaders report the failing byte offset and
-reject non-finite f32 payloads.  ``_Reader`` is the one byte reader; the
-scene codec in ``harness`` uses it too.
+reject non-finite f32 payloads.  ``_Reader`` is the one reader of every
+file, the scene codec's in ``harness`` too, over a binary stream: the open
+file for ``load_*``, an ``io.BytesIO`` for ``parse_*``, so a file and its
+bytes take one parse path.  It reads each section straight into the array
+that keeps it, once the bytes left can hold it: a file is never held whole.
 
 ``write_file`` is the one writer: every file the package writes is created
 new after any old entry at its path is unlinked, because truncating the old
@@ -19,6 +22,7 @@ path costs the same either way.
 from __future__ import annotations
 
 import errno
+import io
 import math
 import os
 import stat
@@ -75,19 +79,31 @@ def write_file(path, data: bytes) -> bytes:
     return data
 
 
+# bytes of f32 that ``_Reader.finite_f32`` reads and checks at a time
+_BLOCK_BYTES = 2**20
+
+
 class _Reader:
-    """Bytes ``data[start:end]`` read in order; offsets are indices into ``data``."""
+    """The bytes of the binary ``stream`` from its position to ``end``, read in order.
 
-    def __init__(self, data: bytes, label: str, start: int = 0, end: int | None = None):
-        self.data = data
-        self.offset = start
-        self.end = len(data) if end is None else end
-        self.label = label
+    Offsets are absolute byte offsets into the stream, and ``offset`` is its
+    position.  Every read checks its length against ``end`` before it reads.
+    """
 
-    def take(self, n: int) -> bytes:
+    def __init__(self, stream, label: str, end: int | None = None):
+        self.stream, self.label, self.offset = stream, label, stream.tell()
+        self.end = stream.seek(0, os.SEEK_END) if end is None else end
+        stream.seek(self.offset)
+
+    def need(self, n: int) -> None:
         if n < 0 or self.offset + n > self.end:
             raise FormatError(f"truncated {self.label}: wanted {n} bytes", offset=self.offset)
-        chunk = self.data[self.offset : self.offset + n]
+
+    def take(self, n: int) -> bytes:
+        self.need(n)
+        chunk = self.stream.read(n)
+        if len(chunk) != n:  # the file shrank while it was read
+            raise FormatError(f"truncated {self.label}: wanted {n} bytes", offset=self.offset)
         self.offset += n
         return chunk
 
@@ -96,22 +112,61 @@ class _Reader:
 
     def line(self) -> bytes:
         """Bytes up to the next newline, which is consumed but not returned."""
-        end = self.data.find(b"\n", self.offset, self.end)
-        if end < 0:
+        line = self.stream.readline(self.end - self.offset)
+        if not line.endswith(b"\n"):
             raise FormatError(f"unterminated line in {self.label}", offset=self.offset)
-        return self.take(end + 1 - self.offset)[:-1]
+        self.offset += len(line)
+        return line[:-1]
 
-    def finite_f32(self, count: int, what: str) -> np.ndarray:
-        """``count`` little-endian f32 values; NaN or inf anywhere is rejected."""
-        offset = self.offset
-        values = np.frombuffer(self.take(4 * count), dtype="<f4")
-        if not np.isfinite(values).all():
-            raise FormatError(f"non-finite value in {what}", offset=offset)
-        return values
+    def section(self, n: int, label: str) -> "_Reader":
+        """A reader of the next ``n`` bytes, which this reader counts as read:
+        it is read through before this reader reads on."""
+        self.need(n)
+        self.offset += n
+        return _Reader(self.stream, label, self.offset)
+
+    def empty(self, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+        """``np.empty`` for the next f32 section of ``shape``, once the bytes left hold it."""
+        self.need(4 * math.prod(shape))
+        return np.empty(shape, dtype=dtype)
+
+    def finite_f32(self, out: np.ndarray, what: str) -> np.ndarray:
+        """``out`` filled in C order with the next f32 values; NaN or inf anywhere
+        is a FormatError at the section's start.
+
+        Each block is read with ``readinto`` straight into ``out`` where it is
+        contiguous float32, else into one reused float32 buffer cast into
+        ``out`` (any float array or view), and checked before the next.
+        """
+        start = self.offset
+        self.need(4 * out.size)
+        flags = ["external_loop", "buffered", "zerosize_ok"]
+        with np.nditer(out, flags, [["writeonly"]], op_dtypes="<f4", casting="same_kind",
+                       buffersize=_BLOCK_BYTES // 4, order="C") as blocks:
+            for block in blocks:
+                if self.stream.readinto(block) != block.nbytes:
+                    raise FormatError(f"truncated {self.label}: wanted {4 * out.size} bytes", offset=start)
+                if not np.isfinite(block).all():
+                    raise FormatError(f"non-finite value in {what}", offset=start)
+                self.offset += block.nbytes
+        return out
 
     def expect_end(self):
         if self.offset != self.end:
             raise FormatError(f"trailing bytes in {self.label}", offset=self.offset)
+
+
+def _open(path, what: str):
+    """``path`` opened for binary reading; a failure, or a file that cannot
+    seek (a pipe), is an OSError naming ``what`` and the path."""
+    try:
+        stream = open(path, "rb")
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
+    if not stream.seekable():
+        stream.close()
+        raise OSError(f"cannot read {what} {path}: not a seekable file")
+    return stream
 
 
 def dump_bundle(bundle: ParameterBundle) -> bytes:
@@ -129,7 +184,11 @@ def dump_bundle(bundle: ParameterBundle) -> bytes:
 
 
 def parse_bundle(data: bytes) -> ParameterBundle:
-    r = _Reader(data, "weight bundle")
+    return _read_bundle(io.BytesIO(data))
+
+
+def _read_bundle(stream) -> ParameterBundle:
+    r = _Reader(stream, "weight bundle")
     if r.take(4) != GOCW_MAGIC:
         raise FormatError("bad weight-bundle magic", offset=0)
     (version,) = r.unpack("I")
@@ -150,7 +209,7 @@ def parse_bundle(data: bytes) -> ParameterBundle:
         if rank > 64:
             raise FormatError(f"weight-bundle rank {rank} exceeds numpy's 64", offset=r.offset - 1)
         shape = tuple(r.unpack("I" * rank))
-        entries[path] = r.finite_f32(math.prod(shape), f"weight-bundle entry {path}").reshape(shape)
+        entries[path] = r.finite_f32(r.empty(shape), f"weight-bundle entry {path}")
     r.expect_end()
     return ParameterBundle(entries)
 
@@ -160,11 +219,8 @@ def save_bundle(bundle: ParameterBundle, path) -> None:
 
 
 def load_bundle(path) -> ParameterBundle:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise OSError(f"cannot read weight bundle {path}: {exc}") from exc
-    return parse_bundle(data)
+    with _open(path, "weight bundle") as stream:
+        return _read_bundle(stream)
 
 
 def dump_grid(grid: SemanticOccupancyGrid, class_count: int) -> bytes:
@@ -184,7 +240,7 @@ def dump_grid(grid: SemanticOccupancyGrid, class_count: int) -> bytes:
 
 
 def parse_grid(data: bytes) -> SemanticOccupancyGrid:
-    return _read_grid(_Reader(data, "grid file"))
+    return _read_grid(_Reader(io.BytesIO(data), "grid file"))
 
 
 # byte offset, within a GOC1 block, of each GridSpec field a ConfigurationError can name
@@ -192,7 +248,7 @@ _GRID_FIELD_OFFSETS = {"dims": 8, "voxel_size": 24, "origin": 36}
 
 
 def _read_grid(r: _Reader) -> SemanticOccupancyGrid:
-    """One GOC1 block filling the reader; faults are reported at offsets into ``r.data``."""
+    """One GOC1 block filling the reader; faults are reported at offsets into ``r.stream``."""
     start = r.offset
     if r.take(4) != GOC1_MAGIC:
         raise FormatError("bad grid magic", offset=start)
@@ -222,11 +278,8 @@ def emit_grid(grid: SemanticOccupancyGrid, path, class_count: int) -> bytes:
 
 
 def load_grid(path) -> SemanticOccupancyGrid:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise OSError(f"cannot read grid {path}: {exc}") from exc
-    return parse_grid(data)
+    with _open(path, "grid") as stream:
+        return _read_grid(_Reader(stream, "grid file"))
 
 
 DEFAULT_PALETTE = np.array(

@@ -7,7 +7,8 @@ each blob only inside its per-blob threshold box (exact, see
 class channel (soft one-hot signatures plus noise, so lifting has linearly
 recoverable signal), and camera planes carry projected image-space
 footprints.  Everything is a pure function of (config, seed).  Planes go to
-the ``lifting`` containers as made or read; the containers own their layout.
+the ``lifting`` containers as made, or as read: block by block, straight into
+the float64 layout the containers own, so they copy nothing.
 
 The oracles are deliberately naive: the dense splatter evaluates every
 primitive at every voxel with no truncation, the bilinear sampler builds one
@@ -19,10 +20,10 @@ kernel it checks, so a fault in the kernel cannot cancel out.
 
 from __future__ import annotations
 
+import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .core import (
     voxel_centers,
 )
 from .errors import ConfigurationError, FormatError
-from .formats import _Reader, _read_grid, dump_grid, write_file
+from .formats import _open, _Reader, _read_grid, dump_grid, write_file
 from .head import SsmParams
 from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet, project_to_view
 
@@ -559,7 +560,16 @@ class _SceneHeader:
 
 
 def parse_scene(data: bytes) -> SyntheticScene:
-    r = _Reader(data, "scene file")
+    return _read_scene(io.BytesIO(data))
+
+
+def load_scene(path) -> SyntheticScene:
+    with _open(path, "scene") as stream:
+        return _read_scene(stream)
+
+
+def _read_scene(stream) -> SyntheticScene:
+    r = _Reader(stream, "scene file")
     if r.take(len(SCENE_MAGIC)) != SCENE_MAGIC:
         raise FormatError("bad scene magic", offset=0)
     header = _SceneHeader(r)
@@ -607,8 +617,10 @@ def parse_scene(data: bytes) -> SyntheticScene:
                 offset=header.field(f"blob{i}")[1],
             )
 
+    # the file holds the planes (D, H, W, F); they are kept texel-major, (H, W, D, F)
     d, (h_l, w_l), f = cfg.depth_planes, cfg.plane_shape, cfg.feature_width
-    planes = r.finite_f32(d * h_l * w_l * f, "depth planes").reshape(d, h_l, w_l, f)
+    texel_major = r.empty((h_l, w_l, d, f), np.float64)
+    planes = r.finite_f32(texel_major.transpose(2, 0, 1, 3), "depth planes")
     with header.checked():
         stack = DepthPlaneStack(
             planes=planes,
@@ -619,7 +631,7 @@ def parse_scene(data: bytes) -> SyntheticScene:
     h_c, w_c = cfg.camera_shape
     views = []
     for i in range(cfg.cameras):
-        plane = r.finite_f32(h_c * w_c * f, f"camera plane {i}").reshape(h_c, w_c, f)
+        plane = r.finite_f32(r.empty((h_c, w_c, f), np.float64), f"camera plane {i}")
         with header.checked(f"cam{i}.intrinsics"):
             views.append(
                 CameraView(
@@ -630,8 +642,7 @@ def parse_scene(data: bytes) -> SyntheticScene:
             )
     (truth_len,) = r.unpack("Q")
     truth_start = r.offset
-    r.take(truth_len)
-    truth = _read_grid(_Reader(data, "truth grid", truth_start, r.offset))
+    truth = _read_grid(r.section(truth_len, "truth grid"))
     r.expect_end()
     if truth.spec != grid or truth.labels.max() >= taxonomy.c_total:
         raise FormatError("truth grid does not match the scene header's grid or classes", offset=truth_start)
@@ -646,11 +657,3 @@ def parse_scene(data: bytes) -> SyntheticScene:
         stack=stack,
         views=MultiViewFeatureSet(views=tuple(views)),
     )
-
-
-def load_scene(path) -> SyntheticScene:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise OSError(f"cannot read scene {path}: {exc}") from exc
-    return parse_scene(data)

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,15 @@ class TestGridCodec:
         path = tmp_path / "absent.goc1"
         with pytest.raises(OSError, match="cannot read grid .*absent.goc1"):
             load_grid(path)
+
+    def test_pipe_refused_by_name(self):
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        try:
+            with pytest.raises(OSError, match=f"cannot read grid /dev/fd/{read_end}: not a seekable file"):
+                load_grid(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
 
 class TestBevSlice:
@@ -520,3 +530,118 @@ class TestCodecFuzz:
         except FormatError:
             return
         assert encode(once) == once
+
+
+# each codec's file read through its path and from its bytes, and the bytes that identify what it read
+READERS = {
+    "GOC1": (load_grid, parse_grid, lambda grid: dump_grid(grid, class_count=0)),
+    "GOCW": (load_bundle, parse_bundle, dump_bundle),
+    "GSCN": (load_scene, parse_scene, dump_scene),
+}
+
+
+def _outcome(read, source, identify):
+    """``identify`` of what ``read(source)`` returns, or its FormatError's message and offset."""
+    try:
+        return identify(read(source))
+    except FormatError as exc:
+        return str(exc), exc.offset
+
+
+class TestPathAndBytes:
+    """A file and its bytes go through one parse path, so they read alike."""
+
+    @pytest.mark.parametrize("codec", sorted(FUZZ_SAMPLES))
+    def test_truncations_and_bit_flips_read_alike(self, codec, tmp_path):
+        valid, _, header_len = FUZZ_SAMPLES[codec]
+        load, parse, identify = READERS[codec]
+        cuts = sorted({0, 3, 4, 5, 12, header_len - 1, header_len, len(valid) // 2, len(valid) - 1})
+        rng = np.random.default_rng(7)
+        flips = []
+        for at, bit in zip(rng.integers(0, len(valid), 40), rng.integers(0, 8, 40)):
+            flipped = bytearray(valid)
+            flipped[at] ^= 1 << int(bit)
+            flips.append(bytes(flipped))
+        path = tmp_path / "sample.bin"
+        refused = 0
+        for data in [valid] + [valid[:n] for n in cuts] + flips:
+            path.write_bytes(data)
+            outcome = _outcome(load, path, identify)
+            assert outcome == _outcome(parse, data, identify)
+            refused += isinstance(outcome, tuple)
+        assert refused >= len(cuts)
+
+
+def _hostile_scene():
+    """A scene whose camera plane outweighs its depth planes: 4 KiB of depth, 48 KiB of camera."""
+    config = SceneConfig(
+        grid=GridSpec(origin=np.array([-2.0, -2.0, -1.0]), voxel_size=np.full(3, 0.25), dims=(16, 16, 8)),
+        taxonomy=ClassTaxonomy(names=NUSCENES_CLASS_NAMES[:3], class_weights=np.ones(4)),
+        feature_width=8,
+        depth_planes=2,
+        plane_shape=(8, 8),
+        cameras=1,
+        camera_shape=(32, 48),
+        blob_range=(2, 2),
+    )
+    data = dump_scene(generate_scene(config, seed=5))
+    return data, data.index(b"END_HEADER\n") + len(b"END_HEADER\n")
+
+
+def _hostile_scene_edit(old, new, wanted, after_depth):
+    """The hostile scene with header text ``old`` made ``new``: a section of ``wanted``
+    bytes, refused at the depth planes' start or, with ``after_depth``, the camera plane's."""
+
+    def build():
+        data, depth_start = _hostile_scene()
+        edited = data.replace(old, new, 1)
+        start = depth_start + len(new) - len(old) + (4 * 2 * 8 * 8 * 8 if after_depth else 0)
+        return "GSCN", edited, f"truncated scene file: wanted {wanted} bytes", start
+
+    return build
+
+
+def _hostile_bundle():
+    # one entry "a" of shape (2^32 - 1, 2^32 - 1) with 64 KiB of its payload
+    dim = 2**32 - 1
+    data = b"GOCW" + struct.pack("<IIH", 1, 1, 1) + b"a" + struct.pack("<BII", 2, dim, dim) + bytes(2**16)
+    return "GOCW", data, f"truncated weight bundle: wanted {4 * dim * dim} bytes", 24
+
+
+def _hostile_grid():
+    # dims (2^32 - 1, 2^32 - 1, 1) with 64 KiB of labels
+    dim = 2**32 - 1
+    header = b"GOC1" + struct.pack("<IIIII3f3f", 1, dim, dim, 1, 18, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    return "GOC1", header + bytes(2**16), f"truncated grid file: wanted {dim * dim} bytes", 48
+
+
+# section lengths no file could hold: (codec, data, message, offset)
+HOSTILE_LENGTHS = {
+    "gscn-plane-shape": _hostile_scene_edit(b"plane_shape=8 8", b"plane_shape=65536 65536", 4 * 2 * 65536**2 * 8, False),
+    "gscn-feature-width": _hostile_scene_edit(b"feature_width=8", b"feature_width=4000000000", 4 * 2 * 8 * 8 * 4 * 10**9, False),
+    "gscn-camera-shape": _hostile_scene_edit(b"camera_shape=32 48", b"camera_shape=65536 65536", 4 * 65536**2 * 8, True),
+    "gocw-entry-shape": _hostile_bundle,
+    "goc1-dims": _hostile_grid,
+}
+
+
+class TestHostileLengths:
+    """A section longer than the bytes left is refused before anything is allocated for it."""
+
+    @pytest.mark.parametrize("how", ["path", "bytes"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_LENGTHS))
+    def test_refused_at_section_start_allocating_nothing(self, case, how, tmp_path):
+        codec, data, message, offset = HOSTILE_LENGTHS[case]()
+        load, parse, _ = READERS[codec]
+        path = tmp_path / "hostile.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                load(path) if how == "path" else parse(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message in str(info.value)
+        assert info.value.offset == offset
+        assert peak < 2 * len(data)

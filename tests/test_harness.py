@@ -1,4 +1,6 @@
 import hashlib
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -189,6 +191,81 @@ class TestSceneCodec:
         data = dump_scene(small_scene)
         with pytest.raises(FormatError):
             parse_scene(data[:-10])
+
+
+@pytest.fixture(scope="module")
+def large_scene(tmp_path_factory, small_taxonomy):
+    """A scene of 8 MiB of float32 planes (4 MiB of depth planes, two 2 MiB camera
+    planes), its file and its bytes."""
+    config = SceneConfig(
+        grid=GridSpec(origin=np.array([-8.0, -8.0, -2.0]), voxel_size=np.array([1.0, 1.0, 0.5]), dims=(16, 16, 8)),
+        taxonomy=small_taxonomy,
+        feature_width=32,
+        depth_planes=8,
+        plane_shape=(64, 64),
+        cameras=2,
+        camera_shape=(128, 128),
+        blob_range=(3, 3),
+    )
+    scene = generate_scene(config, seed=5)
+    path = tmp_path_factory.mktemp("large") / "scene.gscn"
+    return scene, path, save_scene(scene, path)
+
+
+def _sections(scene, data) -> dict[str, tuple[int, int]]:
+    """[start, end) byte range of each float32 section of the scene's file."""
+    start = data.index(b"END_HEADER\n") + len(b"END_HEADER\n")
+    sections = {"depth planes": (start, start + 4 * scene.stack.planes.size)}
+    for i, view in enumerate(scene.views.views):
+        start = max(end for _, end in sections.values())
+        sections[f"camera plane {i}"] = (start, start + 4 * view.plane.size)
+    return sections
+
+
+def _read_scene(how, data, tmp_path):
+    if how == "bytes":
+        return parse_scene(data)
+    path = tmp_path / "scene.gscn"
+    path.write_bytes(data)
+    return load_scene(path)
+
+
+class TestSceneLoad:
+    """Each section is read block by block straight into the array the scene keeps."""
+
+    def test_peak_is_what_the_scene_keeps(self, large_scene):
+        scene, path, data = large_scene
+        tracemalloc.start()
+        try:
+            again = load_scene(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= 2 * 8 * 2**20  # the planes, widened to float64
+        assert peak <= kept + 2 * 2**20
+        np.testing.assert_array_equal(again.stack.planes, scene.stack.planes)
+        for mine, theirs in zip(again.views.views, scene.views.views):
+            np.testing.assert_array_equal(mine.plane, theirs.plane)
+
+    @pytest.mark.parametrize("how", ["path", "bytes"])
+    @pytest.mark.parametrize("section", ["depth planes", "camera plane 1"])
+    def test_nan_in_last_block_refused_at_section_start(self, large_scene, section, how, tmp_path):
+        scene, _, data = large_scene
+        start, end = _sections(scene, data)[section]
+        assert end - start > 2**20  # more than one block
+        bad = bytearray(data)
+        bad[end - 4 : end] = struct.pack("<f", np.nan)
+        with pytest.raises(FormatError, match=f"non-finite value in {section}") as info:
+            _read_scene(how, bytes(bad), tmp_path)
+        assert info.value.offset == start
+
+    @pytest.mark.parametrize("how", ["path", "bytes"])
+    def test_cut_inside_depth_planes(self, large_scene, how, tmp_path):
+        scene, _, data = large_scene
+        start, end = _sections(scene, data)["depth planes"]
+        with pytest.raises(FormatError, match=f"truncated scene file: wanted {end - start} bytes") as info:
+            _read_scene(how, data[: (start + end) // 2], tmp_path)
+        assert info.value.offset == start
 
 
 def reference_blob_truth(config, centroids, scales, rotations, classes):
