@@ -33,8 +33,8 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 # after one product: 64 x 868 x 18 and 100 x 100 x 100 left it at one thread,
 # 64 x 869 x 18 and 100 x 100 x 101 started a second.  The splat's class
 # products stay at or below it, so no forked worker starts BLAS threads, and
-# so do the head's and the front end's (``_product``), so plane threads never
-# wait on BLAS's and front-end workers start none.
+# so do the head's and the front end's (``_product``), so their plane and
+# anchor-range workers start none either.
 BLAS_THREAD_MNK = 10**6
 
 # m k from which the same OpenBLAS runs an (m, k) @ (k,) product (GEMV) on more

@@ -130,25 +130,33 @@ class _Reader:
         self.need(4 * math.prod(shape))
         return np.empty(shape, dtype=dtype)
 
-    def finite_f32(self, out: np.ndarray, what: str) -> np.ndarray:
-        """``out`` filled in C order with the next f32 values; NaN or inf anywhere
-        is a FormatError at the section's start.
+    def blocks(self, out: np.ndarray, dtype: str):
+        """Fill ``out`` in C order with the next ``dtype`` values, yielding each block once it is read.
 
         Each block is read with ``readinto`` straight into ``out`` where it is
-        contiguous float32, else into one reused float32 buffer cast into
-        ``out`` (any float array or view), and checked before the next.
+        contiguous ``dtype``, else into one reused ``dtype`` buffer that is
+        written into ``out`` (any array or view) when the next block starts.
+        A short read is a FormatError at the section's start.
         """
-        start = self.offset
-        self.need(4 * out.size)
+        start, size = self.offset, np.dtype(dtype).itemsize
+        self.need(size * out.size)
         flags = ["external_loop", "buffered", "zerosize_ok"]
-        with np.nditer(out, flags, [["writeonly"]], op_dtypes="<f4", casting="same_kind",
-                       buffersize=_BLOCK_BYTES // 4, order="C") as blocks:
+        with np.nditer(out, flags, [["writeonly", "contig"]], op_dtypes=dtype, casting="same_kind",
+                       buffersize=_BLOCK_BYTES // size, order="C") as blocks:
             for block in blocks:
                 if self.stream.readinto(block) != block.nbytes:
-                    raise FormatError(f"truncated {self.label}: wanted {4 * out.size} bytes", offset=start)
-                if not np.isfinite(block).all():
-                    raise FormatError(f"non-finite value in {what}", offset=start)
+                    raise FormatError(f"truncated {self.label}: wanted {size * out.size} bytes", offset=start)
+                yield block
                 self.offset += block.nbytes
+
+    def finite_f32(self, out: np.ndarray, what: str) -> np.ndarray:
+        """``out`` filled in C order with the next f32 values (``blocks``); NaN or
+        inf anywhere is a FormatError at the section's start, raised before the
+        next block is read."""
+        start = self.offset
+        for block in self.blocks(out, "<f4"):
+            if not np.isfinite(block).all():
+                raise FormatError(f"non-finite value in {what}", offset=start)
         return out
 
     def expect_end(self):
@@ -263,13 +271,17 @@ def _read_grid(r: _Reader) -> SemanticOccupancyGrid:
     except ConfigurationError as exc:
         raise FormatError(f"invalid grid header: {exc}", offset=start + _GRID_FIELD_OFFSETS[exc.field]) from None
     payload_offset = r.offset
-    labels = np.frombuffer(r.take(dx * dy * dz), dtype=np.uint8)
+    r.need(dx * dy * dz)
+    labels = np.empty((dx, dy, dz), dtype=np.uint8)
+    top = 0
+    for block in r.blocks(labels.T, "u1"):  # the file holds them x-fastest
+        top = max(top, int(block.max()))
     r.expect_end()
-    if classes < 1 or labels.size and labels.max() >= classes:
+    if classes < 1 or top >= classes:
         raise FormatError(
             f"label exceeds declared class count {classes}", offset=payload_offset
         )
-    return SemanticOccupancyGrid(spec=spec, labels=labels.reshape((dx, dy, dz), order="F"))
+    return SemanticOccupancyGrid(spec=spec, labels=labels)
 
 
 def emit_grid(grid: SemanticOccupancyGrid, path, class_count: int) -> bytes:

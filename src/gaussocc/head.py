@@ -11,13 +11,13 @@ the result is scattered back to anchor order: BLAS results depend on a
 row's position, so computing in a canonical order is what makes the head
 bitwise equivariant under anchor permutations.  A raster order is a plain
 index array, scattered back through its inverse permutation.  The planes'
-rows live in one (3, N, F) buffer per call: each plane streams its embeds
-and then its U-Net through row blocks (``_row_blocks``), the scan carrying
-its state from block to block, and a block's three planes run on three
-threads when ``_plane_workers`` allows.  Every product below a plane and in
-the offset heads is a ``core._product``: row blocks that OpenBLAS runs on
-the calling thread, so plane threads never contend with BLAS threads and the
-result is bitwise the same for any ``threads``.  After the final block
+rows live in one (3, N, F) ``workers.shared`` buffer per call: each plane
+streams its embeds and then its U-Net through row blocks (``_row_blocks``),
+the scan carrying its state from block to block, and a block's three planes
+run in three forked workers when ``_plane_workers`` allows.  Every product
+below a plane and in the offset heads is a ``core._product``: row blocks
+that OpenBLAS runs on the calling thread, so no worker starts BLAS threads
+and the result is bitwise the same for any ``threads``.  After the final block
 ``run_head`` decodes the per-anchor attribute update (centroid offset,
 log-scale delta, quaternion delta, opacity, semantics) with one matmul in
 canonical order, scatters it back to anchor order once and applies it.
@@ -40,7 +40,6 @@ the result is bit-identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +93,15 @@ TILE = (8, 8, 8)
 _UNET_BLOCK_ROWS = 512
 
 # Anchors times feature width from which ``refine_features`` runs the three
-# planes of a block on threads: where they break even.  run_head, one thread
-# against three, on the seed-3 occ3d and dense-grid inputs cut to fewer anchors
-# (2-vCPU VM, median of 15): F = 128, 2,048 anchors 0.097 vs 0.098 s and 4,096
-# 0.184 vs 0.159 s; F = 32, 8,192 anchors 0.077 vs 0.079 s and 12,800 0.124 vs
-# 0.119 s.  The per-token work is Python-bound at narrow widths.  The floor
-# matters end to end: set to 0, perfbench's small workload (1,024 anchors,
-# F = 32; seed 3, 3 runs each) went from run_s 0.032-0.035 to 0.040-0.044 s
-# and from peak_rss_mb 49.3 to 53.1-53.4 MB.
-_PLANE_THREAD_VALUES = 2**18
+# planes of a block in forked workers: where forking pays.  run_head, one
+# process against three, on the occ3d and synthetic presets' heads cut to
+# fewer anchors (2-vCPU VM, median of 15 alternating pairs, pairs won by the
+# workers): F = 128, 1,536 anchors 0.204 vs 0.206 s (7/15) and 2,048 0.340 vs
+# 0.292 s (12/15); F = 32, 8,192 anchors 0.248 vs 0.264 s (7/15) and 10,240
+# 0.331 vs 0.304 s (11/15).  The per-token work is Python-bound at narrow
+# widths.  The small workload (1,024 anchors, F = 32) stays far below: forked,
+# its head took 0.082 s against 0.033 s (0/15).
+_PLANE_WORKER_VALUES = 2**18
 
 # Byte budget of the axis terms _splat_slab builds at once, for one run of
 # consecutive tiles.  A (primitive, tile) row holds eight float64 terms per
@@ -435,9 +434,9 @@ def consensus_update(centroids: np.ndarray, planes: dict, params: ConsensusParam
 
 
 def _plane_workers(threads: int, anchors: int, width: int) -> int:
-    """Threads refining a block's planes: one per plane when ``threads`` and the usable cores
-    are both at least 2 and anchors x ``width`` reach ``_PLANE_THREAD_VALUES``, else 1."""
-    if min(int(threads), workers.usable_cores()) >= 2 and anchors * width >= _PLANE_THREAD_VALUES:
+    """Processes refining a block's planes: one per plane when ``workers.count`` allows more than
+    one for ``threads`` and anchors x ``width`` reach ``_PLANE_WORKER_VALUES``, else 1."""
+    if workers.count(threads, len(PLANES)) > 1 and anchors * width >= _PLANE_WORKER_VALUES:
         return len(PLANES)
     return 1
 
@@ -445,7 +444,7 @@ def _plane_workers(threads: int, anchors: int, width: int) -> int:
 def _refine_plane(block: BlockParams, plane: str, centroids, features, rows: np.ndarray, omega: float):
     """One plane of a block, into ``rows``: the raster-ordered embeds plus features, refined in place.
 
-    Returns (``rows``, inverse permutation of the plane's raster order).
+    Returns the inverse permutation of the plane's raster order.
     """
     coords = centroids[:, PLANE_AXES[plane]]
     order = raster_serialize(coords, omega)
@@ -453,7 +452,7 @@ def _refine_plane(block: BlockParams, plane: str, centroids, features, rows: np.
         block.embed[plane](coords[order[lo:hi]], out=rows[lo:hi])
         rows[lo:hi] += features[order[lo:hi]]
     mamba_unet_refine(rows, block.unet[plane], out=rows)
-    return rows, _inverse_permutation(order)
+    return _inverse_permutation(order)
 
 
 def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadParams, *, threads: int = 1):
@@ -462,34 +461,33 @@ def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadPar
     All per-anchor linear maps run in each plane's raster-sorted order, which
     is canonical for coordinate-distinct anchor sets, so permuting the input
     anchors permutes the outputs bit-exactly (BLAS kernels are sensitive to
-    row position, never to row content).  One (3, N, F) buffer per call
-    holds the planes' rows: each plane streams its embeds plus gathered
-    features into its slice in ``_row_blocks`` and refines the slice in
-    place.  The planes of a block are independent until ``consensus_update``,
-    so with ``_plane_workers(threads, N, F)`` = 3 they run on a pool of three
-    threads, created here and shut down before this returns (the splat's
-    ``os.fork`` never copies a live pool).  Every product below a plane is a
-    ``_product``, which OpenBLAS runs on the calling thread, so the result
-    is bitwise the same for any ``threads``.
+    row position, never to row content).  One (3, N, F) ``workers.shared``
+    buffer per call holds the planes' rows: each plane streams its embeds
+    plus gathered features into its slice in ``_row_blocks`` and refines it
+    in place, returning its inverse permutation.  The planes of a block are
+    independent until ``consensus_update``, so ``workers.run`` runs them as
+    one plane range each when ``_plane_workers(threads, N, F)`` is 3, else
+    as one range in-process (a failed worker is a ``WorkerError`` naming its
+    plane range).  Every product below a plane is a ``_product``, which
+    OpenBLAS runs on the calling thread, so the result is bitwise the same
+    for any ``threads``.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
-    rows = np.empty((len(PLANES),) + features.shape)
-    pool = ThreadPoolExecutor(len(PLANES)) if _plane_workers(threads, *features.shape) > 1 else None
-    try:
-        for block in params.blocks:
-            def refine(p: int):
-                return _refine_plane(block, PLANES[p], centroids, features, rows[p], params.omega)
+    rows = workers.shared((len(PLANES),) + features.shape)
+    bounds = [0, 1, 2, 3] if _plane_workers(threads, *features.shape) > 1 else [0, 3]
+    for block in params.blocks:
+        def refine(lo: int, hi: int) -> list:  # the inverse permutation of each plane in [lo, hi)
+            return [_refine_plane(block, PLANES[p], centroids, features, rows[p], params.omega)
+                    for p in range(lo, hi)]
 
-            planes = dict(zip(PLANES, (pool.map if pool else map)(refine, range(len(PLANES)))))
-            centroids = consensus_update(centroids, planes, block.consensus)
-            features = planes["xy"][0][planes["xy"][1]]
-            features += planes["xz"][0][planes["xz"][1]]
-            features += planes["yz"][0][planes["yz"][1]]
-            features /= 3.0
-    finally:
-        if pool:
-            pool.shutdown()
+        inverses = [inverse for part in workers.run(bounds, refine, "head", "plane range") for inverse in part]
+        planes = dict(zip(PLANES, zip(rows, inverses)))
+        centroids = consensus_update(centroids, planes, block.consensus)
+        features = rows[0][inverses[0]]
+        features += rows[1][inverses[1]]
+        features += rows[2][inverses[2]]
+        features /= 3.0
     return centroids, features
 
 

@@ -4,16 +4,17 @@ The pipeline runs forward only.  Its random draws (scene, weights, anchors)
 derive from the master seed and a stage label, so a run is a deterministic
 function of (config, seeds, weight bundle); smoothing runs only when the
 config turns it on.  GOC_THREADS (default 8) is the ``threads`` request of
-the front end, the head, the splat and the eval; the manifest reports the
-worker count each ran.  No worker count changes an output bit.  Inputs a
-later stage never reads (the scene's views and depth planes) are dropped as
-soon as they are consumed, so they are not resident during the splat.
+the front end, the head, the splat and the eval, which each hand ranges to
+``workers.run``; the manifest reports the worker count each ran.  No worker
+count changes an output bit.  Inputs a later stage never reads (the scene's
+views and depth planes) are dropped as soon as they are consumed, so they
+are not resident during the splat.
 
 The front end (``_front_end``) is one chain over anchor blocks: per block of
 ``lifting._in_blocks``, ``aggregate_camera``, ``lift_lidar``,
 ``smooth_features`` (when on) and ``fuse``.  ``workers.run`` runs it over
 ``front_end_workers`` (manifest) contiguous anchor ranges, more than one
-only where the head threads its planes (``head._plane_workers``), each
+only where the head forks its planes (``head._plane_workers``), each
 range writing its rows of the fused features into one ``workers.shared``
 (N, F) array that the head reads as the features.  So the per-modality
 features exist one block at a time, in no process over every anchor, and
@@ -112,7 +113,7 @@ def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle
     The anchors are cut into contiguous ranges of whole multiples of 8 rows
     (``lifting._anchor_cuts``), one per worker: ``threads`` is the request,
     which ``workers.count`` clamps to one worker per 8 anchors where the
-    head threads its planes (``head._plane_workers``), else to one.
+    head forks its planes (``head._plane_workers``), else to one.
     ``workers.run`` runs the ranges.  A range walks its anchors in
     ``lifting._in_blocks``: per block, ``aggregate_camera``, ``lift_lidar``,
     ``smooth_features`` and ``fuse``, whose rows it writes into one
@@ -316,13 +317,13 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "seeds": seeds,
         "threads": workers.count(threads_requested, -(-config.grid.dims[0] // head.TILE[0])),  # the splat's
         "eval_workers": workers.count(threads_requested, _eval_pieces(config.grid.dims, config.taxonomy.c_total)),
-        "head_threads": head._plane_workers(threads_requested, config.gaussian_count, model.feature_width),
+        "head_workers": head._plane_workers(threads_requested, config.gaussian_count, model.feature_width),
         "front_end_workers": front_end_workers,
         "threads_requested": threads_requested,
         "anchor_count": config.gaussian_count,
         "stage_timings_s": {k: round(v, 6) for k, v in timings.items()},
         # high-water RSS of this process so far, and of the largest child it
-        # has waited for, i.e. a forked splat or eval worker (Linux reports KiB)
+        # has waited for, i.e. a forked worker of any stage (Linux reports KiB)
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "peak_rss_children_mb": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0, 1),
         "health": _health(report),

@@ -1,9 +1,16 @@
 """How work runs across processes: one runner, one worker-count rule and shared arrays.
 
 The splat and the eval cut the grid into x-slabs and the pipeline's front
-end cuts the anchors into anchor ranges.  Each stage clamps its ``threads``
-request (``GOC_THREADS``) with ``count``, hands its ranges to ``run`` and
-has its workers write their rows into ``shared`` arrays.
+end cuts the anchors into anchor ranges.  Each of these stages clamps its
+``threads`` request (``GOC_THREADS``) with ``count``, hands its ranges to
+``run`` and has its workers write their rows into ``shared`` arrays.  The
+head hands ``run`` its three TPV planes, one range each, and its workers
+write their refined rows into one ``shared`` buffer.  It is not clamped to
+``count``: a plane's scan is sequential, so a plane is the smallest piece,
+and on two cores three plane processes beat two ranges of one and two
+planes, which leave one core idle while the other runs its second plane
+(occ3d's ``run_head`` on a 2-vCPU VM, median of 10: 1.18 s against 1.40 s).
+``head._plane_workers`` decides between three and one.
 """
 
 from __future__ import annotations

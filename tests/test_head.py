@@ -708,9 +708,9 @@ class TestHeadLinearCost:
 
 
 class TestHeadThreads:
-    # occ3d's widths (F = 128, N = 16), one block, at the floor of the threaded path
+    # occ3d's widths (F = 128, N = 16), one block, at the floor of the forked path
     MODEL = ModelConfig(feature_width=128, state_width=16, head_blocks=1)
-    ANCHORS = head._PLANE_THREAD_VALUES // 128
+    ANCHORS = head._PLANE_WORKER_VALUES // 128
 
     @pytest.fixture(scope="class")
     def inputs(self, small_grid):
@@ -718,6 +718,25 @@ class TestHeadThreads:
         arrays = init_anchors(self.ANCHORS, small_grid, seed=42, model=self.MODEL)
         arrays["feature"] = np.random.default_rng(43).normal(size=(self.ANCHORS, 128))
         return arrays, params
+
+    @staticmethod
+    def record_planes(monkeypatch, products=()):
+        """Record in ``workers.shared`` arrays the pid that refines each plane and the (m, k, n) of each
+        product it adds to ``products`` (a ``record_products`` list), n 0 for a vector: (pids, products by plane)."""
+        pids = workers.shared((len(PLANES),), np.int64)
+        made = workers.shared((len(PLANES), 4096, 3), np.int64)
+        real = head._refine_plane
+
+        def recorded(block, plane, *args):
+            p, first = PLANES.index(plane), len(products)
+            pids[p] = os.getpid()
+            inverse = real(block, plane, *args)
+            mine = np.reshape([(m, k, n or 0) for _, m, k, n in products[first:]], (-1, 3))
+            made[p, : len(mine)] = mine
+            return inverse
+
+        monkeypatch.setattr(head, "_refine_plane", recorded)
+        return pids, made
 
     def test_plane_workers(self, monkeypatch):
         monkeypatch.setattr(workers, "usable_cores", lambda: 2)
@@ -727,46 +746,71 @@ class TestHeadThreads:
         assert head._plane_workers(2, self.ANCHORS - 1, 128) == 1
         monkeypatch.setattr(workers, "usable_cores", lambda: 1)
         assert head._plane_workers(2, self.ANCHORS, 128) == 1
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        monkeypatch.delattr(os, "fork", raising=False)  # the planes run in-process, and the manifest says so
+        assert head._plane_workers(2, self.ANCHORS, 128) == 1
 
-    def test_bitwise_equal_for_one_and_two_threads(self, inputs, monkeypatch):
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_bitwise_equal_for_any_threads_with_planes_in_children(self, inputs, monkeypatch):
+        # three threads on two cores still fork one process per plane: the head is not clamped to the cores
         monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         arrays, params = inputs
-        planes_seen = []
-        real = head._refine_plane
-
-        def recorded(block, plane, *args):
-            planes_seen.append((plane, threading.current_thread() is threading.main_thread()))
-            return real(block, plane, *args)
-
-        monkeypatch.setattr(head, "_refine_plane", recorded)
+        pids, _ = self.record_planes(monkeypatch)
+        before = threading.active_count()
         serial = run_head(arrays, params, 17, threads=1)
-        assert planes_seen == [(plane, True) for plane in PLANES]
-        planes_seen.clear()
-        before, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the three plane threads switch as often as they can
-        try:
-            threaded = run_head(arrays, params, 17, threads=2)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before  # the pool is shut down before run_head returns
-        assert sorted(planes_seen) == [(plane, False) for plane in PLANES]
+        assert pids.tolist() == [os.getpid()] * len(PLANES)
+        for threads in (2, 3):
+            pids[:] = 0
+            forked = run_head(arrays, params, 17, threads=threads)
+            assert threading.active_count() == before  # no thread is started for the planes
+            assert 0 not in pids and os.getpid() not in pids and len(set(pids.tolist())) == len(PLANES)
+            for key in serial:
+                assert forked[key].tobytes() == serial[key].tobytes(), (threads, key)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.delattr(os, "fork")
+        in_process = run_head(arrays, params, 17, threads=2)
+        assert pids.tolist() == [os.getpid()] * len(PLANES)
         for key in serial:
-            np.testing.assert_array_equal(threaded[key], serial[key])
+            assert in_process[key].tobytes() == serial[key].tobytes(), key
 
-    def test_plane_products_at_or_below_blas_cutoff(self, inputs, monkeypatch):
-        # every product the plane threads make stays on their own thread (see test_class_products_at_or_below_blas_cutoff)
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_plane_worker_products_at_or_below_blas_cutoff(self, inputs, monkeypatch):
+        # every product the plane workers make stays on their own thread (see test_class_products_at_or_below_blas_cutoff)
         monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         arrays, params = inputs
         products = record_products(monkeypatch)
+        pids, made = self.record_planes(monkeypatch, products)
         run_head(arrays, params, 17, threads=2)
         monkeypatch.undo()
-        main = threading.main_thread().ident
-        in_planes = [p[1:] for p in products if p[0] != main]
+        assert os.getpid() not in pids
+        in_planes = [(m, k, n or None) for m, k, n in made.reshape(-1, 3).tolist() if m]
         assert len(in_planes) > 100 and {n for _, _, n in in_planes} >= {16, 128}
         assert all(within_blas_cutoff(*p) for p in in_planes), max(in_planes, key=lambda p: p[0] * p[1] * (p[2] or 1))
-        # the offset heads run on the calling thread after the planes, below the cutoff too (the decode is an `@`)
-        heads = [p[1:] for p in products if p[0] == main and p[3] is None]
-        assert len(heads) >= 6 and all(within_blas_cutoff(*p) for p in heads)
+        # the offset heads run in the caller after the planes, below the cutoff too (the decode is an `@`),
+        # and no plane product reaches the caller's recorder
+        assert all(n is None for _, _, _, n in products)
+        assert len(products) >= 6 and all(within_blas_cutoff(*p[1:]) for p in products)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_failed_plane_worker_names_its_plane_range(self, inputs, monkeypatch):
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        arrays, params = inputs
+        real = head._refine_plane
+
+        def failing(block, plane, *args):
+            if plane == "xz":
+                raise RuntimeError("plane broke")
+            return real(block, plane, *args)
+
+        monkeypatch.setattr(head, "_refine_plane", failing)
+        with pytest.raises(WorkerError, match=r"head worker of plane range \[1, 2\) failed: RuntimeError: plane broke") as info:
+            run_head(arrays, params, 17, threads=2)
+        assert info.value.bounds == (1, 2)
+        with pytest.raises(ChildProcessError):  # every plane worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(RuntimeError, match="plane broke"):  # in-process, the error propagates as is
+            run_head(arrays, params, 17, threads=1)
 
     def test_plane_path_has_no_matmul_operator(self):
         # `@` does not reach the recorder above, so the plane path uses np.matmul (through _product) only

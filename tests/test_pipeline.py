@@ -3,7 +3,6 @@ import hashlib
 import inspect
 import json
 import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -263,27 +262,27 @@ class TestRunPipeline:
         manifest, ran = run_counting_workers(tmp_path, monkeypatch)
         assert (manifest["threads"], manifest["threads_requested"], ran) == (2, 10**9, 2)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_manifest_reports_head_threads(self, tmp_path, monkeypatch):
-        # 96 anchors of width 32 reach a floor of 96 x 32: the planes run on three threads only with
+        # 96 anchors of width 32 reach a floor of 96 x 32: the planes run in three forked workers only with
         # two threads requested, and the grid is the same either way
         monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-        monkeypatch.setattr(head, "_PLANE_THREAD_VALUES", 96 * 32)
-        threads_seen = set()
+        pids = workers.shared((len(head.PLANES),), np.int64)  # the process that last refined each plane
         real = head._refine_plane
 
-        def recorded(*args):
-            threads_seen.add(threading.get_ident())
-            return real(*args)
+        def recorded(block, plane, *args):
+            pids[head.PLANES.index(plane)] = os.getpid()
+            return real(block, plane, *args)
 
         monkeypatch.setattr(head, "_refine_plane", recorded)
         digests = []
         for requested, floor, want in (("2", 96 * 32, 3), ("1", 96 * 32, 1), ("2", 96 * 32 + 1, 1)):
             monkeypatch.setenv("GOC_THREADS", requested)
-            monkeypatch.setattr(head, "_PLANE_THREAD_VALUES", floor)
-            threads_seen.clear()
+            monkeypatch.setattr(head, "_PLANE_WORKER_VALUES", floor)
+            pids[:] = 0
             manifest = run_pipeline(small_config(tmp_path, subdir=f"t{requested}-{floor}")).manifest
-            assert manifest["head_threads"] == want
-            assert (threading.get_ident() in threads_seen) == (want == 1)
+            assert manifest["head_workers"] == want and "head_threads" not in manifest
+            assert (pids == os.getpid()).all() if want == 1 else len(set(pids.tolist()) - {0, os.getpid()}) == 3
             digests.append(manifest["outputs"]["grid_digest"])
         assert len(set(digests)) == 1
 
@@ -308,7 +307,7 @@ class TestRunPipeline:
         result = run_pipeline(small_config(tmp_path, subdir="wide", gaussian_count=2048, feature_width=128))
         manifest = result.manifest
         assert json.loads(result.manifest_path.read_text())["front_end_workers"] == 2
-        assert manifest["front_end_workers"] == 2 and manifest["head_threads"] == 3
+        assert manifest["front_end_workers"] == 2 and manifest["head_workers"] == 3
         (bounds, values), = ranges
         assert bounds == [0, 1024, 2048] and len(values) == 2
         timings = manifest["stage_timings_s"]
@@ -774,7 +773,7 @@ class TestFrontEnd:
     def threads(monkeypatch, cores):
         """Patch ``cores`` usable cores and a fork floor of one value; return the threads requested, 3."""
         monkeypatch.setattr(workers, "usable_cores", lambda: cores)
-        monkeypatch.setattr(head, "_PLANE_THREAD_VALUES", 1)
+        monkeypatch.setattr(head, "_PLANE_WORKER_VALUES", 1)
         return 3
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
