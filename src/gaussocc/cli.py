@@ -55,7 +55,10 @@ def _cmd_synth(args) -> int:
     scene = generate_scene(config.scene_config, derive_seed(config.seed, "scene"))
     out = Path(args.scene_out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    print(f"wrote {out} hash {hashlib.sha256(save_scene(scene, out)).hexdigest()}")
+    save_scene(scene, out)
+    with open(out, "rb") as written:
+        digest = hashlib.file_digest(written, "sha256").hexdigest()
+    print(f"wrote {out} hash {digest}")
     return 0
 
 

@@ -6,9 +6,11 @@ each blob only inside its per-blob threshold box (exact, see
 ``_blob_truth``); depth planes carry each blob's XY footprint in the blob's
 class channel (soft one-hot signatures plus noise, so lifting has linearly
 recoverable signal), and camera planes carry projected image-space
-footprints.  Everything is a pure function of (config, seed).  Planes go to
-the ``lifting`` containers as made, or as read: block by block, straight into
-the float64 layout the containers own, so they copy nothing.
+footprints.  Everything is a pure function of (config, seed).  Planes are
+made in the float64 layout the ``lifting`` containers keep (the depth planes
+texel-major, rounded to float32 values plane by plane in place) or read into
+it block by block, so the containers copy nothing.  ``save_scene`` writes the
+file one section at a time (``_scene_sections``), so it is never held whole.
 
 The oracles are deliberately naive: the dense splatter evaluates every
 primitive at every voxel with no truncation, the bilinear sampler builds one
@@ -41,7 +43,7 @@ from .core import (
     voxel_centers,
 )
 from .errors import ConfigurationError, FormatError
-from .formats import _open, _Reader, _read_grid, dump_grid, write_file
+from .formats import _grid_sections, _open, _Reader, _read_grid, write_file
 from .head import SsmParams
 from .lifting import CameraView, DepthPlaneStack, MultiViewFeatureSet, project_to_view
 
@@ -161,7 +163,7 @@ def _blob_truth(config: SceneConfig, centroids, scales, rotations, classes) -> S
     axes = spec.axis_centers
     reach = _threshold_sigmas(config.truth_threshold)
     best_density = np.zeros(spec.dims)
-    best_class = np.full(spec.dims, config.taxonomy.empty_id, dtype=np.int64)
+    best_class = np.full(spec.dims, config.taxonomy.empty_id, dtype=np.uint8)
     for i in range(len(centroids)):
         sigma = make_covariance(scales[i], rotations[i])
         half = reach * np.sqrt(np.diag(sigma))
@@ -179,11 +181,15 @@ def _blob_truth(config: SceneConfig, centroids, scales, rotations, classes) -> S
         box_density, box_class = best_density[box], best_class[box]
         better = dens > box_density
         np.copyto(box_density, dens, where=better)
-        np.copyto(box_class, classes[i], where=better)
-    labels = np.where(
-        best_density >= config.truth_threshold, best_class, config.taxonomy.empty_id
-    ).astype(np.uint8)
-    return SemanticOccupancyGrid(spec=spec, labels=labels)
+        box_class[better] = classes[i]
+    best_class[best_density < config.truth_threshold] = config.taxonomy.empty_id
+    return SemanticOccupancyGrid(spec=spec, labels=best_class)
+
+
+def _add_noise_and_round(plane: np.ndarray, rng: np.random.Generator, sigma: float) -> None:
+    """Add one noise draw to the float64 ``plane`` and round it to float32 values, in place."""
+    plane += rng.normal(0.0, sigma, size=plane.shape)
+    plane[...] = plane.astype(np.float32)
 
 
 def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
@@ -211,7 +217,8 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     cell = np.array([spec.extent[0] / w_l, spec.extent[1] / h_l])
     xs = spec.origin[0] + (np.arange(w_l) + 0.5) * cell[0]
     ys = spec.origin[1] + (np.arange(h_l) + 0.5) * cell[1]
-    planes = np.zeros((d, h_l, w_l, f))
+    # the (D, H, W, F) view of the texel-major float64 array the stack keeps
+    planes = np.zeros((h_l, w_l, d, f)).transpose(2, 0, 1, 3)
     for i in range(n_blobs):
         sigma = make_covariance(scales[i], rotations[i])
         inv_xy = np.linalg.inv(sigma[:2, :2])
@@ -226,9 +233,10 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
         z_centers = z_intervals.mean(axis=1)
         z_w = np.exp(-0.5 * (z_centers - centroids[i, 2]) ** 2 / sigma[2, 2])
         planes[:, :, :, classes[i]] += z_w[:, None, None] * footprint[None]
-    planes += rng.normal(0.0, config.noise_sigma, size=planes.shape)
+    for plane in planes:  # consecutive draws in D order are the stream of one (D, H, W, F) draw
+        _add_noise_and_round(plane, rng, config.noise_sigma)
     stack = DepthPlaneStack(
-        planes=planes.astype(np.float32),
+        planes=planes,
         z_intervals=z_intervals,
         origin_xy=spec.origin[:2].copy(),
         cell_size=cell,
@@ -251,8 +259,8 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
             dv = np.arange(h_c) - v
             foot = np.exp(-0.5 * ((du**2)[None, :] + (dv**2)[:, None]) / radius**2)
             plane[:, :, classes[i]] += foot
-        plane += rng.normal(0.0, config.noise_sigma, size=plane.shape)
-        views.append(CameraView(plane=plane.astype(np.float32), intrinsics=intr, extrinsics=extr))
+        _add_noise_and_round(plane, rng, config.noise_sigma)
+        views.append(CameraView(plane=plane, intrinsics=intr, extrinsics=extr))
 
     return SyntheticScene(
         seed=seed,
@@ -442,7 +450,9 @@ def _fmt_floats(a) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(a, dtype=np.float64).reshape(-1))
 
 
-def dump_scene(scene: SyntheticScene) -> bytes:
+def _scene_sections(scene: SyntheticScene):
+    """The scene file in order: the header, each depth plane and each camera
+    plane as ``<f4``, then the truth grid's length and its GOC1 sections."""
     cfg = scene.config
     lines = [
         f"seed={scene.seed}",
@@ -472,20 +482,25 @@ def dump_scene(scene: SyntheticScene) -> bytes:
             [scene.blob_centroids[i], scene.blob_scales[i], scene.blob_rotations[i]]
         )
         lines.append(f"blob{i}={_fmt_floats(row)} {int(scene.blob_classes[i])}")
-    header = SCENE_MAGIC + ("\n".join(lines) + "\nEND_HEADER\n").encode("ascii")
+    yield SCENE_MAGIC + ("\n".join(lines) + "\nEND_HEADER\n").encode("ascii")
 
-    blocks = [np.ascontiguousarray(scene.stack.planes, dtype="<f4").tobytes()]
+    for plane in scene.stack.planes:
+        yield np.ascontiguousarray(plane, dtype="<f4")
     for view in scene.views.views:
-        blocks.append(np.ascontiguousarray(view.plane, dtype="<f4").tobytes())
-    truth_bytes = dump_grid(scene.truth, class_count=cfg.taxonomy.c_total)
-    blocks.append(len(truth_bytes).to_bytes(8, "little"))
-    blocks.append(truth_bytes)
-    return header + b"".join(blocks)
+        yield np.ascontiguousarray(view.plane, dtype="<f4")
+    header, labels = _grid_sections(scene.truth, class_count=cfg.taxonomy.c_total)
+    yield (len(header) + labels.nbytes).to_bytes(8, "little")
+    yield header
+    yield labels
 
 
-def save_scene(scene: SyntheticScene, path) -> bytes:
-    """Write the scene's bytes to ``path`` and return them."""
-    return write_file(path, dump_scene(scene))
+def dump_scene(scene: SyntheticScene) -> bytes:
+    return b"".join(_scene_sections(scene))
+
+
+def save_scene(scene: SyntheticScene, path) -> None:
+    """Write the scene's file to ``path`` one section at a time."""
+    write_file(path, _scene_sections(scene))
 
 
 # scene header key of each GridSpec and DepthPlaneStack field; SceneConfig and

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import io
 import math
 import os
 import re
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussocc import formats
 from gaussocc.cli import main
 from gaussocc.core import NUSCENES_CLASS_NAMES, ClassTaxonomy, GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import FormatError
@@ -86,6 +89,17 @@ class TestBundleCodec:
         save_bundle(small_bundle, path)
         again = load_bundle(path)
         np.testing.assert_array_equal(again.raw("fusion.wq_l"), small_bundle.raw("fusion.wq_l"))
+
+    def test_bytes_follow_the_layout(self, tmp_path):
+        bundle = ParameterBundle({"ab": np.arange(6.0).reshape(2, 3), "c": np.array([0.5])})
+        expected = b"".join([
+            b"GOCW", struct.pack("<II", 1, 2),
+            struct.pack("<H", 2), b"ab", struct.pack("<BII", 2, 2, 3), np.arange(6, dtype="<f4").tobytes(),
+            struct.pack("<H", 1), b"c", struct.pack("<BI", 1, 1), struct.pack("<f", 0.5),
+        ])
+        assert dump_bundle(bundle) == expected
+        save_bundle(bundle, tmp_path / "weights.gocw")
+        assert (tmp_path / "weights.gocw").read_bytes() == expected
 
 
 class TestGridCodec:
@@ -277,6 +291,43 @@ class TestWriteFile:
         with pytest.raises(IsADirectoryError):
             writer(path, 1, small_scene, small_bundle)
         assert path.is_dir()
+
+
+class TestWriteSections:
+    """``write_file`` of an iterable writes its sections in order; a failure part-way leaves no file."""
+
+    def test_sections_written_in_order(self, tmp_path):
+        path = tmp_path / "out"
+        write_file(path, iter([b"ab", np.arange(3, dtype=np.uint8), memoryview(b"cd")]))
+        assert path.read_bytes() == b"ab\x00\x01\x02cd"
+
+    @pytest.mark.parametrize("old", [False, True])
+    def test_raising_section_leaves_no_file(self, old, tmp_path):
+        path = tmp_path / "out"
+        if old:
+            path.write_bytes(b"old bytes")
+
+        def sections():
+            yield bytes(2**20)
+            raise RuntimeError("section failed")
+
+        with pytest.raises(RuntimeError, match="section failed"):
+            write_file(path, sections())
+        assert not os.path.lexists(path)
+
+    @pytest.mark.parametrize("size", [16, 2**20])  # fails at the final flush, or in the write itself
+    def test_failed_write_leaves_no_file(self, size, tmp_path, monkeypatch):
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(formats, "open", lambda path, mode: io.BufferedWriter(FullDisk(path, "w")),
+                            raising=False)
+        path = tmp_path / "out"
+        with pytest.raises(OSError) as info:
+            write_file(path, iter([bytes(size)]))
+        assert info.value.errno == errno.ENOSPC
+        assert not os.path.lexists(path)
 
 
 def _scene_edit(pattern, replacement):

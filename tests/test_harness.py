@@ -193,14 +193,12 @@ class TestSceneCodec:
             parse_scene(data[:-10])
 
 
-@pytest.fixture(scope="module")
-def large_scene(tmp_path_factory, small_taxonomy):
-    """A scene of 8 MiB of float32 planes (4 MiB of depth planes, two 2 MiB camera
-    planes) and 2 MiB of truth labels, its file and its bytes."""
-    config = SceneConfig(
+def large_config(taxonomy) -> SceneConfig:
+    """8 MiB of float32 planes (4 MiB of depth planes, two 2 MiB camera planes) and 2 MiB of truth labels."""
+    return SceneConfig(
         grid=GridSpec(origin=np.array([-8.0, -8.0, -2.0]), voxel_size=np.array([1/16, 1/16, 0.125]),
                       dims=(256, 256, 32)),
-        taxonomy=small_taxonomy,
+        taxonomy=taxonomy,
         feature_width=32,
         depth_planes=8,
         plane_shape=(64, 64),
@@ -208,9 +206,15 @@ def large_scene(tmp_path_factory, small_taxonomy):
         camera_shape=(128, 128),
         blob_range=(3, 3),
     )
-    scene = generate_scene(config, seed=5)
+
+
+@pytest.fixture(scope="module")
+def large_scene(tmp_path_factory, small_taxonomy):
+    """The ``large_config`` scene, its file and its bytes."""
+    scene = generate_scene(large_config(small_taxonomy), seed=5)
     path = tmp_path_factory.mktemp("large") / "scene.gscn"
-    return scene, path, save_scene(scene, path)
+    save_scene(scene, path)
+    return scene, path, path.read_bytes()
 
 
 def _sections(scene, data) -> dict[str, tuple[int, int]]:
@@ -410,6 +414,38 @@ class TestBlobTruth:
     def test_workload_scene_bytes_pinned(self, workload, seed):
         config = presets.resolve_config(WORKLOAD_OVERRIDES[workload]).scene_config
         assert hashlib.sha256(dump_scene(generate_scene(config, seed))).hexdigest() == SCENE_SHA256[workload, seed]
+
+
+class TestSceneWrite:
+    """A scene is made in the layout it keeps and written one section at a time."""
+
+    def test_generate_peak_is_what_the_scene_keeps(self, small_taxonomy):
+        tracemalloc.start()
+        try:
+            scene = generate_scene(large_config(small_taxonomy), seed=5)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= 2 * 8 * 2**20  # the planes, as float64
+        assert peak <= kept + 6 * 2**20  # no float32 copy and no second layout of the planes
+
+    def test_save_peak_is_one_section(self, large_scene, tmp_path):
+        scene, _, data = large_scene
+        tracemalloc.start()
+        try:
+            save_scene(scene, tmp_path / "scene.gscn")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) >= 10 * 2**20
+        assert peak <= 4 * 2**20  # over what the scene keeps: never the whole file
+
+    @pytest.mark.parametrize("workload,seed", sorted(SCENE_SHA256))
+    def test_workload_file_is_dump_scene(self, workload, seed, tmp_path):
+        scene = generate_scene(presets.resolve_config(WORKLOAD_OVERRIDES[workload]).scene_config, seed)
+        path = tmp_path / "scene.gscn"
+        save_scene(scene, path)
+        assert path.read_bytes() == dump_scene(scene)
 
 
 class TestDenseSplatOracle:

@@ -920,17 +920,19 @@ class TestCli:
         assert code == 0
 
     def test_synth_encodes_scene_once_and_prints_file_hash(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        dump = harness.dump_scene
+        """synth writes the scene's sections once and builds no whole-file bytes (no ``dump_scene``)."""
+        calls, dumps = [], []
+        sections = harness._scene_sections
 
-        def counting_dump(scene):
+        def counting_sections(scene):
             calls.append(scene)
-            return dump(scene)
+            return sections(scene)
 
-        monkeypatch.setattr(harness, "dump_scene", counting_dump)
+        monkeypatch.setattr(harness, "_scene_sections", counting_sections)
+        monkeypatch.setattr(harness, "dump_scene", dumps.append)
         scene_path = tmp_path / "scene.gscn"
         assert main(["synth", "--preset", "synthetic", "--seed", "8", "--scene-out", str(scene_path)]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 1 and dumps == []
         digest = hashlib.sha256(scene_path.read_bytes()).hexdigest()
         assert capsys.readouterr().out == f"wrote {scene_path} hash {digest}\n"
 
