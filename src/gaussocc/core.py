@@ -43,6 +43,16 @@ BLAS_THREAD_MNK = 10**6
 BLAS_GEMV_THREAD_MK = 460_800
 
 
+def _cuts(lo: int, hi: int, step: int) -> list[int]:
+    """Cut points of [lo, hi) every ``step`` rows; a last piece under 5 rows joins the one before it.
+
+    A one-row piece, or one the U-Net pools twice down to a single row,
+    would leave one-row products, which numpy runs through gemv, not gemm,
+    with other bits than the whole's.  An empty range is one empty piece.
+    """
+    return list(range(lo, max(hi - 4, lo + 1), step)) + [hi]
+
+
 def _product(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x @ w in row blocks that OpenBLAS runs on the calling thread, into ``out`` when given.
 

@@ -26,9 +26,9 @@ class DegenerateCovarianceError(GaussOccError):
 
 
 class WorkerError(GaussOccError):
-    """A forked splat, eval or front-end worker failed or was interrupted.
+    """A splat, eval, front-end or head worker failed, could not be forked, or was interrupted.
 
-    ``bounds`` is its [lo, hi) range: of x-planes, or of anchors for the front end.
+    ``bounds`` is its [lo, hi) range: of x-planes, anchors or TPV planes.
     """
 
     def __init__(self, message: str, bounds: tuple[int, int]):

@@ -12,7 +12,7 @@ row's position, so computing in a canonical order is what makes the head
 bitwise equivariant under anchor permutations.  A raster order is a plain
 index array, scattered back through its inverse permutation.  The planes'
 rows live in one (3, N, F) ``workers.shared`` buffer per call: each plane
-streams its embeds and then its U-Net through row blocks (``_row_blocks``),
+streams its embeds and then its U-Net through row blocks (``core._cuts``),
 the scan carrying its state from block to block, and a block's three planes
 run in three forked workers when ``_plane_workers`` allows.  Every product
 below a plane and in the offset heads is a ``core._product``: row blocks
@@ -41,6 +41,7 @@ the result is bit-identical for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .core import (
     GridSpec,
     ModelConfig,
     SemanticOccupancyGrid,
+    _cuts,
     _product,
     _sigmoid,
     _softmax,
@@ -367,23 +369,11 @@ def _unpool2(x: np.ndarray, target_len: int) -> np.ndarray:
     return np.repeat(x, 2, axis=0)[:target_len]
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """Cuts of [0, n) into blocks of ``_UNET_BLOCK_ROWS``, a last block under 5 rows joined to the one before.
-
-    Pooled twice, such a block would leave one-row products, which numpy
-    runs through gemv, not gemm, with other bits than the whole sequence's.
-    """
-    starts = list(range(0, n, _UNET_BLOCK_ROWS))
-    if len(starts) > 1 and n - starts[-1] < 5:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
-
-
 def mamba_unet_refine(tokens: np.ndarray, params: UnetParams, out: np.ndarray | None = None) -> np.ndarray:
     """Two-level pooled encoder, selective-scan bottleneck, unpooling decoder
     with additive skips; output length equals input length.
 
-    The sequence is walked in ``_row_blocks``: each block is pooled,
+    The sequence is walked in ``core._cuts`` blocks: each block is pooled,
     encoded, scanned from the state the block before left, decoded and
     written into ``out`` (allocated when not given; it may be ``tokens``
     itself), so only one block's temporaries are held.  Blocks start at
@@ -397,7 +387,7 @@ def mamba_unet_refine(tokens: np.ndarray, params: UnetParams, out: np.ndarray | 
     if out is None:
         out = np.empty_like(x)
     state = np.zeros(params.ssm.a.shape)
-    for lo, hi in _row_blocks(x.shape[0]):
+    for lo, hi in pairwise(_cuts(0, x.shape[0], _UNET_BLOCK_ROWS)):
         e1 = _product(_avg_pool2(x[lo:hi]), params.enc1)
         e2 = _product(_avg_pool2(e1), params.enc2)
         bottom = selective_scan(e2, params.ssm, state)
@@ -448,7 +438,7 @@ def _refine_plane(block: BlockParams, plane: str, centroids, features, rows: np.
     """
     coords = centroids[:, PLANE_AXES[plane]]
     order = raster_serialize(coords, omega)
-    for lo, hi in _row_blocks(len(order)):
+    for lo, hi in pairwise(_cuts(0, len(order), _UNET_BLOCK_ROWS)):
         block.embed[plane](coords[order[lo:hi]], out=rows[lo:hi])
         rows[lo:hi] += features[order[lo:hi]]
     mamba_unet_refine(rows, block.unet[plane], out=rows)
@@ -463,10 +453,10 @@ def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadPar
     anchors permutes the outputs bit-exactly (BLAS kernels are sensitive to
     row position, never to row content).  One (3, N, F) ``workers.shared``
     buffer per call holds the planes' rows: each plane streams its embeds
-    plus gathered features into its slice in ``_row_blocks`` and refines it
-    in place, returning its inverse permutation.  The planes of a block are
-    independent until ``consensus_update``, so ``workers.run`` runs them as
-    one plane range each when ``_plane_workers(threads, N, F)`` is 3, else
+    plus gathered features into its slice in ``core._cuts`` blocks and
+    refines it in place, returning its inverse permutation.  The planes of a
+    block are independent until ``consensus_update``, so ``workers.run`` runs
+    them as one plane range each when ``_plane_workers(threads, N, F)`` is 3, else
     as one range in-process (a failed worker is a ``WorkerError`` naming its
     plane range).  Every product below a plane is a ``_product``, which
     OpenBLAS runs on the calling thread, so the result is bitwise the same

@@ -11,16 +11,13 @@ chunk through a sigmoid mask, and a learnable soft gate blends the modulated
 vector with the global depth mean.  The paper's training-time shuffle of the
 depth levels is not reproduced: this pipeline runs forward only.
 
-Anchors go through lifting in blocks of about _LIFT_BLOCK_BYTES of depth
-samples (a multiple of 8 rows; a last anchor on its own joins the block
-before it), walked by one loop, ``_in_blocks``: ``lift_lidar``
-runs its chain through it, and so does the pipeline's front end, which
-lifts, smooths and fuses each block in turn inside forked anchor-range
-workers (``workers.run``).  No (N, D, F) tensor over every anchor is
-held.  Every product is a ``core._product`` (row blocks that OpenBLAS runs
-on the calling thread) and every other operation is per anchor, so a block's
-rows are bitwise those of the chain over every anchor at once and no
-forked worker starts BLAS threads.
+``lift_lidar`` is the plain LDFA chain over whatever anchors it is given;
+the pipeline's front end (``pipeline._front_end``) cuts the anchors into
+blocks and lifts, smooths and fuses each block in turn, so no (N, D, F)
+tensor over every anchor is held.  Every product is a ``core._product``
+(row blocks that OpenBLAS runs on the calling thread) and every other
+operation is per anchor, so a block's rows are bitwise those of the chain
+over every anchor at once and no forked worker starts BLAS threads.
 
 The scene containers own their storage: float64 planes, a stack's stored
 texel-major, (H, W, D, F) in memory, so ``DepthPlaneStack.texel_rows`` is a view.
@@ -56,12 +53,6 @@ from .params import ParameterBundle
 # occ3d-sized depth sampling took 0.23-0.27 s with 0.5 MB blocks and
 # 0.49 s with 16 MB blocks.
 _GATHER_BYTES = 2**19
-
-# Byte budget of one anchor block's (rows, D, F) depth samples (``_in_blocks``,
-# which lift_lidar and the pipeline's front end walk): 1,024 anchors at D = 8,
-# F = 128.  Holding every anchor's samples at once
-# set the run's peak: occ3d's lifting took the process from 167 to 402 MB.
-_LIFT_BLOCK_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -372,29 +363,6 @@ def gated_global_fusion(m: np.ndarray, f_depth: np.ndarray, params: LdfaParams) 
     return alpha * m + (1.0 - alpha) * g
 
 
-def _anchor_cuts(lo: int, hi: int, rows: int) -> list[int]:
-    """Cut points of [lo, hi) every ``rows`` anchors; a last anchor on its own joins the piece before it.
-
-    numpy multiplies a one-row matrix through gemv, not gemm, which rounds
-    differently from the chain over every anchor.  An empty range is one
-    empty piece, so a chain over it still runs once.
-    """
-    return list(range(lo, max(hi - 1, lo + 1), rows)) + [hi]
-
-
-def _in_blocks(lo: int, hi: int, stack: DepthPlaneStack, step, out: np.ndarray) -> np.ndarray:
-    """The one block loop: ``out[b_lo:b_hi] = step(b_lo, b_hi)`` for each block of [lo, hi).
-
-    A block holds about _LIFT_BLOCK_BYTES of (rows, D, F) depth samples, a
-    multiple of 8 rows (``_anchor_cuts`` joins a last anchor on its own to it).
-    """
-    d, _, _, f = stack.planes.shape
-    cuts = _anchor_cuts(lo, hi, max(8, _LIFT_BLOCK_BYTES // (8 * d * f) // 8 * 8))
-    for b_lo, b_hi in zip(cuts[:-1], cuts[1:]):
-        out[b_lo:b_hi] = step(b_lo, b_hi)
-    return out
-
-
 def lift_lidar(
     centroids: np.ndarray,
     features: np.ndarray,
@@ -406,26 +374,9 @@ def lift_lidar(
 ) -> np.ndarray:
     """Full LDFA chain: keypoints, depth sampling, chunking, modulation, gating.
 
-    Anchors (the leading axes, flattened to rows) go through the chain in the
-    blocks of ``_in_blocks``, the loop the pipeline's front end runs too; each
-    block's rows are written into one (N, F) output, which is bitwise equal to
-    the chain over every anchor at once.  Called on one front-end block, the
-    chain runs once.  An empty input still runs the chain once, on no rows,
-    so a bad ``chunks`` is refused whatever N is.
+    The inputs share their leading anchor axes, which every step keeps.
     """
-    centroids = np.asarray(centroids, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    scales = np.asarray(scales, dtype=np.float64)
-    lead = np.broadcast_shapes(centroids.shape[:-1], features.shape[:-1], scales.shape[:-1])
-    points = np.broadcast_to(centroids, lead + (3,)).reshape(-1, 3)
-    feats = np.broadcast_to(features, lead + features.shape[-1:]).reshape(-1, features.shape[-1])
-    scales = np.broadcast_to(scales, lead + (3,)).reshape(-1, 3)
-    n, f = len(points), stack.planes.shape[-1]
-
-    def chain(lo: int, hi: int) -> np.ndarray:
-        keypoints = generate_keypoints(feats[lo:hi], scales[lo:hi], keypoint_params)
-        f_depth = ldfa_depth_sample(points[lo:hi], keypoints, stack)
-        modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ldfa_params)
-        return gated_global_fusion(modulated, f_depth, ldfa_params)
-
-    return _in_blocks(0, n, stack, chain, np.empty((n, f))).reshape(lead + (f,))
+    keypoints = generate_keypoints(features, scales, keypoint_params)
+    f_depth = ldfa_depth_sample(centroids, keypoints, stack)
+    modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ldfa_params)
+    return gated_global_fusion(modulated, f_depth, ldfa_params)

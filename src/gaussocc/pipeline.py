@@ -8,19 +8,15 @@ the front end, the head, the splat and the eval, which each hand ranges to
 ``workers.run``; the manifest reports the worker count each ran.  No worker
 count changes an output bit.  Inputs a later stage never reads (the scene's
 views and depth planes) are dropped as soon as they are consumed, so they
-are not resident during the splat.
+are not resident during the splat; the C heap's free pages go back to the
+OS (``_malloc_trim``) before the scene is loaded and after it is dropped.
 
-The front end (``_front_end``) is one chain over anchor blocks: per block of
-``lifting._in_blocks``, ``aggregate_camera``, ``lift_lidar``,
-``smooth_features`` (when on) and ``fuse``.  ``workers.run`` runs it over
-``front_end_workers`` (manifest) contiguous anchor ranges, more than one
-only where the head forks its planes (``head._plane_workers``), each
-range writing its rows of the fused features into one ``workers.shared``
-(N, F) array that the head reads as the features.  So the per-modality
-features exist one block at a time, in no process over every anchor, and
-the fused features are bitwise those of the four stages over every anchor
-at once.  Each range times its own
-lifting, smoothing and fusion; each of those timings is the slowest range's.
+The front end (``_front_end``), the only place anchors are cut into blocks,
+lifts, smooths and fuses them block by block over ``front_end_workers``
+(manifest) anchor ranges, each writing its rows into one ``workers.shared``
+(N, F) array that the head reads as the features.  The per-modality
+features exist one block at a time, and the fused features are bitwise
+those of the four stages over every anchor at once.
 
 The grid is scored in x-slabs (``score_grid``): no probability volume is
 held, only one slab of probability rows at a time plus a few per-voxel
@@ -43,6 +39,7 @@ nothing.  The manifest's grid digest is the sha256 of the bytes
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -50,12 +47,13 @@ import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
 from . import formats, fusion, head, lifting, metrics, smoothing, workers
-from .core import init_anchors
+from .core import _cuts, init_anchors
 from .errors import ConfigurationError
 from .harness import SyntheticScene, generate_scene, load_scene
 from .params import ParameterBundle, build_parameter_bundle, validate_bundle
@@ -68,6 +66,20 @@ _SLAB_BYTES = 2**20
 # ms to 8.7 ms (median of 40 calls), so it stays in-process; on dense-grid
 # (256 one-plane slabs) two took it from 0.20 to 0.13 s (best of 5; 2-vCPU VM)
 _MIN_WORKER_SLABS = 8
+
+# Byte budget of one front-end anchor block's (rows, D, F) depth samples:
+# 1,024 anchors at D = 8, F = 128.  Holding every anchor's samples at once
+# set the run's peak: occ3d's lifting took the process from 167 to 402 MB.
+_LIFT_BLOCK_BYTES = 2**23
+
+# glibc's malloc_trim(pad).  Once glibc raises its mmap threshold, multi-MB
+# arrays come from the heap and stay resident when freed, under whatever peak
+# comes next; run_pipeline hands those pages back to the OS.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # another C library
+    _malloc_trim = None
 
 
 @dataclass(frozen=True)
@@ -110,13 +122,14 @@ def _eval_pieces(dims: tuple, c_total: int) -> int:
 def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle, arrays: dict, threads: int):
     """Lifting, smoothing (when on) and fusion of every anchor; returns (fused (N, F) features, timings, ranges).
 
-    The anchors are cut into contiguous ranges of whole multiples of 8 rows
-    (``lifting._anchor_cuts``), one per worker: ``threads`` is the request,
-    which ``workers.count`` clamps to one worker per 8 anchors where the
-    head forks its planes (``head._plane_workers``), else to one.
-    ``workers.run`` runs the ranges.  A range walks its anchors in
-    ``lifting._in_blocks``: per block, ``aggregate_camera``, ``lift_lidar``,
-    ``smooth_features`` and ``fuse``, whose rows it writes into one
+    This is the one anchor block loop.  The anchors are cut (``core._cuts``)
+    into contiguous ranges of whole multiples of 8 rows, one per worker:
+    ``threads`` is the request, which ``workers.count`` clamps to one worker
+    per 8 anchors where the head forks its planes (``head._plane_workers``),
+    else to one.  ``workers.run`` runs the ranges.  A range is cut the same
+    way into blocks of about _LIFT_BLOCK_BYTES of (rows, D, F) depth
+    samples; per block it runs ``aggregate_camera``, ``lift_lidar``,
+    ``smooth_features`` and ``fuse`` and writes the block's rows into one
     ``workers.shared`` (N, F) array, so no process holds a full-width
     intermediate.  Every product is a ``_product`` and every other operation
     is per anchor, so the features are bitwise those of the four stages over
@@ -135,11 +148,11 @@ def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle
     centroids, features, log_scales = arrays["centroid"], arrays["feature"], arrays["log_scale"]
     n, f = features.shape
     fused = workers.shared((n, f))
+    block = max(8, _LIFT_BLOCK_BYTES // (8 * scene.stack.depth_levels * f) // 8 * 8)
 
     def chain(lo: int, hi: int) -> dict[str, float]:
         spent: dict[str, float] = {}
-
-        def block(b_lo: int, b_hi: int) -> np.ndarray:
+        for b_lo, b_hi in pairwise(_cuts(lo, hi, block)):
             rows = slice(b_lo, b_hi)
             with _timed(spent, "lifting"):
                 f_cam = lifting.aggregate_camera(centroids[rows], scene.views, cam_params)
@@ -156,13 +169,11 @@ def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle
                 if config.smoothing:
                     f_cam, f_lidar = smoothing.smooth_features(f_cam, f_lidar, eps)
             with _timed(spent, "fusion"):
-                return fusion.fuse(f_lidar, f_cam, fusion_params, config.fusion_mode)
-
-        lifting._in_blocks(lo, hi, scene.stack, block, fused)
+                fused[rows] = fusion.fuse(f_lidar, f_cam, fusion_params, config.fusion_mode)
         return spent
 
     count = workers.count(threads, -(-n // 8) if head._plane_workers(threads, n, f) > 1 else 1)
-    bounds = lifting._anchor_cuts(0, n, -(-n // (8 * count)) * 8)
+    bounds = _cuts(0, n, -(-n // (8 * count)) * 8)
     spent = workers.run(bounds, chain, "front-end", "anchor range")
     return fused, {stage: max(s[stage] for s in spent) for stage in spent[0]}, len(bounds) - 1
 
@@ -262,6 +273,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
     timings: dict[str, float] = {}
     seeds = {label: derive_seed(config.seed, label) for label in ("scene", "weights", "anchors")}
     model = config.model
+    if _malloc_trim is not None:  # what earlier calls freed would sit under the scene load
+        _malloc_trim(0)
 
     with _timed(timings, "scene"):
         scene = _load_or_generate_scene(config)
@@ -279,6 +292,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
     timings.update(front_end_timings)
     truth = scene.truth
     del scene  # the views and depth planes are not read again
+    if _malloc_trim is not None:  # the dropped camera planes would sit under the head
+        _malloc_trim(0)
 
     with _timed(timings, "head"):
         head_params = head.HeadParams.from_bundle(bundle, model, config.grid)

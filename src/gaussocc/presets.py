@@ -126,12 +126,18 @@ class RunConfig:
     smoothing: bool
     truncation_sigmas: float
     occupancy_threshold: float
-    grid: GridSpec
-    taxonomy: ClassTaxonomy
     model: ModelConfig
     scene_config: SceneConfig
     weights_path: str | None = None
     scene_path: str | None = None
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.scene_config.grid
+
+    @property
+    def taxonomy(self) -> ClassTaxonomy:
+        return self.scene_config.taxonomy
 
     def flat(self) -> dict[str, str]:
         """Canonical flat view used for hashing and the manifest."""
@@ -289,8 +295,6 @@ def resolve_config(overrides: dict | None = None, file_overrides: dict | None = 
         smoothing=bool(merged.get("smoothing", False)),
         truncation_sigmas=truncation,
         occupancy_threshold=occupancy_threshold,
-        grid=grid,
-        taxonomy=taxonomy,
         model=model,
         scene_config=scene_config,
         weights_path=merged.get("weights") or None,

@@ -87,10 +87,11 @@ def run(bounds: list[int], fill, stage: str, unit: str) -> list:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError as exc:
                 os.close(read_fd)
                 os.close(write_fd)
-                raise
+                message = f"{stage} worker of {unit} [{piece[0]}, {piece[1]}) could not be forked: {exc}"
+                raise WorkerError(message, piece) from exc
             if pid == 0:
                 status = 1
                 try:

@@ -19,6 +19,7 @@ from gaussocc.core import (
     GaussianPrimitive,
     GridSpec,
     ModelConfig,
+    _cuts,
     _softplus,
     init_anchors,
     make_covariance,
@@ -462,12 +463,15 @@ class TestUnetBlocks:
             tracemalloc.stop()
         assert peak < 4e6, peak
 
-    def test_row_blocks_join_a_short_last_block(self, monkeypatch):
-        monkeypatch.setattr(head, "_UNET_BLOCK_ROWS", 32)
-        assert head._row_blocks(4) == [(0, 4)]
-        assert head._row_blocks(64) == [(0, 32), (32, 64)]
-        assert head._row_blocks(68) == [(0, 32), (32, 68)]
-        assert head._row_blocks(69) == [(0, 32), (32, 64), (64, 69)]
+    def test_row_blocks_join_a_short_last_block(self):
+        # core._cuts, which cuts the U-Net's and embeds' row blocks and the front end's anchor ranges and blocks
+        assert _cuts(0, 4, 32) == [0, 4]
+        assert _cuts(0, 64, 32) == [0, 32, 64]
+        assert _cuts(0, 68, 32) == [0, 32, 68]
+        assert _cuts(0, 69, 32) == [0, 32, 64, 69]
+        assert _cuts(0, 17, 16) == [0, 17]
+        assert _cuts(0, 18, 8) == [0, 8, 18]
+        assert _cuts(5, 5, 8) == [5, 5]  # an empty range is one empty piece
 
 
 class TestMambaUnet:

@@ -518,41 +518,13 @@ class TestLiftLidarDriver:
         modulated = cross_depth_modulate(chunk_means(f_depth, chunks), ld_params)
         return gated_global_fusion(modulated, f_depth, ld_params)
 
-    # 16-anchor blocks; a last anchor on its own joins the block before it
-    @pytest.mark.parametrize("n, blocks", [(0, [0]), (1, [1]), (16, [16]), (17, [17]), (53, [16, 16, 16, 5])],
-                             ids=["empty", "one", "one-block", "block-plus-one", "ragged-blocks"])
-    def test_blocked_chain_bitwise_equal_to_unblocked(self, small_bundle, small_scene, monkeypatch, n, blocks):
-        d, _, _, f = small_scene.stack.planes.shape
-        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", 16 * 8 * d * f)
-        seen, views = [], []
-        keypoints, reduce_taps = lifting.generate_keypoints, lifting._reduce_taps
-        monkeypatch.setattr(lifting, "generate_keypoints", lambda feats, *a: seen.append(len(feats)) or keypoints(feats, *a))
-        monkeypatch.setattr(lifting, "_reduce_taps", lambda rows, *a: views.append(
-            np.shares_memory(rows, small_scene.stack.planes)) or reduce_taps(rows, *a))
-        args = self.lidar_args(small_bundle, small_scene.stack, 11, (n,))
-        out = lift_lidar(*args)
-        assert seen == blocks
-        assert views == [True] * len(blocks)  # every block reads the stack's own rows: no copy
-        assert out.shape == (n, f)
-        np.testing.assert_array_equal(out, self.unblocked(*args))
-
-    def test_leading_axes_blocked_bitwise(self, small_bundle, small_scene, monkeypatch):
-        d, _, _, f = small_scene.stack.planes.shape
-        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", 16 * 8 * d * f)
+    def test_leading_axes_blocked_bitwise(self, small_bundle, small_scene):
+        # anchors with (2, 37) leading axes lift bit for bit as the same 74 anchors in one flat call
         args = self.lidar_args(small_bundle, small_scene.stack, 12, (2, 37))
+        flat = [a.reshape(74, -1) for a in args[:3]] + list(args[3:])
         out = lift_lidar(*args)
-        assert out.shape == (2, 37, f)
-        np.testing.assert_array_equal(out, self.unblocked(*args))
-
-    def test_peak_allocation_below_whole_depth_tensor(self, small_bundle, small_scene, monkeypatch):
-        # eight and a half 1 MiB blocks: the traced peak must stay below one
-        # (N, D, F) float64 depth tensor over every anchor
-        d, _, _, f = small_scene.stack.planes.shape
-        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", 2**20)
-        n = 17 * (2**20 // (8 * d * f)) // 2
-        args = self.lidar_args(small_bundle, small_scene.stack, 13, (n,))
-        _, peak = traced_peak(lift_lidar, *args)
-        assert peak < 8 * n * d * f, (peak, 8 * n * d * f)
+        assert out.shape == (2, 37, small_scene.stack.planes.shape[-1])
+        np.testing.assert_array_equal(out, lift_lidar(*flat).reshape(out.shape))
 
     def test_constructed_stack_lifted_without_copy(self, small_bundle):
         # a stack built from C-ordered (D, H, W, F) planes is stored texel-major when it

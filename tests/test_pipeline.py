@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import platform
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,20 @@ class TestRunPipeline:
         result = run_pipeline(small_config(tmp_path))
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["peak_rss_mb"] > 0
+
+    def test_free_heap_returned_before_the_scene_loads_and_after_it_drops(self, tmp_path, monkeypatch):
+        # heap freed by earlier calls, and the dropped scene's camera planes,
+        # stayed resident under the next peak, so a process's peak over many
+        # calls moved with its heap layout
+        if platform.libc_ver()[0] == "glibc":
+            assert pipeline._malloc_trim is not None
+        events = []
+        load, refine = pipeline._load_or_generate_scene, head.run_head
+        monkeypatch.setattr(pipeline, "_malloc_trim", lambda pad: events.append(("trim", pad)))
+        monkeypatch.setattr(pipeline, "_load_or_generate_scene", lambda config: events.append("scene") or load(config))
+        monkeypatch.setattr(head, "run_head", lambda *args, **kwargs: events.append("head") or refine(*args, **kwargs))
+        run_pipeline(small_config(tmp_path))
+        assert events == [("trim", 0), "scene", ("trim", 0), "head"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_manifest_reports_splat_worker_peak_rss(self, tmp_path, monkeypatch):
@@ -784,10 +799,17 @@ class TestFrontEnd:
         arrays = front_end_anchors(config, n)
         d, _, _, f = scene.stack.planes.shape
         threads = self.threads(monkeypatch, cores)  # the front end clamps the request to the cores
-        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", self.BLOCK * 8 * d * f)
-        blocks = []
-        in_blocks = lifting._in_blocks
-        monkeypatch.setattr(lifting, "_in_blocks", lambda lo, hi, *a: blocks.append(hi - lo) or in_blocks(lo, hi, *a))
+        monkeypatch.setattr(pipeline, "_LIFT_BLOCK_BYTES", self.BLOCK * 8 * d * f)
+        blocks, reads = [], []
+        lift, reduce_taps = lifting.lift_lidar, lifting._reduce_taps
+        monkeypatch.setattr(lifting, "lift_lidar", lambda rows, *a: blocks.append(len(rows)) or lift(rows, *a))
+
+        def reduce_recorded(rows, *args):  # a depth sample's rows are (H*W, D*F), a camera plane's (H*W, F)
+            if rows.shape[1] == d * f:
+                reads.append(np.shares_memory(rows, scene.stack.planes))
+            return reduce_taps(rows, *args)
+
+        monkeypatch.setattr(lifting, "_reduce_taps", reduce_recorded)
         forks = record_forks(monkeypatch)
         bounds = self.BOUNDS[n, cores]
         for smooth in (False, True):
@@ -797,10 +819,11 @@ class TestFrontEnd:
                 got, timings, ranges = pipeline._front_end(run, scene, bundle, arrays, threads)
                 np.testing.assert_array_equal(got, want)
                 assert ranges == len(bounds) - 1 and list(timings) == ["lifting", "smoothing", "fusion"]
-        # one range runs in-process: its block loop, then lift_lidar's loop over each block, which is one
-        # block; forked ranges walk their blocks in the children
+        # one range walks its blocks in-process; forked ranges walk theirs in the children
         assert forks == ([bounds] * 6 if len(bounds) > 2 else [])
-        assert blocks == (([n] + self.BLOCKS[n]) * 6 if len(bounds) == 2 else [])
+        assert blocks == (self.BLOCKS[n] * 6 if len(bounds) == 2 else [])
+        # every depth sample, the reference's and each in-process block's, reads the stack's own rows: no copy
+        assert reads == [True] * (6 + len(blocks))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_real_blocks_forked_bitwise_equal(self, front_end_inputs, monkeypatch):
@@ -818,7 +841,7 @@ class TestFrontEnd:
     def test_failed_worker_names_anchor_range_and_leaves_no_child(self, front_end_inputs, monkeypatch):
         config, scene, bundle = front_end_inputs
         d, _, _, f = scene.stack.planes.shape
-        monkeypatch.setattr(lifting, "_LIFT_BLOCK_BYTES", self.BLOCK * 8 * d * f)
+        monkeypatch.setattr(pipeline, "_LIFT_BLOCK_BYTES", self.BLOCK * 8 * d * f)
         real = fusion.fuse
 
         def failing(f_l, *args):
@@ -868,7 +891,7 @@ class TestFrontEnd:
         run = resolve_config({**FRONT_END_RUN, "smoothing": True})
         n = 12800
         arrays = front_end_anchors(config, n)
-        budget = lifting._LIFT_BLOCK_BYTES + 8 * n * config.model.feature_width
+        budget = pipeline._LIFT_BLOCK_BYTES + 8 * n * config.model.feature_width
 
         def stages():
             f_cam = lifting.aggregate_camera(arrays["centroid"], scene.views,

@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -147,6 +148,25 @@ class TestRun:
             assert copy is not own
             np.testing.assert_array_equal(copy[0], own[0])
             assert copy[0].dtype == own[0].dtype and copy[1] == own[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_failed_fork_raises_worker_error_and_reaps_the_forked(self, monkeypatch):
+        real, forks = os.fork, []
+        error = BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def fork():  # the second fork fails, as it does when the process limit is reached
+            forks.append(len(forks))
+            if len(forks) == 2:
+                raise error
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(WorkerError) as info:
+            workers.run([0, 8, 16, 24], lambda lo, hi: lo, "front-end", "anchor range")
+        assert str(info.value) == f"front-end worker of anchor range [8, 16) could not be forked: {error}"
+        assert info.value.bounds == (8, 16) and info.value.__cause__ is error
+        with pytest.raises(ChildProcessError):  # the first child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_unpicklable_value_raises_worker_error(self):
