@@ -643,10 +643,14 @@ def _read_scene(stream) -> SyntheticScene:
             origin_xy=header.floats("stack.origin_xy", 2),
             cell_size=header.floats("stack.cell_size", 2),
         )
-    h_c, w_c = cfg.camera_shape
+    # one (cameras, H, W, F) array, each view a view of it: above glibc's 32 MiB
+    # cap on its mmap threshold (36 MiB on occ3d) it is always its own mapping,
+    # unmapped when dropped, where planes apart can come from the C heap and
+    # stay resident under the next call's scene load
+    cam_planes = r.empty((cfg.cameras, *cfg.camera_shape, f), np.float64)
     views = []
-    for i in range(cfg.cameras):
-        plane = r.finite_f32(r.empty((h_c, w_c, f), np.float64), f"camera plane {i}")
+    for i, plane in enumerate(cam_planes):
+        r.finite_f32(plane, f"camera plane {i}")
         with header.checked(f"cam{i}.intrinsics"):
             views.append(
                 CameraView(

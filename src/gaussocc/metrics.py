@@ -28,19 +28,22 @@ builds from splat scores in closed form, [s, max(1 - d, 0)] / max(d, 1)
 with d the semantic mass, so each row is normalized once and both losses
 read it as given.  The truth labels are read in their own integer dtype
 (1 B per voxel for a uint8 grid), with no widened copy.  The rows come in
-slabs, so a caller never has to hold a whole probability volume:
-``CrossEntropyTerms`` writes one term per voxel and
-averages them once at the end, and ``LovaszCandidates`` first fixes each t_c
-from the foreground rows, then turns each slab into a part (its argmax
-counts, max(p_c) and candidates) and folds the parts in ascending index.
-The results do not depend on the slab sizes, bit for bit.  A part depends
-only on its slab and the thresholds, so it may be made anywhere (a forked
-worker) and folded in afterwards, with the same result.
+slabs, so a caller never has to hold a whole probability volume, nor a
+vector of one CE term per voxel: ``CrossEntropyTerms`` sums each slab's terms
+into the leaves of numpy's pairwise summation tree (``_pairwise``) and adds
+the leaf sums in the tree's order at the end, which is ``np.mean`` of the
+terms bit for bit; ``LovaszCandidates`` first fixes each t_c from the
+foreground rows, then turns each slab into a part (its argmax counts,
+max(p_c) and candidates) and folds the parts in ascending index.
+The results do not depend on the slab sizes, bit for bit.  Both hand over a
+part that depends only on its voxels (and the thresholds), so it may be made
+anywhere (a forked worker) and folded in afterwards, with the same result.
 ``weighted_ce`` and ``lovasz_per_class`` are the one-slab case.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,35 +118,93 @@ def _flat_labels(labels: np.ndarray, classes: int) -> np.ndarray:
     return labels
 
 
+# Leaf length of the CE sum tree (``_pairwise``).  From 128 up, numpy's
+# unrolled block, every split of the tree is one np.add.reduce makes, so
+# leaf sums added in tree order are np.add.reduce's sum bit for bit.
+_CE_LEAF = 2**13
+
+
+def _pairwise(lo: int, hi: int, leaf):
+    """``leaf(lo, hi)`` of each leaf of [lo, hi), added up in numpy's pairwise order.
+
+    numpy sums a contiguous float64 vector by halving it at half its length
+    rounded down to a multiple of 8; here a node of at most ``_CE_LEAF``
+    values is a leaf.  Leaves that return ``[lo]`` give the leaf starts, and
+    leaves that return ``np.add.reduce`` of their values give the sum.
+    """
+    if hi - lo <= _CE_LEAF:
+        return leaf(lo, hi)
+    half = lo + (hi - lo) // 2 // 8 * 8
+    return _pairwise(lo, half, leaf) + _pairwise(half, hi, leaf)
+
+
 class CrossEntropyTerms:
-    """Per-voxel weighted cross-entropy terms -w_y log p_y, filled slab by slab.
+    """Weighted cross-entropy -w_y log p_y, averaged as ``np.mean`` of every voxel's term, fed slab by slab.
 
     ``add(start, probs)`` takes the probability rows of voxels ``start`` to
     ``start + len(probs)`` as given (``probability_rows`` made them, so they
-    are not normalized again) and gathers p_y from them; the log is floored
-    at ``CE_LOG_FLOOR``.  ``value`` is one mean over the whole term vector,
-    so it is the same number however the rows were split into slabs.
-    ``terms`` is the float64 vector to fill, one entry per voxel (an
-    anonymous mapping lets forked workers fill it); a new one by default.
+    are not normalized again), gathers p_y from them, floors the log at
+    ``CE_LOG_FLOOR`` and folds the slab's terms into the sums of the leaves
+    of numpy's pairwise tree (``_pairwise``) that it completes.  Terms of a
+    leaf the slab only cuts stay open until the next slab completes it, so
+    slabs added in ascending order hold one slab plus one leaf of terms.
+    ``value`` adds the leaf sums in tree order and divides by the voxel
+    count: ``np.mean`` of the whole term vector, bit for bit, however the
+    rows were split into slabs, and no term vector is ever held.
+
+    ``part()`` hands over what was added since the last part, the sums of
+    the leaves it completed and the open pieces of the (at most two) leaves
+    its edges cut, and starts empty; ``fold(parts)`` adds parts in
+    ascending voxel order, joining the open pieces into their leaves.  So a
+    forked worker may add the slabs of one range and return its part.
     """
 
-    def __init__(self, labels: np.ndarray, class_weights: np.ndarray, classes: int,
-                 terms: np.ndarray | None = None):
+    def __init__(self, labels: np.ndarray, class_weights: np.ndarray, classes: int):
         self.labels = _flat_labels(labels, classes)
         self.weights = np.asarray(class_weights, dtype=np.float64)
         if self.weights.shape != (classes,):
             raise LabelError(f"need one weight per class, got {self.weights.shape} for C={classes}")
-        self.terms = np.empty(len(self.labels)) if terms is None else terms
+        self.cuts = _pairwise(0, len(self.labels), lambda lo, hi: [lo]) + [len(self.labels)]
+        self.sums: dict[int, np.float64] = {}  # leaf start -> sum of its terms
+        self.open: list[tuple[int, np.ndarray]] = []  # (start, terms) of cut leaves, ascending
 
     def add(self, start: int, probs: np.ndarray) -> None:
         labels = self.labels[start : start + len(probs)]
         p_truth = probs[np.arange(len(labels)), labels]
-        self.terms[start : start + len(probs)] = -self.weights[labels] * np.log(
-            np.maximum(p_truth, CE_LOG_FLOOR)
-        )
+        self._take(start, -self.weights[labels] * np.log(np.maximum(p_truth, CE_LOG_FLOOR)))
+
+    def _take(self, start: int, terms: np.ndarray) -> None:
+        """Sum each leaf that ``terms`` (voxels from ``start``) complete; keep the pieces of leaves they cut open.
+
+        A piece that starts inside its leaf joins the open piece that ends
+        where it starts, the rest of the same leaf, first.
+        """
+        end = start + len(terms)
+        for j in range(bisect_right(self.cuts, start) - 1, bisect_left(self.cuts, end)):
+            lo, hi = self.cuts[j], self.cuts[j + 1]
+            a = max(lo, start)
+            piece = terms[a - start : min(hi, end) - start]
+            if a > lo and self.open and self.open[-1][0] + len(self.open[-1][1]) == a:
+                a, held = self.open.pop()
+                piece = np.concatenate([held, piece])
+            if a == lo and a + len(piece) == hi:
+                self.sums[lo] = np.add.reduce(piece)
+            else:
+                self.open.append((a, piece.copy()))
+
+    def part(self) -> tuple[dict, list]:
+        part = self.sums, self.open
+        self.sums, self.open = {}, []
+        return part
+
+    def fold(self, parts) -> None:
+        for sums, pieces in parts:
+            self.sums.update(sums)
+            for start, terms in pieces:
+                self._take(start, terms)
 
     def value(self) -> float:
-        return float(np.mean(self.terms))
+        return float(_pairwise(0, len(self.labels), lambda lo, hi: self.sums[lo]) / len(self.labels))
 
 
 def weighted_ce(probs: np.ndarray, labels: np.ndarray, class_weights: np.ndarray) -> float:

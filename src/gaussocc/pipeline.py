@@ -18,14 +18,14 @@ lifts, smooths and fuses them block by block over ``front_end_workers``
 features exist one block at a time, and the fused features are bitwise
 those of the four stages over every anchor at once.
 
-The grid is scored in x-slabs (``score_grid``): no probability volume is
-held, only one slab of probability rows at a time plus a few per-voxel
-vectors, and CE and Lovász equal their whole-volume values bit for bit.
-``score_grid`` only orchestrates: ``metrics`` owns the probability rule and
-the losses, and ``workers.run`` runs the all-voxel pass over
-``eval_workers`` (manifest) ranges of x-planes, more than one only when the
-grid has enough slabs to pay for the forks, and returns each range's Lovász
-parts.
+The grid is scored in x-slabs (``score_grid``): no probability volume and no
+per-voxel CE term vector is held, only one slab of probability rows at a
+time plus the truth's scored mask and foreground index, and CE and Lovász
+equal their whole-volume values bit for bit.  ``score_grid`` only
+orchestrates: ``metrics`` owns the probability rule and the losses, and
+``workers.run`` runs the all-voxel pass over ``eval_workers`` (manifest)
+ranges of x-planes, more than one only when the grid has enough slabs to pay
+for the forks, and returns each range's CE part and Lovász parts.
 
 The emit stage creates ``out_dir`` (so a run refused at load leaves none
 behind) and writes ``pred_grid.goc1``, ``metrics.txt`` and ``bev.ppm``,
@@ -191,8 +191,9 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
     ``workers.run`` runs the second pass, ``gather``, over ascending ranges
     of x-planes cut at the splat's tile columns, one per worker: ``threads``
     is the request, which ``workers.count`` clamps to ``_eval_pieces``.
-    Each range fills its CE terms into one ``workers.shared`` array and
-    returns its list of Lovász parts, which the parent folds in range order.
+    Each range returns its CE part (the sums of the CE tree leaves it
+    completed and the terms of the at most two leaves its edges cut) and its
+    list of Lovász parts, which the parent folds in range order.
     The thresholds are fixed before any range is gathered, so the candidates
     are the sequential ones, and both results equal the whole-volume
     ``weighted_ce`` and ``lovasz_per_class`` bit for bit, for any worker
@@ -203,8 +204,7 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
     scores = pred.scores.reshape(-1, pred.scores.shape[-1])
     c_total = scores.shape[-1] + 1
     dims = pred.spec.dims
-    terms = workers.shared((len(scores),))
-    ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total, terms)
+    ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total)
     lovasz = metrics.LovaszCandidates(truth_labels, c_total, taxonomy.empty_id)
     plane = dims[1] * dims[2]
     step = plane * _planes_per_slab(dims, c_total)
@@ -213,16 +213,17 @@ def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) ->
         index = foreground[i : i + step]
         lovasz.add_foreground(index, metrics.probability_rows(scores[index]))
 
-    def gather(x_lo: int, x_hi: int) -> list:  # a worker's CE terms, and its range's Lovász parts
+    def gather(x_lo: int, x_hi: int) -> tuple:  # a range's CE part and its Lovász parts
         parts = []
         for start in range(x_lo * plane, x_hi * plane, step):
             probs = metrics.probability_rows(scores[start : min(start + step, x_hi * plane)])
             ce.add(start, probs)
             parts.append(lovasz.add(start, probs))
-        return parts
+        return ce.part(), parts
 
     bounds = workers.slab_bounds(dims[0], workers.count(threads, _eval_pieces(dims, c_total)), head.TILE[0])
-    for parts in workers.run(bounds, gather, "eval", "x-slab"):
+    for ce_part, parts in workers.run(bounds, gather, "eval", "x-slab"):
+        ce.fold([ce_part])
         lovasz.fold(parts)
     return ce.value(), lovasz.losses()
 

@@ -50,7 +50,10 @@ def slab_bounds(total: int, pieces: int, width: int) -> list[int]:
 
 
 def shared(shape: tuple, dtype=np.float64) -> np.ndarray:
-    """A zeroed array over a fresh anonymous mapping: what a forked worker writes into it, the parent reads."""
+    """A zeroed array over a fresh anonymous mapping: what a forked worker writes into it, the parent reads.
+
+    Its pages take no memory until they are touched, wherever the C heap has room.
+    """
     buf = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
     return np.frombuffer(buf, dtype=dtype).reshape(shape)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,20 @@ class TestInitAnchors:
         seen = {round(float(v), 6) for v in np.exp(anchors["log_scale"][:, 0])}
         assert seen <= {0.2, 0.5, 1.0}
         assert len(seen) > 1
+
+    def test_zero_features_take_no_heap(self, small_grid):
+        # occ3d's (12,800, 128) zero features, not from the C heap: calloc there may
+        # reuse a freed block and clear it, which made all 12.5 MiB resident
+        tracemalloc.start()
+        try:
+            anchors = init_anchors(12800, small_grid, seed=5, model=ModelConfig(feature_width=128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        features = anchors["feature"]
+        assert features.shape == (12800, 128) and features.flags.c_contiguous and features.flags.writeable
+        assert not features.any()
+        assert peak < features.nbytes / 4, (peak, features.nbytes)
 
     @pytest.mark.parametrize(
         "count, seed, model",

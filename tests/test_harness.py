@@ -254,6 +254,14 @@ class TestSceneLoad:
         for mine, theirs in zip(again.views.views, scene.views.views):
             np.testing.assert_array_equal(mine.plane, theirs.plane)
 
+    def test_camera_planes_are_views_of_one_array(self, large_scene):
+        # one (cameras, H, W, F) block, so the planes are one allocation, freed together
+        scene, path, _ = large_scene
+        views = load_scene(path).views.views
+        block = views[0].plane.base
+        assert block.shape == (2, 128, 128, 32) and block.flags.owndata
+        assert all(view.plane.base is block for view in views)
+
     @pytest.mark.parametrize("how", ["path", "bytes"])
     @pytest.mark.parametrize("section", ["depth planes", "camera plane 1"])
     def test_nan_in_last_block_refused_at_section_start(self, large_scene, section, how, tmp_path):

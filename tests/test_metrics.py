@@ -77,10 +77,10 @@ class TestWeightedCe:
         p_truth = probs[np.arange(500), labels]
         expected = -weights[labels] * np.log(np.maximum(p_truth, 1e-12))
         assert weighted_ce(probs, labels, weights) == float(np.mean(expected))
-        # per voxel too: 79 of these rows sum to 1 only up to rounding, so a second division moves terms
-        ce = metrics.CrossEntropyTerms(labels, weights, 6)
-        ce.add(0, probs)
-        assert ce.terms.tobytes() == expected.tobytes()
+        # per voxel too, one row per call: 79 of these rows sum to 1 only up to rounding, so a second
+        # division moves terms (== because a one-term mean is the term with its zero's sign dropped)
+        per_voxel = [weighted_ce(probs[i : i + 1], labels[i : i + 1], weights) for i in range(500)]
+        assert np.array_equal(per_voxel, expected)
 
 
 class TestProbabilityRows:
@@ -109,10 +109,9 @@ class TestProbabilityRows:
         rng = np.random.default_rng(3)
         shape = (64, 64, 32)
         labels = np.where(rng.uniform(size=shape) < 0.05, rng.integers(0, 17, size=shape), 17).astype(np.uint8)
-        terms = np.empty(labels.size)
         tracemalloc.start()
         try:
-            metrics.CrossEntropyTerms(labels, np.ones(18), 18, terms)
+            metrics.CrossEntropyTerms(labels, np.ones(18), 18)
             found = metrics.LovaszCandidates(labels, 18, 17)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -301,6 +300,37 @@ class TestSlabbedLosses:
                 found.fold(parts)
             assert found.losses() == lovasz_per_class(probs, labels, c - 1)
 
+    @pytest.mark.parametrize("leaf", [16, 128])
+    def test_ce_parts_of_copies_fold_to_whole_array(self, monkeypatch, leaf):
+        # what a forked eval worker does with CE: a copy adds the slabs of one
+        # index range and hands over its part (the sums of the leaves it
+        # completed, the terms of the leaves its edges cut); the parts fold in
+        # order into the original, whose open terms then complete every leaf
+        monkeypatch.setattr(metrics, "_CE_LEAF", leaf)
+        rng = np.random.default_rng(18 + leaf)
+        for _ in range(30):
+            n, c = int(rng.integers(20, 3000)), int(rng.integers(2, 7))
+            probs, labels = quantized_volume(rng, n, c)
+            weights = rng.uniform(0.5, 2.0, size=c)
+            cuts = rng.choice(np.arange(1, n), size=int(rng.integers(1, 6)), replace=False)
+            bounds = [0, *sorted(cuts.tolist()), n]
+            ce = metrics.CrossEntropyTerms(labels, weights, c)
+            parts = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                copy = deepcopy(ce)
+                step = int(rng.integers(1, 2 * leaf))
+                for start in range(lo, hi, step):
+                    copy.add(start, probs[start : min(start + step, hi)])
+                assert len(copy.open) <= 2
+                parts.append(copy.part())
+                assert copy.sums == {} and copy.open == []
+            ce.fold(parts)
+            assert ce.open == [] and sorted(ce.sums) == ce.cuts[:-1]
+            assert ce.value() == weighted_ce(probs, labels, weights)
+            if leaf >= 128:
+                terms = -weights[labels] * np.log(np.maximum(probs[np.arange(n), labels], metrics.CE_LOG_FLOOR))
+                assert ce.value() == float(np.mean(terms))
+
     def test_add_changes_nothing(self):
         # a part reaches the candidates only through fold, so an in-process
         # gather that is then folded counts each candidate once
@@ -314,6 +344,56 @@ class TestSlabbedLosses:
         assert len(classes) == len(p) == len(fg) > 0
         assert found.found == [] and found.predicted.tobytes() == before.predicted.tobytes()
         assert found.p_max.tobytes() == before.p_max.tobytes()
+
+
+class TestPairwiseTree:
+    """``_pairwise`` over leaf sums is np.mean's sum: numpy's split rule, pinned.
+
+    CE is bitwise ``np.mean`` of its terms only while numpy halves a vector
+    at half its length rounded down to a multiple of 8; if numpy changes
+    that rule, these tests fail instead of CE moving.
+    """
+
+    # the benchmark workloads' voxel counts (small, occ3d, dense-grid; openocc's
+    # 10,485,760 halves exactly into two of occ3d's tree), primes and odd lengths
+    LENGTHS = [1, 7, 8, 9, 127, 128, 129, 999, 8191, 65537, 131071, 999983,
+               16384, 1310720, 2097152, 3 * 2**20 + 5]
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        # signs and magnitudes over 16 decades: any other order of additions rounds otherwise
+        rng = np.random.default_rng(60)
+        n = 3 * 2**20 + 5
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+
+    @staticmethod
+    def tree_mean(x):
+        return metrics._pairwise(0, len(x), lambda lo, hi: np.add.reduce(x[lo:hi])) / len(x)
+
+    @pytest.mark.parametrize("leaf", [128, 129, 1000, 2**13, 2**16, 2**20])
+    def test_tree_of_leaf_sums_is_np_mean(self, monkeypatch, values, leaf):
+        monkeypatch.setattr(metrics, "_CE_LEAF", leaf)
+        for n in self.LENGTHS + [leaf - 1, leaf, leaf + 1, leaf + 8, 2 * leaf + 7]:
+            x = values[:n]
+            assert self.tree_mean(x) == np.mean(x), (n, leaf)
+
+    def test_leaves_below_numpy_block_are_not_np_mean(self, monkeypatch, values):
+        # numpy sums a node of at most 128 values in eight interleaved lanes, not by halving
+        # it, so a tree that splits such a node adds in another order: the leaf must be >= 128
+        assert metrics._CE_LEAF >= 128
+        for leaf in (16, 32, 64):
+            monkeypatch.setattr(metrics, "_CE_LEAF", leaf)
+            x = values[:999]
+            assert self.tree_mean(x) != np.mean(x), leaf
+
+    def test_leaf_starts(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_CE_LEAF", 8)
+        ce = metrics.CrossEntropyTerms(np.zeros(144, dtype=np.uint8), np.ones(2), 2)
+        assert ce.cuts == list(range(0, 145, 8))  # 144 -> 72 + 72 -> 32 + 40 -> ... leaves of 8
+        monkeypatch.setattr(metrics, "_CE_LEAF", 2**13)
+        assert metrics.CrossEntropyTerms(np.zeros(144, dtype=np.uint8), np.ones(2), 2).cuts == [0, 144]
+        # dense-grid: 2^21 voxels in 256 leaves of 8,192, one per x-plane slab
+        assert metrics._pairwise(0, 2**21, lambda lo, hi: [lo]) == list(range(0, 2**21, 2**13))
 
 
 class TestColumnMax:

@@ -557,6 +557,39 @@ class TestScoreGrid:
         assert peak < volume_bytes / 4, (peak, volume_bytes)
 
 
+    def test_no_voxel_length_vector(self, taxonomy, monkeypatch):
+        # CE terms are summed into tree leaves slab by slab: no (voxels,) shared mapping,
+        # forked or not, and in-process, with one-plane slabs, a peak allocation of less
+        # than 8 B per voxel (about 5: the foreground index, the Lovász candidates and parts)
+        rng = np.random.default_rng(27)
+        dims = (256, 32, 32)  # 2^18 voxels
+        grid = grid_of_scores(rng.uniform(0.0, 0.1, size=dims + (taxonomy.c_sem,)))
+        labels = np.where(rng.uniform(size=dims) < 0.9, taxonomy.empty_id, rng.integers(0, 17, size=dims))
+        labels = labels.astype(np.uint8)
+        shapes = []
+        shared = workers.shared
+
+        def recording_shared(shape, *args):
+            shapes.append(tuple(shape))
+            return shared(shape, *args)
+
+        monkeypatch.setattr(workers, "shared", recording_shared)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        forks = record_forks(monkeypatch)
+        forked = score_grid(grid, labels, taxonomy, threads=2)
+        assert len(forks) == (1 if hasattr(os, "fork") else 0)
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 2**17)  # one x-plane of 1,024 rows per slab
+        tracemalloc.start()
+        try:
+            in_process = score_grid(grid, labels, taxonomy, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (labels.size,) not in shapes, shapes
+        assert peak < 8 * labels.size, (peak, 8 * labels.size)
+        assert in_process == forked
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestScoreGridWorkers:
     """The all-voxel pass in forked workers, one per range of x-planes."""
@@ -582,6 +615,31 @@ class TestScoreGridWorkers:
         forks = record_forks(monkeypatch)
         assert score_grid(grid, labels, SCORE_TAXONOMY, threads=8) == (ce, lovasz)
         assert forks == ([] if count == 1 else [bounds or workers.slab_bounds(24, count, head.TILE[0])])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count, bounds", [
+        (1, None), (2, None), (3, None), (2, [0, 5, 24]), (3, [0, 1, 20, 24]),
+    ])
+    def test_ranges_that_cut_ce_leaves(self, monkeypatch, count, bounds):
+        # CE leaves of 8 terms against x-planes of 6 voxels: slab and range edges cut
+        # leaves, whose terms a range hands over raw and the parent joins
+        monkeypatch.setattr(metrics, "_CE_LEAF", 8)
+        rng = np.random.default_rng(50 + count)
+        grid = grid_of_scores(rng.uniform(0.0, 0.4, size=self.DIMS + (SCORE_TAXONOMY.c_sem,)))
+        labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
+        ce = weighted_ce(metrics.probability_rows(grid.scores), labels, SCORE_TAXONOMY.class_weights)
+        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
+        one_range = score_grid(grid, labels, SCORE_TAXONOMY, threads=1)[0]
+        monkeypatch.setattr(workers, "usable_cores", lambda: count)
+        if bounds is not None:
+            monkeypatch.setattr(workers, "slab_bounds", lambda total, pieces, width: bounds)
+        forks = record_forks(monkeypatch)
+        forked = score_grid(grid, labels, SCORE_TAXONOMY, threads=8)[0]
+        assert forks == ([] if count == 1 else [bounds or workers.slab_bounds(24, count, head.TILE[0])])
+        monkeypatch.delattr(os, "fork")  # the same ranges, each run in-process in turn
+        in_process = score_grid(grid, labels, SCORE_TAXONOMY, threads=8)[0]
+        assert one_range == forked == in_process == ce
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
