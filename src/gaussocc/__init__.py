@@ -9,7 +9,6 @@ from .core import (
     default_taxonomy,
     init_anchors,
     make_covariance,
-    voxel_center,
 )
 from .params import ParameterBundle, build_parameter_bundle, validate_bundle
 from .presets import RunConfig, resolve_config
@@ -32,6 +31,5 @@ __all__ = [
     "resolve_config",
     "run_pipeline",
     "validate_bundle",
-    "voxel_center",
     "__version__",
 ]

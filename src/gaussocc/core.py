@@ -160,16 +160,6 @@ class GridSpec:
         return tuple(self.origin[a] + (np.arange(self.dims[a]) + 0.5) * self.voxel_size[a] for a in range(3))
 
 
-def voxel_center(spec: GridSpec, index) -> np.ndarray:
-    """Center of the voxel at ``index``: origin + (index + 0.5) * voxel_size."""
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.shape != (3,):
-        raise IndexError(f"voxel index must be a 3-tuple, got shape {idx.shape}")
-    if np.any(idx < 0) or np.any(idx >= np.asarray(spec.dims)):
-        raise IndexError(f"voxel index {tuple(idx)} outside dims {spec.dims}")
-    return spec.origin + (idx + 0.5) * spec.voxel_size
-
-
 def voxel_centers(spec: GridSpec) -> np.ndarray:
     """All voxel centers as an (X, Y, Z, 3) array."""
     gx, gy, gz = np.meshgrid(*spec.axis_centers, indexing="ij")

@@ -28,7 +28,7 @@ class DegenerateCovarianceError(GaussOccError):
 class WorkerError(GaussOccError):
     """A splat, eval, front-end or head worker failed, could not be forked, or was interrupted.
 
-    ``bounds`` is its [lo, hi) range: of x-planes, anchors or TPV planes.
+    ``bounds`` is its [lo, hi) range: of x-planes, CE leaves, anchors or TPV planes.
     """
 
     def __init__(self, message: str, bounds: tuple[int, int]):

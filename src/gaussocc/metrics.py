@@ -29,22 +29,23 @@ with d the semantic mass, so each row is normalized once and both losses
 read it as given.  The truth labels are read in their own integer dtype
 (1 B per voxel for a uint8 grid), with no widened copy.  The rows come in
 slabs, so a caller never has to hold a whole probability volume, nor a
-vector of one CE term per voxel: ``CrossEntropyTerms`` sums each slab's terms
-into the leaves of numpy's pairwise summation tree (``_pairwise``) and adds
-the leaf sums in the tree's order at the end, which is ``np.mean`` of the
-terms bit for bit; ``LovaszCandidates`` first fixes each t_c from the
-foreground rows, then turns each slab into a part (its argmax counts,
-max(p_c) and candidates) and folds the parts in ascending index.
-The results do not depend on the slab sizes, bit for bit.  Both hand over a
-part that depends only on its voxels (and the thresholds), so it may be made
-anywhere (a forked worker) and folded in afterwards, with the same result.
-``weighted_ce`` and ``lovasz_per_class`` are the one-slab case.
+vector of one CE term per voxel: ``CrossEntropyTerms`` takes slabs of whole
+leaves of numpy's pairwise summation tree (``_pairwise``, ``leaf_cuts``),
+turns each into its leaf sums and adds the leaf sums in the tree's order at
+the end, which is ``np.mean`` of the terms bit for bit; ``LovaszCandidates``
+first fixes each t_c from the foreground rows, then turns each slab (of any
+size) into a part (its argmax counts, max(p_c) and candidates) and folds
+the parts in ascending index.  The results do not depend on how the slabs
+are grouped, bit for bit.  Both hand over a part that depends only on its
+voxels (and the thresholds), so it may be made anywhere (a forked worker)
+and folded in afterwards, with the same result.  ``weighted_ce`` and
+``lovasz_per_class`` are the one-slab case.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -138,25 +139,26 @@ def _pairwise(lo: int, hi: int, leaf):
     return _pairwise(lo, half, leaf) + _pairwise(half, hi, leaf)
 
 
+def leaf_cuts(voxels: int) -> list[int]:
+    """Leaf edges of the CE sum tree over ``voxels`` terms: each leaf's start, then ``voxels``."""
+    return _pairwise(0, voxels, lambda lo, hi: [lo]) + [voxels]
+
+
 class CrossEntropyTerms:
-    """Weighted cross-entropy -w_y log p_y, averaged as ``np.mean`` of every voxel's term, fed slab by slab.
+    """Weighted cross-entropy -w_y log p_y, averaged as ``np.mean`` of every voxel's term, fed leaf by leaf.
 
-    ``add(start, probs)`` takes the probability rows of voxels ``start`` to
-    ``start + len(probs)`` as given (``probability_rows`` made them, so they
-    are not normalized again), gathers p_y from them, floors the log at
-    ``CE_LOG_FLOOR`` and folds the slab's terms into the sums of the leaves
-    of numpy's pairwise tree (``_pairwise``) that it completes.  Terms of a
-    leaf the slab only cuts stay open until the next slab completes it, so
-    slabs added in ascending order hold one slab plus one leaf of terms.
-    ``value`` adds the leaf sums in tree order and divides by the voxel
-    count: ``np.mean`` of the whole term vector, bit for bit, however the
-    rows were split into slabs, and no term vector is ever held.
-
-    ``part()`` hands over what was added since the last part, the sums of
-    the leaves it completed and the open pieces of the (at most two) leaves
-    its edges cut, and starts empty; ``fold(parts)`` adds parts in
-    ascending voxel order, joining the open pieces into their leaves.  So a
-    forked worker may add the slabs of one range and return its part.
+    ``cuts`` are the leaf edges of numpy's pairwise tree over the voxels
+    (``leaf_cuts``).  ``add(start, probs)`` takes the probability rows of
+    voxels ``start`` to ``start + len(probs)``, which must be a run of whole
+    leaves (anything else is a ``ValueError``), as given (``probability_rows``
+    made them, so they are not normalized again), gathers p_y from them,
+    floors the log at ``CE_LOG_FLOOR`` and returns its part, the sum of each
+    leaf's terms by leaf start; it changes nothing.  ``fold(parts)`` keeps
+    the sums, in any order, so a forked worker may add the leaves of its
+    range and return their parts.  ``value`` adds the leaf sums in tree order
+    and divides by the voxel count: ``np.mean`` of the whole term vector, bit
+    for bit, however the leaves were grouped, and no term vector longer than
+    one ``add``'s is ever held.
     """
 
     def __init__(self, labels: np.ndarray, class_weights: np.ndarray, classes: int):
@@ -164,44 +166,27 @@ class CrossEntropyTerms:
         self.weights = np.asarray(class_weights, dtype=np.float64)
         if self.weights.shape != (classes,):
             raise LabelError(f"need one weight per class, got {self.weights.shape} for C={classes}")
-        self.cuts = _pairwise(0, len(self.labels), lambda lo, hi: [lo]) + [len(self.labels)]
+        self.cuts = leaf_cuts(len(self.labels))
+        self.ends = dict(pairwise(self.cuts))  # leaf start -> leaf end
         self.sums: dict[int, np.float64] = {}  # leaf start -> sum of its terms
-        self.open: list[tuple[int, np.ndarray]] = []  # (start, terms) of cut leaves, ascending
 
-    def add(self, start: int, probs: np.ndarray) -> None:
-        labels = self.labels[start : start + len(probs)]
+    def add(self, start: int, probs: np.ndarray) -> dict:
+        end = start + len(probs)
+        labels = self.labels[start:end]
         p_truth = probs[np.arange(len(labels)), labels]
-        self._take(start, -self.weights[labels] * np.log(np.maximum(p_truth, CE_LOG_FLOOR)))
-
-    def _take(self, start: int, terms: np.ndarray) -> None:
-        """Sum each leaf that ``terms`` (voxels from ``start``) complete; keep the pieces of leaves they cut open.
-
-        A piece that starts inside its leaf joins the open piece that ends
-        where it starts, the rest of the same leaf, first.
-        """
-        end = start + len(terms)
-        for j in range(bisect_right(self.cuts, start) - 1, bisect_left(self.cuts, end)):
-            lo, hi = self.cuts[j], self.cuts[j + 1]
-            a = max(lo, start)
-            piece = terms[a - start : min(hi, end) - start]
-            if a > lo and self.open and self.open[-1][0] + len(self.open[-1][1]) == a:
-                a, held = self.open.pop()
-                piece = np.concatenate([held, piece])
-            if a == lo and a + len(piece) == hi:
-                self.sums[lo] = np.add.reduce(piece)
-            else:
-                self.open.append((a, piece.copy()))
-
-    def part(self) -> tuple[dict, list]:
-        part = self.sums, self.open
-        self.sums, self.open = {}, []
-        return part
+        terms = -self.weights[labels] * np.log(np.maximum(p_truth, CE_LOG_FLOOR))
+        sums, lo = {}, start
+        while lo < end:
+            hi = self.ends.get(lo, end + 1)  # past the rows when lo starts no leaf
+            if hi > end:
+                raise ValueError(f"CE rows [{start}, {end}) are not a run of whole tree leaves")
+            sums[lo] = np.add.reduce(terms[lo - start : hi - start])
+            lo = hi
+        return sums
 
     def fold(self, parts) -> None:
-        for sums, pieces in parts:
+        for sums in parts:
             self.sums.update(sums)
-            for start, terms in pieces:
-                self._take(start, terms)
 
     def value(self) -> float:
         return float(_pairwise(0, len(self.labels), lambda lo, hi: self.sums[lo]) / len(self.labels))
@@ -211,7 +196,7 @@ def weighted_ce(probs: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
     """Mean over voxels of -w_y log p_y: ``CrossEntropyTerms`` fed one slab."""
     probs = np.asarray(probs, dtype=np.float64).reshape(-1, np.asarray(probs).shape[-1])
     terms = CrossEntropyTerms(labels, class_weights, probs.shape[-1])
-    terms.add(0, probs)
+    terms.fold([terms.add(0, probs)])
     return terms.value()
 
 
@@ -355,10 +340,13 @@ def class_iou(pred: SemanticOccupancyGrid, truth: SemanticOccupancyGrid, c_total
     p, t = pred.labels.reshape(-1), truth.labels.reshape(-1)
     if p.size and max(p.max(), t.max()) >= c_total:
         raise LabelError(f"grid label exceeds class count {c_total}")
-    index = t.astype(np.intp)  # t * c_total + p, the one voxel-sized integer array
-    index *= c_total
-    index += p
-    confusion = np.bincount(index, minlength=c_total * c_total).reshape(c_total, c_total)
+    confusion = np.zeros(c_total * c_total, dtype=np.intp)
+    for lo in range(0, p.size, _CE_LEAF):  # t * c_total + p, one chunk of voxels at a time
+        index = t[lo : lo + _CE_LEAF].astype(np.intp)
+        index *= c_total
+        index += p[lo : lo + _CE_LEAF]
+        confusion += np.bincount(index, minlength=c_total * c_total)
+    confusion = confusion.reshape(c_total, c_total)
     per_class = []
     for c in range(c_total):
         tp = int(confusion[c, c])

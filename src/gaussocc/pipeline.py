@@ -18,14 +18,15 @@ lifts, smooths and fuses them block by block over ``front_end_workers``
 features exist one block at a time, and the fused features are bitwise
 those of the four stages over every anchor at once.
 
-The grid is scored in x-slabs (``score_grid``): no probability volume and no
-per-voxel CE term vector is held, only one slab of probability rows at a
-time plus the truth's scored mask and foreground index, and CE and Lovász
-equal their whole-volume values bit for bit.  ``score_grid`` only
-orchestrates: ``metrics`` owns the probability rule and the losses, and
-``workers.run`` runs the all-voxel pass over ``eval_workers`` (manifest)
-ranges of x-planes, more than one only when the grid has enough slabs to pay
-for the forks, and returns each range's CE part and Lovász parts.
+The grid is scored one leaf of the CE sum tree at a time (``score_grid``):
+no probability volume and no per-voxel CE term vector is held, only one
+leaf's probability rows at a time plus the truth's scored mask and
+foreground index, and CE and Lovász equal their whole-volume values bit for
+bit.  ``score_grid`` only orchestrates: ``metrics`` owns the probability
+rule, the leaves and the losses, and ``workers.run`` runs the all-voxel pass
+over ``eval_workers`` (manifest) runs of whole leaves, more than one only
+when the grid has enough leaves to pay for the forks, and returns each
+leaf's CE and Lovász parts.
 
 The emit stage creates ``out_dir`` (so a run refused at load leaves none
 behind) and writes ``pred_grid.goc1``, ``metrics.txt`` and ``bev.ppm``,
@@ -59,12 +60,11 @@ from .harness import SyntheticScene, generate_scene, load_scene
 from .params import ParameterBundle, build_parameter_bundle, validate_bundle
 from .presets import RunConfig
 
-# probability rows built at a time when the grid is scored: about 1 MB
-_SLAB_BYTES = 2**20
-# slabs an eval worker must get before the eval forks.  On the small
-# workload's 32x32x16 grid (3 slabs) two workers took score_grid from 2.6-3.5
+# CE tree leaves an eval worker must get before the eval forks.  On the small
+# workload's 32x32x16 grid (2 leaves) two workers took score_grid from 2.6-3.5
 # ms to 8.7 ms (median of 40 calls), so it stays in-process; on dense-grid
-# (256 one-plane slabs) two took it from 0.20 to 0.13 s (best of 5; 2-vCPU VM)
+# (256 leaves, one x-plane each) two took it from 0.20 to 0.13 s (best of 5;
+# 2-vCPU VM)
 _MIN_WORKER_SLABS = 8
 
 # Byte budget of one front-end anchor block's (rows, D, F) depth samples:
@@ -109,14 +109,9 @@ def _requested_threads() -> int:
     return 8
 
 
-def _planes_per_slab(dims: tuple, c_total: int) -> int:
-    """Whole x-planes of probability rows in one slab of about _SLAB_BYTES."""
-    return max(1, _SLAB_BYTES // (8 * c_total * dims[1] * dims[2]))
-
-
-def _eval_pieces(dims: tuple, c_total: int) -> int:
-    """Eval workers the grid pays for: one per _MIN_WORKER_SLABS slabs of probability rows."""
-    return -(-dims[0] // _planes_per_slab(dims, c_total)) // _MIN_WORKER_SLABS
+def _eval_pieces(voxels: int) -> int:
+    """Eval workers the grid pays for: one per _MIN_WORKER_SLABS leaves of the CE tree."""
+    return (len(metrics.leaf_cuts(voxels)) - 1) // _MIN_WORKER_SLABS
 
 
 def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle, arrays: dict, threads: int):
@@ -181,50 +176,47 @@ def _front_end(config: RunConfig, scene: SyntheticScene, bundle: ParameterBundle
 def score_grid(pred, truth_labels: np.ndarray, taxonomy, *, threads: int = 1) -> tuple[float, dict[int, float]]:
     """Weighted CE and per-class Lovász of a predicted grid against truth labels.
 
-    ``metrics.probability_rows`` builds the rows in x-slabs of about
-    _SLAB_BYTES: first for the foreground voxels only (the Lovász
-    thresholds), then for every voxel in ascending order, each slab feeding
+    ``metrics.probability_rows`` builds the rows in slabs: first for the
+    foreground voxels only, in chunks of ``metrics._CE_LEAF`` (the Lovász
+    thresholds, which are minima, so any chunks give the same), then for
+    every voxel in ascending order, one leaf of the CE sum tree
+    (``CrossEntropyTerms.cuts``) per slab, each feeding
     ``metrics.CrossEntropyTerms`` and ``metrics.LovaszCandidates``, which
     read the rows as given: each row is normalized once, where it is built.
     Both take ``truth_labels`` as they are (a uint8 grid is flattened to a
     view, never widened to an integer copy).
-    ``workers.run`` runs the second pass, ``gather``, over ascending ranges
-    of x-planes cut at the splat's tile columns, one per worker: ``threads``
-    is the request, which ``workers.count`` clamps to ``_eval_pieces``.
-    Each range returns its CE part (the sums of the CE tree leaves it
-    completed and the terms of the at most two leaves its edges cut) and its
-    list of Lovász parts, which the parent folds in range order.
+    ``workers.run`` runs the second pass, ``gather``, over ascending runs of
+    whole leaves, one per worker: ``threads`` is the request, which
+    ``workers.count`` clamps to ``_eval_pieces``.  Each range returns the
+    CE part (its leaf sums) and the Lovász parts of its leaves, which the
+    parent folds in range order, so no leaf is ever cut.
     The thresholds are fixed before any range is gathered, so the candidates
     are the sequential ones, and both results equal the whole-volume
     ``weighted_ce`` and ``lovasz_per_class`` bit for bit, for any worker
     count.  A failed worker raises ``WorkerError`` naming the eval
-    stage and its range.  The class count is the score channels plus empty;
+    stage and its range of leaves.  The class count is the score channels plus empty;
     a taxonomy of another size is a ``LabelError``.
     """
     scores = pred.scores.reshape(-1, pred.scores.shape[-1])
     c_total = scores.shape[-1] + 1
-    dims = pred.spec.dims
     ce = metrics.CrossEntropyTerms(truth_labels, taxonomy.class_weights, c_total)
     lovasz = metrics.LovaszCandidates(truth_labels, c_total, taxonomy.empty_id)
-    plane = dims[1] * dims[2]
-    step = plane * _planes_per_slab(dims, c_total)
     foreground = lovasz.foreground
-    for i in range(0, len(foreground), step):
-        index = foreground[i : i + step]
+    for i in range(0, len(foreground), metrics._CE_LEAF):
+        index = foreground[i : i + metrics._CE_LEAF]
         lovasz.add_foreground(index, metrics.probability_rows(scores[index]))
 
-    def gather(x_lo: int, x_hi: int) -> tuple:  # a range's CE part and its Lovász parts
+    def gather(lo: int, hi: int) -> list:  # the CE and Lovász parts of leaves [lo, hi)
         parts = []
-        for start in range(x_lo * plane, x_hi * plane, step):
-            probs = metrics.probability_rows(scores[start : min(start + step, x_hi * plane)])
-            ce.add(start, probs)
-            parts.append(lovasz.add(start, probs))
-        return ce.part(), parts
+        for start, end in pairwise(ce.cuts[lo : hi + 1]):
+            probs = metrics.probability_rows(scores[start:end])
+            parts.append((ce.add(start, probs), lovasz.add(start, probs)))
+        return parts
 
-    bounds = workers.slab_bounds(dims[0], workers.count(threads, _eval_pieces(dims, c_total)), head.TILE[0])
-    for ce_part, parts in workers.run(bounds, gather, "eval", "x-slab"):
-        ce.fold([ce_part])
-        lovasz.fold(parts)
+    bounds = workers.slab_bounds(len(ce.cuts) - 1, workers.count(threads, _eval_pieces(len(scores))), 1)
+    for parts in workers.run(bounds, gather, "eval", "CE leaves"):
+        ce.fold(ce_part for ce_part, _ in parts)
+        lovasz.fold(lovasz_part for _, lovasz_part in parts)
     return ce.value(), lovasz.losses()
 
 
@@ -332,7 +324,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "config_hash": config.config_hash(),
         "seeds": seeds,
         "threads": workers.count(threads_requested, -(-config.grid.dims[0] // head.TILE[0])),  # the splat's
-        "eval_workers": workers.count(threads_requested, _eval_pieces(config.grid.dims, config.taxonomy.c_total)),
+        "eval_workers": workers.count(threads_requested, _eval_pieces(int(np.prod(config.grid.dims)))),
         "head_workers": head._plane_workers(threads_requested, config.gaussian_count, model.feature_width),
         "front_end_workers": front_end_workers,
         "threads_requested": threads_requested,

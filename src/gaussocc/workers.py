@@ -1,10 +1,10 @@
 """How work runs across processes: one runner, one worker-count rule and shared arrays.
 
-The splat and the eval cut the grid into x-slabs and the pipeline's front
-end cuts the anchors into anchor ranges.  Each of these stages clamps its
-``threads`` request (``GOC_THREADS``) with ``count``, hands its ranges to
-``run`` and has its workers write their rows into ``shared`` arrays.  The
-head hands ``run`` its three TPV planes, one range each, and its workers
+The splat cuts the grid into x-slabs, the eval cuts its voxels into runs
+of CE tree leaves and the pipeline's front end cuts the anchors into anchor
+ranges.  Each of these stages clamps its ``threads`` request
+(``GOC_THREADS``) with ``count``, hands its ranges to ``run`` and has its
+workers write their rows into ``shared`` arrays or return them.  The head hands ``run`` its three TPV planes, one range each, and its workers
 write their refined rows into one ``shared`` buffer.  It is not clamped to
 ``count``: a plane's scan is sequential, so a plane is the smallest piece,
 and on two cores three plane processes beat two ranges of one and two

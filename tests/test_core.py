@@ -14,7 +14,6 @@ from gaussocc.core import (
     make_covariance,
     quaternion_to_matrix,
     stack_primitives,
-    voxel_center,
     voxel_centers,
 )
 from gaussocc.errors import ConfigurationError, InvalidRotationError
@@ -76,32 +75,31 @@ class TestMakeCovariance:
 
 
 class TestVoxelCenter:
+    """A voxel's centre is origin + (index + 0.5) * voxel_size, along each axis and in the full tensor."""
+
+    @staticmethod
+    def center(spec, index):
+        return [axis[i] for axis, i in zip(spec.axis_centers, index)]
+
     def test_unit_grid_origin_voxel(self):
         spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(4, 4, 4))
-        np.testing.assert_allclose(voxel_center(spec, (0, 0, 0)), [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(self.center(spec, (0, 0, 0)), [0.5, 0.5, 0.5])
 
     def test_benchmark_scale_grid(self):
         spec = GridSpec(origin=np.array([-50.0, -50.0, -5.0]), voxel_size=np.full(3, 0.1), dims=(1000, 1000, 80))
-        np.testing.assert_allclose(voxel_center(spec, (0, 0, 0)), [-49.95, -49.95, -4.95], atol=1e-6)
+        np.testing.assert_allclose(self.center(spec, (0, 0, 0)), [-49.95, -49.95, -4.95], atol=1e-6)
 
     def test_far_corner_inside_box(self):
         spec = GridSpec(origin=np.array([1.0, 2.0, 3.0]), voxel_size=np.array([0.5, 0.25, 2.0]), dims=(7, 9, 3))
-        last = np.array(spec.dims) - 1
-        center = voxel_center(spec, last)
+        center = np.array(self.center(spec, np.array(spec.dims) - 1))
         assert np.all(center > spec.origin)
         assert np.all(center < spec.upper)
-
-    def test_out_of_range_index(self):
-        spec = GridSpec(origin=np.zeros(3), voxel_size=np.ones(3), dims=(4, 4, 4))
-        with pytest.raises(IndexError):
-            voxel_center(spec, (4, 0, 0))
-        with pytest.raises(IndexError):
-            voxel_center(spec, (0, -1, 0))
 
     def test_centers_tensor_matches_scalar(self):
         spec = GridSpec(origin=np.array([-1.0, 0.0, 2.0]), voxel_size=np.array([0.5, 1.0, 0.25]), dims=(3, 2, 4))
         grid = voxel_centers(spec)
-        np.testing.assert_array_equal(grid[1, 0, 3], voxel_center(spec, (1, 0, 3)))
+        for index in np.ndindex(spec.dims):
+            np.testing.assert_array_equal(grid[index], spec.origin + (np.array(index) + 0.5) * spec.voxel_size)
 
 
 def reference_anchors(count, spec, seed, model):

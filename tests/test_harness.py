@@ -360,6 +360,18 @@ SCENE_SHA256 = {
 }
 
 
+@pytest.fixture(scope="module", params=sorted(SCENE_SHA256), ids=lambda key: "-".join(map(str, key)))
+def workload_scene(request):
+    """(workload, seed), its scene and ``dump_scene`` of it, made once for every test that reads them.
+
+    pytest runs the tests of one param together and drops its scene before
+    the next is made, so one workload scene is held at a time.
+    """
+    workload, seed = request.param
+    scene = generate_scene(presets.resolve_config(WORKLOAD_OVERRIDES[workload]).scene_config, seed)
+    return request.param, scene, dump_scene(scene)
+
+
 class TestBlobTruth:
     """The boxed truth pass labels every voxel as the dense pass does."""
 
@@ -418,10 +430,9 @@ class TestBlobTruth:
         )
         assert labels[tuple(edge)] == 1
 
-    @pytest.mark.parametrize("workload,seed", sorted(SCENE_SHA256))
-    def test_workload_scene_bytes_pinned(self, workload, seed):
-        config = presets.resolve_config(WORKLOAD_OVERRIDES[workload]).scene_config
-        assert hashlib.sha256(dump_scene(generate_scene(config, seed))).hexdigest() == SCENE_SHA256[workload, seed]
+    def test_workload_scene_bytes_pinned(self, workload_scene):
+        key, _, data = workload_scene
+        assert hashlib.sha256(data).hexdigest() == SCENE_SHA256[key]
 
 
 class TestSceneWrite:
@@ -448,12 +459,11 @@ class TestSceneWrite:
         assert len(data) >= 10 * 2**20
         assert peak <= 4 * 2**20  # over what the scene keeps: never the whole file
 
-    @pytest.mark.parametrize("workload,seed", sorted(SCENE_SHA256))
-    def test_workload_file_is_dump_scene(self, workload, seed, tmp_path):
-        scene = generate_scene(presets.resolve_config(WORKLOAD_OVERRIDES[workload]).scene_config, seed)
+    def test_workload_file_is_dump_scene(self, workload_scene, tmp_path):
+        _, scene, data = workload_scene
         path = tmp_path / "scene.gscn"
         save_scene(scene, path)
-        assert path.read_bytes() == dump_scene(scene)
+        assert path.read_bytes() == data
 
 
 class TestDenseSplatOracle:

@@ -7,7 +7,7 @@ import pytest
 from gaussocc.core import GridSpec, SemanticOccupancyGrid
 from gaussocc.errors import GridMismatchError, LabelError, UndefinedMetricError
 from gaussocc.harness import oracle_lovasz_per_class
-from gaussocc import metrics
+from gaussocc import metrics, workers
 from gaussocc.metrics import (
     IoUReport,
     ClassIoU,
@@ -261,8 +261,16 @@ class TestLovaszTruncation:
             lovasz_per_class(np.array([[0.5, 0.5]]), np.array([2]), excluded_class=None)
 
 
+def leaf_run_bounds(rng, cuts):
+    """Random edges of runs of whole leaves: the first and last cut and up to five leaf edges between."""
+    inner = rng.choice(cuts[1:-1], size=min(len(cuts) - 2, int(rng.integers(0, 6))), replace=False)
+    return [cuts[0], *sorted(inner.tolist()), cuts[-1]]
+
+
 class TestSlabbedLosses:
-    def test_any_split_matches_whole_array(self):
+    def test_any_split_matches_whole_array(self, monkeypatch):
+        # Lovász slabs of any size; CE slabs of any runs of whole leaves (of 16 terms)
+        monkeypatch.setattr(metrics, "_CE_LEAF", 16)
         rng = np.random.default_rng(15)
         for _ in range(30):
             n, c = int(rng.integers(20, 300)), int(rng.integers(2, 7))
@@ -275,8 +283,9 @@ class TestSlabbedLosses:
             for index in np.array_split(found.foreground, 3):
                 found.add_foreground(index, probs[index])
             for lo, hi in zip(bounds[:-1], bounds[1:]):
-                ce.add(lo, probs[lo:hi])
                 found.fold([found.add(lo, probs[lo:hi])])
+            leaf_bounds = leaf_run_bounds(rng, ce.cuts)
+            ce.fold(ce.add(lo, probs[lo:hi]) for lo, hi in zip(leaf_bounds[:-1], leaf_bounds[1:]))
             assert ce.value() == weighted_ce(probs, labels, weights)
             assert found.losses() == lovasz_per_class(probs, labels, c - 1)
 
@@ -303,33 +312,47 @@ class TestSlabbedLosses:
     @pytest.mark.parametrize("leaf", [16, 128])
     def test_ce_parts_of_copies_fold_to_whole_array(self, monkeypatch, leaf):
         # what a forked eval worker does with CE: a copy adds the slabs of one
-        # index range and hands over its part (the sums of the leaves it
-        # completed, the terms of the leaves its edges cut); the parts fold in
-        # order into the original, whose open terms then complete every leaf
+        # run of whole leaves, each slab a run of leaves of its own, and hands
+        # over their parts (leaf start -> leaf sum); add changes nothing, and
+        # the parts fold in any order into the original
         monkeypatch.setattr(metrics, "_CE_LEAF", leaf)
         rng = np.random.default_rng(18 + leaf)
         for _ in range(30):
             n, c = int(rng.integers(20, 3000)), int(rng.integers(2, 7))
             probs, labels = quantized_volume(rng, n, c)
             weights = rng.uniform(0.5, 2.0, size=c)
-            cuts = rng.choice(np.arange(1, n), size=int(rng.integers(1, 6)), replace=False)
-            bounds = [0, *sorted(cuts.tolist()), n]
             ce = metrics.CrossEntropyTerms(labels, weights, c)
+            bounds = leaf_run_bounds(rng, ce.cuts)
             parts = []
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 copy = deepcopy(ce)
-                step = int(rng.integers(1, 2 * leaf))
-                for start in range(lo, hi, step):
-                    copy.add(start, probs[start : min(start + step, hi)])
-                assert len(copy.open) <= 2
-                parts.append(copy.part())
-                assert copy.sums == {} and copy.open == []
+                slabs = leaf_run_bounds(rng, [cut for cut in ce.cuts if lo <= cut <= hi])
+                parts += [copy.add(a, probs[a:b]) for a, b in zip(slabs[:-1], slabs[1:])]
+                assert copy.sums == {}
+            rng.shuffle(parts)
             ce.fold(parts)
-            assert ce.open == [] and sorted(ce.sums) == ce.cuts[:-1]
+            assert sorted(ce.sums) == ce.cuts[:-1]
             assert ce.value() == weighted_ce(probs, labels, weights)
             if leaf >= 128:
                 terms = -weights[labels] * np.log(np.maximum(probs[np.arange(n), labels], metrics.CE_LOG_FLOOR))
                 assert ce.value() == float(np.mean(terms))
+
+    def test_ce_refuses_part_of_a_leaf(self, monkeypatch):
+        # a CE slab that starts or ends inside a leaf is a ValueError, never a wrong CE
+        monkeypatch.setattr(metrics, "_CE_LEAF", 16)
+        rng = np.random.default_rng(19)
+        probs, labels = quantized_volume(rng, 128, 3)
+        ce = metrics.CrossEntropyTerms(labels, np.ones(3), 3)
+        assert ce.cuts == list(range(0, 129, 16))
+        for lo, hi in ((0, 15), (0, 17), (1, 16), (8, 24), (16, 127), (113, 128), (0, 127)):
+            with pytest.raises(ValueError, match=rf"CE rows \[{lo}, {hi}\) are not a run of whole tree leaves"):
+                ce.add(lo, probs[lo:hi])
+        assert ce.add(16, probs[16:48]).keys() == {16, 32}
+        ce.fold([ce.add(0, probs[:16]), ce.add(16, probs[16:112])])
+        with pytest.raises(KeyError):  # a leaf never added: no value, not a wrong one
+            ce.value()
+        ce.fold([ce.add(112, probs[112:])])
+        assert ce.value() == weighted_ce(probs, labels, np.ones(3))
 
     def test_add_changes_nothing(self):
         # a part reaches the candidates only through fold, so an in-process
@@ -386,14 +409,28 @@ class TestPairwiseTree:
             x = values[:999]
             assert self.tree_mean(x) != np.mean(x), leaf
 
+    # the benchmark workloads' grids, whose leaves are the eval's slabs
+    WORKLOAD_LEAVES = {
+        "small": ((32, 32, 16), [8192] * 2),
+        "occ3d": ((256, 256, 20), [5120] * 256),
+        "dense-grid": ((256, 256, 32), [8192] * 256),
+    }
+
     def test_leaf_starts(self, monkeypatch):
+        for dims, sizes in self.WORKLOAD_LEAVES.values():
+            voxels, plane = int(np.prod(dims)), dims[1] * dims[2]
+            cuts = metrics.leaf_cuts(voxels)
+            assert np.diff(cuts).tolist() == sizes
+            if len(sizes) == dims[0]:  # occ3d and dense-grid: one x-plane each
+                assert cuts == list(range(0, voxels + 1, plane))
+            # the eval's two-worker ranges are runs of whole leaves, on the large grids half the x-planes each
+            bounds = workers.slab_bounds(len(sizes), 2, 1)
+            assert [cuts[b] for b in bounds] == [0, voxels // 2, voxels]
         monkeypatch.setattr(metrics, "_CE_LEAF", 8)
         ce = metrics.CrossEntropyTerms(np.zeros(144, dtype=np.uint8), np.ones(2), 2)
         assert ce.cuts == list(range(0, 145, 8))  # 144 -> 72 + 72 -> 32 + 40 -> ... leaves of 8
         monkeypatch.setattr(metrics, "_CE_LEAF", 2**13)
         assert metrics.CrossEntropyTerms(np.zeros(144, dtype=np.uint8), np.ones(2), 2).cuts == [0, 144]
-        # dense-grid: 2^21 voxels in 256 leaves of 8,192, one per x-plane slab
-        assert metrics._pairwise(0, 2**21, lambda lo, hi: [lo]) == list(range(0, 2**21, 2**13))
 
 
 class TestColumnMax:
@@ -467,24 +504,26 @@ class TestClassIoU:
         with pytest.raises(LabelError, match="exceeds class count 4"):
             class_iou(grid_from_labels(labels["pred"]), grid_from_labels(labels["truth"]), c_total=4)
 
-    def test_one_index_vector_of_peak_memory(self):
-        # The confusion index t * c_total + p is built in place in one intp vector: no int64 copy of
-        # either label volume, and no temporary for the product or the sum.
+    def test_one_index_vector_of_peak_memory(self, monkeypatch):
+        # The confusion index t * c_total + p is built in place one chunk of voxels at a time: no
+        # voxel-length index, no int64 copy of either label volume, and chunk edges count each voxel once.
         rng = np.random.default_rng(3)
         pred, truth = (grid_from_labels(rng.integers(0, 18, size=(64, 64, 32)).astype(np.uint8)) for _ in range(2))
         want = np.zeros((18, 18), dtype=np.int64)
         np.add.at(want, (truth.labels.ravel(), pred.labels.ravel()), 1)
-        tracemalloc.start()
-        try:
-            report = class_iou(pred, truth, c_total=18)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        index_bytes = pred.labels.size * np.dtype(np.intp).itemsize
-        assert peak < 1.25 * index_bytes, (peak, index_bytes)  # the index vector, then 18 x 18 counts
-        for c, entry in enumerate(report.per_class):
-            assert (entry.tp, entry.fp, entry.fn) == (want[c, c], want[:, c].sum() - want[c, c],
-                                                      want[c].sum() - want[c, c])
+        for chunk in (1000, 2**13):
+            monkeypatch.setattr(metrics, "_CE_LEAF", chunk)
+            tracemalloc.start()
+            try:
+                report = class_iou(pred, truth, c_total=18)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            chunk_bytes = chunk * np.dtype(np.intp).itemsize
+            assert peak < 2 * chunk_bytes + 2**14, (peak, chunk_bytes)  # one chunk's index, then 18 x 18 counts
+            for c, entry in enumerate(report.per_class):
+                assert (entry.tp, entry.fp, entry.fn) == (want[c, c], want[:, c].sum() - want[c, c],
+                                                          want[c].sum() - want[c, c])
 
     def test_symmetry_of_iou(self):
         rng = np.random.default_rng(1)

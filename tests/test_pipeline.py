@@ -442,15 +442,14 @@ def tied_scores(rng, dims):
     return patterns[rng.integers(0, 5, size=dims)]
 
 
-def assert_streamed_equals_whole(grid, labels, monkeypatch):
-    """For slabs of one x-plane, three x-planes (uneven) and the whole volume:
-    CE and every Lovász loss bitwise equal to the whole-array functions, and
-    Lovász within 1e-12 of the full-sort oracle."""
+def assert_streamed_equals_whole(grid, labels, monkeypatch, leaves=(16, 32, 2**40)):
+    """For slabs of CE tree leaves of each size in ``leaves`` (at 16 and 32,
+    uneven on the 42-voxel grids; the last is the whole volume): CE and every
+    Lovász loss bitwise equal to the whole-array functions, and Lovász within
+    1e-12 of the full-sort oracle."""
     probs = metrics.probability_rows(grid.scores)
-    ce = weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)
     lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
     oracle = oracle_lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
-    x, plane = grid.spec.dims[0], grid.spec.dims[1] * grid.spec.dims[2]
     starts = []
     add = metrics.LovaszCandidates.add
 
@@ -459,12 +458,12 @@ def assert_streamed_equals_whole(grid, labels, monkeypatch):
         return add(self, start, rows)
 
     monkeypatch.setattr(metrics.LovaszCandidates, "add", recording_add)
-    for slab_bytes, planes in ((1, 1), (3 * plane * 8 * SCORE_TAXONOMY.c_total, 3), (2**40, x)):
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", slab_bytes)
+    for leaf in leaves:
+        monkeypatch.setattr(metrics, "_CE_LEAF", leaf)
         starts.clear()
         got_ce, got_lovasz = score_grid(grid, labels, SCORE_TAXONOMY)
-        assert starts == list(range(0, x * plane, planes * plane))
-        assert got_ce == ce
+        assert starts == metrics.leaf_cuts(grid.labels.size)[:-1]
+        assert got_ce == weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)  # the same tree's
         assert got_lovasz == lovasz
         assert got_lovasz.keys() == oracle.keys()
         for c, loss in oracle.items():
@@ -473,7 +472,7 @@ def assert_streamed_equals_whole(grid, labels, monkeypatch):
 
 
 class TestScoreGrid:
-    """The x-slab eval against the whole-volume losses and the full-sort oracle."""
+    """The leaf-by-leaf eval against the whole-volume losses and the full-sort oracle."""
 
     def test_tied_volumes(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -492,16 +491,16 @@ class TestScoreGrid:
         assert lovasz[3] == 1.0
 
     def test_ties_at_threshold_straddle_slab_boundaries(self, monkeypatch):
-        # two voxels per x-plane; class 0 has foreground at voxels 1 and 5 with
-        # p_0 = 0.5, so t_0 = 0.5, and background ties p_0 = 0.5 at voxels 2
-        # and 6, each in the slab after a foreground voxel's
-        scores = np.zeros((4, 2, 1, 4))
+        # eight voxels per x-plane, one leaf of 8 each; class 0 has foreground at
+        # voxels 7 and 23 with p_0 = 0.5, so t_0 = 0.5, and background ties
+        # p_0 = 0.5 at voxels 8 and 24, each in the slab after a foreground voxel's
+        scores = np.zeros((4, 8, 1, 4))
         scores[..., 1] = 0.75
-        flat = scores.reshape(8, 4)
-        flat[[1, 2, 5, 6]] = [0.5, 0.25, 0.0, 0.0]
-        flat[3] = [0.375, 0.5, 0.0, 0.0]  # below the threshold: not a candidate
-        labels = np.full((4, 2, 1), 1)
-        labels.reshape(-1)[[1, 5]] = 0
+        flat = scores.reshape(32, 4)
+        flat[[7, 8, 23, 24]] = [0.5, 0.25, 0.0, 0.0]
+        flat[9] = [0.375, 0.5, 0.0, 0.0]  # below the threshold: not a candidate
+        labels = np.full((4, 8, 1), 1)
+        labels.reshape(-1)[[7, 23]] = 0
         sorted_lengths = []
         gradient = metrics._lovasz_gradient
 
@@ -510,11 +509,11 @@ class TestScoreGrid:
             return gradient(fg_sorted)
 
         grid = grid_of_scores(scores)
-        lovasz = assert_streamed_equals_whole(grid, labels, monkeypatch)
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
+        lovasz = assert_streamed_equals_whole(grid, labels, monkeypatch, leaves=(8, 16, 2**40))
+        monkeypatch.setattr(metrics, "_CE_LEAF", 8)
         monkeypatch.setattr(metrics, "_lovasz_gradient", recording_gradient)
         assert score_grid(grid, labels, SCORE_TAXONOMY)[1] == lovasz
-        assert sorted_lengths[0] == 4  # voxels 1, 2, 5 and 6
+        assert sorted_lengths[0] == 4  # voxels 7, 8, 23 and 24
 
     def test_truth_without_foreground(self, monkeypatch):
         rng = np.random.default_rng(23)
@@ -558,9 +557,9 @@ class TestScoreGrid:
 
 
     def test_no_voxel_length_vector(self, taxonomy, monkeypatch):
-        # CE terms are summed into tree leaves slab by slab: no (voxels,) shared mapping,
-        # forked or not, and in-process, with one-plane slabs, a peak allocation of less
-        # than 8 B per voxel (about 5: the foreground index, the Lovász candidates and parts)
+        # CE terms are summed leaf by leaf: no (voxels,) shared mapping, forked or not, and
+        # in-process, with leaves of one x-plane, a peak allocation of less than 8 B per
+        # voxel (about 5: the foreground index, the Lovász candidates and parts)
         rng = np.random.default_rng(27)
         dims = (256, 32, 32)  # 2^18 voxels
         grid = grid_of_scores(rng.uniform(0.0, 0.1, size=dims + (taxonomy.c_sem,)))
@@ -578,7 +577,7 @@ class TestScoreGrid:
         forks = record_forks(monkeypatch)
         forked = score_grid(grid, labels, taxonomy, threads=2)
         assert len(forks) == (1 if hasattr(os, "fork") else 0)
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 2**17)  # one x-plane of 1,024 rows per slab
+        monkeypatch.setattr(metrics, "_CE_LEAF", 2**10)  # leaves of one x-plane of 1,024 rows
         tracemalloc.start()
         try:
             in_process = score_grid(grid, labels, taxonomy, threads=1)
@@ -592,15 +591,16 @@ class TestScoreGrid:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestScoreGridWorkers:
-    """The all-voxel pass in forked workers, one per range of x-planes."""
+    """The all-voxel pass in forked workers, one per run of CE leaves."""
 
-    # 24 x-planes: with one-plane slabs, up to three workers of 8 slabs each
-    DIMS = (24, 3, 2)
+    # 24 x-planes of 8 voxels: with leaves of 8, one leaf per x-plane, up to three workers of 8 leaves each
+    DIMS = (24, 4, 2)
 
     @pytest.mark.parametrize("count, bounds", [
         (1, None), (2, None), (3, None), (2, [0, 5, 24]), (3, [0, 1, 20, 24]),
     ])
     def test_bitwise_equal_for_any_workers_and_ranges(self, monkeypatch, count, bounds):
+        monkeypatch.setattr(metrics, "_CE_LEAF", 8)  # weighted_ce sums the eval's tree
         rng = np.random.default_rng(40 + count)
         grid = grid_of_scores(tied_scores(rng, self.DIMS))
         labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
@@ -608,13 +608,12 @@ class TestScoreGridWorkers:
         ce = weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights)
         lovasz = lovasz_per_class(probs, labels, SCORE_TAXONOMY.empty_id)
         assert 3 in lovasz  # predicted, never true: its loss is the folded max p_3
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
         monkeypatch.setattr(workers, "usable_cores", lambda: count)
         if bounds is not None:
             monkeypatch.setattr(workers, "slab_bounds", lambda total, pieces, width: bounds)
         forks = record_forks(monkeypatch)
         assert score_grid(grid, labels, SCORE_TAXONOMY, threads=8) == (ce, lovasz)
-        assert forks == ([] if count == 1 else [bounds or workers.slab_bounds(24, count, head.TILE[0])])
+        assert forks == ([] if count == 1 else [bounds or workers.slab_bounds(24, count, 1)])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -622,21 +621,21 @@ class TestScoreGridWorkers:
         (1, None), (2, None), (3, None), (2, [0, 5, 24]), (3, [0, 1, 20, 24]),
     ])
     def test_ranges_that_cut_ce_leaves(self, monkeypatch, count, bounds):
-        # CE leaves of 8 terms against x-planes of 6 voxels: slab and range edges cut
-        # leaves, whose terms a range hands over raw and the parent joins
+        # CE leaves of 8 terms against x-planes of 6 voxels: ranges of x-planes would cut
+        # leaves, so the eval's ranges are runs of whole leaves, which cut x-planes instead
         monkeypatch.setattr(metrics, "_CE_LEAF", 8)
+        dims = (32, 3, 2)  # 24 leaves
         rng = np.random.default_rng(50 + count)
-        grid = grid_of_scores(rng.uniform(0.0, 0.4, size=self.DIMS + (SCORE_TAXONOMY.c_sem,)))
-        labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
+        grid = grid_of_scores(rng.uniform(0.0, 0.4, size=dims + (SCORE_TAXONOMY.c_sem,)))
+        labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=dims)
         ce = weighted_ce(metrics.probability_rows(grid.scores), labels, SCORE_TAXONOMY.class_weights)
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
         one_range = score_grid(grid, labels, SCORE_TAXONOMY, threads=1)[0]
         monkeypatch.setattr(workers, "usable_cores", lambda: count)
         if bounds is not None:
             monkeypatch.setattr(workers, "slab_bounds", lambda total, pieces, width: bounds)
         forks = record_forks(monkeypatch)
         forked = score_grid(grid, labels, SCORE_TAXONOMY, threads=8)[0]
-        assert forks == ([] if count == 1 else [bounds or workers.slab_bounds(24, count, head.TILE[0])])
+        assert forks == ([] if count == 1 else [bounds or workers.slab_bounds(24, count, 1)])
         monkeypatch.delattr(os, "fork")  # the same ranges, each run in-process in turn
         in_process = score_grid(grid, labels, SCORE_TAXONOMY, threads=8)[0]
         assert one_range == forked == in_process == ce
@@ -649,11 +648,12 @@ class TestScoreGridWorkers:
         # with the global t_0 = 0.1 each is a candidate, while the first
         # range's own foreground (voxel 1, p_0 = 0.5) would have kept out
         # those of its range
+        monkeypatch.setattr(metrics, "_CE_LEAF", 8)
         scores = np.zeros(self.DIMS + (SCORE_TAXONOMY.c_sem,))
         flat = scores.reshape(-1, SCORE_TAXONOMY.c_sem)
         flat[:] = [0.3, 0.6, 0.0, 0.0]
         labels = np.ones(self.DIMS, dtype=np.int64)
-        for voxel, p0 in ((1, 0.5), (22 * 6, 0.9)):
+        for voxel, p0 in ((1, 0.5), (22 * 8, 0.9)):
             flat[voxel] = [p0, 1.0 - p0, 0.0, 0.0]
             labels.reshape(-1)[voxel] = 0
         grid = grid_of_scores(scores)
@@ -666,7 +666,6 @@ class TestScoreGridWorkers:
             sorted_lengths.append(len(fg_sorted))
             return gradient(fg_sorted)
 
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
         monkeypatch.setattr(workers, "usable_cores", lambda: 3)
         monkeypatch.setattr(metrics, "_lovasz_gradient", recording_gradient)
         forks = record_forks(monkeypatch)
@@ -688,13 +687,13 @@ class TestScoreGridWorkers:
         def failing(self, start, probs):
             if start >= 8 * plane:
                 raise RuntimeError("boom")
-            add(self, start, probs)
+            return add(self, start, probs)
 
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(metrics, "_CE_LEAF", 8)
         monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         monkeypatch.setattr(workers, "slab_bounds", lambda total, pieces, width: [0, 8, 24])
         monkeypatch.setattr(metrics.CrossEntropyTerms, "add", failing)
-        with pytest.raises(WorkerError, match=r"eval worker of x-slab \[8, 24\) failed: RuntimeError: boom") as info:
+        with pytest.raises(WorkerError, match=r"eval worker of CE leaves \[8, 24\) failed: RuntimeError: boom") as info:
             score_grid(grid, labels, SCORE_TAXONOMY, threads=2)
         assert info.value.bounds == (8, 24)
         with pytest.raises(ChildProcessError):
@@ -702,22 +701,25 @@ class TestScoreGridWorkers:
 
     def test_worker_count_needs_eight_slabs_each(self, monkeypatch):
         monkeypatch.setattr(workers, "usable_cores", lambda: 4)
-        def eval_count(threads, dims, c_total):
-            return workers.count(threads, pipeline._eval_pieces(dims, c_total))
+        def eval_count(threads, dims):
+            return workers.count(threads, pipeline._eval_pieces(int(np.prod(dims))))
 
-        # small: 32x32x16 at 18 classes is 14 x-planes per ~1 MB slab, 3 slabs
-        assert eval_count(2, (32, 32, 16), 18) == 1
-        # dense-grid: one x-plane per slab, 256 slabs; the threads and cores decide
-        assert eval_count(2, (256, 256, 32), 18) == 2
-        assert eval_count(8, (256, 256, 32), 18) == 4
-        assert eval_count(1, (256, 256, 32), 18) == 1
-        # 24 one-plane slabs: three workers, not the four the cores allow
-        assert eval_count(8, (24, 256, 32), 18) == 3
-        assert eval_count(8, (15, 256, 32), 18) == 1
+        # small: 32x32x16 is 2 leaves of 8,192
+        assert eval_count(2, (32, 32, 16)) == 1
+        # dense-grid: 256 leaves, one x-plane each; the threads and cores decide
+        assert eval_count(2, (256, 256, 32)) == 2
+        assert eval_count(8, (256, 256, 32)) == 4
+        assert eval_count(1, (256, 256, 32)) == 1
+        # 15 x-planes are 16 leaves of 7,680: two workers; 8 x-planes are 8 leaves: one
+        assert eval_count(8, (15, 256, 32)) == 2
+        assert eval_count(8, (8, 256, 32)) == 1
+        # 24 one-plane leaves of 8: three workers, not the four the cores allow
+        monkeypatch.setattr(metrics, "_CE_LEAF", 8)
+        assert eval_count(8, (24, 4, 2)) == 3
 
     def test_forked_run_leaves_no_child_and_same_metrics(self, tmp_path, monkeypatch):
         monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)  # one-plane slabs: the eval forks on 16 planes
+        monkeypatch.setattr(metrics, "_CE_LEAF", 128)  # one-plane leaves: the eval forks on 16 planes
         monkeypatch.setenv("GOC_THREADS", "1")
         alone = run_pipeline(small_config(tmp_path, subdir="alone"))
         assert (alone.manifest["threads"], alone.manifest["eval_workers"]) == (1, 1)
@@ -733,7 +735,7 @@ class TestScoreGridWorkers:
 
     def test_manifest_reports_one_worker_without_fork(self, tmp_path, monkeypatch):
         monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)  # one-plane slabs: the eval forks on 16 planes
+        monkeypatch.setattr(metrics, "_CE_LEAF", 128)  # one-plane leaves: the eval forks on 16 planes
         monkeypatch.setenv("GOC_THREADS", "2")
         forked = run_pipeline(small_config(tmp_path, subdir="forked"))
         assert (forked.manifest["threads"], forked.manifest["eval_workers"]) == (2, 2)
@@ -746,6 +748,7 @@ class TestScoreGridWorkers:
     def test_ranges_without_fork_equal_forked(self, monkeypatch):
         # with os.fork gone workers.count is 1, so the eval runs as one
         # in-process range, each slab gathered once and folded once
+        monkeypatch.setattr(metrics, "_CE_LEAF", 8)
         rng = np.random.default_rng(45)
         grid = grid_of_scores(tied_scores(rng, self.DIMS))
         labels = rng.choice([0, 1, 2, SCORE_TAXONOMY.empty_id], size=self.DIMS)
@@ -757,7 +760,6 @@ class TestScoreGridWorkers:
             return add(self, start, rows)
 
         monkeypatch.setattr(metrics.LovaszCandidates, "add", recording_add)
-        monkeypatch.setattr(pipeline, "_SLAB_BYTES", 1)
         monkeypatch.setattr(workers, "usable_cores", lambda: 3)
         forks = record_forks(monkeypatch)
         forked = score_grid(grid, labels, SCORE_TAXONOMY, threads=3)
@@ -765,7 +767,7 @@ class TestScoreGridWorkers:
         monkeypatch.delattr(os, "fork")
         in_process = score_grid(grid, labels, SCORE_TAXONOMY, threads=3)
         assert forks == [[0, 8, 16, 24]]  # the forked run's ranges only
-        assert starts == list(range(0, 24 * 6, 6))
+        assert starts == list(range(0, 24 * 8, 8))
         assert in_process == forked
         probs = metrics.probability_rows(grid.scores)
         assert forked == (weighted_ce(probs, labels, SCORE_TAXONOMY.class_weights),

@@ -32,7 +32,7 @@ def pieces(stage, threads, dims, c_total, anchors, width):
     if stage == "splat":
         return -(-dims[0] // head.TILE[0])
     if stage == "eval":
-        return pipeline._eval_pieces(dims, c_total)
+        return pipeline._eval_pieces(int(np.prod(dims)))
     return -(-anchors // 8) if head._plane_workers(threads, anchors, width) > 1 else 1
 
 
