@@ -276,9 +276,9 @@ class SemanticOccupancyGrid:
 class GaussianPrimitive:
     """One anisotropic Gaussian scene element.
 
-    ``log_scale`` holds the per-axis extents in log-meters; ``scale`` is the
-    exponentiated (strictly positive) view.  The rotation quaternion is
-    (w, x, y, z) and must be unit-norm within 1e-6.
+    ``log_scale`` holds the per-axis extents in log-meters, so every extent
+    is strictly positive.  The rotation quaternion is (w, x, y, z) and must
+    be unit-norm within 1e-6.
     """
 
     centroid: np.ndarray
@@ -307,10 +307,6 @@ class GaussianPrimitive:
         object.__setattr__(self, "opacity_logit", float(self.opacity_logit))
         object.__setattr__(self, "semantic_logits", logits)
         object.__setattr__(self, "feature", feat)
-
-    @property
-    def scale(self) -> np.ndarray:
-        return np.exp(self.log_scale)
 
 
 def normalize_quaternion(q: np.ndarray) -> np.ndarray:
@@ -362,7 +358,6 @@ class ModelConfig:
     depth_planes: int = 8
     head_blocks: int = 4
     semantic_classes: int = 17
-    scale_choices: tuple[float, ...] = DEFAULT_SCALE_CHOICES
 
     def __post_init__(self):
         for name in (
@@ -404,7 +399,8 @@ def init_anchors(
 
     Centroids come from a counter-based Philox stream so the layout is a pure
     function of (count, spec, seed); rotations are identity, logits zero, and
-    each anchor draws its initial scale from the configured discrete set.
+    each anchor draws its initial isotropic scale from the discrete set
+    ``DEFAULT_SCALE_CHOICES``.
     The keys and row layout are those of ``stack_primitives``.  The zero
     features lie in a fresh anonymous mapping (``workers.shared``), whose
     pages take no memory until written: ``np.zeros`` may take a freed C-heap
@@ -415,7 +411,7 @@ def init_anchors(
     model = model or ModelConfig()
     rng = np.random.Generator(np.random.Philox(seed))
     centroids = spec.origin + rng.random((count, 3)) * spec.extent
-    choices = np.asarray(model.scale_choices, dtype=np.float64)
+    choices = np.asarray(DEFAULT_SCALE_CHOICES, dtype=np.float64)
     log_scales = np.log(choices[rng.integers(0, len(choices), size=count)])
     return {
         "centroid": centroids,

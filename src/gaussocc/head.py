@@ -21,6 +21,11 @@ and the result is bitwise the same for any ``threads``.  After the final block
 ``run_head`` decodes the per-anchor attribute update (centroid offset,
 log-scale delta, quaternion delta, opacity, semantics) with one matmul in
 canonical order, scatters it back to anchor order once and applies it.
+``HeadParams`` holds what it reads from a bundle as plain fields: per block
+one dict plane -> (embed, U-Net) and one dict (axis, plane) -> offset head
+(weights, bias), then the decode's weights and bias.  Like every stage
+reader it restates no shape: ``params.validate_bundle`` has checked them all,
+the decode width 11 + C_sem among them, before the head runs.
 
 ``splat_arrays`` rasterizes the primitives into a dense semantic volume:
 each voxel accumulates opacity-weighted Gaussian densities times class
@@ -177,30 +182,18 @@ class UnetParams:
 
 
 @dataclass(frozen=True)
-class ConsensusParams:
-    """Per (axis, covering plane) linear offset heads."""
-
-    weights: dict  # (axis, plane) -> (F,) array
-    biases: dict   # (axis, plane) -> float
-
-
-@dataclass(frozen=True)
-class DecodeParams:
-    w: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class BlockParams:
-    embed: dict       # plane -> PlaneEmbedParams
-    unet: dict        # plane -> UnetParams
-    consensus: ConsensusParams
+    planes: dict     # plane -> (PlaneEmbedParams, UnetParams)
+    consensus: dict  # (axis, covering plane) -> (F,) offset head weights, float bias
 
 
 @dataclass(frozen=True)
 class HeadParams:
+    """The refinement blocks, the attribute decode (``decode_w`` (F, 11 + C_sem), ``decode_b``) and the raster key scale."""
+
     blocks: tuple
-    decode: DecodeParams
+    decode_w: np.ndarray
+    decode_b: np.ndarray
     omega: float
 
     @classmethod
@@ -212,7 +205,7 @@ class HeadParams:
         omega = 2.0 * float(np.max(spec.extent))
         blocks = []
         for b in range(model.head_blocks):
-            embed, unet = {}, {}
+            planes = {}
             for plane in PLANES:
                 pre = f"head.block{b}.{plane}"
                 a0, a1 = PLANE_AXES[plane]
@@ -220,7 +213,7 @@ class HeadParams:
                     [spec.origin[a0] + spec.extent[a0] / 2, spec.origin[a1] + spec.extent[a1] / 2]
                 )
                 half = np.array([spec.extent[a0] / 2, spec.extent[a1] / 2])
-                embed[plane] = PlaneEmbedParams(
+                embed = PlaneEmbedParams(
                     w1=bundle.get(f"{pre}.embed.w1"),
                     b1=bundle.get(f"{pre}.embed.b1"),
                     w2=bundle.get(f"{pre}.embed.w2"),
@@ -228,27 +221,28 @@ class HeadParams:
                     center=center,
                     half_extent=half,
                 )
-                unet[plane] = UnetParams(
+                unet = UnetParams(
                     enc1=bundle.get(f"{pre}.unet.enc1.w"),
                     enc2=bundle.get(f"{pre}.unet.enc2.w"),
                     dec1=bundle.get(f"{pre}.unet.dec1.w"),
                     dec2=bundle.get(f"{pre}.unet.dec2.w"),
                     ssm=SsmParams.from_bundle(bundle, f"{pre}.ssm"),
                 )
-            weights = {
-                (axis, plane): bundle.get(f"head.block{b}.psi.{axis}_{plane}.w")
+                planes[plane] = (embed, unet)
+            consensus = {
+                (axis, plane): (
+                    bundle.get(f"head.block{b}.psi.{axis}_{plane}.w"),
+                    float(bundle.get(f"head.block{b}.psi.{axis}_{plane}.b")),
+                )
                 for axis, plane in AXIS_PLANES
             }
-            biases = {
-                (axis, plane): float(bundle.get(f"head.block{b}.psi.{axis}_{plane}.b"))
-                for axis, plane in AXIS_PLANES
-            }
-            blocks.append(BlockParams(embed=embed, unet=unet, consensus=ConsensusParams(weights, biases)))
-        decode = DecodeParams(
-            w=bundle.get("head.decode.w"),
-            b=bundle.get("head.decode.b"),
+            blocks.append(BlockParams(planes=planes, consensus=consensus))
+        return cls(
+            blocks=tuple(blocks),
+            decode_w=bundle.get("head.decode.w"),
+            decode_b=bundle.get("head.decode.b"),
+            omega=omega,
         )
-        return cls(blocks=tuple(blocks), decode=decode, omega=omega)
 
 
 def raster_serialize(coords: np.ndarray, omega: float) -> np.ndarray:
@@ -398,28 +392,25 @@ def mamba_unet_refine(tokens: np.ndarray, params: UnetParams, out: np.ndarray | 
     return out
 
 
-def consensus_update(centroids: np.ndarray, planes: dict, params: ConsensusParams) -> np.ndarray:
+def consensus_update(centroids: np.ndarray, planes: dict, heads: dict) -> np.ndarray:
     """Average the two per-axis offset predictions from each axis's covering planes.
 
     ``planes`` maps each plane to (refined rows in that plane's raster order,
-    inverse permutation).  Each offset head runs on the raster-ordered rows
-    and its output is then scattered back to anchor order, so a permutation
-    of the anchors permutes the offsets bit-exactly (see the module
-    docstring).
+    inverse permutation) and ``heads`` each ``params.AXIS_PLANES`` pair to its
+    offset head's (weights, bias).  Each offset head runs on the
+    raster-ordered rows and its output is then scattered back to anchor
+    order, so a permutation of the anchors permutes the offsets bit-exactly
+    (see the module docstring).
     """
 
     def head(axis, plane):
         rows, inverse = planes[plane]
-        return (_product(rows, params.weights[(axis, plane)]) + params.biases[(axis, plane)])[inverse]
+        w, b = heads[(axis, plane)]
+        return (_product(rows, w) + b)[inverse]
 
-    offset = 0.5 * np.stack(
-        [
-            head("x", "xy") + head("x", "xz"),
-            head("y", "xy") + head("y", "yz"),
-            head("z", "xz") + head("z", "yz"),
-        ],
-        axis=-1,
-    )
+    # AXIS_PLANES lists the two covering planes of x, then of y, then of z
+    covering = zip(AXIS_PLANES[0::2], AXIS_PLANES[1::2])
+    offset = 0.5 * np.stack([head(*first) + head(*second) for first, second in covering], axis=-1)
     return np.asarray(centroids, dtype=np.float64) + offset
 
 
@@ -436,12 +427,13 @@ def _refine_plane(block: BlockParams, plane: str, centroids, features, rows: np.
 
     Returns the inverse permutation of the plane's raster order.
     """
+    embed, unet = block.planes[plane]
     coords = centroids[:, PLANE_AXES[plane]]
     order = raster_serialize(coords, omega)
     for lo, hi in pairwise(_cuts(0, len(order), _UNET_BLOCK_ROWS)):
-        block.embed[plane](coords[order[lo:hi]], out=rows[lo:hi])
+        embed(coords[order[lo:hi]], out=rows[lo:hi])
         rows[lo:hi] += features[order[lo:hi]]
-    mamba_unet_refine(rows, block.unet[plane], out=rows)
+    mamba_unet_refine(rows, unet, out=rows)
     return _inverse_permutation(order)
 
 
@@ -481,25 +473,22 @@ def refine_features(centroids: np.ndarray, features: np.ndarray, params: HeadPar
     return centroids, features
 
 
-def run_head(arrays: dict, params: HeadParams, semantic_classes: int, *, threads: int = 1) -> dict:
+def run_head(arrays: dict, params: HeadParams, *, threads: int = 1) -> dict:
     """Full head: block refinement, then one linear decode of the attribute update.
 
-    Each anchor's 11 + C_sem decoded channels are a centroid offset (3), a
-    log-scale delta (3), a quaternion delta (4), an opacity logit (1) and
-    the semantic logits.  The decode runs in lexicographic centroid order
-    (canonical for distinct coordinates) and scatters back, for the same
-    bitwise-equivariance reason as the block refiner.  Centroid, log-scale
-    and rotation are updated residually (the rotation renormalized);
-    opacity and semantic logits are overwritten.  ``threads`` is
-    ``refine_features``' request; the decode is one whole product.
+    Each anchor's 11 + C_sem decoded channels (the width of
+    ``params.decode_w``) are a centroid offset (3), a log-scale delta (3), a
+    quaternion delta (4), an opacity logit (1) and the semantic logits.  The
+    decode runs in lexicographic centroid order (canonical for distinct
+    coordinates) and scatters back, for the same bitwise-equivariance reason
+    as the block refiner.  Centroid, log-scale and rotation are updated
+    residually (the rotation renormalized); opacity and semantic logits are
+    overwritten.  ``threads`` is ``refine_features``' request; the decode is
+    one whole product.
     """
     centroids, features = refine_features(arrays["centroid"], arrays["feature"], params, threads=threads)
     canonical = np.lexsort((centroids[:, 2], centroids[:, 0], centroids[:, 1]))
-    raw = features[canonical] @ params.decode.w + params.decode.b
-    if raw.shape[-1] != 11 + semantic_classes:
-        raise ConfigurationError(
-            f"decode width {raw.shape[-1]} does not match 11 + {semantic_classes} classes"
-        )
+    raw = features[canonical] @ params.decode_w + params.decode_b
     raw = raw[_inverse_permutation(canonical)]
     out = dict(arrays)
     out["centroid"] = centroids + raw[:, 0:3]

@@ -290,7 +290,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _timed(timings, "head"):
         head_params = head.HeadParams.from_bundle(bundle, model, config.grid)
-        arrays = head.run_head(arrays, head_params, model.semantic_classes, threads=threads_requested)
+        arrays = head.run_head(arrays, head_params, threads=threads_requested)
 
     with _timed(timings, "splat"):
         pred = head.splat_arrays(

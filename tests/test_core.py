@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gaussocc import core
 from gaussocc.core import (
     GaussianPrimitive,
     GridSpec,
@@ -106,7 +107,7 @@ def reference_anchors(count, spec, seed, model):
     """Per-anchor GaussianPrimitive construction from the same Philox draws, then stacked."""
     rng = np.random.Generator(np.random.Philox(seed))
     centroids = spec.origin + rng.random((count, 3)) * spec.extent
-    choices = np.asarray(model.scale_choices, dtype=np.float64)
+    choices = np.asarray(core.DEFAULT_SCALE_CHOICES, dtype=np.float64)
     log_scales = np.log(choices[rng.integers(0, len(choices), size=count)])
     return stack_primitives(
         [
@@ -176,7 +177,7 @@ class TestInitAnchors:
         [
             (1, 0, ModelConfig()),
             (300, 5, ModelConfig(feature_width=8, semantic_classes=19)),
-            (1024, 2**40 + 3, ModelConfig(feature_width=16, scale_choices=(0.3, 0.7))),
+            (1024, 2**40 + 3, ModelConfig(feature_width=16)),
         ],
     )
     def test_bit_identical_to_stacked_primitives(self, small_grid, count, seed, model):
@@ -186,6 +187,10 @@ class TestInitAnchors:
         for key in want:
             assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
             assert got[key].tobytes() == want[key].tobytes(), key
+
+    def test_bit_identical_for_other_scale_choices(self, small_grid, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_SCALE_CHOICES", (0.3, 0.7))
+        self.test_bit_identical_to_stacked_primitives(small_grid, 1024, 2**40 + 3, ModelConfig(feature_width=16))
 
 
 class TestDomainTypes:

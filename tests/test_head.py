@@ -32,11 +32,10 @@ from gaussocc.errors import (
     SequenceTooShortError,
     WorkerError,
 )
+from gaussocc.formats import save_bundle
 from gaussocc.harness import oracle_sequential_scan
 from gaussocc.head import (
     BlockParams,
-    ConsensusParams,
-    DecodeParams,
     HeadParams,
     PlaneEmbedParams,
     SsmParams,
@@ -51,7 +50,9 @@ from gaussocc.head import (
     splat_arrays,
     zoh_discretize,
 )
-from gaussocc.params import AXIS_PLANES, PLANES, build_parameter_bundle
+from gaussocc.params import AXIS_PLANES, PLANES, ParameterBundle, build_parameter_bundle
+from gaussocc.pipeline import run_pipeline
+from gaussocc.presets import resolve_config
 
 
 def manual_ssm(f=1, n=1, a=-1.0, w_b=0.0, w_c=0.0, w_delta=0.0, b_delta=-10.0, d_skip=0.0):
@@ -87,10 +88,8 @@ def zeroed_unet(f):
 
 
 def zero_consensus(f, biases=None):
-    return ConsensusParams(
-        weights={key: np.zeros(f) for key in AXIS_PLANES},
-        biases={key: 0.0 for key in AXIS_PLANES} | (biases or {}),
-    )
+    biases = biases or {}
+    return {key: (np.zeros(f), biases.get(key, 0.0)) for key in AXIS_PLANES}
 
 
 def in_anchor_order(h_xy, h_xz, h_yz):
@@ -538,9 +537,7 @@ class TestConsensusUpdate:
 
     def test_commutes_with_translation(self):
         rng = np.random.default_rng(10)
-        weights = {key: rng.normal(size=5) for key in AXIS_PLANES}
-        biases = {key: float(rng.normal()) for key in AXIS_PLANES}
-        params = ConsensusParams(weights=weights, biases=biases)
+        params = {key: (rng.normal(size=5), float(rng.normal())) for key in AXIS_PLANES}
         centroids = rng.normal(size=(7, 3))
         planes = in_anchor_order(*rng.normal(size=(3, 7, 5)))
         t = np.array([10.0, -3.0, 0.5])
@@ -553,9 +550,7 @@ class TestConsensusUpdate:
         # loop and a row's result can depend on its position
         rng = np.random.default_rng(15)
         n, f = 23, 16
-        weights = {key: rng.normal(size=f) for key in AXIS_PLANES}
-        biases = {key: float(rng.normal()) for key in AXIS_PLANES}
-        params = ConsensusParams(weights=weights, biases=biases)
+        params = {key: (rng.normal(size=f), float(rng.normal())) for key in AXIS_PLANES}
         centroids = rng.normal(size=(n, 3))
         planes = {
             plane: (rng.normal(size=(n, f)), _inverse_permutation(raster_serialize(rng.uniform(-4, 4, size=(n, 2)), 64.0)))
@@ -574,12 +569,12 @@ class TestConsensusUpdate:
             )
 
         def raster_head(axis, plane):
-            rows, inverse = planes[plane]
-            return (rows @ weights[(axis, plane)] + biases[(axis, plane)])[inverse]
+            (rows, inverse), (w, b) = planes[plane], params[(axis, plane)]
+            return (rows @ w + b)[inverse]
 
         def anchor_head(axis, plane):
-            rows, inverse = planes[plane]
-            return rows[inverse] @ weights[(axis, plane)] + biases[(axis, plane)]
+            (rows, inverse), (w, b) = planes[plane], params[(axis, plane)]
+            return rows[inverse] @ w + b
 
         np.testing.assert_array_equal(out, combine(raster_head))
         np.testing.assert_allclose(out, combine(anchor_head), rtol=0, atol=1e-12)
@@ -592,18 +587,17 @@ class TestRefineFeatures:
         # into a pair of channels of that plane's own, so the output holds the
         # average of the three pairs and each plane's pair on its own
         f = 2 + 2 * len(PLANES)
-        embed = {}
+        planes = {}
         for k, plane in enumerate(PLANES):
             w1 = np.zeros((2, f))
             w1[0, [0, 2 + 2 * k]] = 1.0
             w1[1, [1, 3 + 2 * k]] = 1.0
-            embed[plane] = PlaneEmbedParams(
+            embed = PlaneEmbedParams(
                 w1=w1, b1=np.zeros(f), w2=np.eye(f), b2=np.zeros(f), center=np.zeros(2), half_extent=np.ones(2),
             )
-        block = BlockParams(
-            embed=embed, unet={plane: zeroed_unet(f) for plane in PLANES}, consensus=zero_consensus(f)
-        )
-        params = HeadParams(blocks=(block,), decode=DecodeParams(w=np.zeros((f, 28)), b=np.zeros(28)), omega=100.0)
+            planes[plane] = (embed, zeroed_unet(f))
+        block = BlockParams(planes=planes, consensus=zero_consensus(f))
+        params = HeadParams(blocks=(block,), decode_w=np.zeros((f, 28)), decode_b=np.zeros(28), omega=100.0)
         rng = np.random.default_rng(16)
         centroids = rng.uniform(0.5, 5.0, size=(9, 3))  # positive, so the ReLU passes them
         features = rng.normal(size=(9, f))
@@ -619,8 +613,8 @@ def decode_only(w, b, count):
     on ``count`` seeded anchors with random features."""
     arrays = init_anchors(count, GridSpec(np.zeros(3), np.ones(3), (4, 4, 4)), 0, model=ModelConfig(feature_width=6))
     arrays["feature"] = np.random.default_rng(11).normal(size=(count, 6))
-    params = HeadParams(blocks=(), decode=DecodeParams(w=w, b=b), omega=100.0)
-    return arrays, run_head(arrays, params, 17)
+    params = HeadParams(blocks=(), decode_w=w, decode_b=b, omega=100.0)
+    return arrays, run_head(arrays, params)
 
 
 class TestDecodeAttributes:
@@ -661,9 +655,17 @@ class TestDecodeAttributes:
         arrays, out = decode_only(np.zeros((6, 28)), b, 1)
         np.testing.assert_allclose(np.exp(out["log_scale"]), 2.0 * np.exp(arrays["log_scale"]), rtol=1e-12)
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            decode_only(np.zeros((6, 20)), np.zeros(20), 1)
+    def test_width_mismatch_rejected(self, tmp_path, monkeypatch):
+        # run_head trusts the decode width (11 + C_sem): a run refuses any other before the head
+        config = resolve_config({"preset": "synthetic", "gaussian_count": 32, "weights": str(tmp_path / "short.gocw"),
+                                 "out": str(tmp_path / "out")})
+        bundle = build_parameter_bundle(config.model, seed=2)
+        entries = {p: bundle.raw(p) for p in bundle.paths()}
+        entries["head.decode.w"] = entries["head.decode.w"][:, :-1]
+        save_bundle(ParameterBundle(entries), config.weights_path)
+        monkeypatch.setattr(head, "run_head", lambda *args, **kwargs: pytest.fail("the head ran"))
+        with pytest.raises(ConfigurationError, match="head.decode.w"):
+            run_pipeline(config)
 
 
 class TestHeadEquivariance:
@@ -682,7 +684,7 @@ class TestHeadEquivariance:
 
     def test_run_head_applies_single_decode(self, small_bundle, small_model, small_grid):
         arrays = init_anchors(8, small_grid, seed=13, model=small_model)
-        out = run_head(arrays, HeadParams.from_bundle(small_bundle, small_model, small_grid), 17)
+        out = run_head(arrays, HeadParams.from_bundle(small_bundle, small_model, small_grid))
         assert out["semantic_logits"].shape == (8, 17)
         norms = np.linalg.norm(out["rotation"], axis=1)
         np.testing.assert_allclose(norms, np.ones(8), atol=1e-9)
@@ -703,7 +705,7 @@ class TestHeadLinearCost:
         work = []
         for n in (64, 128):  # multiples of 4, so both pooling levels halve exactly
             scans.clear()
-            run_head(init_anchors(n, small_grid, seed=21, model=small_model), params, 17)
+            run_head(init_anchors(n, small_grid, seed=21, model=small_model), params)
             work.append((len(scans), *np.sum(scans, axis=0)))
         (calls, tokens, updates), (calls2, tokens2, updates2) = work
         assert calls == calls2 == 3 * small_model.head_blocks
@@ -761,11 +763,11 @@ class TestHeadThreads:
         arrays, params = inputs
         pids, _ = self.record_planes(monkeypatch)
         before = threading.active_count()
-        serial = run_head(arrays, params, 17, threads=1)
+        serial = run_head(arrays, params, threads=1)
         assert pids.tolist() == [os.getpid()] * len(PLANES)
         for threads in (2, 3):
             pids[:] = 0
-            forked = run_head(arrays, params, 17, threads=threads)
+            forked = run_head(arrays, params, threads=threads)
             assert threading.active_count() == before  # no thread is started for the planes
             assert 0 not in pids and os.getpid() not in pids and len(set(pids.tolist())) == len(PLANES)
             for key in serial:
@@ -773,7 +775,7 @@ class TestHeadThreads:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         monkeypatch.delattr(os, "fork")
-        in_process = run_head(arrays, params, 17, threads=2)
+        in_process = run_head(arrays, params, threads=2)
         assert pids.tolist() == [os.getpid()] * len(PLANES)
         for key in serial:
             assert in_process[key].tobytes() == serial[key].tobytes(), key
@@ -785,7 +787,7 @@ class TestHeadThreads:
         arrays, params = inputs
         products = record_products(monkeypatch)
         pids, made = self.record_planes(monkeypatch, products)
-        run_head(arrays, params, 17, threads=2)
+        run_head(arrays, params, threads=2)
         monkeypatch.undo()
         assert os.getpid() not in pids
         in_planes = [(m, k, n or None) for m, k, n in made.reshape(-1, 3).tolist() if m]
@@ -809,12 +811,12 @@ class TestHeadThreads:
 
         monkeypatch.setattr(head, "_refine_plane", failing)
         with pytest.raises(WorkerError, match=r"head worker of plane range \[1, 2\) failed: RuntimeError: plane broke") as info:
-            run_head(arrays, params, 17, threads=2)
+            run_head(arrays, params, threads=2)
         assert info.value.bounds == (1, 2)
         with pytest.raises(ChildProcessError):  # every plane worker is reaped
             os.waitpid(-1, os.WNOHANG)
         with pytest.raises(RuntimeError, match="plane broke"):  # in-process, the error propagates as is
-            run_head(arrays, params, 17, threads=1)
+            run_head(arrays, params, threads=1)
 
     def test_plane_path_has_no_matmul_operator(self):
         # `@` does not reach the recorder above, so the plane path uses np.matmul (through _product) only

@@ -42,10 +42,12 @@ def test_missing_path_rejected(small_model, small_bundle):
         validate_bundle(ParameterBundle(entries), small_model)
 
 
-def test_shape_mismatch_rejected(small_model, small_bundle):
+# head.decode.w one column short: run_head trusts its width (11 + C_sem) to this check
+@pytest.mark.parametrize("path, shape", [("fusion.wq_l", (3, 3)), ("head.decode.w", (16, 27))])
+def test_shape_mismatch_rejected(small_model, small_bundle, path, shape):
     entries = {p: small_bundle.raw(p) for p in small_bundle.paths()}
-    entries["fusion.wq_l"] = np.zeros((3, 3), dtype=np.float32)
-    with pytest.raises(ConfigurationError):
+    entries[path] = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(ConfigurationError, match=path):
         validate_bundle(ParameterBundle(entries), small_model)
 
 
@@ -63,7 +65,7 @@ def test_readers_read_every_declared_path_once(small_model, small_bundle, small_
     CameraLiftParams.from_bundle(bundle)
     KeypointParams.from_bundle(bundle)
     LdfaParams.from_bundle(bundle)
-    bundle.get("smoothing.eps")  # the pipeline reads the smoothing temperature itself
+    bundle.get("smoothing.eps")  # the pipeline reads the smoothing step size itself
     FusionParams.from_bundle(bundle)
     HeadParams.from_bundle(bundle, small_model, small_grid)
     assert set(reads) == set(declared_parameters(small_model))
