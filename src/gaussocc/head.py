@@ -229,13 +229,9 @@ class HeadParams:
                     ssm=SsmParams.from_bundle(bundle, f"{pre}.ssm"),
                 )
                 planes[plane] = (embed, unet)
-            consensus = {
-                (axis, plane): (
-                    bundle.get(f"head.block{b}.psi.{axis}_{plane}.w"),
-                    float(bundle.get(f"head.block{b}.psi.{axis}_{plane}.b")),
-                )
-                for axis, plane in AXIS_PLANES
-            }
+            weights = [bundle.get(f"head.block{b}.psi.{axis}_{plane}.w") for axis, plane in AXIS_PLANES]
+            biases = [float(bundle.get(f"head.block{b}.psi.{axis}_{plane}.b")) for axis, plane in AXIS_PLANES]
+            consensus = dict(zip(AXIS_PLANES, zip(weights, biases)))
             blocks.append(BlockParams(planes=planes, consensus=consensus))
         return cls(
             blocks=tuple(blocks),
