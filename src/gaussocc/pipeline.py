@@ -289,9 +289,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
         _malloc_trim(0)
 
     with _timed(timings, "head"):
-        # no name holds the head's parameters past the head: kept through the eval, their small
-        # blocks sat in the heap under dense-grid's peak (perfbench: 91.0-91.6 MB, dropped: 88.6 MB)
-        arrays = head.run_head(arrays, head.HeadParams.from_bundle(bundle, model, config.grid), threads=threads_requested)
+        head_params = head.HeadParams.from_bundle(bundle, model, config.grid)
+        arrays = head.run_head(arrays, head_params, threads=threads_requested)
 
     with _timed(timings, "splat"):
         pred = head.splat_arrays(
